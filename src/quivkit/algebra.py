@@ -29,7 +29,9 @@ from .exactlin import (
 class FinAlgebra:
     """Associative unital algebra over an exact field, by structure constants.
 
-    `structconst[i][j]` is the coordinate vector of b_i * b_j.  The radical
+    `structconst[i][j]` holds b_i * b_j as a tuple of `(m, c)` pairs: the
+    nonzero coordinates c of the product, in ascending basis index m.  The
+    form is canonical, so equal algebras have equal tables.  The radical
     filtration [A, J, J^2, ..., 0] is computed at validation time and cached;
     `truncation_level` is the least n with J^n = 0.  `ss_classes` are vectors
     whose images mod J are the canonical primitive orthogonal idempotents of
@@ -38,8 +40,7 @@ class FinAlgebra:
 
     __slots__ = ("field", "dim", "basis_labels", "structconst", "unit",
                  "radical_filtration", "truncation_level", "ss_classes",
-                 "_label_index", "_left_mats", "_right_mats", "_rq",
-                 "_splitting_cache")
+                 "_label_index", "_rq", "_splitting_cache")
 
     def __init__(self, field, basis_labels, structconst, unit,
                  radical_filtration, ss_classes):
@@ -52,8 +53,6 @@ class FinAlgebra:
         self.truncation_level = len(radical_filtration) - 1
         self.ss_classes = ss_classes
         self._label_index = {lab: i for i, lab in enumerate(basis_labels)}
-        self._left_mats = None
-        self._right_mats = None
         self._rq = None
         self._splitting_cache = None
 
@@ -69,66 +68,13 @@ class FinAlgebra:
         return self._label_index[label]
 
     def mul(self, x, y):
-        f = self.field
-        out = vec_zero(f, self.dim)
-        sc = self.structconst
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            sci = sc[i]
-            for j, yj in enumerate(y):
-                if yj == f.zero:
-                    continue
-                c = f.mul(xi, yj)
-                row = sci[j]
-                for m, cm in enumerate(row):
-                    if cm != f.zero:
-                        out[m] = f.add(out[m], f.mul(c, cm))
-        return out
+        return _mul_raw(self.field, self.dim, self.structconst, _terms(x), _terms(y))
 
     def power(self, x, n):
         acc = self.unit
         for _ in range(n):
             acc = self.mul(acc, x)
         return acc
-
-    def _basis_left_mats(self):
-        if self._left_mats is None:
-            f = self.field
-            mats = []
-            for i in range(self.dim):
-                cols = [self.structconst[i][j] for j in range(self.dim)]
-                mats.append(Mat.from_cols(f, cols, rows=self.dim))
-            self._left_mats = mats
-        return self._left_mats
-
-    def _basis_right_mats(self):
-        if self._right_mats is None:
-            f = self.field
-            mats = []
-            for j in range(self.dim):
-                cols = [self.structconst[i][j] for i in range(self.dim)]
-                mats.append(Mat.from_cols(f, cols, rows=self.dim))
-            self._right_mats = mats
-        return self._right_mats
-
-    def left_mult(self, x) -> Mat:
-        f = self.field
-        out = Mat.zeros(f, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            out = out.add(self._basis_left_mats()[i].scale(xi))
-        return out
-
-    def right_mult(self, x) -> Mat:
-        f = self.field
-        out = Mat.zeros(f, self.dim, self.dim)
-        for j, xj in enumerate(x):
-            if xj == f.zero:
-                continue
-            out = out.add(self._basis_right_mats()[j].scale(xj))
-        return out
 
     # -- radical -----------------------------------------------------------
 
@@ -258,37 +204,45 @@ def identity_morphism(a: FinAlgebra) -> AlgMorphism:
 # validation
 # ---------------------------------------------------------------------------
 
+def _terms(v):
+    """Sparse form of a dense vector: its nonzero (index, value) pairs."""
+    return [(i, c) for i, c in enumerate(v) if c]
+
+
+def _mul_raw(field, dim, sc, xs, ys):
+    """Dense coordinates of x * y, with x and y given as sparse terms."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * dim
+    for i, xi in xs:
+        sci = sc[i]
+        for j, yj in ys:
+            terms = sci[j]
+            if terms:
+                c = mul(xi, yj)
+                for m, cm in terms:
+                    out[m] = add(out[m], mul(c, cm))
+    return out
+
+
 def _check_unit(field, dim, sc, unit):
+    ut = _terms(unit)
     for j in range(dim):
         bj = vec_unit(field, dim, j)
-        left = _mul_raw(field, dim, sc, unit, bj)
-        right = _mul_raw(field, dim, sc, bj, unit)
+        bt = ((j, field.one),)
+        left = _mul_raw(field, dim, sc, ut, bt)
+        right = _mul_raw(field, dim, sc, bt, ut)
         if left != bj or right != bj:
             raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")
 
 
-def _mul_raw(field, dim, sc, x, y):
-    out = vec_zero(field, dim)
-    for i, xi in enumerate(x):
-        if xi == field.zero:
-            continue
-        for j, yj in enumerate(y):
-            if yj == field.zero:
-                continue
-            c = field.mul(xi, yj)
-            for m, cm in enumerate(sc[i][j]):
-                if cm != field.zero:
-                    out[m] = field.add(out[m], field.mul(c, cm))
-    return out
-
-
 def _check_associativity(field, dim, sc):
+    one = field.one
     for i in range(dim):
         for j in range(dim):
             ij = sc[i][j]
             for l in range(dim):
-                left = _mul_raw(field, dim, sc, ij, vec_unit(field, dim, l))
-                right = _mul_raw(field, dim, sc, vec_unit(field, dim, i), sc[j][l])
+                left = _mul_raw(field, dim, sc, ij, ((l, one),))
+                right = _mul_raw(field, dim, sc, ((i, one),), sc[j][l])
                 if left != right:
                     raise QuivkitError(
                         "ASSOCIATIVITY_FAIL",
@@ -299,7 +253,8 @@ def trace_form_radical(a_or_data) -> Subspace:
     """Radical as the kernel of the trace form x -> (y -> tr(L_{xy})).
 
     Valid over characteristic 0, and over F_p when p > dim (otherwise raises
-    CHAR_TOO_SMALL).  Works on a FinAlgebra or on raw (field, sc) data.
+    CHAR_TOO_SMALL).  Works on a FinAlgebra or on raw (field, dim, sc) data,
+    with `sc` in the sparse form of `FinAlgebra.structconst`.
     """
     if isinstance(a_or_data, FinAlgebra):
         field, dim, sc = a_or_data.field, a_or_data.dim, a_or_data.structconst
@@ -309,21 +264,22 @@ def trace_form_radical(a_or_data) -> Subspace:
         raise QuivkitError(
             "CHAR_TOO_SMALL",
             f"trace criterion needs char 0 or p > dim; got p={field.char}, dim={dim}")
-    # tr(L_{b_m}) for each m
+    # tr(L_{b_m}) for each m: the sum over l of the b_l-coordinate of b_m b_l
     tr = []
     for m in range(dim):
         acc = field.zero
         for l in range(dim):
-            acc = field.add(acc, sc[m][l][l])
+            for k, c in sc[m][l]:
+                if k == l:
+                    acc = field.add(acc, c)
         tr.append(acc)
     rows = []
     for i in range(dim):
         row = []
         for j in range(dim):
             acc = field.zero
-            for m, cm in enumerate(sc[i][j]):
-                if cm != field.zero:
-                    acc = field.add(acc, field.mul(cm, tr[m]))
+            for m, cm in sc[i][j]:
+                acc = field.add(acc, field.mul(cm, tr[m]))
             row.append(acc)
         rows.append(row)
     return kernel(Mat.from_rows(field, rows, cols=dim))
@@ -331,23 +287,28 @@ def trace_form_radical(a_or_data) -> Subspace:
 
 def _is_two_sided_ideal(field, dim, sc, space: Subspace) -> bool:
     for v in space.basis:
+        vt = _terms(v)
         for i in range(dim):
-            bi = vec_unit(field, dim, i)
-            if not space.contains(_mul_raw(field, dim, sc, bi, v)):
+            bt = ((i, field.one),)
+            if not space.contains(_mul_raw(field, dim, sc, bt, vt)):
                 return False
-            if not space.contains(_mul_raw(field, dim, sc, v, bi)):
+            if not space.contains(_mul_raw(field, dim, sc, vt, bt)):
                 return False
     return True
 
 
 def _radical_filtration(field, dim, sc, j_space: Subspace):
     filtration = [Subspace.full(field, dim), j_space]
+    j_terms = [_terms(x) for x in j_space.basis]
     cur = j_space
     while cur.dim > 0:
+        cur_terms = [_terms(y) for y in cur.basis]
         prods = []
-        for x in j_space.basis:
-            for y in cur.basis:
-                prods.append(_mul_raw(field, dim, sc, x, y))
+        for xt in j_terms:
+            for yt in cur_terms:
+                prod = _mul_raw(field, dim, sc, xt, yt)
+                if any(prod):
+                    prods.append(prod)
         nxt = Subspace.span(field, dim, prods)
         if nxt.dim >= cur.dim:
             raise QuivkitError("RADICAL_NOT_NILPOTENT",
@@ -363,15 +324,17 @@ def _verify_pointed_classes(field, dim, sc, unit, j_space, classes):
     if len(classes) != r:
         raise QuivkitError("NOT_POINTED",
                            f"expected {r} idempotent classes, got {len(classes)}")
+    class_terms = [_terms(c) for c in classes]
     for i, c in enumerate(classes):
         if j_space.contains(c):
             raise QuivkitError("NOT_POINTED", f"class {i} vanishes mod J")
-        sq = _mul_raw(field, dim, sc, c, c)
+        ct = class_terms[i]
+        sq = _mul_raw(field, dim, sc, ct, ct)
         if not j_space.contains(vec_sub(field, sq, c)):
             raise QuivkitError("NOT_POINTED", f"class {i} is not idempotent mod J")
         for j2 in range(i):
-            pr = _mul_raw(field, dim, sc, c, classes[j2])
-            pr2 = _mul_raw(field, dim, sc, classes[j2], c)
+            pr = _mul_raw(field, dim, sc, ct, class_terms[j2])
+            pr2 = _mul_raw(field, dim, sc, class_terms[j2], ct)
             if not j_space.contains(pr) or not j_space.contains(pr2):
                 raise QuivkitError("NOT_POINTED",
                                    f"classes {i},{j2} not orthogonal mod J")
@@ -402,7 +365,7 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
         return out
 
     def qmul(u, v):
-        return proj.matvec(_mul_raw(field, dim, sc, lift(u), lift(v)))
+        return proj.matvec(_mul_raw(field, dim, sc, _terms(lift(u)), _terms(lift(v))))
 
     # commutativity of the radical quotient is necessary for pointedness
     for i in range(qdim):
@@ -513,8 +476,9 @@ def validate_algebra(field, basis_labels, structconst, unit, *,
                      check_associativity=True) -> FinAlgebra:
     """Validate raw data and build a FinAlgebra.
 
-    `structconst[i][j]` must be the coordinate vector of b_i b_j; entries are
-    coerced through the field.  Constructions that already know the radical
+    `structconst[i][j]` must be the dense coordinate vector of b_i b_j;
+    entries are coerced through the field and stored in the sparse form of
+    `FinAlgebra.structconst`.  Constructions that already know the radical
     (path algebras, quotients) pass `radical_hint` and `ss_class_hint`; both
     are fully re-verified here, so hints can never smuggle in a wrong radical.
     """
@@ -523,12 +487,22 @@ def validate_algebra(field, basis_labels, structconst, unit, *,
         raise QuivkitError("BAD_SHAPE", "algebras must have positive dimension")
     if len(set(basis_labels)) != dim:
         raise QuivkitError("BAD_SHAPE", "basis labels must be unique")
-    sc = [[[field.of(c) for c in structconst[i][j]] for j in range(dim)]
-          for i in range(dim)]
+    of = field.of
+    sc = []
     for i in range(dim):
+        row = []
         for j in range(dim):
-            if len(sc[i][j]) != dim:
+            vec = structconst[i][j]
+            if len(vec) != dim:
                 raise QuivkitError("BAD_SHAPE", "structure constant vector length")
+            terms = []
+            for m, c in enumerate(vec):
+                if c:
+                    c = of(c)
+                    if c:
+                        terms.append((m, c))
+            row.append(tuple(terms))
+        sc.append(row)
     unit = [field.of(c) for c in unit]
     if len(unit) != dim:
         raise QuivkitError("BAD_SHAPE", "unit vector length")
@@ -583,10 +557,17 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
     if matrix.matvec(source.unit) != target.unit:
         raise QuivkitError("NOT_UNITAL", "matrix does not send 1 to 1")
     cols = matrix.columns()
+    col_terms = [_terms(c) for c in cols]
+    add, mul = f.add, f.mul
     for i in range(source.dim):
         ci = cols[i]
+        sci = source.structconst[i]
         for j in range(source.dim):
-            lhs = matrix.matvec(source.structconst[i][j])
+            # matrix * (b_i b_j) as the sum of c * col_m over its terms
+            lhs = [f.zero] * target.dim
+            for m, c in sci[j]:
+                for k, v in col_terms[m]:
+                    lhs[k] = add(lhs[k], mul(c, v))
             rhs = target.mul(ci, cols[j])
             if lhs != rhs:
                 raise QuivkitError(

@@ -28,23 +28,29 @@ from .vquiver import VQuiver
 
 
 def _default_level(vq: VQuiver) -> int:
-    """2 plus the longest simple directed path (edge count), capped at 8."""
+    """2 plus the longest simple directed path (edge count), capped at 8.
+
+    A path of 6 edges reaches the cap, so the search goes no deeper and
+    ends at the first such path; this bounds it on dense quivers.
+    """
     adj = {v: [] for v in vq.vertices}
     for (src, tgt) in vq.arrow_pairs():
         adj[src].append(tgt)
-
+    longest = 6
     best = 0
 
     def walk(v, seen, length):
         nonlocal best
         best = max(best, length)
         for w in adj[v]:
+            if best == longest:
+                return
             if w not in seen:
                 walk(w, seen | {w}, length + 1)
 
     for v in vq.vertices:
         walk(v, {v}, 0)
-    return min(2 + best, 8)
+    return 2 + best
 
 
 def _load(path: str) -> Document:

@@ -13,16 +13,34 @@ from fractions import Fraction
 from .errors import QuivkitError
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the bases above is exact for every n below this bound.
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        import sympy
+        return bool(sympy.isprime(n))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -188,15 +206,15 @@ def vec_scale(field, c, u):
 
 
 def vec_is_zero(field, u):
-    z = field.zero
-    return all(a == z for a in u)
+    return not any(u)
 
 
 def dot(field, u, v):
+    add, mul = field.add, field.mul
     acc = field.zero
     for a, b in zip(u, v):
-        if a != field.zero and b != field.zero:
-            acc = field.add(acc, field.mul(a, b))
+        if a and b:
+            acc = add(acc, mul(a, b))
     return acc
 
 
@@ -313,20 +331,23 @@ def rref(m: Mat):
     for c in range(m.cols):
         pr = None
         for i in range(r, m.rows):
-            if a[i][c] != f.zero:
+            if a[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
         inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
+        pivot_terms = [(k, f.mul(inv, x)) for k, x in enumerate(a[r]) if x]
+        a[r] = [f.zero] * m.cols
+        for k, x in pivot_terms:
+            a[r][k] = x
         for i in range(m.rows):
-            if i != r and a[i][c] != f.zero:
-                coef = a[i][c]
-                arow = a[i]
-                prow = a[r]
-                a[i] = [f.sub(arow[k], f.mul(coef, prow[k])) for k in range(m.cols)]
+            arow = a[i]
+            coef = arow[c]
+            if i != r and coef:
+                for k, x in pivot_terms:
+                    arow[k] = f.sub(arow[k], f.mul(coef, x))
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -368,8 +389,7 @@ def solve_multi(m: Mat, bs):
         # inconsistent iff some row is zero on the main block but not at col
         bad = False
         for r_i in range(red.rows):
-            if all(red.data[r_i][c] == f.zero for c in range(m.cols)) \
-                    and red.data[r_i][col] != f.zero:
+            if red.data[r_i][col] and not any(red.data[r_i][:m.cols]):
                 bad = True
                 break
         if bad:
@@ -438,12 +458,14 @@ class Subspace:
 
     def reduce(self, v):
         """Remainder of v after elimination against the basis."""
-        f = self.field
+        sub, mul = self.field.sub, self.field.mul
         v = list(v)
         for row, pc in zip(self.basis, self.pivots):
             c = v[pc]
-            if c != f.zero:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+            if c:
+                for k, b in enumerate(row):
+                    if b:
+                        v[k] = sub(v[k], mul(c, b))
         return v
 
     def contains(self, v) -> bool:

@@ -199,6 +199,10 @@ class VQuiverMap:
             raise QuivkitError(
                 "BAD_SHAPE",
                 "un-killed vertices must biject onto the target vertex set")
+        stray = set(arrow_mats) - set(source.arrow_pairs())
+        if stray:
+            raise QuivkitError("BAD_SHAPE",
+                               f"blocks {sorted(stray)} are not on source arrow pairs")
         self.field = field
         self.source = source
         self.target = target

@@ -1,5 +1,6 @@
 """Algebra validation, radicals, morphisms, ideals, quotients."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,109 @@ def test_f5_presented_algebra_radical():
     # ... and agrees with the arrow ideal when p > dim
     jet = truncated_power_series(F5, 3).carrier
     assert qk.trace_form_radical(jet) == jet.radical
+
+
+# -- sparse multiply kernel against the dense reference loop ---------------
+
+def _dense_table(a):
+    """Dense coordinate vectors of the products b_i b_j of `a`."""
+    f = a.field
+    table = []
+    for row in a.structconst:
+        dense_row = []
+        for terms in row:
+            assert [m for m, _ in terms] == sorted({m for m, _ in terms})
+            assert all(c for _, c in terms)
+            v = el.vec_zero(f, a.dim)
+            for m, c in terms:
+                v[m] = c
+            dense_row.append(v)
+        table.append(dense_row)
+    return table
+
+
+def _reference_mul(f, dim, sc, x, y):
+    out = el.vec_zero(f, dim)
+    for i, xi in enumerate(x):
+        if xi == f.zero:
+            continue
+        for j, yj in enumerate(y):
+            if yj == f.zero:
+                continue
+            c = f.mul(xi, yj)
+            for m, cm in enumerate(sc[i][j]):
+                if cm != f.zero:
+                    out[m] = f.add(out[m], f.mul(c, cm))
+    return out
+
+
+def _reference_bad_pair(source, target, matrix):
+    """First basis pair, in validate_morphism's order, where matrix fails."""
+    src_sc = _dense_table(source)
+    tgt_sc = _dense_table(target)
+    cols = matrix.columns()
+    for i in range(source.dim):
+        for j in range(source.dim):
+            lhs = matrix.matvec(src_sc[i][j])
+            rhs = _reference_mul(target.field, target.dim, tgt_sc, cols[i], cols[j])
+            if lhs != rhs:
+                return source.basis_labels[i], source.basis_labels[j]
+    return None
+
+
+def _loop_parallel_algebra(field):
+    vq = qk.VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["a", "b"],
+                                 ("2", "1"): ["c"]})
+    return qk.build_kvq(field, vq, 4)
+
+
+def _loop_parallel_quotient(field):
+    a = _loop_parallel_algebra(field).carrier
+    rel = el.vec_sub(field, a.mul(a.element("x"), a.element("x")),
+                     a.mul(a.element("c"), a.element("a")))
+    q, _pi = qk.quotient_algebra(a, qk.ideal_generated_by(a, [rel]))
+    return q
+
+
+def _random_element(rng, f, dim):
+    return [f.of(rng.choice((0, 0, 0, 1, -1, 2, -3))) for _ in range(dim)]
+
+
+_ORACLE_ALGEBRAS = {
+    "kvq_Q": lambda: _loop_parallel_algebra(QQ).carrier,
+    "kvq_F5": lambda: _loop_parallel_algebra(F5).carrier,
+    "quotient_Q": lambda: _loop_parallel_quotient(QQ),
+    "quotient_F5": lambda: _loop_parallel_quotient(F5),
+    "lower_tri": lambda: lower_triangular(QQ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_ALGEBRAS))
+def test_mul_matches_dense_reference(name):
+    a = _ORACLE_ALGEBRAS[name]()
+    dense = _dense_table(a)
+    rng = random.Random(f"mul-oracle-{name}")
+    for _ in range(25):
+        x = _random_element(rng, a.field, a.dim)
+        y = _random_element(rng, a.field, a.dim)
+        assert a.mul(x, y) == _reference_mul(a.field, a.dim, dense, x, y)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            bi, bj = a.basis_vector(i), a.basis_vector(j)
+            assert a.mul(bi, bj) == _reference_mul(a.field, a.dim, dense, bi, bj)
+
+
+def test_perturbed_psi_names_reference_pair():
+    q = _loop_parallel_quotient(QQ)
+    cu = qk.counit(q)
+    t = cu.source_algebra
+    m = cu.morphism.matrix.copy()
+    # a path of length 2 must go to the product of its arrows' images
+    col = t.grading[2][0]
+    m.data[0][col] = QQ.add(m.data[0][col], QQ.one)
+    pair = _reference_bad_pair(t.carrier, q, m)
+    assert pair is not None
+    with pytest.raises(QuivkitError) as exc:
+        qk.validate_morphism(t.carrier, q, m)
+    assert exc.value.code == "NOT_MULTIPLICATIVE"
+    assert exc.value.message == f"fails on basis pair ({pair[0]}, {pair[1]})"

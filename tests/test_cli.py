@@ -3,10 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from quivkit.cli import main
+from quivkit.cli import _default_level, main
+from quivkit.vquiver import VQuiver
+
+from corpus import line_vq, loop_vq, triangle_vq
 
 DOC = """
 field Q;
@@ -167,3 +171,26 @@ def test_console_entry_point(doc_file):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["pass"] is True
+
+
+def _path_vq(n):
+    names = [str(i) for i in range(n)]
+    return VQuiver(names, {(names[i], names[i + 1]): [f"a{i}"] for i in range(n - 1)})
+
+
+def test_default_level_values():
+    assert _default_level(triangle_vq()) == 4
+    assert _default_level(line_vq()) == 4
+    assert _default_level(loop_vq()) == 2
+    assert _default_level(_path_vq(6)) == 7
+    assert _default_level(_path_vq(7)) == 8
+    assert _default_level(_path_vq(12)) == 8
+
+
+def test_default_level_bounded_on_complete_digraph():
+    names = [str(i) for i in range(12)]
+    vq = VQuiver(names, {(s, t): [f"a{s}_{t}"] for s in names for t in names
+                         if s != t})
+    start = time.perf_counter()
+    assert _default_level(vq) == 8
+    assert time.perf_counter() - start < 1.0

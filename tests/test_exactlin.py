@@ -1,5 +1,6 @@
 """Exact linear algebra: examples plus hypothesis property checks."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,39 @@ def test_solve_and_invert():
     with pytest.raises(QuivkitError):
         el.invert(mat(QQ, [[1, 2], [2, 4]]))
     assert el.solve(mat(QQ, [[1, 1], [1, 1]]), [QQ.of(0), QQ.of(1)]) is None
+
+
+def test_small_primality_unchanged():
+    assert [n for n in (0, 1, 2, 4, 101) if el._is_prime(n)] == [2, 101]
+    for n in (0, 1, 4):
+        with pytest.raises(QuivkitError) as exc:
+            el.GF(n)
+        assert exc.value.code == "NOT_PRIME"
+    assert el.GF(2).char == 2 and el.GF(101).char == 101
+
+
+def test_large_prime_field_is_fast():
+    start = time.perf_counter()
+    f = el.GF(10**20 + 39)
+    assert time.perf_counter() - start < 1.0
+    assert f.mul(f.of(2), f.inv(f.of(2))) == 1
+
+
+def test_semiprime_modulus_rejected():
+    with pytest.raises(QuivkitError) as exc:
+        el.GF(1000000007 * 1000000009)
+    assert exc.value.code == "NOT_PRIME"
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if el._is_prime(n)] == \
+        [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the first bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747):
+        assert not el._is_prime(n)
 
 
 # -- property tests ---------------------------------------------------------

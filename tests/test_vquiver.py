@@ -194,3 +194,12 @@ def test_surjective_matches_rank_of_whole_map(source):
                 assert rho.is_surjective() == expected, vm
                 seen.add(expected)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("key", [("2", "1"), ("9", "9")])
+def test_block_off_source_arrow_pairs_rejected(key):
+    tri = triangle_vq()
+    vm = {v: v for v in tri.vertices}
+    with pytest.raises(QuivkitError) as exc:
+        VQuiverMap(QQ, tri, tri, vm, {key: el.Mat.identity(QQ, 1)})
+    assert exc.value.code == "BAD_SHAPE"
