@@ -17,6 +17,7 @@ from .algebra import (
     identity_morphism,
     ideal_subspace,
     quotient_algebra,
+    quotient_section,
     validate_morphism,
 )
 from .exactlin import (
@@ -25,14 +26,21 @@ from .exactlin import (
     kernel,
     solve,
     vec_add,
+    vec_combination,
     vec_is_zero,
     vec_scale,
     vec_sub,
     vec_zero,
 )
 from .gabriel import GabrielQuiverResult, check_sim, gq, gq_on_morphism
-from .pathalg import TruncatedTensorAlgebra, build_kvq, kvq_on_map, universal_map
-from .splittings import conjugate_element
+from .pathalg import (
+    TruncatedTensorAlgebra,
+    build_kvq,
+    kvq_on_map,
+    universal_map,
+    vqmap_generator_images,
+)
+from .splittings import conjugate_element, conjugating_element
 from .vquiver import POINT, VQuiverMap, compose_vq, identity_vqmap
 
 
@@ -75,31 +83,9 @@ def psi(t: TruncatedTensorAlgebra, rho: VQuiverMap,
     if a.truncation_level > t.level:
         raise QuivkitError("TRUNCATION_INCOMPATIBLE",
                            "path algebra level below the target truncation")
-    f = t.field
-    idem_images = {}
-    for v in t.vq.vertices:
-        w = rho.vertex_map[v]
-        if w == POINT:
-            idem_images[v] = vec_zero(f, a.dim)
-        else:
-            idem_images[v] = gq_a.idempotent_of_vertex(w)
-    arrow_images = {}
-    for (src, tgt), labs in t.vq.spaces.items():
-        ws, wt = rho.vertex_map[src], rho.vertex_map[tgt]
-        killed = POINT in (ws, wt) or gq_a.vquiver.dim(ws, wt) == 0
-        block = None if killed else rho.block(src, tgt)
-        basis_vecs = None if killed else gq_a.arrow_bases[(ws, wt)]
-        for j, lab in enumerate(labs):
-            if killed:
-                arrow_images[lab] = vec_zero(f, a.dim)
-                continue
-            img = vec_zero(f, a.dim)
-            for i_t, bvec in enumerate(basis_vecs):
-                c = block.data[i_t][j]
-                if c != f.zero:
-                    img = vec_add(f, img, vec_scale(f, c, bvec))
-            arrow_images[lab] = img
-    return universal_map(t, a, idem_images, arrow_images)
+    idems = dict(zip(gq_a.vertex_names, gq_a.splitting.idems.elements))
+    images = vqmap_generator_images(rho, a.dim, idems, gq_a.arrow_bases)
+    return universal_map(t, a, *images)
 
 
 def phi(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
@@ -238,51 +224,25 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
     if k2_target is None:
         k2_target = build_kvq(f, rho.target, 2)
     b = k2_target.carrier
-    # columns of the decomposition: idempotents, block sections, J^2 basis
-    cols = []
-    tags = []
-    for pos, e in enumerate(gq_a.splitting.idems.elements):
-        cols.append(list(e))
-        tags.append(("idem", pos))
+    idem_images, arrow_images = vqmap_generator_images(
+        rho, b.dim, *k2_target.generators())
+    # columns of the decomposition (idempotents, block sections, J^2 basis)
+    # and their images
+    cols = list(gq_a.splitting.idems.elements)
+    images = [idem_images[name] for name in gq_a.vertex_names]
     for (src, tgt), vecs in sorted(gq_a.arrow_bases.items()):
-        for k, v in enumerate(vecs):
-            cols.append(list(v))
-            tags.append(("arrow", (src, tgt, k)))
+        cols.extend(vecs)
+        images.extend(arrow_images[lab] for lab in gq_a.vquiver.spaces[(src, tgt)])
     j2 = a.radical_power(2)
-    for v in j2.basis:
-        cols.append(list(v))
-        tags.append(("j2", None))
+    cols.extend(j2.basis)
+    images.extend(vec_zero(f, b.dim) for _ in j2.basis)
     decomp = Mat.from_cols(f, cols, rows=a.dim)
     out_cols = []
     for bidx in range(a.dim):
         coords = solve(decomp, a.basis_vector(bidx))
         if coords is None:
             raise QuivkitError("INTERNAL", "splitting decomposition failed")
-        out = vec_zero(f, b.dim)
-        for c, tag in zip(coords, tags):
-            if c == f.zero:
-                continue
-            kind, info = tag
-            if kind == "idem":
-                w = rho.vertex_map[gq_a.vertex_names[info]]
-                if w != POINT:
-                    out = vec_add(f, out,
-                                  vec_scale(f, c, k2_target.idempotent(w)))
-            elif kind == "arrow":
-                src, tgt, k = info
-                ws, wt = rho.vertex_map[src], rho.vertex_map[tgt]
-                if POINT in (ws, wt) or rho.target.dim(ws, wt) == 0:
-                    continue
-                block = rho.block(src, tgt)
-                tgt_labels = rho.target.spaces[(ws, wt)]
-                for i_t, tlab in enumerate(tgt_labels):
-                    cc = block.data[i_t][k]
-                    if cc != f.zero:
-                        out = vec_add(
-                            f, out,
-                            vec_scale(f, f.mul(c, cc),
-                                      k2_target.arrow_element(tlab)))
-        out_cols.append(out)
+        out_cols.append(vec_combination(f, b.dim, coords, images))
     m = Mat.from_cols(f, out_cols, rows=b.dim)
     return validate_morphism(a, b, m)
 
@@ -322,30 +282,12 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
     if not check_sim(alpha, beta, 1):
         raise QuivkitError("NOT_SIM1", "morphisms are not congruent at level 1")
 
-    verts = t.vq.vertices
-    ua = {v: alpha.apply(t.idempotent(v)) for v in verts}
-    ub = {v: beta.apply(t.idempotent(v)) for v in verts}
+    idems = [t.idempotent(v) for v in t.vq.vertices]
 
     # step 1: one w in J(A) conjugating all beta vertex images to alpha's
-    jbasis = a.radical.basis
-    w = vec_zero(f, a.dim)
-    if jbasis:
-        rows = []
-        rhs = []
-        for v in verts:
-            cols = [vec_sub(f, a.mul(jb, ub[v]), a.mul(ua[v], jb))
-                    for jb in jbasis]
-            rows.extend(Mat.from_cols(f, cols, rows=a.dim).data)
-            rhs.extend(vec_sub(f, ua[v], ub[v]))
-        sol = solve(Mat.from_rows(f, rows, cols=len(jbasis)), rhs)
-        if sol is None:
-            raise QuivkitError("INTERNAL", "vertex conjugation system inconsistent")
-        for c, jb in zip(sol, jbasis):
-            if c != f.zero:
-                w = vec_add(f, w, vec_scale(f, c, jb))
-    for v in verts:
-        if conjugate_element(a, w, ub[v]) != ua[v]:
-            raise QuivkitError("INTERNAL", "vertex conjugation failed")
+    w = conjugating_element(a, [(alpha.apply(e), beta.apply(e)) for e in idems])
+    if w is None:
+        raise QuivkitError("INTERNAL", "vertex conjugation failed")
 
     # step 2: lift w through beta (beta maps J onto J(A))
     jt_basis = t.carrier.radical.basis
@@ -355,10 +297,7 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
     lift_sol = solve(lift_sys, w)
     if lift_sol is None:
         raise QuivkitError("INTERNAL", "radical lift through beta failed")
-    v_lift = vec_zero(f, t.dim)
-    for c, jb in zip(lift_sol, jt_basis):
-        if c != f.zero:
-            v_lift = vec_add(f, v_lift, vec_scale(f, c, jb))
+    v_lift = vec_combination(f, t.dim, lift_sol, jt_basis)
     delta1 = conjugation_automorphism(t, v_lift)
     beta1 = beta.compose(delta1)
 
@@ -366,9 +305,9 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
     j2a = a.radical_power(2)
     arrow_images = {}
     for (src, tgt), labs in t.vq.spaces.items():
-        block_idx = [i for i, p in enumerate(t.paths)
-                     if p.start == src and p.end == tgt and p.length >= 2]
-        block_cols = [beta1.apply(t.carrier.basis_vector(i)) for i in block_idx]
+        block_vecs = [t.carrier.basis_vector(i) for i, p in enumerate(t.paths)
+                      if p.start == src and p.end == tgt and p.length >= 2]
+        block_cols = [beta1.apply(v) for v in block_vecs]
         block_sys = Mat.from_cols(f, block_cols, rows=a.dim) if block_cols \
             else Mat.zeros(f, a.dim, 0)
         for lab in labs:
@@ -382,13 +321,9 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
             corr = solve(block_sys, defect)
             if corr is None:
                 raise QuivkitError("INTERNAL", "arrow defect has no blockwise lift")
-            img = list(avec)
-            for c, i in zip(corr, block_idx):
-                if c != f.zero:
-                    img = vec_add(f, img,
-                                  vec_scale(f, c, t.carrier.basis_vector(i)))
-            arrow_images[lab] = img
-    idem_images = {v: t.idempotent(v) for v in verts}
+            arrow_images[lab] = vec_add(
+                f, avec, vec_combination(f, t.dim, corr, block_vecs))
+    idem_images = dict(zip(t.vq.vertices, idems))
     delta2 = universal_map(t, t.carrier, idem_images, arrow_images)
     delta = delta1.compose(delta2)
     if beta.compose(delta).matrix != alpha.matrix:
@@ -430,16 +365,10 @@ def gamma(delta: AlgMorphism, pi_i: AlgMorphism, pi_iprime: AlgMorphism,
                         [delta.apply(v) for v in ker_i.basis])
     if img != ker_ip:
         raise QuivkitError("DELTA_INVALID", "delta does not map I onto I'")
-    f = t_alg.field
     q_i, q_ip = pi_i.target, pi_iprime.target
     # columns: send each quotient basis class through delta
-    cols = []
-    for bidx in range(q_i.dim):
-        pre = solve(pi_i.matrix, q_i.basis_vector(bidx))
-        if pre is None:
-            raise QuivkitError("INTERNAL", "projection is not surjective")
-        cols.append(pi_iprime.apply(delta.apply(pre)))
-    m = Mat.from_cols(f, cols, rows=q_ip.dim)
+    cols = [pi_iprime.apply(delta.apply(pre)) for pre in quotient_section(pi_i)]
+    m = Mat.from_cols(t_alg.field, cols, rows=q_ip.dim)
     g = validate_morphism(q_i, q_ip, m)
     if not g.surjective or q_i.dim != q_ip.dim:
         raise QuivkitError("INTERNAL", "induced quotient map is not invertible")
@@ -450,14 +379,8 @@ def counit_factorization(cu: CounitResult) -> AlgMorphism:
     """The isomorphism k[[gq(A)]]/K -> A through which the counit factors."""
     t_alg = cu.source_algebra.carrier
     q, pi = quotient_algebra(t_alg, cu.kernel_ideal)
-    f = t_alg.field
-    cols = []
-    for bidx in range(q.dim):
-        pre = solve(pi.matrix, q.basis_vector(bidx))
-        if pre is None:
-            raise QuivkitError("INTERNAL", "projection not surjective")
-        cols.append(cu.morphism.apply(pre))
-    m = Mat.from_cols(f, cols, rows=cu.morphism.target.dim)
+    cols = [cu.morphism.apply(pre) for pre in quotient_section(pi)]
+    m = Mat.from_cols(t_alg.field, cols, rows=cu.morphism.target.dim)
     eps_inf = validate_morphism(q, cu.morphism.target, m)
     eps_inf.inverse()  # raises if singular
     return eps_inf
@@ -510,14 +433,8 @@ def kinfty_on_map(rho: VQuiverMap, src_cls: IdealOrbitClass,
     gamma_i = gamma(delta_i, pi_i, pi_ip)
     gamma_k = gamma(delta_k, pi_k, pi_kp)
     # induced map on the primed quotients
-    f = t_src.field
-    cols = []
-    for bidx in range(q_ip.dim):
-        pre = solve(pi_ip.matrix, q_ip.basis_vector(bidx))
-        if pre is None:
-            raise QuivkitError("INTERNAL", "projection not surjective")
-        cols.append(pi_kp.apply(krho.apply(pre)))
-    mid = validate_morphism(q_ip, q_kp, Mat.from_cols(f, cols, rows=q_kp.dim))
+    cols = [pi_kp.apply(krho.apply(pre)) for pre in quotient_section(pi_ip)]
+    mid = validate_morphism(q_ip, q_kp, Mat.from_cols(t_src.field, cols, rows=q_kp.dim))
     return gamma_k.inverse().compose(mid).compose(gamma_i)
 
 

@@ -17,7 +17,9 @@ from .exactlin import (
     kernel,
     quotient_basis,
     rank,
+    solve_multi,
     vec_add,
+    vec_combination,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -64,17 +66,8 @@ class FinAlgebra:
     def element(self, label):
         return self.basis_vector(self._label_index[label])
 
-    def label_index(self, label):
-        return self._label_index[label]
-
     def mul(self, x, y):
         return _mul_raw(self.field, self.dim, self.structconst, _terms(x), _terms(y))
-
-    def power(self, x, n):
-        acc = self.unit
-        for _ in range(n):
-            acc = self.mul(acc, x)
-        return acc
 
     # -- radical -----------------------------------------------------------
 
@@ -97,13 +90,6 @@ class FinAlgebra:
         return self._rq
 
     # -- subspace arithmetic -----------------------------------------------
-
-    def subspace_product(self, u: Subspace, w: Subspace) -> Subspace:
-        prods = []
-        for x in u.basis:
-            for y in w.basis:
-                prods.append(self.mul(x, y))
-        return Subspace.span(self.field, self.dim, prods)
 
     def peirce_block(self, left_idem, right_idem, space: Subspace) -> Subspace:
         """Subspace  left_idem * space * right_idem."""
@@ -358,11 +344,7 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
     qdim = len(reps)
 
     def lift(u):
-        out = vec_zero(field, dim)
-        for c, rep in zip(u, reps):
-            if c != field.zero:
-                out = vec_add(field, out, vec_scale(field, c, rep))
-        return out
+        return vec_combination(field, dim, u, reps)
 
     def qmul(u, v):
         return proj.matvec(_mul_raw(field, dim, sc, _terms(lift(u)), _terms(lift(v))))
@@ -421,11 +403,7 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
                     piece = shifted.matvec(piece)
                     piece = vec_scale(field,
                                       field.inv(field.sub(r_val, other)), piece)
-                out = vec_zero(field, qdim)
-                for c, bvec in zip(piece, block.basis):
-                    if c != field.zero:
-                        out = vec_add(field, out, vec_scale(field, c, bvec))
-                new_idems.append(out)
+                new_idems.append(vec_combination(field, qdim, piece, block.basis))
         idems = [u for u in new_idems if not vec_is_zero(field, u)]
     if len(idems) != qdim:
         raise QuivkitError("NOT_POINTED",
@@ -597,12 +575,6 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
                        surjective=rank(matrix) == target.dim)
 
 
-def morphism_from_images(source: FinAlgebra, target: FinAlgebra, images):
-    """Morphism determined by images of the source basis vectors."""
-    m = Mat.from_cols(source.field, images, rows=target.dim)
-    return validate_morphism(source, target, m)
-
-
 def image_of_radical_check(alpha: AlgMorphism) -> bool:
     """True iff alpha(J^n(A)) equals J^n(B) for every n up to truncation."""
     depth = max(alpha.source.truncation_level, alpha.target.truncation_level)
@@ -644,6 +616,18 @@ def ideal_generated_by(a: FinAlgebra, vectors) -> IdealSubspace:
         if nxt.dim == cur.dim:
             return IdealSubspace(a, nxt)
         cur = nxt
+
+
+def quotient_section(pi: AlgMorphism):
+    """Preimages under a surjection pi of the target's basis vectors.
+
+    All are solved at once; each is the pivot-minimal solution.
+    """
+    q = pi.target
+    pres = solve_multi(pi.matrix, [q.basis_vector(i) for i in range(q.dim)])
+    if any(p is None for p in pres):
+        raise QuivkitError("INTERNAL", "projection not surjective")
+    return pres
 
 
 def is_relation_ideal(ideal: IdealSubspace) -> bool:

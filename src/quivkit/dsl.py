@@ -38,8 +38,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import QuivkitError
-from .algebra import FinAlgebra, ideal_generated_by, quotient_algebra, validate_algebra
-from .exactlin import Mat, field_by_name, QQ, vec_add, vec_scale, vec_zero
+from .algebra import (
+    FinAlgebra,
+    ideal_generated_by,
+    quotient_algebra,
+    quotient_section,
+    validate_algebra,
+)
+from .exactlin import Mat, field_by_name, QQ, vec_combination
 from .pathalg import TruncatedTensorAlgebra, build_kvq, cpa, universal_map
 from .vquiver import Quiver, VQuiver
 from .algebra import validate_morphism
@@ -488,9 +494,10 @@ class Document:
 def eval_expr(expr: Node, algebra: FinAlgebra):
     """Evaluate a linear combination of label words inside an algebra."""
     f = algebra.field
-    out = vec_zero(f, algebra.dim)
+    coeffs = []
+    pieces = []
     for term in expr.terms:
-        coeff = f.of(term.coeff)
+        coeffs.append(f.of(term.coeff))
         if not term.word:
             piece = list(algebra.unit)
         else:
@@ -502,8 +509,8 @@ def eval_expr(expr: Node, algebra: FinAlgebra):
                          term.line, term.col)
                 vec = algebra.element(label)
                 piece = vec if piece is None else algebra.mul(piece, vec)
-        out = vec_add(f, out, vec_scale(f, coeff, piece))
-    return out
+        pieces.append(piece)
+    return vec_combination(f, algebra.dim, coeffs, pieces)
 
 
 def elaborate(ast: Node) -> Document:
@@ -658,14 +665,8 @@ def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
             _err("SEMANTIC_ERROR",
                  "images do not kill the presentation ideal",
                  stmt.line, stmt.col)
-    pi = src_entry.projection
     source = src_entry.algebra
-    from .exactlin import solve
-
-    cols = []
-    for i in range(source.dim):
-        pre = solve(pi.matrix, source.basis_vector(i))
-        cols.append(lifted.apply(pre))
+    cols = [lifted.apply(pre) for pre in quotient_section(src_entry.projection)]
     m = Mat.from_cols(target.field, cols, rows=target.dim)
     try:
         descended = validate_morphism(source, target, m)

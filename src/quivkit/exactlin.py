@@ -71,9 +71,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in Q")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return a / b
-
     def fmt(self, a) -> str:
         return str(a)
 
@@ -128,9 +125,6 @@ class PrimeField:
         if a % self.char == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.char}")
         return pow(a, self.char - 2, self.char)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def fmt(self, a) -> str:
         return f"{a} mod {self.char}"
@@ -197,12 +191,20 @@ def vec_sub(field, u, v):
     return [field.sub(a, b) for a, b in zip(u, v)]
 
 
-def vec_neg(field, u):
-    return [field.neg(a) for a in u]
-
-
 def vec_scale(field, c, u):
     return [field.mul(c, a) for a in u]
+
+
+def vec_combination(field, n, coeffs, vecs):
+    """The length-n vector sum of c * v over zip(coeffs, vecs)."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * n
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] = add(out[k], mul(c, x))
+    return out
 
 
 def vec_is_zero(field, u):
@@ -361,16 +363,7 @@ def rank(m: Mat) -> int:
 
 def solve(m: Mat, b):
     """One solution of m x = b with free variables set to 0, or None."""
-    f = m.field
-    aug = Mat(f, m.rows, m.cols + 1,
-              [m.data[i] + [b[i]] for i in range(m.rows)])
-    red, piv = rref(aug)
-    if piv and piv[-1] == m.cols:
-        return None
-    x = vec_zero(f, m.cols)
-    for r_i, pc in enumerate(piv):
-        x[pc] = red.data[r_i][m.cols]
-    return x
+    return solve_multi(m, [b])[0]
 
 
 def solve_multi(m: Mat, bs):
@@ -502,9 +495,6 @@ class Subspace:
                 out.append(row[n:])
         return Subspace.span(f, n, out)
 
-    def to_mat(self) -> Mat:
-        return Mat.from_rows(self.field, self.basis, cols=self.ambient_dim)
-
     def basis_key(self):
         return tuple(tuple(r) for r in self.basis)
 
@@ -539,18 +529,6 @@ def kernel(m: Mat) -> Subspace:
 def image(m: Mat) -> Subspace:
     """Column space of m (the image of the linear map v -> m v)."""
     return Subspace.span(m.field, m.rows, m.columns())
-
-
-def sum_subspace(u: Subspace, w: Subspace) -> Subspace:
-    return u.sum(w)
-
-
-def intersect_subspace(u: Subspace, w: Subspace) -> Subspace:
-    return u.intersect(w)
-
-
-def contains(sub: Subspace, vector) -> bool:
-    return sub.contains(vector)
 
 
 def complement(ambient: Subspace, sub: Subspace, constraint=None) -> Subspace:

@@ -12,16 +12,8 @@ from __future__ import annotations
 
 from .errors import QuivkitError
 from .algebra import AlgMorphism, FinAlgebra, validate_morphism
-from .exactlin import (
-    Mat,
-    solve,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    vec_zero,
-)
-from .splittings import Splitting, make_splitting
+from .exactlin import Mat, solve, vec_combination, vec_is_zero, vec_sub, vec_zero
+from .splittings import Splitting, conjugating_element, make_splitting
 from .vquiver import POINT, VQuiver, VQuiverMap
 
 
@@ -46,9 +38,6 @@ class GabrielQuiverResult:
     @property
     def vertex_names(self):
         return self.vquiver.vertices
-
-    def idempotent_of_vertex(self, name):
-        return self.splitting.idems.elements[self.vertex_names.index(name)]
 
     def vertex_of_idempotent(self, idem):
         """Orbit vertex of a primitive idempotent (None if in no orbit)."""
@@ -141,14 +130,6 @@ def gq_on_morphism(alpha: AlgMorphism, gq_a: GabrielQuiverResult,
         isrc, itgt = vertex_map[src], vertex_map[tgt]
         if POINT in (isrc, itgt):
             continue
-        d = gq_b.vquiver.dim(isrc, itgt)
-        if d == 0:
-            for v in vecs:
-                coords = gq_b.arrow_class_coords(isrc, itgt, alpha.apply(v))
-                if coords is None:
-                    raise QuivkitError("INTERNAL",
-                                       "arrow image class escapes its block")
-            continue
         cols = []
         for v in vecs:
             coords = gq_b.arrow_class_coords(isrc, itgt, alpha.apply(v))
@@ -156,7 +137,9 @@ def gq_on_morphism(alpha: AlgMorphism, gq_a: GabrielQuiverResult,
                 raise QuivkitError("INTERNAL",
                                    "arrow image class escapes its block")
             cols.append(coords)
-        mats[(src, tgt)] = Mat.from_cols(f, cols, rows=d)
+        d = gq_b.vquiver.dim(isrc, itgt)
+        if d:
+            mats[(src, tgt)] = Mat.from_cols(f, cols, rows=d)
     return VQuiverMap(f, gq_a.vquiver, gq_b.vquiver, vertex_map, mats)
 
 
@@ -266,18 +249,15 @@ def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
     def to_alg(sigma: VQuiverMap) -> AlgMorphism:
         if sigma.source != gq0(a, gq_a) or sigma.target != pset:
             raise QuivkitError("BAD_ARGUMENT", "pointed map has wrong endpoints")
-        cols = []
-        for bidx in range(a.dim):
-            out = vec_zero(f, target.dim)
-            # class coordinates in the canonical idempotent basis of A/J
-            lam = _class_coordinates(a, a.basis_vector(bidx))
-            for pos, name in enumerate(gq_a.vertex_names):
-                img = sigma.vertex_map[name]
-                if img == POINT or lam[pos] == f.zero:
-                    continue
-                out = vec_add(f, out,
-                              vec_scale(f, lam[pos], target_t.idempotent(img)))
-            cols.append(out)
+        images = []
+        for name in gq_a.vertex_names:
+            img = sigma.vertex_map[name]
+            images.append(vec_zero(f, target.dim) if img == POINT
+                          else target_t.idempotent(img))
+        # class coordinates in the canonical idempotent basis of A/J
+        cols = [vec_combination(f, target.dim,
+                                _class_coordinates(a, a.basis_vector(bidx)), images)
+                for bidx in range(a.dim)]
         m = Mat.from_cols(f, cols, rows=target.dim)
         return validate_morphism(a, target, m)
 
@@ -322,40 +302,14 @@ def inner_conjugation_witness(delta: AlgMorphism):
 
     The requirement is linear in w after clearing the inverse, so this is an
     exact decision procedure for membership of an endomorphism in the
-    conjugation subgroup.
+    conjugation subgroup: the conjugating_element of the pairs
+    (delta(b), b) over the basis.
     """
-    from .splittings import conjugate_element
-
     a = delta.source
     if not delta.target.same_as(a):
         raise QuivkitError("BAD_ARGUMENT", "need an endomorphism")
-    f = a.field
-    jbasis = a.radical.basis
-    # delta(x)(1+w) = (1+w)x  <=>  delta(x) w - w x = x - delta(x)
-    rows = []
-    rhs = []
-    for bidx in range(a.dim):
-        x = a.basis_vector(bidx)
-        dx = delta.apply(x)
-        cols = []
-        for jb in jbasis:
-            cols.append(vec_sub(f, a.mul(dx, jb), a.mul(jb, x)))
-        block = Mat.from_cols(f, cols, rows=a.dim) if cols else Mat.zeros(f, a.dim, 0)
-        rows.extend(block.data)
-        rhs.extend(vec_sub(f, x, dx))
-    system = Mat.from_rows(f, rows, cols=len(jbasis))
-    sol = solve(system, rhs)
-    if sol is None:
-        return None
-    w = vec_zero(f, a.dim)
-    for c, jb in zip(sol, jbasis):
-        if c != f.zero:
-            w = vec_add(f, w, vec_scale(f, c, jb))
-    for bidx in range(a.dim):
-        x = a.basis_vector(bidx)
-        if conjugate_element(a, w, x) != delta.apply(x):
-            return None
-    return w
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    return conjugating_element(a, [(delta.apply(x), x) for x in basis])
 
 
 def identity_class_is_conjugation_group(vq: VQuiver, level: int) -> bool:

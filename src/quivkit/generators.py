@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import AlgMorphism, IdealSubspace, ideal_generated_by, identity_morphism
 from .adjunction import conjugation_automorphism
-from .exactlin import Mat, vec_add, vec_scale, vec_zero
+from .exactlin import Mat, vec_combination, vec_zero
 from .gabriel import GabrielQuiverResult
 from .pathalg import TruncatedTensorAlgebra, universal_map
 from .splittings import conjugate_element
@@ -59,10 +59,7 @@ def random_radical_element(rng, t: TruncatedTensorAlgebra, *, min_length=1):
     for length in range(min_length, t.level):
         for i in t.grading[length]:
             if rng.random() < 0.4:
-                c = random_scalar(rng, f)
-                if c != f.zero:
-                    out = vec_add(f, out,
-                                  vec_scale(f, f.of(c), t.carrier.basis_vector(i)))
+                out[i] = f.of(random_scalar(rng, f))
     return out
 
 
@@ -89,11 +86,7 @@ def random_identity_class_automorphism(rng, t: TruncatedTensorAlgebra,
             for i, p in enumerate(t.paths):
                 if p.start == src and p.end == tgt and p.length >= 2 \
                         and rng.random() < 0.3:
-                    c = random_scalar(rng, f)
-                    if c != f.zero:
-                        img = vec_add(f, img,
-                                      vec_scale(f, f.of(c),
-                                                t.carrier.basis_vector(i)))
+                    img[i] = f.of(random_scalar(rng, f))
             arrow_images[lab] = img
         idem_images = {v_: t.idempotent(v_) for v_ in t.vq.vertices}
         shift = universal_map(t, t.carrier, idem_images, arrow_images)
@@ -129,14 +122,6 @@ def random_vqmap_to_gq(rng, vq: VQuiver, gq_a: GabrielQuiverResult,
     return VQuiverMap(field, vq, tgt, vm, mats)
 
 
-def random_surjective_vqmap_to_gq(rng, vq, gq_a, field, attempts=40):
-    for _ in range(attempts):
-        rho = random_vqmap_to_gq(rng, vq, gq_a, field)
-        if rho is not None and rho.is_surjective():
-            return rho
-    return None
-
-
 def random_padm_morphism(rng, t: TruncatedTensorAlgebra, gq_a, *,
                          conjugate=True) -> AlgMorphism | None:
     """Random admissible morphism k[[VQ]] -> A.
@@ -154,11 +139,8 @@ def random_padm_morphism(rng, t: TruncatedTensorAlgebra, gq_a, *,
         return None
     alpha = psi(t, rho, gq_a)
     if conjugate and a.radical.dim > 0 and rng.random() < 0.7:
-        w = vec_zero(f, a.dim)
-        for v in a.radical.basis:
-            c = random_scalar(rng, f)
-            if c != f.zero:
-                w = vec_add(f, w, vec_scale(f, f.of(c), v))
+        coeffs = [f.of(random_scalar(rng, f)) for _ in a.radical.basis]
+        w = vec_combination(f, a.dim, coeffs, a.radical.basis)
         cols = [conjugate_element(a, w, col) for col in alpha.matrix.columns()]
         from .algebra import validate_morphism
 
@@ -166,12 +148,3 @@ def random_padm_morphism(rng, t: TruncatedTensorAlgebra, gq_a, *,
                                   Mat.from_cols(f, cols, rows=a.dim))
     return alpha
 
-
-def random_sim1_pair(rng, t: TruncatedTensorAlgebra, gq_a):
-    """A pair of morphisms congruent at level 1 (by construction)."""
-    alpha = random_padm_morphism(rng, t, gq_a)
-    if alpha is None:
-        return None
-    delta = random_identity_class_automorphism(rng, t)
-    beta = alpha.compose(delta)
-    return alpha, beta

@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 
 from .errors import QuivkitError
 from .algebra import FinAlgebra, validate_morphism
-from .exactlin import Mat, Subspace, vec_add, vec_is_zero, vec_scale, vec_zero
+from .exactlin import Mat, Subspace, vec_add, vec_combination, vec_is_zero, vec_zero
 from .gabriel import check_sim
 from .pathalg import TruncatedTensorAlgebra
 from .vquiver import POINT, VQuiver, VQuiverMap
@@ -30,11 +30,7 @@ def all_vectors(field, n):
 
 def all_subspace_elements(field, space: Subspace):
     for coords in all_vectors(field, space.dim):
-        out = vec_zero(field, space.ambient_dim)
-        for c, b in zip(coords, space.basis):
-            if c != field.zero:
-                out = vec_add(field, out, vec_scale(field, c, b))
-        yield out
+        yield vec_combination(field, space.ambient_dim, coords, space.basis)
 
 
 def all_idempotents(a: FinAlgebra):

@@ -9,10 +9,6 @@ from __future__ import annotations
 SCHEMA = 1
 
 
-def scalar_to_json(field, value) -> str:
-    return field.fmt(value)
-
-
 def vector_to_json(field, vec):
     return [field.fmt(c) for c in vec]
 
@@ -25,47 +21,11 @@ def matrix_to_json(mat):
     }
 
 
-def subspace_to_json(space):
-    return {
-        "ambient_dim": space.ambient_dim,
-        "dim": space.dim,
-        "basis": [vector_to_json(space.field, row) for row in space.basis],
-    }
-
-
-def quiver_to_json(q):
-    return {
-        "vertices": list(q.vertices),
-        "arrows": [{"label": lab, "source": src, "target": tgt}
-                   for lab, src, tgt in q.arrows],
-    }
-
-
 def vquiver_to_json(vq):
     return {
         "vertices": list(vq.vertices),
         "spaces": [{"source": src, "target": tgt, "basis": list(labels)}
                    for (src, tgt), labels in vq.spaces.items()],
-    }
-
-
-def vquiver_map_to_json(rho):
-    return {
-        "vertex_map": dict(sorted(rho.vertex_map.items())),
-        "blocks": [{"source": src, "target": tgt,
-                    "matrix": matrix_to_json(mat)}
-                   for (src, tgt), mat in rho.arrow_mats.items()],
-    }
-
-
-def algebra_to_json(a):
-    return {
-        "dim": a.dim,
-        "field": a.field.name,
-        "basis": list(a.basis_labels),
-        "unit": vector_to_json(a.field, a.unit),
-        "radical_dims": [s.dim for s in a.radical_filtration],
-        "truncation_level": a.truncation_level,
     }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import QuivkitError
 from .algebra import AlgMorphism, FinAlgebra, validate_algebra, validate_morphism
-from .exactlin import Mat, Subspace, vec_add, vec_is_zero, vec_scale, vec_zero
+from .exactlin import Mat, Subspace, vec_add, vec_combination, vec_is_zero, vec_zero
 from .vquiver import POINT, Quiver, QuiverMap, VQuiver, VQuiverMap, v_of_inclusion, v_of_quiver
 
 
@@ -71,6 +71,13 @@ class TruncatedTensorAlgebra:
     def arrow_element(self, label):
         return self.carrier.basis_vector(self.arrow_index[label])
 
+    def generators(self):
+        """Vertex idempotents by vertex and arrow elements by arrow pair."""
+        idems = {v: self.idempotent(v) for v in self.vq.vertices}
+        arrows = {pair: [self.arrow_element(lab) for lab in labs]
+                  for pair, labs in self.vq.spaces.items()}
+        return idems, arrows
+
     def paths_of_length_at_least(self, m: int) -> Subspace:
         idxs = []
         for length in range(m, self.level):
@@ -78,14 +85,6 @@ class TruncatedTensorAlgebra:
         f = self.field
         vecs = [self.carrier.basis_vector(i) for i in idxs]
         return Subspace.span(f, self.dim, vecs)
-
-    def block_of_paths(self, src, tgt, min_length=0) -> Subspace:
-        """Span of paths from src to tgt of length >= min_length."""
-        vecs = []
-        for i, p in enumerate(self.paths):
-            if p.start == src and p.end == tgt and p.length >= min_length:
-                vecs.append(self.carrier.basis_vector(i))
-        return Subspace.span(self.field, self.dim, vecs)
 
     def __repr__(self):
         return f"TruncatedTensorAlgebra(level={self.level}, dim={self.dim})"
@@ -238,6 +237,34 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
     return validate_morphism(t.carrier, target, m)
 
 
+def vqmap_generator_images(rho: VQuiverMap, n: int, idems, arrow_bases):
+    """Images of the generators of rho's source, given those of its target.
+
+    Vertex w of rho's target stands for the length-n element `idems[w]` and
+    its (w, w') arrows for the list `arrow_bases[(w, w')]`.  A source vertex
+    goes to the element of its image (0 at the point); a source arrow goes
+    to the combination of the image arrows with the coefficients of its
+    column in rho's block.  Returns ({vertex: element}, {arrow: element}),
+    ready for universal_map.
+    """
+    f = rho.field
+    vm = rho.vertex_map
+    idem_images = {v: vec_zero(f, n) if vm[v] == POINT else idems[vm[v]]
+                   for v in rho.source.vertices}
+    arrow_images = {}
+    for (src, tgt), labs in rho.source.spaces.items():
+        ws, wt = vm[src], vm[tgt]
+        killed = POINT in (ws, wt) or rho.target.dim(ws, wt) == 0
+        block = None if killed else rho.block(src, tgt)
+        for j, lab in enumerate(labs):
+            if killed:
+                arrow_images[lab] = vec_zero(f, n)
+            else:
+                arrow_images[lab] = vec_combination(f, n, block.col(j),
+                                                    arrow_bases[(ws, wt)])
+    return idem_images, arrow_images
+
+
 def kvq_on_map(rho: VQuiverMap, level: int, *, src: TruncatedTensorAlgebra = None,
                tgt: TruncatedTensorAlgebra = None) -> AlgMorphism:
     """Functorial morphism k[[source]] -> k[[target]] of a Vquiver map."""
@@ -249,28 +276,8 @@ def kvq_on_map(rho: VQuiverMap, level: int, *, src: TruncatedTensorAlgebra = Non
     if src.vq != rho.source or tgt.vq != rho.target or src.level != level \
             or tgt.level != level:
         raise QuivkitError("BAD_ARGUMENT", "prebuilt algebras do not match the map")
-    f = field
-    idem_images = {}
-    for v in rho.source.vertices:
-        w = rho.vertex_map[v]
-        idem_images[v] = vec_zero(f, tgt.dim) if w == POINT else tgt.idempotent(w)
-    arrow_images = {}
-    for (s, t_), labs in rho.source.spaces.items():
-        ws, wt = rho.vertex_map[s], rho.vertex_map[t_]
-        killed = POINT in (ws, wt) or rho.target.dim(ws, wt) == 0
-        block = rho.block(s, t_) if not killed else None
-        tgt_labels = rho.target.spaces.get((ws, wt), [])
-        for j, lab in enumerate(labs):
-            if killed:
-                arrow_images[lab] = vec_zero(f, tgt.dim)
-                continue
-            img = vec_zero(f, tgt.dim)
-            for i_t, tlab in enumerate(tgt_labels):
-                c = block.data[i_t][j]
-                if c != f.zero:
-                    img = vec_add(f, img, vec_scale(f, c, tgt.arrow_element(tlab)))
-            arrow_images[lab] = img
-    return universal_map(src, tgt.carrier, idem_images, arrow_images)
+    images = vqmap_generator_images(rho, tgt.dim, *tgt.generators())
+    return universal_map(src, tgt.carrier, *images)
 
 
 def cpa(field, q: Quiver, level: int) -> TruncatedTensorAlgebra:

@@ -15,6 +15,7 @@ from .exactlin import (
     complement,
     solve,
     vec_add,
+    vec_combination,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -130,15 +131,8 @@ class Splitting:
 
     def s_apply(self, coords):
         """Section A/J -> A on canonical coordinates (one per idempotent)."""
-        f = self.parent.field
-        out = vec_zero(f, self.parent.dim)
-        for c, e in zip(coords, self.idems.elements):
-            if c != f.zero:
-                out = vec_add(f, out, vec_scale(f, c, e))
-        return out
-
-    def block_vectors(self, i, j):
-        return self.blocks.get((i, j), [])
+        return vec_combination(self.parent.field, self.parent.dim, coords,
+                               self.idems.elements)
 
     def total_block_dim(self):
         return sum(len(v) for v in self.blocks.values())
@@ -161,6 +155,31 @@ def conjugate_element(a: FinAlgebra, w, x):
     if a.mul(one_plus, inv) != a.unit:
         raise QuivkitError("NOT_VALIDATED", "1+w is not invertible (w outside J?)")
     return a.mul(one_plus, a.mul(x, inv))
+
+
+def conjugating_element(a: FinAlgebra, pairs):
+    """w in J with (1+w) q (1+w)^{-1} = p for every (p, q) in pairs, or None.
+
+    Cleared of the inverse the condition is linear in w: w q - p w = p - q.
+    The equations of all pairs are stacked and solved once over a basis of
+    J (pivot-minimal solution), and the result is verified by conjugating.
+    """
+    f = a.field
+    pairs = list(pairs)
+    jbasis = a.radical.basis
+    rows = []
+    rhs = []
+    for p, q in pairs:
+        cols = [vec_sub(f, a.mul(jb, q), a.mul(p, jb)) for jb in jbasis]
+        rows.extend(Mat.from_cols(f, cols, rows=a.dim).data)
+        rhs.extend(vec_sub(f, p, q))
+    sol = solve(Mat.from_rows(f, rows, cols=len(jbasis)), rhs)
+    if sol is None:
+        return None
+    w = vec_combination(f, a.dim, sol, jbasis)
+    if any(conjugate_element(a, w, q) != p for p, q in pairs):
+        return None
+    return w
 
 
 def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitting:
@@ -211,40 +230,16 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
 def conjugator(s1: Splitting, s2: Splitting):
     """w in J with (1+w) s2(z) (1+w)^{-1} = s1(z) for all z in A/J.
 
-    The conjugation identity is linear in w once cleared of the inverse, so w
-    is found as the pivot-minimal solution of a linear system constrained to
-    J.  Inconsistency would contradict the uniqueness theory and raises
-    NO_CONJUGATOR.
+    w is the conjugating_element of the idempotent pairs; its absence would
+    contradict the uniqueness theory and raises NO_CONJUGATOR.
     """
     a = s1.parent
     if a is not s2.parent and not a.same_as(s2.parent):
         raise QuivkitError("BAD_ARGUMENT", "splittings of different algebras")
-    f = a.field
-    jbasis = a.radical.basis
-    if not jbasis:
-        return vec_zero(f, a.dim)
-    # (1+w) f2_i = f1_i (1+w)  <=>  w f2_i - f1_i w = f1_i - f2_i
-    rows = []
-    rhs = []
-    for e1, e2 in zip(s1.idems.elements, s2.idems.elements):
-        cols = []
-        for jb in jbasis:
-            cols.append(vec_sub(f, a.mul(jb, e2), a.mul(e1, jb)))
-        block = Mat.from_cols(f, cols, rows=a.dim)
-        rows.extend(block.data)
-        rhs.extend(vec_sub(f, e1, e2))
-    system = Mat.from_rows(f, rows, cols=len(jbasis))
-    sol = solve(system, rhs)
-    if sol is None:
+    w = conjugating_element(a, zip(s1.idems.elements, s2.idems.elements))
+    if w is None:
         raise QuivkitError("NO_CONJUGATOR",
                            "conjugation system inconsistent (internal)")
-    w = vec_zero(f, a.dim)
-    for c, jb in zip(sol, jbasis):
-        if c != f.zero:
-            w = vec_add(f, w, vec_scale(f, c, jb))
-    for e1, e2 in zip(s1.idems.elements, s2.idems.elements):
-        if conjugate_element(a, w, e2) != e1:
-            raise QuivkitError("NO_CONJUGATOR", "conjugator verification failed")
     return w
 
 
@@ -261,20 +256,8 @@ def same_orbit(a: FinAlgebra, e, f_idem):
         return False, None
     if e == f_idem:
         return True, vec_zero(f, a.dim)
-    jbasis = a.radical.basis
-    # (1+w) e = f (1+w)  <=>  w e - f w = f - e
-    cols = []
-    for jb in jbasis:
-        cols.append(vec_sub(f, a.mul(jb, e), a.mul(f_idem, jb)))
-    system = Mat.from_cols(f, cols, rows=a.dim)
-    sol = solve(system, vec_sub(f, f_idem, e))
-    if sol is None:
+    w = conjugating_element(a, [(f_idem, e)])
+    if w is None:
         raise QuivkitError("NO_CONJUGATOR",
                            "orbit witness system inconsistent (internal)")
-    w = vec_zero(f, a.dim)
-    for c, jb in zip(sol, jbasis):
-        if c != f.zero:
-            w = vec_add(f, w, vec_scale(f, c, jb))
-    if conjugate_element(a, w, e) != f_idem:
-        raise QuivkitError("NO_CONJUGATOR", "orbit witness verification failed")
     return True, w

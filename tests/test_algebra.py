@@ -7,12 +7,14 @@ import pytest
 
 import quivkit as qk
 import quivkit.exactlin as el
+from quivkit.algebra import ideal_subspace, quotient_section
 from quivkit.errors import QuivkitError
 
 from corpus import (
     QQ,
     F2,
     F5,
+    algebra_corpus,
     lower_triangular,
     semisimple,
     triangle_algebra,
@@ -357,3 +359,24 @@ def test_perturbed_psi_names_reference_pair():
         qk.validate_morphism(t.carrier, q, m)
     assert exc.value.code == "NOT_MULTIPLICATIVE"
     assert exc.value.message == f"fails on basis pair ({pair[0]}, {pair[1]})"
+
+
+def test_quotient_section_matches_one_solve_per_column():
+    checked = 0
+    for name, a in algebra_corpus():
+        for space in (a.radical_power(2), a.radical):
+            if space.dim == 0:
+                continue
+            q, pi = qk.quotient_algebra(a, ideal_subspace(a, space))
+            section = quotient_section(pi)
+            # the loop the helper replaced: one solve per quotient basis vector
+            oracle = [el.solve(pi.matrix, q.basis_vector(i)) for i in range(q.dim)]
+            assert el.Mat.from_cols(a.field, section, rows=a.dim) == \
+                el.Mat.from_cols(a.field, oracle, rows=a.dim), name
+            for i, pre in enumerate(section):
+                assert pi.apply(pre) == q.basis_vector(i), name
+            checked += 1
+    t, _ideal, q, pi = triangle_mod_cb()
+    section = quotient_section(pi)
+    assert section == [el.solve(pi.matrix, q.basis_vector(i)) for i in range(q.dim)]
+    assert checked >= 8

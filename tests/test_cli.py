@@ -1,12 +1,15 @@
 """End-to-end CLI runs: reports, determinism, exit codes, dot export."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import quivkit.cli as cli
 from quivkit.cli import _default_level, main
 from quivkit.vquiver import VQuiver
 
@@ -194,3 +197,74 @@ def test_default_level_bounded_on_complete_digraph():
     start = time.perf_counter()
     assert _default_level(vq) == 8
     assert time.perf_counter() - start < 1.0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "demo" / "triangle.quiv"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _cli(*args):
+    env = {k: v for k, v in os.environ.items() if k != "QUIVKIT_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "quivkit.cli", *args],
+                          capture_output=True, env=env, cwd=ROOT)
+
+
+# tests/golden holds the stdout of these commands (QUIVKIT_SEED unset, seed
+# fixed).  Reports are promised byte-stable, so only a change that alters
+# them on purpose re-records the files.
+@pytest.mark.parametrize("args, golden", [
+    (["check", str(DEMO)], "check.json"),
+    (["run", str(DEMO), "--command", "gq"], "run_gq.json"),
+    (["run", str(DEMO), "--command", "counit"], "run_counit.json"),
+    (["run", str(DEMO), "--command", "factor-delta"], "run_factor-delta.json"),
+])
+def test_demo_reports_match_golden(args, golden):
+    proc = _cli(*args, "--seed", "20240901")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_check_mode_reports_quivkit_error_with_exit_2(tmp_path):
+    text = DEMO.read_text(encoding="utf-8")
+    assert "check unit(TRI, 3);" in text
+    bad = tmp_path / "bad.quiv"
+    bad.write_text(text.replace("check unit(TRI, 3);", "check unit(TRI, 1);"),
+                   encoding="utf-8")
+    for args in (["check", str(bad)], ["run", str(bad), "--command", "check-suite"]):
+        proc = _cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.decode().startswith("LEVEL_TOO_SMALL:")
+
+
+FACTOR_DELTA_DOC = DOC + """
+morphism aut2: A -> A {
+  e1 -> e1; e2 -> e2; e3 -> e3;
+  a -> a + 2*c*b; b -> b; c -> c;
+}
+check factor_delta(aut2, ident);
+"""
+
+
+def test_each_factor_delta_directive_runs_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = cli.factor_delta
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "factor_delta", counting)
+    path = tmp_path / "two.quiv"
+    path.write_text(FACTOR_DELTA_DOC, encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 2
+    by_alpha = {r["args"][0]: r for r in report["results"]
+                if r.get("check") == "factor_delta"}
+    assert by_alpha["aut"]["alpha"] == "aut" and by_alpha["aut"]["pass"]
+    assert by_alpha["aut2"]["alpha"] == "aut2" and by_alpha["aut2"]["pass"]

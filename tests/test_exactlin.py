@@ -254,3 +254,48 @@ def test_quotient_projection_consistency(m):
     # anything in sub projects to zero
     for row in sub.basis:
         assert el.vec_is_zero(m.field, proj.matvec(row))
+
+
+@st.composite
+def matrix_and_vector(draw):
+    m = draw(field_matrix())
+    f = m.field
+    entry = st.integers(-4, 4) if f.char == 0 else st.integers(0, f.char - 1)
+    b = [f.of(x) for x in draw(st.lists(entry, min_size=m.rows, max_size=m.rows))]
+    return m, b
+
+
+def _solve_reference(m, b):
+    """The single-column solve: rref of [m | b], free variables 0."""
+    aug = el.Mat(m.field, m.rows, m.cols + 1,
+                 [m.data[i] + [b[i]] for i in range(m.rows)])
+    red, piv = el.rref(aug)
+    if piv and piv[-1] == m.cols:
+        return None
+    x = el.vec_zero(m.field, m.cols)
+    for r_i, pc in enumerate(piv):
+        x[pc] = red.data[r_i][m.cols]
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_and_vector())
+def test_solve_matches_single_column_reference(mb):
+    m, b = mb
+    assert el.solve(m, b) == _solve_reference(m, b)
+    # the columns of m give consistent systems
+    for j in range(m.cols):
+        assert el.solve(m, m.col(j)) == _solve_reference(m, m.col(j))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_matrix(), st.data())
+def test_vec_combination_matches_scaled_sum(m, data):
+    f = m.field
+    entry = st.integers(-4, 4) if f.char == 0 else st.integers(0, f.char - 1)
+    coeffs = [f.of(x) for x in data.draw(
+        st.lists(entry, min_size=m.rows, max_size=m.rows))]
+    expected = el.vec_zero(f, m.cols)
+    for c, v in zip(coeffs, m.data):
+        expected = el.vec_add(f, expected, el.vec_scale(f, c, v))
+    assert el.vec_combination(f, m.cols, coeffs, m.data) == expected

@@ -1,8 +1,10 @@
 """Idempotent lifting, splittings, conjugators, orbit decisions."""
 
+import random
+
 import quivkit as qk
 import quivkit.exactlin as el
-from quivkit.splittings import conjugate_element
+from quivkit.splittings import conjugate_element, conjugating_element
 
 from corpus import (
     QQ,
@@ -167,3 +169,38 @@ def test_perturbed_splitting_still_valid():
         for v in vecs:
             assert a.radical.contains(v)
     assert split.total_block_dim() == a.radical.dim - j2.dim
+
+
+def _seeded_radical_element(a, seed):
+    rng = random.Random(seed)
+    f = a.field
+    coeffs = [f.of(rng.choice((-2, -1, 1, 2, 3))) for _ in a.radical.basis]
+    return el.vec_combination(f, a.dim, coeffs, a.radical.basis)
+
+
+def test_conjugating_element_recovers_a_conjugation():
+    for seed, (name, a) in enumerate(algebra_corpus()):
+        idems = qk.lift_idempotents(a).elements
+        w0 = _seeded_radical_element(a, seed)
+        pairs = [(conjugate_element(a, w0, e), e) for e in idems]
+        w = conjugating_element(a, pairs)
+        assert w is not None, name
+        assert a.radical.contains(w), name
+        for p, q in pairs:
+            assert conjugate_element(a, w, q) == p, name
+
+
+def test_conjugating_element_none_across_orbits():
+    checked = 0
+    for name, a in algebra_corpus():
+        idems = qk.lift_idempotents(a).elements
+        if len(idems) < 2:
+            continue
+        # distinct primitive idempotents of a complete family differ mod J
+        assert not a.radical.contains(el.vec_sub(a.field, idems[0], idems[1]))
+        assert conjugating_element(a, [(idems[1], idems[0])]) is None, name
+        w0 = _seeded_radical_element(a, 7)
+        moved = conjugate_element(a, w0, idems[1])
+        assert conjugating_element(a, [(moved, idems[0])]) is None, name
+        checked += 1
+    assert checked >= 5
