@@ -38,7 +38,6 @@ from .pathalg import (
     cpa,
     cpa_on_inclusion,
     k2vq,
-    k2vq_on_map,
     kvq_on_map,
     universal_map,
 )

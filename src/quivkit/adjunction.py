@@ -16,15 +16,15 @@ from .algebra import (
     IdealSubspace,
     identity_morphism,
     ideal_subspace,
+    induced_on_quotient,
     quotient_algebra,
-    quotient_section,
     validate_morphism,
 )
 from .exactlin import (
     Mat,
-    Subspace,
     kernel,
     solve,
+    solve_multi,
     vec_add,
     vec_combination,
     vec_is_zero,
@@ -41,7 +41,7 @@ from .pathalg import (
     vqmap_generator_images,
 )
 from .splittings import conjugate_element, conjugating_element
-from .vquiver import POINT, VQuiverMap, compose_vq, identity_vqmap
+from .vquiver import VQuiverMap, compose_vq, identity_vqmap
 
 
 class IdealOrbitClass:
@@ -83,47 +83,18 @@ def psi(t: TruncatedTensorAlgebra, rho: VQuiverMap,
     if a.truncation_level > t.level:
         raise QuivkitError("TRUNCATION_INCOMPATIBLE",
                            "path algebra level below the target truncation")
-    idems = dict(zip(gq_a.vertex_names, gq_a.splitting.idems.elements))
-    images = vqmap_generator_images(rho, a.dim, idems, gq_a.arrow_bases)
+    images = vqmap_generator_images(rho, a.dim, *gq_a.generators())
     return universal_map(t, a, *images)
 
 
 def phi(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
         gq_a: GabrielQuiverResult) -> VQuiverMap:
     """Vquiver map VQ -> gq(A) read off a morphism k[[VQ]] -> A."""
-    a = gq_a.algebra
     if not alpha.source.same_as(t.carrier):
         raise QuivkitError("BAD_ARGUMENT", "morphism source is not the path algebra")
-    if not alpha.target.same_as(a):
+    if not alpha.target.same_as(gq_a.algebra):
         raise QuivkitError("BAD_ARGUMENT", "morphism target is not gq's algebra")
-    f = t.field
-    vertex_map = {}
-    for v in t.vq.vertices:
-        img = alpha.apply(t.idempotent(v))
-        if vec_is_zero(f, img):
-            vertex_map[v] = POINT
-            continue
-        name = gq_a.vertex_of_idempotent(img)
-        if name is None:
-            raise QuivkitError("INTERNAL", "vertex image matches no orbit")
-        vertex_map[v] = name
-    mats = {}
-    for (src, tgt), labs in t.vq.spaces.items():
-        ws, wt = vertex_map[src], vertex_map[tgt]
-        if POINT in (ws, wt):
-            continue
-        d = gq_a.vquiver.dim(ws, wt)
-        if d == 0:
-            continue
-        cols = []
-        for lab in labs:
-            img = alpha.apply(t.arrow_element(lab))
-            coords = gq_a.arrow_class_coords(ws, wt, img)
-            if coords is None:
-                raise QuivkitError("INTERNAL", "arrow image class escapes its block")
-            cols.append(coords)
-        mats[(src, tgt)] = Mat.from_cols(f, cols, rows=d)
-    return VQuiverMap(f, t.vq, gq_a.vquiver, vertex_map, mats)
+    return gq_a.read_map(alpha, t.vq, *t.generators())
 
 
 def unit_map(t: TruncatedTensorAlgebra):
@@ -223,6 +194,10 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
     f = a.field
     if k2_target is None:
         k2_target = build_kvq(f, rho.target, 2)
+    elif k2_target.vq != rho.target or k2_target.level != 2 \
+            or k2_target.field != f:
+        raise QuivkitError("BAD_ARGUMENT",
+                           "k2_target is not the level-2 path algebra of the map's target")
     b = k2_target.carrier
     idem_images, arrow_images = vqmap_generator_images(
         rho, b.dim, *k2_target.generators())
@@ -237,12 +212,10 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
     cols.extend(j2.basis)
     images.extend(vec_zero(f, b.dim) for _ in j2.basis)
     decomp = Mat.from_cols(f, cols, rows=a.dim)
-    out_cols = []
-    for bidx in range(a.dim):
-        coords = solve(decomp, a.basis_vector(bidx))
-        if coords is None:
-            raise QuivkitError("INTERNAL", "splitting decomposition failed")
-        out_cols.append(vec_combination(f, b.dim, coords, images))
+    all_coords = solve_multi(decomp, [a.basis_vector(i) for i in range(a.dim)])
+    if any(coords is None for coords in all_coords):
+        raise QuivkitError("INTERNAL", "splitting decomposition failed")
+    out_cols = [vec_combination(f, b.dim, coords, images) for coords in all_coords]
     m = Mat.from_cols(f, out_cols, rows=b.dim)
     return validate_morphism(a, b, m)
 
@@ -282,19 +255,18 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
     if not check_sim(alpha, beta, 1):
         raise QuivkitError("NOT_SIM1", "morphisms are not congruent at level 1")
 
-    idems = [t.idempotent(v) for v in t.vq.vertices]
+    idem_images = t.generators()[0]
 
     # step 1: one w in J(A) conjugating all beta vertex images to alpha's
-    w = conjugating_element(a, [(alpha.apply(e), beta.apply(e)) for e in idems])
+    w = conjugating_element(a, [(alpha.apply(e), beta.apply(e))
+                                for e in idem_images.values()])
     if w is None:
         raise QuivkitError("INTERNAL", "vertex conjugation failed")
 
     # step 2: lift w through beta (beta maps J onto J(A))
     jt_basis = t.carrier.radical.basis
     lift_cols = [beta.apply(jb) for jb in jt_basis]
-    lift_sys = Mat.from_cols(f, lift_cols, rows=a.dim) if lift_cols \
-        else Mat.zeros(f, a.dim, 0)
-    lift_sol = solve(lift_sys, w)
+    lift_sol = solve(Mat.from_cols(f, lift_cols, rows=a.dim), w)
     if lift_sol is None:
         raise QuivkitError("INTERNAL", "radical lift through beta failed")
     v_lift = vec_combination(f, t.dim, lift_sol, jt_basis)
@@ -305,11 +277,9 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
     j2a = a.radical_power(2)
     arrow_images = {}
     for (src, tgt), labs in t.vq.spaces.items():
-        block_vecs = [t.carrier.basis_vector(i) for i, p in enumerate(t.paths)
-                      if p.start == src and p.end == tgt and p.length >= 2]
+        block_vecs = [t.carrier.basis_vector(i) for i in t.deeper_paths(src, tgt)]
         block_cols = [beta1.apply(v) for v in block_vecs]
-        block_sys = Mat.from_cols(f, block_cols, rows=a.dim) if block_cols \
-            else Mat.zeros(f, a.dim, 0)
+        block_sys = Mat.from_cols(f, block_cols, rows=a.dim)
         for lab in labs:
             avec = t.arrow_element(lab)
             defect = vec_sub(f, alpha.apply(avec), beta1.apply(avec))
@@ -323,7 +293,6 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
                 raise QuivkitError("INTERNAL", "arrow defect has no blockwise lift")
             arrow_images[lab] = vec_add(
                 f, avec, vec_combination(f, t.dim, corr, block_vecs))
-    idem_images = dict(zip(t.vq.vertices, idems))
     delta2 = universal_map(t, t.carrier, idem_images, arrow_images)
     delta = delta1.compose(delta2)
     if beta.compose(delta).matrix != alpha.matrix:
@@ -339,10 +308,7 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
 
 def apply_to_ideal(delta: AlgMorphism, ideal: IdealSubspace) -> IdealSubspace:
     """Image of an ideal under an automorphism."""
-    a = delta.source
-    imgs = [delta.apply(v) for v in ideal.space.basis]
-    return ideal_subspace(delta.target,
-                          Subspace.span(a.field, delta.target.dim, imgs))
+    return ideal_subspace(delta.target, delta.image_of(ideal.space))
 
 
 def gamma(delta: AlgMorphism, pi_i: AlgMorphism, pi_iprime: AlgMorphism,
@@ -359,29 +325,18 @@ def gamma(delta: AlgMorphism, pi_i: AlgMorphism, pi_iprime: AlgMorphism,
         raise QuivkitError("BAD_ARGUMENT", "mismatched algebras")
     if not check_sim(delta, identity_morphism(t_alg), 1):
         raise QuivkitError("DELTA_INVALID", "delta is not in the identity class")
-    ker_i = kernel(pi_i.matrix)
-    ker_ip = kernel(pi_iprime.matrix)
-    img = Subspace.span(t_alg.field, t_alg.dim,
-                        [delta.apply(v) for v in ker_i.basis])
-    if img != ker_ip:
+    if delta.image_of(kernel(pi_i.matrix)) != kernel(pi_iprime.matrix):
         raise QuivkitError("DELTA_INVALID", "delta does not map I onto I'")
-    q_i, q_ip = pi_i.target, pi_iprime.target
-    # columns: send each quotient basis class through delta
-    cols = [pi_iprime.apply(delta.apply(pre)) for pre in quotient_section(pi_i)]
-    m = Mat.from_cols(t_alg.field, cols, rows=q_ip.dim)
-    g = validate_morphism(q_i, q_ip, m)
-    if not g.surjective or q_i.dim != q_ip.dim:
+    g = induced_on_quotient(pi_i, pi_iprime.compose(delta))
+    if not g.surjective or g.source.dim != g.target.dim:
         raise QuivkitError("INTERNAL", "induced quotient map is not invertible")
     return g
 
 
 def counit_factorization(cu: CounitResult) -> AlgMorphism:
     """The isomorphism k[[gq(A)]]/K -> A through which the counit factors."""
-    t_alg = cu.source_algebra.carrier
-    q, pi = quotient_algebra(t_alg, cu.kernel_ideal)
-    cols = [cu.morphism.apply(pre) for pre in quotient_section(pi)]
-    m = Mat.from_cols(t_alg.field, cols, rows=cu.morphism.target.dim)
-    eps_inf = validate_morphism(q, cu.morphism.target, m)
+    _q, pi = quotient_algebra(cu.source_algebra.carrier, cu.kernel_ideal)
+    eps_inf = induced_on_quotient(pi, cu.morphism)
     eps_inf.inverse()  # raises if singular
     return eps_inf
 
@@ -422,19 +377,16 @@ def kinfty_on_map(rho: VQuiverMap, src_cls: IdealOrbitClass,
     if apply_to_ideal(delta_k, k_rep) != kprime:
         raise QuivkitError("WITNESS_INVALID", "target witness does not map K to K'")
     krho = kvq_on_map(rho, t_src.level, src=t_src, tgt=t_tgt)
-    for v in iprime.space.basis:
-        if not kprime.space.contains(krho.apply(v)):
-            raise QuivkitError("WITNESS_INVALID",
-                               "k[[rho]] does not take I' into K'")
-    q_i, pi_i = quotient_algebra(t_src.carrier, i_rep)
-    q_ip, pi_ip = quotient_algebra(t_src.carrier, iprime)
-    q_k, pi_k = quotient_algebra(t_tgt.carrier, k_rep)
-    q_kp, pi_kp = quotient_algebra(t_tgt.carrier, kprime)
+    if not kprime.space.contains_subspace(krho.image_of(iprime.space)):
+        raise QuivkitError("WITNESS_INVALID", "k[[rho]] does not take I' into K'")
+    _q_i, pi_i = quotient_algebra(t_src.carrier, i_rep)
+    _q_ip, pi_ip = quotient_algebra(t_src.carrier, iprime)
+    _q_k, pi_k = quotient_algebra(t_tgt.carrier, k_rep)
+    _q_kp, pi_kp = quotient_algebra(t_tgt.carrier, kprime)
     gamma_i = gamma(delta_i, pi_i, pi_ip)
     gamma_k = gamma(delta_k, pi_k, pi_kp)
     # induced map on the primed quotients
-    cols = [pi_kp.apply(krho.apply(pre)) for pre in quotient_section(pi_ip)]
-    mid = validate_morphism(q_ip, q_kp, Mat.from_cols(t_src.field, cols, rows=q_kp.dim))
+    mid = induced_on_quotient(pi_ip, pi_kp.compose(krho))
     return gamma_k.inverse().compose(mid).compose(gamma_i)
 
 
@@ -459,9 +411,7 @@ def same_ideal_orbit(t: TruncatedTensorAlgebra, ideal_a: IdealSubspace,
     tried = 0
 
     def check(delta):
-        img = Subspace.span(f, a.dim,
-                            [delta.apply(v) for v in ideal_a.space.basis])
-        return img == ideal_b.space
+        return delta.image_of(ideal_a.space) == ideal_b.space
 
     # conjugations by single scaled arrows
     for lab in t.vq.arrow_labels():
@@ -476,9 +426,7 @@ def same_ideal_orbit(t: TruncatedTensorAlgebra, ideal_a: IdealSubspace,
     # single-arrow perturbations a -> a + c * (longer path in the same block)
     for lab in t.vq.arrow_labels():
         src, tgt, _ = t.vq.arrow_location(lab)
-        deeper = [i for i, p in enumerate(t.paths)
-                  if p.start == src and p.end == tgt and p.length >= 2]
-        for i in deeper:
+        for i in t.deeper_paths(src, tgt):
             zvec = a.basis_vector(i)
             for c in coeffs:
                 if tried >= budget:
@@ -490,8 +438,7 @@ def same_ideal_orbit(t: TruncatedTensorAlgebra, ideal_a: IdealSubspace,
                     if lab2 == lab:
                         img = vec_add(f, img, vec_scale(f, c, zvec))
                     arrow_images[lab2] = img
-                idem_images = {v: t.idempotent(v) for v in t.vq.vertices}
-                delta = universal_map(t, a, idem_images, arrow_images)
+                delta = universal_map(t, a, t.generators()[0], arrow_images)
                 if check(delta):
                     return delta
     return None

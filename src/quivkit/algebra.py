@@ -152,6 +152,11 @@ class AlgMorphism:
     def apply(self, v):
         return self.matrix.matvec(v)
 
+    def image_of(self, space: Subspace) -> Subspace:
+        """The image of a subspace of the source."""
+        return Subspace.span(self.target.field, self.target.dim,
+                             [self.apply(v) for v in space.basis])
+
     def compose(self, other: "AlgMorphism") -> "AlgMorphism":
         """self ∘ other (apply `other` first)."""
         if not other.target.same_as(self.source):
@@ -579,11 +584,8 @@ def image_of_radical_check(alpha: AlgMorphism) -> bool:
     """True iff alpha(J^n(A)) equals J^n(B) for every n up to truncation."""
     depth = max(alpha.source.truncation_level, alpha.target.truncation_level)
     for n in range(depth + 1):
-        jn_a = alpha.source.radical_power(n)
-        jn_b = alpha.target.radical_power(n)
-        img = Subspace.span(alpha.target.field, alpha.target.dim,
-                            [alpha.apply(v) for v in jn_a.basis])
-        if img != jn_b:
+        if alpha.image_of(alpha.source.radical_power(n)) != \
+                alpha.target.radical_power(n):
             return False
     return True
 
@@ -628,6 +630,17 @@ def quotient_section(pi: AlgMorphism):
     if any(p is None for p in pres):
         raise QuivkitError("INTERNAL", "projection not surjective")
     return pres
+
+
+def induced_on_quotient(pi: AlgMorphism, h: AlgMorphism) -> AlgMorphism:
+    """The morphism g with h = g . pi, for a surjection pi whose kernel h kills.
+
+    Each basis class of pi's target goes to the image under h of its
+    section preimage.
+    """
+    cols = [h.apply(pre) for pre in quotient_section(pi)]
+    m = Mat.from_cols(h.target.field, cols, rows=h.target.dim)
+    return validate_morphism(pi.target, h.target, m)
 
 
 def is_relation_ideal(ideal: IdealSubspace) -> bool:

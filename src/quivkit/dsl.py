@@ -41,14 +41,13 @@ from .errors import QuivkitError
 from .algebra import (
     FinAlgebra,
     ideal_generated_by,
+    induced_on_quotient,
     quotient_algebra,
-    quotient_section,
     validate_algebra,
 )
-from .exactlin import Mat, field_by_name, QQ, vec_combination
-from .pathalg import TruncatedTensorAlgebra, build_kvq, cpa, universal_map
+from .exactlin import field_by_name, QQ, vec_combination
+from .pathalg import build_kvq, cpa, universal_map
 from .vquiver import Quiver, VQuiver
-from .algebra import validate_morphism
 
 
 def _err(code, msg, line, col):
@@ -408,7 +407,11 @@ class Parser:
             den = 1
             if self.at_sym("/"):
                 self.next()
-                den = self.expect("INT").value
+                den_tok = self.expect("INT")
+                den = den_tok.value
+                if den == 0:
+                    _err("PARSE_ERROR", "zero denominator",
+                         den_tok.line, den_tok.col)
             coeff *= Fraction(num, den)
             if self.at_sym("*"):
                 self.next()
@@ -442,20 +445,13 @@ def parse_ast(text: str) -> Node:
 # ---------------------------------------------------------------------------
 
 class AlgebraEntry:
-    __slots__ = ("algebra", "tensor", "ideal", "projection", "base", "ctor")
+    __slots__ = ("algebra", "tensor", "ideal", "projection")
 
-    def __init__(self, algebra, tensor=None, ideal=None, projection=None,
-                 base=None, ctor=None):
+    def __init__(self, algebra, tensor=None, ideal=None, projection=None):
         self.algebra = algebra
         self.tensor = tensor
         self.ideal = ideal
         self.projection = projection
-        self.base = base
-        self.ctor = ctor
-
-    @property
-    def presentation(self) -> TruncatedTensorAlgebra | None:
-        return self.tensor
 
 
 class MorphismEntry:
@@ -491,13 +487,24 @@ class Document:
         self.order.append((kind, name))
 
 
+def _coeff(field, term: Node):
+    """A term's coefficient as a field element (SEMANTIC_ERROR when the
+    field's characteristic divides its denominator)."""
+    try:
+        return field.of(term.coeff)
+    except ZeroDivisionError:
+        _err("SEMANTIC_ERROR",
+             f"coefficient {term.coeff} is undefined over {field.name}",
+             term.line, term.col)
+
+
 def eval_expr(expr: Node, algebra: FinAlgebra):
     """Evaluate a linear combination of label words inside an algebra."""
     f = algebra.field
     coeffs = []
     pieces = []
     for term in expr.terms:
-        coeffs.append(f.of(term.coeff))
+        coeffs.append(_coeff(f, term))
         if not term.word:
             piece = list(algebra.unit)
         else:
@@ -568,8 +575,7 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
                      stmt.line, stmt.col)
             tensor = cpa(f, q, stmt.level)
         if not stmt.ideal:
-            return AlgebraEntry(tensor.carrier, tensor=tensor, base=stmt.base,
-                                ctor=stmt.ctor)
+            return AlgebraEntry(tensor.carrier, tensor=tensor)
         gens = [eval_expr(e, tensor.carrier) for e in stmt.ideal]
         ideal = ideal_generated_by(tensor.carrier, gens)
         try:
@@ -577,12 +583,12 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
         except QuivkitError as exc:
             _err(exc.code, exc.message, stmt.line, stmt.col)
         return AlgebraEntry(quotient, tensor=tensor, ideal=ideal,
-                            projection=pi, base=stmt.base, ctor=stmt.ctor)
+                            projection=pi)
     # table form
     basis = stmt.basis
     dim = len(basis)
     index = {lab: i for i, lab in enumerate(basis)}
-    zero_vec = [Fraction(0)] * dim
+    zero_vec = [f.zero] * dim
 
     def expr_vec(expr):
         out = list(zero_vec)
@@ -598,7 +604,7 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
             if lab not in index:
                 _err("UNKNOWN_NAME", f"{lab!r} is not in the declared basis",
                      term.line, term.col)
-            out[index[lab]] += term.coeff
+            out[index[lab]] = f.add(out[index[lab]], _coeff(f, term))
         return out
 
     sc = [[list(zero_vec) for _ in range(dim)] for _ in range(dim)]
@@ -612,7 +618,7 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
         alg = validate_algebra(f, basis, sc, unit)
     except QuivkitError as exc:
         _err(exc.code, exc.message, stmt.line, stmt.col)
-    return AlgebraEntry(alg, ctor="table")
+    return AlgebraEntry(alg)
 
 
 def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
@@ -659,17 +665,11 @@ def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
     if src_entry.ideal is None:
         return MorphismEntry(lifted, stmt.source, stmt.target)
     # descend through the quotient presentation
-    for v in src_entry.ideal.space.basis:
-        img = lifted.apply(v)
-        if any(c != target.field.zero for c in img):
-            _err("SEMANTIC_ERROR",
-                 "images do not kill the presentation ideal",
-                 stmt.line, stmt.col)
-    source = src_entry.algebra
-    cols = [lifted.apply(pre) for pre in quotient_section(src_entry.projection)]
-    m = Mat.from_cols(target.field, cols, rows=target.dim)
+    if lifted.image_of(src_entry.ideal.space).dim:
+        _err("SEMANTIC_ERROR", "images do not kill the presentation ideal",
+             stmt.line, stmt.col)
     try:
-        descended = validate_morphism(source, target, m)
+        descended = induced_on_quotient(src_entry.projection, lifted)
     except QuivkitError as exc:
         _err(exc.code, exc.message, stmt.line, stmt.col)
     return MorphismEntry(descended, stmt.source, stmt.target)

@@ -376,22 +376,17 @@ def solve_multi(m: Mat, bs):
               [m.data[i] + [b[i] for b in bs] for i in range(m.rows)])
     red, piv = rref(aug)
     main_piv = [p for p in piv if p < m.cols]
+    # the rows after the main pivots are zero on the main block
+    rest = red.data[len(main_piv):]
     sols = []
     for j in range(k):
         col = m.cols + j
-        # inconsistent iff some row is zero on the main block but not at col
-        bad = False
-        for r_i in range(red.rows):
-            if red.data[r_i][col] and not any(red.data[r_i][:m.cols]):
-                bad = True
-                break
-        if bad:
+        if any(row[col] for row in rest):
             sols.append(None)
             continue
         x = vec_zero(f, m.cols)
-        for r_i, pc in enumerate(piv):
-            if pc < m.cols:
-                x[pc] = red.data[r_i][col]
+        for r_i, pc in enumerate(main_piv):
+            x[pc] = red.data[r_i][col]
         sols.append(x)
     return sols
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from .errors import QuivkitError
 from .algebra import AlgMorphism, FinAlgebra, validate_morphism
-from .exactlin import Mat, solve, vec_combination, vec_is_zero, vec_sub, vec_zero
+from .exactlin import (Mat, solve, solve_multi, vec_combination, vec_is_zero,
+                       vec_sub, vec_zero)
 from .splittings import Splitting, conjugating_element, make_splitting
 from .vquiver import POINT, VQuiver, VQuiverMap
 
@@ -38,6 +39,11 @@ class GabrielQuiverResult:
     @property
     def vertex_names(self):
         return self.vquiver.vertices
+
+    def generators(self):
+        """Splitting idempotents by vertex and arrow bases by arrow pair."""
+        return (dict(zip(self.vertex_names, self.splitting.idems.elements)),
+                self.arrow_bases)
 
     def vertex_of_idempotent(self, idem):
         """Orbit vertex of a primitive idempotent (None if in no orbit)."""
@@ -69,6 +75,43 @@ class GabrielQuiverResult:
         if sol is None:
             return None
         return sol[:nblock]
+
+    def read_map(self, alpha: AlgMorphism, vq: VQuiver, idems, arrows,
+                 ) -> VQuiverMap:
+        """Vquiver map vq -> gq(A) read off a morphism alpha into A.
+
+        `idems[v]` and `arrows[(v, w)]` are the elements of alpha's source
+        that stand for vq's vertices and arrow blocks.  A vertex goes to the
+        orbit of its image idempotent (the point when the image vanishes);
+        an arrow block to the classes mod J^2 of its images, in the block
+        bases.  The inverse of pathalg.vqmap_generator_images.
+        """
+        f = self.algebra.field
+        vertex_map = {}
+        for v in vq.vertices:
+            img = alpha.apply(idems[v])
+            if vec_is_zero(f, img):
+                vertex_map[v] = POINT
+                continue
+            name = self.vertex_of_idempotent(img)
+            if name is None:
+                raise QuivkitError("INTERNAL", "vertex image matches no orbit")
+            vertex_map[v] = name
+        mats = {}
+        for (src, tgt), elems in arrows.items():
+            ws, wt = vertex_map[src], vertex_map[tgt]
+            d = 0 if POINT in (ws, wt) else self.vquiver.dim(ws, wt)
+            if d == 0:
+                continue
+            cols = []
+            for x in elems:
+                coords = self.arrow_class_coords(ws, wt, alpha.apply(x))
+                if coords is None:
+                    raise QuivkitError("INTERNAL",
+                                       "arrow image class escapes its block")
+                cols.append(coords)
+            mats[(src, tgt)] = Mat.from_cols(f, cols, rows=d)
+        return VQuiverMap(f, vq, self.vquiver, vertex_map, mats)
 
     def __repr__(self):
         return f"GabrielQuiverResult({self.vquiver!r})"
@@ -103,67 +146,19 @@ def gq(a: FinAlgebra, splitting: Splitting = None) -> GabrielQuiverResult:
 
 def gq_on_morphism(alpha: AlgMorphism, gq_a: GabrielQuiverResult,
                    gq_b: GabrielQuiverResult) -> VQuiverMap:
-    """Vquiver map induced by an algebra morphism.
-
-    Vertices go to the orbit of the image idempotent (the point when the
-    image vanishes); arrow blocks are read off modulo J^2 in the target's
-    block bases.
-    """
-    a, b = gq_a.algebra, gq_b.algebra
-    if not alpha.source.same_as(a) or not alpha.target.same_as(b):
+    """Vquiver map induced by an algebra morphism: gq_b reads it off the
+    splitting idempotents and arrow bases of gq_a."""
+    if not alpha.source.same_as(gq_a.algebra) or \
+            not alpha.target.same_as(gq_b.algebra):
         raise QuivkitError("BAD_ARGUMENT", "morphism endpoints do not match")
-    f = a.field
-    vertex_map = {}
-    for pos, name in enumerate(gq_a.vertex_names):
-        e = gq_a.splitting.idems.elements[pos]
-        img = alpha.apply(e)
-        if vec_is_zero(f, img):
-            vertex_map[name] = POINT
-            continue
-        tgt_name = gq_b.vertex_of_idempotent(img)
-        if tgt_name is None:
-            raise QuivkitError("INTERNAL",
-                               "image idempotent matches no orbit of the target")
-        vertex_map[name] = tgt_name
-    mats = {}
-    for (src, tgt), vecs in gq_a.arrow_bases.items():
-        isrc, itgt = vertex_map[src], vertex_map[tgt]
-        if POINT in (isrc, itgt):
-            continue
-        cols = []
-        for v in vecs:
-            coords = gq_b.arrow_class_coords(isrc, itgt, alpha.apply(v))
-            if coords is None:
-                raise QuivkitError("INTERNAL",
-                                   "arrow image class escapes its block")
-            cols.append(coords)
-        d = gq_b.vquiver.dim(isrc, itgt)
-        if d:
-            mats[(src, tgt)] = Mat.from_cols(f, cols, rows=d)
-    return VQuiverMap(f, gq_a.vquiver, gq_b.vquiver, vertex_map, mats)
+    return gq_b.read_map(alpha, gq_a.vquiver, *gq_a.generators())
 
 
 def check_sim(alpha: AlgMorphism, beta: AlgMorphism, level: int) -> bool:
-    """Congruence test: (a-b)(A) in J(B), and at level 1 also
-    (a-b)(J(A)) in J^2(B)."""
+    """Congruence test at level 0 or 1 (check_sim_n at that level)."""
     if level not in (0, 1):
         raise QuivkitError("BAD_ARGUMENT", "level must be 0 or 1")
-    if not alpha.source.same_as(beta.source) or \
-            not alpha.target.same_as(beta.target):
-        raise QuivkitError("BAD_ARGUMENT", "morphisms have different endpoints")
-    diff = alpha.matrix.sub(beta.matrix)
-    b = alpha.target
-    jb = b.radical
-    for col in diff.columns():
-        if not jb.contains(col):
-            return False
-    if level == 0:
-        return True
-    j2b = b.radical_power(2)
-    for v in alpha.source.radical.basis:
-        if not j2b.contains(diff.matvec(v)):
-            return False
-    return True
+    return check_sim_n(alpha, beta, level)
 
 
 def check_sim_n(alpha: AlgMorphism, beta: AlgMorphism, n: int) -> bool:
@@ -174,11 +169,12 @@ def check_sim_n(alpha: AlgMorphism, beta: AlgMorphism, n: int) -> bool:
     diff = alpha.matrix.sub(beta.matrix)
     src, tgt = alpha.source, alpha.target
     for m in range(n + 1):
-        jm = src.radical_power(m)
+        # J^0 = A, whose image is spanned by the columns of diff
+        images = diff.columns() if m == 0 else \
+            [diff.matvec(v) for v in src.radical_power(m).basis]
         jm1 = tgt.radical_power(m + 1)
-        for v in jm.basis:
-            if not jm1.contains(diff.matvec(v)):
-                return False
+        if not all(jm1.contains(x) for x in images):
+            return False
     return True
 
 
@@ -254,10 +250,8 @@ def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
             img = sigma.vertex_map[name]
             images.append(vec_zero(f, target.dim) if img == POINT
                           else target_t.idempotent(img))
-        # class coordinates in the canonical idempotent basis of A/J
-        cols = [vec_combination(f, target.dim,
-                                _class_coordinates(a, a.basis_vector(bidx)), images)
-                for bidx in range(a.dim)]
+        cols = [vec_combination(f, target.dim, coords, images)
+                for coords in _class_coordinates(a)]
         m = Mat.from_cols(f, cols, rows=target.dim)
         return validate_morphism(a, target, m)
 
@@ -265,8 +259,7 @@ def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
         if not alpha.source.same_as(a) or not alpha.target.same_as(target):
             raise QuivkitError("BAD_ARGUMENT", "morphism has wrong endpoints")
         vm = {}
-        for pos, name in enumerate(gq_a.vertex_names):
-            e = gq_a.splitting.idems.elements[pos]
+        for name, e in gq_a.generators()[0].items():
             img = alpha.apply(e)
             if vec_is_zero(f, img):
                 vm[name] = POINT
@@ -282,15 +275,15 @@ def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
     return to_alg, to_pset
 
 
-def _class_coordinates(a: FinAlgebra, vec):
-    """Coordinates of vec mod J in the canonical idempotent basis of A/J."""
-    f = a.field
+def _class_coordinates(a: FinAlgebra):
+    """Coordinates of each basis vector mod J in the canonical idempotent
+    basis of A/J."""
     cols = [list(c) for c in a.ss_classes] + [list(v) for v in a.radical.basis]
-    system = Mat.from_cols(f, cols, rows=a.dim)
-    sol = solve(system, list(vec))
-    if sol is None:
+    system = Mat.from_cols(a.field, cols, rows=a.dim)
+    sols = solve_multi(system, [a.basis_vector(i) for i in range(a.dim)])
+    if any(sol is None for sol in sols):
         raise QuivkitError("INTERNAL", "class coordinate system inconsistent")
-    return sol[:len(a.ss_classes)]
+    return [sol[:len(a.ss_classes)] for sol in sols]
 
 
 # ---------------------------------------------------------------------------

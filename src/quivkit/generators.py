@@ -83,13 +83,11 @@ def random_identity_class_automorphism(rng, t: TruncatedTensorAlgebra,
         for lab in t.vq.arrow_labels():
             src, tgt, _ = t.vq.arrow_location(lab)
             img = t.arrow_element(lab)
-            for i, p in enumerate(t.paths):
-                if p.start == src and p.end == tgt and p.length >= 2 \
-                        and rng.random() < 0.3:
+            for i in t.deeper_paths(src, tgt):
+                if rng.random() < 0.3:
                     img[i] = f.of(random_scalar(rng, f))
             arrow_images[lab] = img
-        idem_images = {v_: t.idempotent(v_) for v_ in t.vq.vertices}
-        shift = universal_map(t, t.carrier, idem_images, arrow_images)
+        shift = universal_map(t, t.carrier, t.generators()[0], arrow_images)
         delta = delta.compose(shift)
     return delta
 

@@ -78,6 +78,11 @@ class TruncatedTensorAlgebra:
                   for pair, labs in self.vq.spaces.items()}
         return idems, arrows
 
+    def deeper_paths(self, src, tgt):
+        """Indices of the paths of length >= 2 from src to tgt."""
+        return [i for i, p in enumerate(self.paths)
+                if p.start == src and p.end == tgt and p.length >= 2]
+
     def paths_of_length_at_least(self, m: int) -> Subspace:
         idxs = []
         for length in range(m, self.level):
@@ -325,7 +330,3 @@ def cpa_on_inclusion(iota: QuiverMap, level: int, field, *,
 def k2vq(field, vq: VQuiver) -> TruncatedTensorAlgebra:
     """The level-2 path algebra (vertices plus arrows, J^2 = 0)."""
     return build_kvq(field, vq, 2)
-
-
-def k2vq_on_map(rho: VQuiverMap, *, src=None, tgt=None) -> AlgMorphism:
-    return kvq_on_map(rho, 2, src=src, tgt=tgt)

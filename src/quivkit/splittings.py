@@ -28,11 +28,10 @@ class IdempotentSet:
 
     __slots__ = ("parent", "elements")
 
-    def __init__(self, parent: FinAlgebra, elements, *, verify=True):
+    def __init__(self, parent: FinAlgebra, elements):
         self.parent = parent
         self.elements = [list(e) for e in elements]
-        if verify:
-            self.verify()
+        self.verify()
 
     def verify(self):
         a = self.parent

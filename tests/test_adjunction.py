@@ -17,11 +17,13 @@ from quivkit.generators import (
     seeded_rng,
 )
 from quivkit.pathalg import build_kvq, kvq_on_map, universal_map
-from quivkit.vquiver import POINT, VQuiver, VQuiverMap, identity_vqmap
+from quivkit.vquiver import POINT, VQuiver, VQuiverMap, compose_vq, identity_vqmap
 
 from corpus import (
     QQ,
+    F3,
     algebra_corpus,
+    line_vq,
     presented_corpus,
     remark_pair,
     semisimple,
@@ -163,6 +165,62 @@ def test_roundtrips_on_corpus():
     assert pairs >= 10
 
 
+def _reference_phi(t, alpha, gq_a):
+    """phi as one loop over t's vertices and arrows, kept as an oracle for
+    the shared reader GabrielQuiverResult.read_map."""
+    f = t.field
+    vertex_map = {}
+    for v in t.vq.vertices:
+        img = alpha.apply(t.idempotent(v))
+        if el.vec_is_zero(f, img):
+            vertex_map[v] = POINT
+            continue
+        name = gq_a.vertex_of_idempotent(img)
+        assert name is not None
+        vertex_map[v] = name
+    mats = {}
+    for (src, tgt), labs in t.vq.spaces.items():
+        ws, wt = vertex_map[src], vertex_map[tgt]
+        if POINT in (ws, wt):
+            continue
+        d = gq_a.vquiver.dim(ws, wt)
+        if d == 0:
+            continue
+        cols = []
+        for lab in labs:
+            coords = gq_a.arrow_class_coords(ws, wt, alpha.apply(t.arrow_element(lab)))
+            assert coords is not None
+            cols.append(coords)
+        mats[(src, tgt)] = el.Mat.from_cols(f, cols, rows=d)
+    return VQuiverMap(f, t.vq, gq_a.vquiver, vertex_map, mats)
+
+
+def _phi_cases(field, seed):
+    """Seeded (t, alpha, gq) triples over corpus path algebras."""
+    rng = seeded_rng(seed)
+    for _tgt_name, tgt_vq in vq_corpus():
+        a = build_kvq(field, tgt_vq, 3).carrier
+        g = qk.gq(a)
+        for _src_name, src_vq in vq_corpus():
+            t = build_kvq(field, src_vq, max(2, a.truncation_level))
+            alpha = random_padm_morphism(rng, t, g)
+            if alpha is not None:
+                yield t, alpha, g
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+def test_phi_matches_reference_and_factors_through_unit(field):
+    pairs = 0
+    for t, alpha, g in _phi_cases(field, 41):
+        rho = qk.phi(t, alpha, g)
+        assert rho == _reference_phi(t, alpha, g)
+        # the paper's phi(alpha) = gq(alpha) . eta
+        eta, gq_t = qk.unit_map(t)
+        assert rho == compose_vq(qk.gq_on_morphism(alpha, gq_t, g), eta)
+        pairs += 1
+    assert pairs >= 15
+
+
 def test_unit_is_isomorphism_for_corpus():
     for name, vq in vq_corpus():
         for level in (2, 3, 4):
@@ -275,6 +333,21 @@ def test_right_adjoint_kills_j2():
     alpha = qk.right_adjoint_phi(rho, g)
     assert el.vec_is_zero(QQ, alpha.apply(a.element("cb")))
     assert not el.vec_is_zero(QQ, alpha.apply(a.element("a")))
+
+
+def test_right_adjoint_refuses_a_wrong_k2_target():
+    g = qk.gq(triangle_algebra().carrier)
+    rho = identity_vqmap(g.vquiver, QQ)
+    wrong = [build_kvq(QQ, line_vq(), 2),  # another Vquiver
+             build_kvq(QQ, g.vquiver, 3),  # another level
+             build_kvq(F3, g.vquiver, 2)]  # another field
+    for k2 in wrong:
+        with pytest.raises(QuivkitError) as exc:
+            qk.right_adjoint_phi(rho, g, k2_target=k2)
+        assert exc.value.code == "BAD_ARGUMENT"
+    right = build_kvq(QQ, g.vquiver, 2)
+    assert qk.right_adjoint_phi(rho, g, k2_target=right) == \
+        qk.right_adjoint_phi(rho, g)
 
 
 def test_factor_delta_trivial_pair():

@@ -7,7 +7,7 @@ import pytest
 
 import quivkit as qk
 import quivkit.exactlin as el
-from quivkit.algebra import ideal_subspace, quotient_section
+from quivkit.algebra import ideal_subspace, induced_on_quotient, quotient_section
 from quivkit.errors import QuivkitError
 
 from corpus import (
@@ -380,3 +380,25 @@ def test_quotient_section_matches_one_solve_per_column():
     section = quotient_section(pi)
     assert section == [el.solve(pi.matrix, q.basis_vector(i)) for i in range(q.dim)]
     assert checked >= 8
+
+
+def test_induced_on_quotient_factors_through_the_projection():
+    checked = 0
+    for name, a in algebra_corpus():
+        j2, j3 = a.radical_power(2), a.radical_power(3)
+        if j2.dim == 0:
+            continue
+        # J^3 is inside J^2, so A -> A/J^2 factors through A -> A/J^3
+        pi = qk.quotient_algebra(a, ideal_subspace(a, j3))[1] if j3.dim \
+            else qk.identity_morphism(a)
+        h = qk.quotient_algebra(a, ideal_subspace(a, j2))[1]
+        for hh in (h, pi):
+            g = induced_on_quotient(pi, hh)
+            assert g.compose(pi).matrix == hh.matrix, name
+        checked += 1
+    t, _ideal, q, pi = triangle_mod_cb()
+    cu = qk.counit(q)
+    pi_k = qk.quotient_algebra(cu.source_algebra.carrier, cu.kernel_ideal)[1]
+    g = induced_on_quotient(pi_k, cu.morphism)
+    assert g.compose(pi_k).matrix == cu.morphism.matrix
+    assert checked >= 5

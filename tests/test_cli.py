@@ -220,6 +220,8 @@ def _cli(*args):
     (["run", str(DEMO), "--command", "gq"], "run_gq.json"),
     (["run", str(DEMO), "--command", "counit"], "run_counit.json"),
     (["run", str(DEMO), "--command", "factor-delta"], "run_factor-delta.json"),
+    (["run", str(DEMO), "--command", "psi"], "run_psi.json"),
+    (["run", str(DEMO), "--command", "cpa"], "run_cpa.json"),
 ])
 def test_demo_reports_match_golden(args, golden):
     proc = _cli(*args, "--seed", "20240901")
@@ -239,6 +241,44 @@ def test_check_mode_reports_quivkit_error_with_exit_2(tmp_path):
         assert proc.stdout == b""
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.decode().startswith("LEVEL_TOO_SMALL:")
+
+
+TABLE_F5_DOC = """field F5;
+algebra D = table {
+  basis: e, x;
+  unit: e;
+  e*e = e; e*x = x; x*e = x;
+  x*x = 1/5*x;
+};
+check gq_dims(D);
+"""
+
+
+def _bad_coefficient_docs():
+    """(text, term) pairs: a coefficient whose denominator 5 divides, in a
+    morphism image and in a table entry, both over F5."""
+    demo = DEMO.read_text(encoding="utf-8")
+    assert "field Q;" in demo and "a -> a + c*b;" in demo
+    morphism = demo.replace("field Q;", "field F5;").replace(
+        "a -> a + c*b;", "a -> a + 1/5*c*b;")
+    return [(morphism, "1/5*c*b"), (TABLE_F5_DOC, "1/5*x")]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["morphism", "table"])
+def test_bad_coefficient_is_a_semantic_error_with_position(tmp_path, case):
+    text, term = _bad_coefficient_docs()[case]
+    line_no, line = next((i + 1, ln) for i, ln in enumerate(text.splitlines())
+                         if term in ln)
+    where = f"(line {line_no}, column {line.index(term) + 1})"
+    doc = tmp_path / "bad.quiv"
+    doc.write_text(text, encoding="utf-8")
+    for args in (["check", str(doc)], ["run", str(doc), "--command", "check-suite"]):
+        proc = _cli(*args)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, (args, err)
+        assert "Traceback" not in err
+        assert err.startswith("SEMANTIC_ERROR:")
+        assert where in err, err
 
 
 FACTOR_DELTA_DOC = DOC + """

@@ -91,6 +91,16 @@ algebra D = table {
     assert "line" in str(exc.value)
 
 
+def test_zero_denominator_is_a_parse_error_with_position():
+    text = TRIANGLE_DOC.replace("a -> a + c*b;", "a -> a + 1/0*c*b;")
+    assert text != TRIANGLE_DOC
+    with pytest.raises(QuivkitError) as exc:
+        parse(text)
+    assert exc.value.code == "PARSE_ERROR"
+    assert "zero denominator" in str(exc.value)
+    assert "column" in str(exc.value)
+
+
 def test_morphism_missing_generator():
     text = TRIANGLE_DOC.replace("a -> a + c*b; b -> b; c -> c;", "b -> b; c -> c;")
     with pytest.raises(QuivkitError) as exc:

@@ -290,6 +290,24 @@ def test_solve_matches_single_column_reference(mb):
 
 @settings(max_examples=80, deadline=None)
 @given(field_matrix(), st.data())
+def test_solve_multi_matches_single_column_reference(m, data):
+    f = m.field
+    entry = st.integers(-4, 4) if f.char == 0 else st.integers(0, f.char - 1)
+    bs = []
+    for consistent in data.draw(st.lists(st.booleans(), min_size=1, max_size=5)):
+        size = m.cols if consistent else m.rows
+        v = [f.of(x) for x in data.draw(st.lists(entry, min_size=size, max_size=size))]
+        # an image m x is consistent; a free vector may be either
+        bs.append(m.matvec(v) if consistent else v)
+    sols = el.solve_multi(m, bs)
+    assert sols == [_solve_reference(m, b) for b in bs]
+    for b, x in zip(bs, sols):
+        if x is not None:
+            assert m.matvec(x) == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_matrix(), st.data())
 def test_vec_combination_matches_scaled_sum(m, data):
     f = m.field
     entry = st.integers(-4, 4) if f.char == 0 else st.integers(0, f.char - 1)

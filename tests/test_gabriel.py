@@ -169,6 +169,41 @@ def test_sim1_implies_sim_n_on_random_pairs():
         assert qk.check_sim_n(alpha, beta, 5)
 
 
+def _reference_check_sim(alpha, beta, level):
+    """The level-0/1 congruence test written out on its own, as an oracle."""
+    diff = alpha.matrix.sub(beta.matrix)
+    b = alpha.target
+    if not all(b.radical.contains(col) for col in diff.columns()):
+        return False
+    return level == 0 or all(b.radical_power(2).contains(diff.matvec(v))
+                             for v in alpha.source.radical.basis)
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+def test_check_sim_is_check_sim_n_at_levels_0_and_1(field):
+    rng = seeded_rng(17)
+    t = triangle_algebra(field)
+    a = t.carrier
+    g = qk.gq(a)
+    idems = t.generators()[0]
+    doubled = {lab: el.vec_scale(field, field.of(2), t.arrow_element(lab))
+               for lab in t.vq.arrow_labels()}
+    scale = universal_map(t, a, idems, doubled)
+    seen = set()
+    for _ in range(12):
+        alpha = random_padm_morphism(rng, t, g)
+        pairs = [(alpha, random_padm_morphism(rng, t, g)),
+                 (alpha, alpha.compose(random_identity_class_automorphism(rng, t))),
+                 (alpha, alpha.compose(scale))]
+        for x, y in pairs:
+            for level in (0, 1):
+                got = qk.check_sim(x, y, level)
+                assert got == qk.check_sim_n(x, y, level)
+                assert got == _reference_check_sim(x, y, level)
+                seen.add((level, got))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
 def test_congruence_composition_stability():
     rng = seeded_rng(13)
     t = triangle_algebra()
