@@ -26,6 +26,7 @@ from .exactlin import (
     vec_unit,
     vec_zero,
 )
+from .poly import charpoly, roots_if_split
 
 
 class FinAlgebra:
@@ -340,9 +341,9 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
     """Split A/J into one-dimensional blocks; NOT_POINTED if impossible.
 
     Returns class representatives (vectors in A).  Eigenvalues of
-    multiplication operators are found by exact factorization of
-    characteristic polynomials (sympy), everything else is plain linear
-    algebra over the field.
+    multiplication operators are the roots of their characteristic
+    polynomials (`poly`); everything else is plain linear algebra over the
+    field.
     """
     full = Subspace.full(field, dim)
     reps, proj = quotient_basis(full, j_space)
@@ -419,39 +420,7 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
 
 def _split_eigenvalues(field, m: Mat):
     """Distinct eigenvalues of m in the base field, or None if any live outside."""
-    import sympy
-
-    n = m.rows
-    lam = sympy.Symbol("lam")
-    if field.char == 0:
-        sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(m.data[i][j]))
-        poly = sm.charpoly(lam)
-        factors = sympy.Poly(poly.as_expr(), lam, domain="QQ").factor_list()[1]
-    else:
-        sm = sympy.Matrix(n, n, lambda i, j: int(m.data[i][j]))
-        poly = sm.charpoly(lam)
-        factors = sympy.Poly(poly.as_expr(), lam, modulus=field.char).factor_list()[1]
-    roots = []
-    for fac, _mult in factors:
-        if fac.degree() > 1:
-            return None
-        coeffs = fac.all_coeffs()  # [c1, c0] for c1*lam + c0
-        c1, c0 = coeffs if len(coeffs) == 2 else (coeffs[0], 0)
-        if field.char == 0:
-            from fractions import Fraction
-            root = -Fraction(int(sympy.numer(c0)), int(sympy.denom(c0))) / \
-                Fraction(int(sympy.numer(c1)), int(sympy.denom(c1)))
-            roots.append(field.of(root))
-        else:
-            p = field.char
-            root = (-int(c0)) * pow(int(c1), -1, p) % p
-            roots.append(root)
-    out = []
-    for r in roots:
-        if r not in out:
-            out.append(r)
-    out.sort()
-    return out
+    return roots_if_split(field, charpoly(m))
 
 
 def validate_algebra(field, basis_labels, structconst, unit, *,

@@ -9,6 +9,7 @@ as sets exactly when their stored bases are identical.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import QuivkitError
 
@@ -18,30 +19,81 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round to base a for odd n > a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n >= _MR_LIMIT
+    that is not a perfect square."""
+    d_sel = 5
+    while (j := _jacobi(d_sel, n)) != -1:
+        if j == 0:
+            return False
+        d_sel = -d_sel - 2 if d_sel > 0 else -d_sel + 2
+    q = (1 - d_sel) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k (P = 1) and Q^k mod n, k running over the leading bits of d
+    u, v, qk = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, d_sel * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def _is_prime(n: int) -> bool:
+    """Exact below _MR_LIMIT; above it the Baillie-PSW test, which has no
+    known counterexample (Baillie and Wagstaff 1980)."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
-        import sympy
-        return bool(sympy.isprime(n))
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _MR_LIMIT:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return (_strong_probable_prime(n, 2) and isqrt(n) ** 2 != n
+            and _strong_lucas_probable_prime(n))
 
 
 class RationalField:
@@ -159,13 +211,21 @@ def GF(p: int) -> PrimeField:
     return _gf_cache[p]
 
 
+# Longest characteristic, in decimal digits, that a field tag may name.
+MAX_CHAR_DIGITS = 1000
+
+
 def field_by_name(name: str):
     """Parse a field tag: "Q" or "F<p>"."""
     name = name.strip()
     if name in ("Q", "QQ"):
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        return GF(int(name[1:]))
+    digits = name[1:]
+    if name.startswith("F") and digits.isascii() and digits.isdigit():
+        if len(digits) > MAX_CHAR_DIGITS:
+            raise QuivkitError("BAD_FIELD", f"characteristic has {len(digits)} digits "
+                                            f"(at most {MAX_CHAR_DIGITS})")
+        return GF(int(digits))
     raise QuivkitError("BAD_FIELD", f"unknown field {name!r} (use Q or F<p>)")
 
 

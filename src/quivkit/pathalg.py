@@ -95,6 +95,29 @@ class TruncatedTensorAlgebra:
         return f"TruncatedTensorAlgebra(level={self.level}, dim={self.dim})"
 
 
+# Largest dimension build_kvq admits.  The structure constants are first
+# built as a dense dim x dim x dim table, about 16.8 million entries at this
+# bound; the level-7 algebra of the 2-vertex quiver with a loop, two arrows
+# 1 -> 2 and one arrow 2 -> 1 (dim 254) still fits.
+MAX_KVQ_DIM = 256
+
+
+def _path_count(vq: VQuiver, level: int) -> int:
+    """Number of paths of length < level, counted by arrow multiplicities;
+    the count stops once it exceeds MAX_KVQ_DIM."""
+    ends = dict.fromkeys(vq.vertices, 1)
+    total = len(ends)
+    for _ in range(1, level):
+        if total > MAX_KVQ_DIM or not any(ends.values()):
+            break
+        nxt = dict.fromkeys(vq.vertices, 0)
+        for (src, tgt), labels in vq.spaces.items():
+            nxt[tgt] += ends[src] * len(labels)
+        ends = nxt
+        total += sum(ends.values())
+    return total
+
+
 def build_kvq(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
     """Path algebra of a Vquiver truncated at `level` (level >= 2)."""
     if level < 2:
@@ -102,6 +125,9 @@ def build_kvq(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
     if not vq.vertices:
         raise QuivkitError("BAD_SHAPE",
                            "path algebra of a point-only Vquiver has dimension 0")
+    if _path_count(vq, level) > MAX_KVQ_DIM:
+        raise QuivkitError("TOO_LARGE", f"the path algebra at level {level} has more "
+                                        f"than {MAX_KVQ_DIM} basis paths")
     arrow_info = {}
     for (src, tgt), labels in vq.spaces.items():
         for lab in labels:

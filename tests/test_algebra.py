@@ -7,7 +7,14 @@ import pytest
 
 import quivkit as qk
 import quivkit.exactlin as el
-from quivkit.algebra import ideal_subspace, induced_on_quotient, quotient_section
+from quivkit.algebra import (
+    _semisimple_pointed_classes,
+    _split_eigenvalues,
+    ideal_subspace,
+    induced_on_quotient,
+    quotient_section,
+)
+from quivkit.dsl import parse
 from quivkit.errors import QuivkitError
 
 from corpus import (
@@ -402,3 +409,112 @@ def test_induced_on_quotient_factors_through_the_projection():
     g = induced_on_quotient(pi_k, cu.morphism)
     assert g.compose(pi_k).matrix == cu.morphism.matrix
     assert checked >= 5
+
+
+# -- eigenvalue splitting against sympy ---------------------------------------
+
+def _sympy_split_eigenvalues(field, m):
+    """The sympy charpoly + factor_list splitter, kept as the oracle."""
+    import sympy
+
+    lam = sympy.Symbol("lam")
+    if field.char == 0:
+        sm = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.data[i][j]))
+        factors = sympy.Poly(sm.charpoly(lam).as_expr(), lam, domain="QQ").factor_list()[1]
+    else:
+        sm = sympy.Matrix(m.rows, m.cols, lambda i, j: int(m.data[i][j]))
+        factors = sympy.Poly(sm.charpoly(lam).as_expr(), lam,
+                             modulus=field.char).factor_list()[1]
+    roots = set()
+    for fac, _mult in factors:
+        if fac.degree() > 1:
+            return None
+        c1, c0 = fac.all_coeffs()
+        if field.char == 0:
+            roots.add(-Fraction(str(c0)) / Fraction(str(c1)))
+        else:
+            roots.add(-int(c0) * pow(int(c1), -1, field.char) % field.char)
+    return sorted(roots)
+
+
+def _conjugated_diagonal(field, rng, eigenvalues):
+    """P D P^-1 for a seeded invertible P, with Jordan 1s between equal
+    neighbours of D now and then."""
+    n = len(eigenvalues)
+    while True:
+        p = el.Mat(field, n, n, [[field.of(rng.randint(-3, 3)) for _ in range(n)]
+                                 for _ in range(n)])
+        if el.rank(p) == n:
+            break
+    d = el.Mat.zeros(field, n, n)
+    for i, ev in enumerate(eigenvalues):
+        d.data[i][i] = ev
+        if i and ev == eigenvalues[i - 1] and rng.random() < 0.5:
+            d.data[i - 1][i] = field.one
+    return p.matmul(d).matmul(el.invert(p))
+
+
+@pytest.mark.parametrize("field", [QQ, F2, qk.GF(3), F5, qk.GF(101), qk.GF(10**20 + 39)],
+                         ids=lambda f: f.name[:6])
+def test_split_eigenvalues_matches_sympy(field):
+    rng = random.Random(f"split:{field.char}")
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        if field.char == 0:
+            evs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+        else:
+            evs = [field.of(rng.randint(0, 6)) for _ in range(n)]
+        m = _conjugated_diagonal(field, rng, evs)
+        roots = _split_eigenvalues(field, m)
+        assert roots == sorted(set(evs))
+        assert roots == _sympy_split_eigenvalues(field, m)
+        # a random matrix usually does not split
+        r = el.Mat(field, n, n, [[field.of(rng.randint(-5, 5)) for _ in range(n)]
+                                 for _ in range(n)])
+        assert _split_eigenvalues(field, r) == _sympy_split_eigenvalues(field, r)
+
+
+@pytest.mark.parametrize("field, c0", [(QQ, 1), (qk.GF(3), 1), (QQ, -2)],
+                         ids=["t2+1/Q", "t2+1/F3", "t2-2/Q"])
+def test_split_eigenvalues_refuses_irreducible_quadratics(field, c0):
+    # companion matrix of t^2 + c0
+    m = el.Mat(field, 2, 2, [[field.zero, field.of(-c0)], [field.one, field.zero]])
+    assert _split_eigenvalues(field, m) is None
+    assert _sympy_split_eigenvalues(field, m) is None
+
+
+def test_jordan_block_has_its_root_and_is_not_semisimple():
+    for field in (QQ, F5):
+        three = field.of(3)
+        m = el.Mat(field, 3, 3, [[three, field.one, field.zero],
+                                 [field.zero, three, field.one],
+                                 [field.zero, field.zero, three]])
+        assert _split_eigenvalues(field, m) == [three]
+    # k[x]/(x^2) with J taken as 0: multiplication by x is a Jordan block
+    a = qk.validate_algebra(QQ, ["e", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
+    with pytest.raises(QuivkitError) as exc:
+        _semisimple_pointed_classes(QQ, 2, a.structconst, a.unit, el.Subspace.zero(QQ, 2))
+    assert (exc.value.code, exc.value.message) == ("NOT_POINTED",
+                                                   "A/J is not semisimple over k")
+
+
+GAUSSIAN_TABLE = """field {field};
+algebra C = table {{
+  basis: e, i;
+  unit: e;
+  e*e = e; e*i = i; i*e = i;
+  i*i = -e;
+}};
+"""
+
+
+@pytest.mark.parametrize("field", ["Q", "F3", "F5"])
+def test_gaussian_table_is_pointed_only_where_i_exists(field):
+    text = GAUSSIAN_TABLE.format(field=field)
+    if field == "F5":
+        assert parse(text).algebras["C"].algebra.dim == 2
+        return
+    with pytest.raises(QuivkitError) as exc:
+        parse(text)
+    assert str(exc.value) == ("NOT_POINTED: A/J has a simple factor larger than k"
+                              " (line 2, column 1)")

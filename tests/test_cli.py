@@ -204,12 +204,12 @@ DEMO = ROOT / "demo" / "triangle.quiv"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _cli(*args):
+def _cli(*args, module=("-m", "quivkit.cli"), timeout=None):
     env = {k: v for k, v in os.environ.items() if k != "QUIVKIT_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "quivkit.cli", *args],
-                          capture_output=True, env=env, cwd=ROOT)
+    return subprocess.run([sys.executable, *module, *args],
+                          capture_output=True, env=env, cwd=ROOT, timeout=timeout)
 
 
 # tests/golden holds the stdout of these commands (QUIVKIT_SEED unset, seed
@@ -308,3 +308,68 @@ def test_each_factor_delta_directive_runs_once(tmp_path, monkeypatch, capsys):
                 if r.get("check") == "factor_delta"}
     assert by_alpha["aut"]["alpha"] == "aut" and by_alpha["aut"]["pass"]
     assert by_alpha["aut2"]["alpha"] == "aut2" and by_alpha["aut2"]["pass"]
+
+
+def _table_doc(n, field):
+    """Upper triangular n x n matrices as a `table`, and k[[A_n]] onto it."""
+    idx = range(1, n + 1)
+    lines = [f"field {field};", "vquiver LIN {",
+             f"  vertices: {', '.join(map(str, idx))};"]
+    lines += [f"  space {i + 1} -> {i} = [a{i}];" for i in range(1, n)]
+    lines += ["}", "algebra T = table {",
+              f"  basis: {', '.join(f'E{i}{j}' for i in idx for j in idx if i <= j)};",
+              f"  unit: {' + '.join(f'E{i}{i}' for i in idx)};"]
+    lines += [f"  E{i}{j}*E{j}{k} = E{i}{k};"
+              for i in idx for j in idx for k in idx if i <= j <= k]
+    lines += ["};", f"algebra P = kvq(LIN, level={n});", "morphism inc: P -> T {"]
+    lines += [f"  e{i} -> E{i}{i};" for i in idx]
+    lines += [f"  a{i} -> E{i}{i + 1};" for i in range(1, n)]
+    lines += ["}", "check gq_dims(T);", "check counit(T);", "check sim0(inc, inc);"]
+    return "\n".join(lines) + "\n"
+
+
+def test_check_of_a_table_document_does_not_import_sympy(tmp_path):
+    doc = tmp_path / "t4.quiv"
+    doc.write_text(_table_doc(4, "F101"), encoding="utf-8")
+    code = ("import sys\nfrom quivkit import cli\nrc = cli.main(['check', sys.argv[1]])\n"
+            "print('RESULT', rc, 'sympy' in sys.modules, file=sys.stderr)\n")
+    proc = _cli(str(doc), module=("-c", code))
+    assert proc.stderr.decode().splitlines()[-1] == "RESULT 0 False"
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_upper_triangular_tables_over_q_pass(tmp_path, capsys, n):
+    doc = tmp_path / f"t{n}.quiv"
+    doc.write_text(_table_doc(n, "Q"), encoding="utf-8")
+    assert main(["check", str(doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and len(report["results"]) >= 3
+
+
+@pytest.mark.parametrize("tag", ["F" + "7" * 5000, "F\u00b2"],
+                         ids=["5000-digits", "superscript"])
+def test_unreadable_field_characteristic_is_a_bad_field(tmp_path, tag):
+    text = DEMO.read_text(encoding="utf-8").replace("field Q;", f"field {tag};")
+    doc = tmp_path / "field.quiv"
+    doc.write_text(text, encoding="utf-8")
+    proc = _cli("check", str(doc), timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("BAD_FIELD:")
+
+
+def test_oversized_path_algebra_is_refused_quickly(tmp_path):
+    text = DEMO.read_text(encoding="utf-8")
+    assert "space 3 -> 2 = [c];" in text and "level=3" in text
+    text = text.replace("space 3 -> 2 = [c];", "space 3 -> 2 = [c];\n  space 1 -> 1 = [x, y];")
+    doc = tmp_path / "big.quiv"
+    doc.write_text(text.replace("level=3", "level=40"), encoding="utf-8")
+    start = time.perf_counter()
+    proc = _cli("check", str(doc), timeout=60)
+    assert time.perf_counter() - start < 10
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("TOO_LARGE:")

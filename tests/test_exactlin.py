@@ -1,5 +1,6 @@
 """Exact linear algebra: examples plus hypothesis property checks."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -181,6 +182,40 @@ def test_primality_matches_trial_division():
     # strong pseudoprimes to the first bases
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747):
         assert not el._is_prime(n)
+
+
+MERSENNE_PRIME_EXPONENTS = (89, 127, 521, 1279)
+# (6k+1)(12k+1)(18k+1) is a Carmichael number when all three factors are prime
+CHERNICK_K = (14000240, 14000461)
+
+
+def test_bpsw_matches_sympy_above_the_miller_rabin_limit():
+    import sympy
+
+    cases = []
+    for e in MERSENNE_PRIME_EXPONENTS:
+        m = 2 ** e - 1
+        cases += [m, m - 2, m + 2, m + 4, 2 ** e + 1]
+    for k in CHERNICK_K:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(sympy.isprime(q) for q in factors)
+        cases.append(factors[0] * factors[1] * factors[2])
+    # strong pseudoprimes to base 2: the Miller-Rabin limit itself (one to
+    # every base up to 41) and composite Mersenne numbers 2^q - 1, q prime
+    strong = [el._MR_LIMIT] + [2 ** q - 1 for q in (83, 97, 101, 103, 109, 113)]
+    for n in strong:
+        assert el._strong_probable_prime(n, 2) and not sympy.isprime(n)
+    cases += strong
+    rng = random.Random(20240901)
+    cases += [rng.randrange(10 ** 29, 10 ** rng.randint(30, 400)) | 1 for _ in range(300)]
+    # random primes and semiprimes, which random odd numbers seldom are
+    for _ in range(20):
+        p = sympy.nextprime(rng.randrange(10 ** 29, 10 ** rng.randint(30, 150)))
+        cases += [p, p * sympy.nextprime(rng.randrange(10 ** 12, 10 ** 30))]
+    assert all(n >= el._MR_LIMIT for n in cases)
+    for n in cases:
+        assert el._is_prime(n) == sympy.isprime(n), n
+    assert all(el._is_prime(2 ** e - 1) for e in MERSENNE_PRIME_EXPONENTS)
 
 
 # -- property tests ---------------------------------------------------------

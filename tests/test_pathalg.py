@@ -6,7 +6,16 @@ from hypothesis import given, settings, strategies as st
 import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.errors import QuivkitError
-from quivkit.pathalg import build_kvq, cpa, cpa_on_inclusion, k2vq, kvq_on_map, universal_map
+from quivkit.pathalg import (
+    MAX_KVQ_DIM,
+    _path_count,
+    build_kvq,
+    cpa,
+    cpa_on_inclusion,
+    k2vq,
+    kvq_on_map,
+    universal_map,
+)
 from quivkit.vquiver import POINT, Quiver, QuiverMap, VQuiver, VQuiverMap
 
 from corpus import (
@@ -87,6 +96,22 @@ def test_dimension_matches_walk_count():
             power = [[sum(power[i][k] * adj[k][j] for k in range(n))
                       for j in range(n)] for i in range(n)]
         assert t.dim == total
+
+
+def test_path_count_matches_dimension_and_guards_size():
+    two = VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["a", "b"],
+                               ("2", "1"): ["c"]})
+    for vq, top in [(triangle_vq(), 5), (line_vq(), 5), (double_loop_vq(), 5), (two, 5)]:
+        for level in range(2, top):
+            assert _path_count(vq, level) == build_kvq(F5, vq, level).dim
+    # the level-7 algebra of `two` (dim 254) is admitted, level 8 (dim 510) is not
+    assert _path_count(two, 7) == 254 <= MAX_KVQ_DIM
+    assert _path_count(two, 8) > MAX_KVQ_DIM
+    assert _path_count(triangle_vq(), 10 ** 9) == 7
+    for level in (8, 10 ** 9):
+        with pytest.raises(QuivkitError) as exc:
+            build_kvq(F5, two, level)
+        assert exc.value.code == "TOO_LARGE"
 
 
 def test_universal_map_automorphism():
