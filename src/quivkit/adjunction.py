@@ -17,6 +17,7 @@ from .algebra import (
     identity_morphism,
     ideal_subspace,
     induced_on_quotient,
+    is_relation_ideal,
     quotient_algebra,
     validate_morphism,
 )
@@ -50,8 +51,6 @@ class IdealOrbitClass:
     __slots__ = ("parent", "representative")
 
     def __init__(self, parent: TruncatedTensorAlgebra, representative: IdealSubspace):
-        from .algebra import is_relation_ideal
-
         if not representative.parent.same_as(parent.carrier):
             raise QuivkitError("BAD_ARGUMENT", "ideal lives in a different algebra")
         if not is_relation_ideal(representative):
@@ -124,8 +123,6 @@ class CounitResult:
 def counit(a: FinAlgebra, *, level: int = None,
            splitting=None) -> CounitResult:
     """Counit representative k[[gq(A)]] -> A with its kernel (a relation ideal)."""
-    from .algebra import is_relation_ideal
-
     gq_a = gq(a, splitting)
     if level is None:
         level = max(2, a.truncation_level)

@@ -2,10 +2,12 @@
 
 An algebra is admitted only if it is associative, unital, has nilpotent
 radical and a radical quotient isomorphic to a product of copies of the base
-field.  Constructions that build algebras from presentations (path algebras,
-quotients) pass verified radical/idempotent hints, which keeps every field
-characteristic usable; raw structure-constant input computes the radical from
-the trace form, which requires char 0 or p > dim.
+field.  There are two entry points.  `validate_algebra` reads a raw dense
+table, checks associativity and computes the radical from the trace form,
+which requires char 0 or p > dim.  `presented_algebra` admits what a
+construction (path algebra, quotient) writes directly in the stored sparse
+form, with its radical and idempotent classes; those are re-verified, which
+keeps every field characteristic usable.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .errors import QuivkitError
 from .exactlin import (
     Mat,
     Subspace,
+    invert,
     kernel,
     quotient_basis,
     rank,
@@ -167,7 +170,6 @@ class AlgMorphism:
                            surjective=rank(m) == self.target.dim)
 
     def inverse(self) -> "AlgMorphism":
-        from .exactlin import invert
         inv = invert(self.matrix)
         return AlgMorphism(self.target, self.source, inv, surjective=True)
 
@@ -227,7 +229,7 @@ def _check_unit(field, dim, sc, unit):
             raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")
 
 
-def _check_associativity(field, dim, sc):
+def _verify_associative(field, dim, sc):
     one = field.one
     for i in range(dim):
         for j in range(dim):
@@ -423,16 +425,23 @@ def _split_eigenvalues(field, m: Mat):
     return roots_if_split(field, charpoly(m))
 
 
-def validate_algebra(field, basis_labels, structconst, unit, *,
-                     radical_hint=None, ss_class_hint=None,
-                     check_associativity=True) -> FinAlgebra:
-    """Validate raw data and build a FinAlgebra.
+def _admit(field, basis_labels, sc, unit, j_space, classes) -> FinAlgebra:
+    """The checks both entry points end with, then the FinAlgebra."""
+    dim = len(basis_labels)
+    if not _is_two_sided_ideal(field, dim, sc, j_space):
+        raise QuivkitError("RADICAL_NOT_NILPOTENT", "radical is not a two-sided ideal")
+    filtration = _radical_filtration(field, dim, sc, j_space)
+    _verify_pointed_classes(field, dim, sc, unit, j_space, classes)
+    return FinAlgebra(field, basis_labels, sc, unit, filtration, classes)
+
+
+def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
+    """Validate a raw table and build a FinAlgebra.
 
     `structconst[i][j]` must be the dense coordinate vector of b_i b_j;
     entries are coerced through the field and stored in the sparse form of
-    `FinAlgebra.structconst`.  Constructions that already know the radical
-    (path algebras, quotients) pass `radical_hint` and `ss_class_hint`; both
-    are fully re-verified here, so hints can never smuggle in a wrong radical.
+    `FinAlgebra.structconst`.  Every check runs: shape, unit, associativity,
+    the trace-form radical and the idempotent classes it splits off.
     """
     dim = len(basis_labels)
     if dim == 0:
@@ -459,26 +468,22 @@ def validate_algebra(field, basis_labels, structconst, unit, *,
     if len(unit) != dim:
         raise QuivkitError("BAD_SHAPE", "unit vector length")
     _check_unit(field, dim, sc, unit)
-    if check_associativity:
-        _check_associativity(field, dim, sc)
-    if radical_hint is not None:
-        j_space = radical_hint
-        if not _is_two_sided_ideal(field, dim, sc, j_space):
-            raise QuivkitError("RADICAL_NOT_NILPOTENT",
-                               "radical hint is not a two-sided ideal")
-    else:
-        j_space = trace_form_radical((field, dim, sc))
-        if not _is_two_sided_ideal(field, dim, sc, j_space):
-            raise QuivkitError("RADICAL_NOT_NILPOTENT",
-                               "trace-form kernel is not an ideal")
-    filtration = _radical_filtration(field, dim, sc, j_space)
-    if ss_class_hint is not None:
-        classes = [[field.of(c) for c in v] for v in ss_class_hint]
-        _verify_pointed_classes(field, dim, sc, unit, j_space, classes)
-    else:
-        classes = _semisimple_pointed_classes(field, dim, sc, unit, j_space)
-        _verify_pointed_classes(field, dim, sc, unit, j_space, classes)
-    return FinAlgebra(field, basis_labels, sc, unit, filtration, classes)
+    _verify_associative(field, dim, sc)
+    j_space = trace_form_radical((field, dim, sc))
+    classes = _semisimple_pointed_classes(field, dim, sc, unit, j_space)
+    return _admit(field, basis_labels, sc, unit, j_space, classes)
+
+
+def presented_algebra(field, basis_labels, terms, unit, radical, classes) -> FinAlgebra:
+    """Admit an algebra that a construction writes in the stored form.
+
+    `terms[i][j]` is b_i b_j as the sparse tuple of `FinAlgebra.structconst`,
+    and associativity is the construction's guarantee.  The unit, the
+    radical (a nilpotent two-sided ideal) and the idempotent classes modulo
+    it are re-verified, so a construction can never smuggle in a wrong one.
+    """
+    _check_unit(field, len(basis_labels), terms, unit)
+    return _admit(field, basis_labels, terms, unit, radical, classes)
 
 
 def radical(a: FinAlgebra) -> Subspace:
@@ -657,18 +662,11 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
             labels.append(f"q{len(labels)}")
     if len(set(labels)) != qdim:
         labels = [f"q{i}" for i in range(qdim)]
-    sc = [[proj.matvec(a.mul(reps[i], reps[j])) for j in range(qdim)]
-          for i in range(qdim)]
-    unit_q = proj.matvec(a.unit)
+    sc = [[tuple(_terms(proj.matvec(a.mul(ri, rj)))) for rj in reps] for ri in reps]
     j_img = Subspace.span(f, qdim, [proj.matvec(v) for v in a.radical.basis])
-    class_imgs = []
-    for c in a.ss_classes:
-        img = proj.matvec(c)
-        if not j_img.contains(img):
-            class_imgs.append(img)
-    q = validate_algebra(f, labels, sc, unit_q,
-                         radical_hint=j_img, ss_class_hint=class_imgs,
-                         check_associativity=False)
+    class_imgs = [img for img in map(proj.matvec, a.ss_classes)
+                  if not j_img.contains(img)]
+    q = presented_algebra(f, labels, sc, proj.matvec(a.unit), j_img, class_imgs)
     pi = validate_morphism(a, q, proj)
     if kernel(pi.matrix) != ideal.space:
         raise QuivkitError("INTERNAL", "projection kernel mismatch")

@@ -19,7 +19,7 @@ import sys
 from .errors import QuivkitError
 from . import jsonio
 from .adjunction import counit, factor_delta, phi, psi, unit_map
-from .algebra import trace_form_radical
+from .algebra import is_relation_ideal, trace_form_radical
 from .dsl import Document, format_text, parse
 from .gabriel import check_sim, check_sim_n, gq
 from .generators import random_padm_morphism, random_vqmap_to_gq, seeded_rng
@@ -138,8 +138,7 @@ def _counit_check(a):
     would add nothing to the verdict.
     """
     cu = counit(a)
-    rel = cu.kernel_ideal.parent.radical_power(2).contains_subspace(
-        cu.kernel_ideal.space)
+    rel = is_relation_ideal(cu.kernel_ideal)
     return {"surjective": cu.morphism.surjective,
             "kernel_dim": cu.kernel_ideal.dim,
             "kernel_in_J2": rel,
@@ -240,7 +239,18 @@ def _cmd_check_suite(doc: Document, rng):
     return results, all(bool(r.get("pass")) for r in results)
 
 
-def _emit_dot(doc: Document, path: str):
+def _write(path: str, text: str) -> int:
+    """Write `text` to `path`: 0, or 2 with the message when it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    return 0
+
+
+def _dot_text(doc: Document) -> str:
     lines = []
     for kind, name in doc.order:
         if kind == "quiver":
@@ -260,8 +270,7 @@ def _emit_dot(doc: Document, path: str):
                 lines.append(
                     f'  "{src}" -> "{tgt}" [label="{",".join(labels)}"];')
             lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 _COMMANDS = {
@@ -302,10 +311,8 @@ def main(argv=None) -> int:
             print(str(exc), file=sys.stderr)
             return 2
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            return _write(args.out, text)
+        sys.stdout.write(text)
         return 0
 
     try:
@@ -322,14 +329,14 @@ def main(argv=None) -> int:
         return 2
 
     out = jsonio.report(command, doc.field, results, ok)
-    text = json.dumps(out, indent=2, sort_keys=True)
+    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        if _write(args.out, text):
+            return 2
     else:
-        print(text)
-    if args.emit_dot:
-        _emit_dot(doc, args.emit_dot)
+        sys.stdout.write(text)
+    if args.emit_dot and _write(args.emit_dot, _dot_text(doc)):
+        return 2
     return 0 if ok else 1
 
 

@@ -45,7 +45,7 @@ from .algebra import (
     quotient_algebra,
     validate_algebra,
 )
-from .exactlin import field_by_name, QQ, vec_combination
+from .exactlin import MAX_CHAR_DIGITS, field_by_name, QQ, vec_combination
 from .pathalg import build_kvq, cpa, universal_map
 from .vquiver import Quiver, VQuiver
 
@@ -95,10 +95,13 @@ def tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
+            if i - start > MAX_CHAR_DIGITS:
+                _err("PARSE_ERROR", f"integer literal has {i - start} digits "
+                                    f"(at most {MAX_CHAR_DIGITS})", line, col)
             tokens.append(Token("INT", int(text[start:i]), line, col))
             col += i - start
             continue

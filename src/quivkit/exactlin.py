@@ -211,7 +211,8 @@ def GF(p: int) -> PrimeField:
     return _gf_cache[p]
 
 
-# Longest characteristic, in decimal digits, that a field tag may name.
+# Longest characteristic that a field tag may name, and longest integer
+# literal a document may hold, in decimal digits.
 MAX_CHAR_DIGITS = 1000
 
 

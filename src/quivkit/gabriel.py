@@ -100,7 +100,7 @@ class GabrielQuiverResult:
         mats = {}
         for (src, tgt), elems in arrows.items():
             ws, wt = vertex_map[src], vertex_map[tgt]
-            d = 0 if POINT in (ws, wt) else self.vquiver.dim(ws, wt)
+            d = self.vquiver.dim(ws, wt)
             if d == 0:
                 continue
             cols = []
@@ -168,7 +168,8 @@ def check_sim_n(alpha: AlgMorphism, beta: AlgMorphism, n: int) -> bool:
         raise QuivkitError("BAD_ARGUMENT", "morphisms have different endpoints")
     diff = alpha.matrix.sub(beta.matrix)
     src, tgt = alpha.source, alpha.target
-    for m in range(n + 1):
+    # J^m(A) = 0 from the truncation level on, where the condition is empty
+    for m in range(min(n + 1, src.truncation_level)):
         # J^0 = A, whose image is spanned by the columns of diff
         images = diff.columns() if m == 0 else \
             [diff.matvec(v) for v in src.radical_power(m).basis]

@@ -10,8 +10,9 @@ import os
 import random
 from fractions import Fraction
 
-from .algebra import AlgMorphism, IdealSubspace, ideal_generated_by, identity_morphism
-from .adjunction import conjugation_automorphism
+from .algebra import (AlgMorphism, IdealSubspace, ideal_generated_by, identity_morphism,
+                      validate_morphism)
+from .adjunction import conjugation_automorphism, psi
 from .exactlin import Mat, vec_combination, vec_zero
 from .gabriel import GabrielQuiverResult
 from .pathalg import TruncatedTensorAlgebra, universal_map
@@ -56,8 +57,8 @@ def random_vquiver(rng: random.Random, *, max_vertices=4, max_total_arrows=4,
 def random_radical_element(rng, t: TruncatedTensorAlgebra, *, min_length=1):
     f = t.field
     out = vec_zero(f, t.dim)
-    for length in range(min_length, t.level):
-        for i in t.grading[length]:
+    for layer in t.grading[min_length:]:
+        for i in layer:
             if rng.random() < 0.4:
                 out[i] = f.of(random_scalar(rng, f))
     return out
@@ -107,10 +108,7 @@ def random_vqmap_to_gq(rng, vq: VQuiver, gq_a: GabrielQuiverResult,
         vm[vq.vertices[idx]] = image[pos]
     mats = {}
     for (s, t_) in vq.arrow_pairs():
-        ws, wt = vm[s], vm[t_]
-        if POINT in (ws, wt):
-            continue
-        d = tgt.dim(ws, wt)
+        d = tgt.dim(vm[s], vm[t_])
         m = vq.dim(s, t_)
         if d == 0:
             continue
@@ -128,8 +126,6 @@ def random_padm_morphism(rng, t: TruncatedTensorAlgebra, gq_a, *,
     of the lifted idempotents, with random block-compatible radical elements
     for the arrows.
     """
-    from .adjunction import psi
-
     a = gq_a.algebra
     f = t.field
     rho = random_vqmap_to_gq(rng, t.vq, gq_a, f)
@@ -140,8 +136,6 @@ def random_padm_morphism(rng, t: TruncatedTensorAlgebra, gq_a, *,
         coeffs = [f.of(random_scalar(rng, f)) for _ in a.radical.basis]
         w = vec_combination(f, a.dim, coeffs, a.radical.basis)
         cols = [conjugate_element(a, w, col) for col in alpha.matrix.columns()]
-        from .algebra import validate_morphism
-
         alpha = validate_morphism(t.carrier, a,
                                   Mat.from_cols(f, cols, rows=a.dim))
     return alpha

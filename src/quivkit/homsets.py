@@ -59,10 +59,7 @@ def enumerate_vquiver_maps(field, src: VQuiver, tgt: VQuiver):
             block_keys = []
             block_shapes = []
             for (s, t_) in src.arrow_pairs():
-                ws, wt = vm[s], vm[t_]
-                if POINT in (ws, wt):
-                    continue
-                d = tgt.dim(ws, wt)
+                d = tgt.dim(vm[s], vm[t_])
                 m = src.dim(s, t_)
                 if d == 0 or m == 0:
                     continue

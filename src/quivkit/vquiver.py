@@ -128,6 +128,7 @@ class VQuiver:
                 self._arrow_location[lab] = (src, tgt, idx)
 
     def dim(self, src, tgt) -> int:
+        """Dimension of the (src, tgt) arrow space; 0 when either end is POINT."""
         return len(self.spaces.get((src, tgt), ()))
 
     def arrow_pairs(self):
@@ -210,8 +211,7 @@ class VQuiverMap:
         mats = {}
         for (src, tgt) in source.arrow_pairs():
             m = source.dim(src, tgt)
-            isrc, itgt = vertex_map[src], vertex_map[tgt]
-            d = 0 if POINT in (isrc, itgt) else target.dim(isrc, itgt)
+            d = target.dim(vertex_map[src], vertex_map[tgt])
             if d == 0:
                 if (src, tgt) in arrow_mats and not arrow_mats[(src, tgt)].is_zero():
                     raise QuivkitError("BAD_SHAPE",
@@ -228,8 +228,7 @@ class VQuiverMap:
 
     def block(self, src, tgt) -> Mat:
         m = self.source.dim(src, tgt)
-        isrc, itgt = self.vertex_map[src], self.vertex_map[tgt]
-        d = 0 if POINT in (isrc, itgt) else self.target.dim(isrc, itgt)
+        d = self.target.dim(self.vertex_map[src], self.vertex_map[tgt])
         return self.arrow_mats.get((src, tgt), Mat.zeros(self.field, d, m))
 
     def is_surjective(self) -> bool:
@@ -280,8 +279,7 @@ def compose_vq(sigma: VQuiverMap, rho: VQuiverMap) -> VQuiverMap:
         vm[v] = POINT if w == POINT else sigma.vertex_map[w]
     mats = {}
     for (src, tgt) in rho.source.arrow_pairs():
-        iv, it = vm[src], vm[tgt]
-        if POINT in (iv, it) or sigma.target.dim(iv, it) == 0:
+        if sigma.target.dim(vm[src], vm[tgt]) == 0:
             continue
         mid_s, mid_t = rho.vertex_map[src], rho.vertex_map[tgt]
         first = rho.block(src, tgt)
@@ -324,8 +322,6 @@ def v_of_inclusion(iota: QuiverMap, field) -> VQuiverMap:
     mats = {}
     for (src, tgt), labels in vr.spaces.items():
         isrc, itgt = vtx_back[src], vtx_back[tgt]
-        if POINT in (isrc, itgt):
-            continue
         d = vq.dim(isrc, itgt)
         if d == 0:
             continue

@@ -12,6 +12,7 @@ from quivkit.algebra import (
     _split_eigenvalues,
     ideal_subspace,
     induced_on_quotient,
+    presented_algebra,
     quotient_section,
 )
 from quivkit.dsl import parse
@@ -22,11 +23,13 @@ from corpus import (
     F2,
     F5,
     algebra_corpus,
+    double_loop_vq,
     lower_triangular,
     semisimple,
     triangle_algebra,
     triangle_mod_cb,
     truncated_power_series,
+    vq_corpus,
 )
 
 
@@ -518,3 +521,79 @@ def test_gaussian_table_is_pointed_only_where_i_exists(field):
         parse(text)
     assert str(exc.value) == ("NOT_POINTED: A/J has a simple factor larger than k"
                               " (line 2, column 1)")
+
+
+# -- raw tables against the presented form of the same algebra -------------
+
+F101 = qk.GF(101)
+
+
+def _presented_oracle_cases():
+    """Every corpus path algebra and a quotient of each, over Q and F101."""
+    cases = []
+    for field in (QQ, F101):
+        for name, vq in vq_corpus() + [("double_loop", double_loop_vq())]:
+            t = qk.build_kvq(field, vq, 4 if name == "loop" else 3)
+            cases.append((f"{name}_{field!r}", t.carrier))
+            if len(t.grading) > 2:
+                # the sum of the paths of length 2 generates a relation ideal
+                gen = [field.one if i in t.grading[2] else field.zero
+                       for i in range(t.dim)]
+                ideal = qk.ideal_generated_by(t.carrier, [gen])
+                cases.append((f"{name}_mod_{field!r}",
+                              qk.quotient_algebra(t.carrier, ideal)[0]))
+        cases.append((f"loop_parallel_{field!r}", _loop_parallel_quotient(field)))
+    return cases
+
+
+def test_raw_table_matches_presented_algebra():
+    cases = _presented_oracle_cases()
+    assert len(cases) >= 20
+    for name, a in cases:
+        raw = qk.validate_algebra(a.field, a.basis_labels, _dense_table(a), a.unit)
+        assert raw.structconst == a.structconst, name
+        assert raw.unit == a.unit, name
+        assert raw.radical_filtration == a.radical_filtration, name
+
+
+def _triangle_presentation():
+    a = triangle_algebra().carrier
+    return a, [a.field, a.basis_labels, a.structconst, a.unit, a.radical,
+               a.ss_classes]
+
+
+def test_presented_algebra_admits_its_own_presentation():
+    a, args = _triangle_presentation()
+    b = presented_algebra(*args)
+    assert b.same_as(a) and b.radical_filtration == a.radical_filtration
+
+
+def test_presented_algebra_refuses_a_radical_that_is_not_an_ideal():
+    a, args = _triangle_presentation()
+    # span{b} is not an ideal: c * b leaves it
+    args[4] = el.Subspace.span(QQ, a.dim, [a.element("b")])
+    with pytest.raises(QuivkitError) as exc:
+        presented_algebra(*args)
+    assert exc.value.code == "RADICAL_NOT_NILPOTENT"
+
+
+def test_presented_algebra_refuses_wrong_classes():
+    a, args = _triangle_presentation()
+    args[4] = a.radical_power(2)
+    with pytest.raises(QuivkitError) as exc:
+        presented_algebra(*args)
+    assert exc.value.code == "NOT_POINTED"
+    a, args = _triangle_presentation()
+    args[5] = [el.vec_scale(QQ, 2, a.ss_classes[0])] + a.ss_classes[1:]
+    with pytest.raises(QuivkitError) as exc:
+        presented_algebra(*args)
+    assert exc.value.code == "NOT_POINTED"
+    assert "not idempotent" in str(exc.value)
+
+
+def test_presented_algebra_refuses_a_wrong_unit():
+    a, args = _triangle_presentation()
+    args[3] = el.vec_add(QQ, a.element("e1"), a.element("e2"))
+    with pytest.raises(QuivkitError) as exc:
+        presented_algebra(*args)
+    assert exc.value.code == "UNIT_FAIL"

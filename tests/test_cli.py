@@ -373,3 +373,55 @@ def test_oversized_path_algebra_is_refused_quickly(tmp_path):
     assert proc.returncode == 2, err
     assert "Traceback" not in err
     assert err.startswith("TOO_LARGE:")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("level=3);\nalgebra B", "level=" + "9" * 5000 + ");\nalgebra B"),
+    ("a -> a + c*b;", "a -> a + ²*c*b;"),
+], ids=["5000-digit-level", "superscript-two"])
+def test_unreadable_integer_literal_is_a_parse_error(tmp_path, old, new):
+    text = DEMO.read_text(encoding="utf-8")
+    assert old in text
+    doc = tmp_path / "int.quiv"
+    doc.write_text(text.replace(old, new), encoding="utf-8")
+    for mode in ("check", "fmt"):
+        proc = _cli(mode, str(doc), timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, (mode, err)
+        assert "Traceback" not in err
+        assert err.startswith("PARSE_ERROR:") and "(line " in err, err
+
+
+@pytest.mark.parametrize("old, new, huge", [
+    ("check sim1(aut, ident);", "check simn(aut, ident, {});", 10**8),
+    ("algebra A = kvq(TRI, level=3);", "algebra A = kvq(TRI, level={});", 10**9),
+], ids=["simn", "kvq-level"])
+def test_huge_integer_argument_ends_quickly(tmp_path, old, new, huge):
+    text = DEMO.read_text(encoding="utf-8")
+    assert old in text
+    reports = []
+    for value in (3, huge):
+        doc = tmp_path / f"arg{value}.quiv"
+        doc.write_text(text.replace(old, new.format(value)), encoding="utf-8")
+        proc = _cli("check", str(doc), "--seed", "20240901", timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        for res in report["results"]:
+            if res.get("check") == "simn":
+                res["args"][2] = "N"
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "{doc}", "--command", "gq", "--out", "{missing}/report.json"],
+    ["run", "{doc}", "--command", "gq", "--emit-dot", "{missing}/graphs.dot"],
+    ["fmt", "{doc}", "--out", "{missing}/canon.quiv"],
+], ids=["run-out", "run-emit-dot", "fmt-out"])
+def test_unwritable_output_path_is_an_input_error(doc_file, tmp_path, args):
+    missing = tmp_path / "no" / "such" / "dir"
+    proc = _cli(*(a.format(doc=doc_file, missing=missing) for a in args))
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert str(missing) in err

@@ -1,5 +1,8 @@
 """Truncated path algebras: dimensions, grading, the universal property."""
 
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -334,3 +337,30 @@ def _random_onto_map(rng, src, tgt):
                                [[QQ.of(random_scalar(rng, QQ)) for _ in range(m)]
                                 for _ in range(d)])
     return VQuiverMap(QQ, src, tgt, vm, mats)
+
+
+def test_acyclic_level_stops_at_the_longest_path():
+    start = time.perf_counter()
+    t = build_kvq(QQ, triangle_vq(), 10**6)
+    assert time.perf_counter() - start < 0.5
+    assert len(t.grading) == 3
+    assert t.level == 10**6
+    small = build_kvq(QQ, triangle_vq(), 3)
+    assert t.carrier.same_as(small.carrier)
+    assert t.carrier.radical_filtration == small.carrier.radical_filtration
+    assert t.paths_of_length_at_least(2) == small.paths_of_length_at_least(2)
+
+
+def test_build_kvq_allocates_no_dense_table():
+    # the 2-vertex quiver with a loop, two arrows 1 -> 2 and one arrow
+    # 2 -> 1; at level 6 it has dim 126, and a dense table 126^3 entries
+    vq = VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["a", "b"],
+                              ("2", "1"): ["c"]})
+    tracemalloc.start()
+    try:
+        t = build_kvq(qk.GF(5), vq, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.dim == 126
+    assert peak < 4 * 2**20, peak
