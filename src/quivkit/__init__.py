@@ -58,7 +58,6 @@ from .gabriel import (
     gq0_on_morphism,
     gq_on_morphism,
     gq_tilde,
-    semisimple_adjunction_bijection,
 )
 from .adjunction import (
     CounitResult,
@@ -75,6 +74,7 @@ from .adjunction import (
     psi,
     right_adjoint_phi,
     same_ideal_orbit,
+    semisimple_adjunction_bijection,
     unit_map,
 )
 

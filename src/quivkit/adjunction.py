@@ -25,7 +25,6 @@ from .exactlin import (
     Mat,
     kernel,
     solve,
-    solve_multi,
     vec_add,
     vec_combination,
     vec_is_zero,
@@ -33,7 +32,8 @@ from .exactlin import (
     vec_sub,
     vec_zero,
 )
-from .gabriel import GabrielQuiverResult, check_sim, gq, gq_on_morphism
+from .gabriel import (GabrielQuiverResult, check_sim, gq, gq0, gq_on_morphism,
+                      pointed_set)
 from .pathalg import (
     TruncatedTensorAlgebra,
     build_kvq,
@@ -41,8 +41,8 @@ from .pathalg import (
     universal_map,
     vqmap_generator_images,
 )
-from .splittings import conjugate_element, conjugating_element
-from .vquiver import VQuiverMap, compose_vq, identity_vqmap
+from .splittings import conjugating_element, conjugation
+from .vquiver import POINT, VQuiver, VQuiverMap, compose_vq, identity_vqmap
 
 
 class IdealOrbitClass:
@@ -180,10 +180,10 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
                       k2_target: TruncatedTensorAlgebra = None) -> AlgMorphism:
     """Morphism A -> k2[[VQ]] attached to a Vquiver map gq(A) -> VQ.
 
-    Decomposes A as (splitting) + (arrow sections) + J^2, sends the splitting
-    part through the vertex map, the arrow part through the arrow matrices,
-    and kills J^2.  Multiplicativity is checked at validation rather than
-    assumed.
+    Reads A in the adapted basis of gq_a (splitting idempotents, arrow
+    sections, J^2), sends the idempotents through the vertex map, the arrow
+    sections through the arrow matrices, and kills J^2.  Multiplicativity is
+    checked at validation rather than assumed.
     """
     a = gq_a.algebra
     if rho.source != gq_a.vquiver:
@@ -198,37 +198,77 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
     b = k2_target.carrier
     idem_images, arrow_images = vqmap_generator_images(
         rho, b.dim, *k2_target.generators())
-    # columns of the decomposition (idempotents, block sections, J^2 basis)
-    # and their images
-    cols = list(gq_a.splitting.idems.elements)
+    # images of the adapted basis: idempotents, arrow bases, then J^2 (killed)
     images = [idem_images[name] for name in gq_a.vertex_names]
-    for (src, tgt), vecs in sorted(gq_a.arrow_bases.items()):
-        cols.extend(vecs)
-        images.extend(arrow_images[lab] for lab in gq_a.vquiver.spaces[(src, tgt)])
-    j2 = a.radical_power(2)
-    cols.extend(j2.basis)
-    images.extend(vec_zero(f, b.dim) for _ in j2.basis)
-    decomp = Mat.from_cols(f, cols, rows=a.dim)
-    all_coords = solve_multi(decomp, [a.basis_vector(i) for i in range(a.dim)])
-    if any(coords is None for coords in all_coords):
-        raise QuivkitError("INTERNAL", "splitting decomposition failed")
-    out_cols = [vec_combination(f, b.dim, coords, images) for coords in all_coords]
-    m = Mat.from_cols(f, out_cols, rows=b.dim)
+    for labs in gq_a.vquiver.spaces.values():
+        images.extend(arrow_images[lab] for lab in labs)
+    images.extend(vec_zero(f, b.dim) for _ in range(a.dim - len(images)))
+    m = Mat.from_cols(f, images, rows=b.dim).matmul(gq_a.coordinate_map())
     return validate_morphism(a, b, m)
+
+
+def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
+                                    gq_a: GabrielQuiverResult = None):
+    """The two mutually inverse hom-set maps for the semisimple approximation.
+
+    Returns (to_alg, to_pset):
+      to_alg : pointed map gq0(A) -> pset   ==>  morphism A -> k^(pset)
+      to_pset: morphism A -> k^(pset)       ==>  pointed map gq0(A) -> pset
+    to_alg is right_adjoint_phi of the same vertex map on gq(A), whose arrow
+    blocks all land in the zero arrow spaces of pset.
+    """
+    if pset.total_arrow_dim() != 0:
+        raise QuivkitError("BAD_ARGUMENT", "expected a pointed set (no arrows)")
+    if gq_a is None:
+        gq_a = gq(a)
+    f = a.field
+    target_t = build_kvq(f, pset, 2)
+    target = target_t.carrier
+
+    def to_alg(sigma: VQuiverMap) -> AlgMorphism:
+        if sigma.source != gq0(a, gq_a) or sigma.target != pset:
+            raise QuivkitError("BAD_ARGUMENT", "pointed map has wrong endpoints")
+        rho = VQuiverMap(f, gq_a.vquiver, pset, sigma.vertex_map, {})
+        return right_adjoint_phi(rho, gq_a, k2_target=target_t)
+
+    def to_pset(alpha: AlgMorphism) -> VQuiverMap:
+        if not alpha.source.same_as(a) or not alpha.target.same_as(target):
+            raise QuivkitError("BAD_ARGUMENT", "morphism has wrong endpoints")
+        vm = {}
+        for name, e in gq_a.generators()[0].items():
+            img = alpha.apply(e)
+            if vec_is_zero(f, img):
+                vm[name] = POINT
+                continue
+            hits = [v for v in pset.vertices
+                    if img[target_t.vertex_idem[v]] != f.zero]
+            if len(hits) != 1:
+                raise QuivkitError("INTERNAL",
+                                   "idempotent image is not primitive or zero")
+            vm[name] = hits[0]
+        return VQuiverMap(f, pointed_set(gq_a.vertex_names), pset, vm, {})
+
+    return to_alg, to_pset
 
 
 # ---------------------------------------------------------------------------
 # factorization of congruent surjections
 # ---------------------------------------------------------------------------
 
+def conjugated_images(a: FinAlgebra, w, idem_images, arrow_images):
+    """Generator images followed by x -> (1+w) x (1+w)^{-1} in a, w in J."""
+    conj = conjugation(a, w)
+    return ({v: conj(x) for v, x in idem_images.items()},
+            {lab: conj(x) for lab, x in arrow_images.items()})
+
+
 def conjugation_automorphism(t: TruncatedTensorAlgebra, v) -> AlgMorphism:
-    """The automorphism x -> (1+v) x (1+v)^{-1} of the path algebra, v in J."""
+    """The automorphism x -> (1+v) x (1+v)^{-1} of the path algebra, v in J,
+    from the conjugated generators."""
     a = t.carrier
     if not a.radical.contains(v):
         raise QuivkitError("BAD_ARGUMENT", "conjugation element must lie in J")
-    cols = [conjugate_element(a, v, a.basis_vector(i)) for i in range(a.dim)]
-    m = Mat.from_cols(a.field, cols, rows=a.dim)
-    return validate_morphism(a, a, m)
+    return universal_map(t, a, *conjugated_images(a, v, *t.identity_images()))
 
 
 def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
@@ -429,13 +469,9 @@ def same_ideal_orbit(t: TruncatedTensorAlgebra, ideal_a: IdealSubspace,
                 if tried >= budget:
                     return None
                 tried += 1
-                arrow_images = {}
-                for lab2 in t.vq.arrow_labels():
-                    img = t.arrow_element(lab2)
-                    if lab2 == lab:
-                        img = vec_add(f, img, vec_scale(f, c, zvec))
-                    arrow_images[lab2] = img
-                delta = universal_map(t, a, t.generators()[0], arrow_images)
+                idems, arrow_images = t.identity_images()
+                arrow_images[lab] = vec_add(f, arrow_images[lab], vec_scale(f, c, zvec))
+                delta = universal_map(t, a, idems, arrow_images)
                 if check(delta):
                     return delta
     return None

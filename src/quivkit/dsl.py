@@ -54,6 +54,14 @@ def _err(code, msg, line, col):
     raise QuivkitError(code, f"{msg} (line {line}, column {col})")
 
 
+def _at(stmt, fn, *args):
+    """fn(*args), with the statement's position added to a QuivkitError."""
+    try:
+        return fn(*args)
+    except QuivkitError as exc:
+        _err(exc.code, exc.message, stmt.line, stmt.col)
+
+
 # ---------------------------------------------------------------------------
 # lexer
 # ---------------------------------------------------------------------------
@@ -525,26 +533,26 @@ def eval_expr(expr: Node, algebra: FinAlgebra):
 
 def elaborate(ast: Node) -> Document:
     doc = Document(ast)
+    # the field applies to the whole document, so it is read first
+    fields = [stmt for stmt in ast.statements if stmt.kind == "field"]
+    if len(fields) > 1:
+        _err("SEMANTIC_ERROR", f"field already declared at line {fields[0].line}, "
+             f"column {fields[0].col}", fields[1].line, fields[1].col)
+    if fields:
+        doc.field = field_by_name(fields[0].name)
     for stmt in ast.statements:
         if stmt.kind == "field":
-            doc.field = field_by_name(stmt.name)
             continue
         if stmt.kind == "quiver":
             doc._declare("quiver", stmt.name, stmt.line, stmt.col)
-            try:
-                doc.quivers[stmt.name] = Quiver(stmt.vertices, stmt.arrows)
-            except QuivkitError as exc:
-                _err(exc.code, exc.message, stmt.line, stmt.col)
+            doc.quivers[stmt.name] = _at(stmt, Quiver, stmt.vertices, stmt.arrows)
             continue
         if stmt.kind == "vquiver":
             doc._declare("vquiver", stmt.name, stmt.line, stmt.col)
             spaces = {}
             for src, tgt, labels in stmt.spaces:
                 spaces.setdefault((src, tgt), []).extend(labels)
-            try:
-                doc.vquivers[stmt.name] = VQuiver(stmt.vertices, spaces)
-            except QuivkitError as exc:
-                _err(exc.code, exc.message, stmt.line, stmt.col)
+            doc.vquivers[stmt.name] = _at(stmt, VQuiver, stmt.vertices, spaces)
             continue
         if stmt.kind == "algebra":
             doc._declare("algebra", stmt.name, stmt.line, stmt.col)
@@ -565,26 +573,17 @@ def elaborate(ast: Node) -> Document:
 def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
     f = doc.field
     if stmt.ctor in ("kvq", "cpa"):
-        if stmt.ctor == "kvq":
-            vq = doc.vquivers.get(stmt.base)
-            if vq is None:
-                _err("UNKNOWN_NAME", f"vquiver {stmt.base!r} not declared",
-                     stmt.line, stmt.col)
-            tensor = build_kvq(f, vq, stmt.level)
-        else:
-            q = doc.quivers.get(stmt.base)
-            if q is None:
-                _err("UNKNOWN_NAME", f"quiver {stmt.base!r} not declared",
-                     stmt.line, stmt.col)
-            tensor = cpa(f, q, stmt.level)
+        kind, decls, build = (("vquiver", doc.vquivers, build_kvq)
+                              if stmt.ctor == "kvq" else ("quiver", doc.quivers, cpa))
+        if stmt.base not in decls:
+            _err("UNKNOWN_NAME", f"{kind} {stmt.base!r} not declared",
+                 stmt.line, stmt.col)
+        tensor = _at(stmt, build, f, decls[stmt.base], stmt.level)
         if not stmt.ideal:
             return AlgebraEntry(tensor.carrier, tensor=tensor)
         gens = [eval_expr(e, tensor.carrier) for e in stmt.ideal]
         ideal = ideal_generated_by(tensor.carrier, gens)
-        try:
-            quotient, pi = quotient_algebra(tensor.carrier, ideal)
-        except QuivkitError as exc:
-            _err(exc.code, exc.message, stmt.line, stmt.col)
+        quotient, pi = _at(stmt, quotient_algebra, tensor.carrier, ideal)
         return AlgebraEntry(quotient, tensor=tensor, ideal=ideal,
                             projection=pi)
     # table form
@@ -617,11 +616,7 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
                  stmt.line, stmt.col)
         sc[index[left]][index[right]] = expr_vec(val)
     unit = expr_vec(stmt.unit)
-    try:
-        alg = validate_algebra(f, basis, sc, unit)
-    except QuivkitError as exc:
-        _err(exc.code, exc.message, stmt.line, stmt.col)
-    return AlgebraEntry(alg)
+    return AlgebraEntry(_at(stmt, validate_algebra, f, basis, sc, unit))
 
 
 def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
@@ -661,20 +656,14 @@ def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
     for lab, v in idem_labels.items():
         idem_images[v] = eval_expr(given[lab], target)
     arrow_images = {lab: eval_expr(given[lab], target) for lab in arrow_labels}
-    try:
-        lifted = universal_map(tensor, target, idem_images, arrow_images)
-    except QuivkitError as exc:
-        _err(exc.code, exc.message, stmt.line, stmt.col)
+    lifted = _at(stmt, universal_map, tensor, target, idem_images, arrow_images)
     if src_entry.ideal is None:
         return MorphismEntry(lifted, stmt.source, stmt.target)
     # descend through the quotient presentation
     if lifted.image_of(src_entry.ideal.space).dim:
         _err("SEMANTIC_ERROR", "images do not kill the presentation ideal",
              stmt.line, stmt.col)
-    try:
-        descended = induced_on_quotient(src_entry.projection, lifted)
-    except QuivkitError as exc:
-        _err(exc.code, exc.message, stmt.line, stmt.col)
+    descended = _at(stmt, induced_on_quotient, src_entry.projection, lifted)
     return MorphismEntry(descended, stmt.source, stmt.target)
 
 

@@ -11,9 +11,8 @@ radical filtration.
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import AlgMorphism, FinAlgebra, validate_morphism
-from .exactlin import (Mat, solve, solve_multi, vec_combination, vec_is_zero,
-                       vec_sub, vec_zero)
+from .algebra import AlgMorphism, FinAlgebra
+from .exactlin import Mat, invert, vec_is_zero, vec_unit
 from .splittings import Splitting, conjugating_element, make_splitting
 from .vquiver import POINT, VQuiver, VQuiverMap
 
@@ -23,18 +22,21 @@ class GabrielQuiverResult:
 
     `vquiver` has vertices "1".."r" in the canonical idempotent order;
     `arrow_bases[(src, tgt)]` lists radical elements of the algebra whose
-    classes mod J^2 form a basis of the corresponding arrow space.
+    classes mod J^2 form a basis of the corresponding arrow space.  The
+    splitting idempotents, the arrow bases in `vquiver.spaces` order and a
+    basis of J^2 form the adapted basis of A = s(A/J) + t(J/J^2) + J^2;
+    every class in A/J and J/J^2 is read off its coordinate map.
     """
 
     __slots__ = ("algebra", "vquiver", "arrow_bases", "splitting",
-                 "_class_solver")
+                 "_coord_map")
 
     def __init__(self, algebra, vquiver, arrow_bases, splitting):
         self.algebra = algebra
         self.vquiver = vquiver
         self.arrow_bases = arrow_bases
         self.splitting = splitting
-        self._class_solver = {}
+        self._coord_map = None
 
     @property
     def vertex_names(self):
@@ -45,36 +47,41 @@ class GabrielQuiverResult:
         return (dict(zip(self.vertex_names, self.splitting.idems.elements)),
                 self.arrow_bases)
 
+    def coordinate_map(self) -> Mat:
+        """Inverse of the adapted basis, built on first use."""
+        if self._coord_map is None:
+            a = self.algebra
+            cols = list(self.splitting.idems.elements)
+            for pair in self.vquiver.spaces:
+                cols.extend(self.arrow_bases[pair])
+            cols.extend(a.radical_power(2).basis)
+            self._coord_map = invert(Mat.from_cols(a.field, cols, rows=a.dim))
+        return self._coord_map
+
     def vertex_of_idempotent(self, idem):
-        """Orbit vertex of a primitive idempotent (None if in no orbit)."""
-        a = self.algebra
-        for pos, e in enumerate(self.splitting.idems.elements):
-            if a.radical.contains(vec_sub(a.field, e, idem)):
-                return self.vertex_names[pos]
+        """Orbit vertex of a primitive idempotent (None if in no orbit): the
+        vertex whose splitting idempotent has the same class mod J."""
+        r = len(self.vertex_names)
+        head = self.coordinate_map().matvec(idem)[:r]
+        for pos, name in enumerate(self.vertex_names):
+            if head == vec_unit(self.algebra.field, r, pos):
+                return name
         return None
 
     def arrow_class_coords(self, src, tgt, radical_vec):
-        """Coordinates of the class of a radical element in a block basis.
-
-        Solves against [block vectors | J^2 basis]; returns None when the
-        class does not lie in the requested block.
-        """
-        a = self.algebra
-        f = a.field
-        vecs = self.arrow_bases.get((src, tgt), [])
-        j2 = a.radical_power(2)
-        key = (src, tgt)
-        if key not in self._class_solver:
-            cols = [list(v) for v in vecs] + [list(v) for v in j2.basis]
-            self._class_solver[key] = (Mat.from_cols(f, cols, rows=a.dim)
-                                       if cols else None, len(vecs))
-        system, nblock = self._class_solver[key]
-        if system is None:
-            return [] if vec_is_zero(f, radical_vec) else None
-        sol = solve(system, list(radical_vec))
-        if sol is None:
-            return None
-        return sol[:nblock]
+        """Coordinates of the class of a radical element in a block basis;
+        None when the class does not lie in the requested block."""
+        coords = self.coordinate_map().matvec(radical_vec)
+        lo = len(self.vertex_names)
+        for pair, labs in self.vquiver.spaces.items():
+            if pair == (src, tgt):
+                break
+            lo += len(labs)
+        hi = lo + self.vquiver.dim(src, tgt)
+        j2 = len(self.vertex_names) + self.vquiver.total_arrow_dim()
+        if vec_is_zero(self.algebra.field, coords[:lo] + coords[hi:j2]):
+            return coords[lo:hi]
+        return None
 
     def read_map(self, alpha: AlgMorphism, vq: VQuiver, idems, arrows,
                  ) -> VQuiverMap:
@@ -203,7 +210,7 @@ def gq_tilde(representatives, gq_a: GabrielQuiverResult,
 
 
 # ---------------------------------------------------------------------------
-# pointed sets (Vquivers with no arrows) and the semisimple correspondence
+# pointed sets (Vquivers with no arrows)
 # ---------------------------------------------------------------------------
 
 def pointed_set(names) -> VQuiver:
@@ -223,68 +230,6 @@ def gq0_on_morphism(alpha: AlgMorphism, gq_a: GabrielQuiverResult,
     full = gq_on_morphism(alpha, gq_a, gq_b)
     return VQuiverMap(alpha.source.field, pointed_set(gq_a.vertex_names),
                       pointed_set(gq_b.vertex_names), full.vertex_map, {})
-
-
-def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
-                                    gq_a: GabrielQuiverResult = None):
-    """The two mutually inverse hom-set maps for the semisimple approximation.
-
-    Returns (to_alg, to_pset):
-      to_alg : pointed map gq0(A) -> pset   ==>  morphism A -> k^(pset)
-      to_pset: morphism A -> k^(pset)       ==>  pointed map gq0(A) -> pset
-    """
-    from .pathalg import build_kvq
-
-    if pset.total_arrow_dim() != 0:
-        raise QuivkitError("BAD_ARGUMENT", "expected a pointed set (no arrows)")
-    if gq_a is None:
-        gq_a = gq(a)
-    f = a.field
-    target_t = build_kvq(f, pset, 2)
-    target = target_t.carrier
-
-    def to_alg(sigma: VQuiverMap) -> AlgMorphism:
-        if sigma.source != gq0(a, gq_a) or sigma.target != pset:
-            raise QuivkitError("BAD_ARGUMENT", "pointed map has wrong endpoints")
-        images = []
-        for name in gq_a.vertex_names:
-            img = sigma.vertex_map[name]
-            images.append(vec_zero(f, target.dim) if img == POINT
-                          else target_t.idempotent(img))
-        cols = [vec_combination(f, target.dim, coords, images)
-                for coords in _class_coordinates(a)]
-        m = Mat.from_cols(f, cols, rows=target.dim)
-        return validate_morphism(a, target, m)
-
-    def to_pset(alpha: AlgMorphism) -> VQuiverMap:
-        if not alpha.source.same_as(a) or not alpha.target.same_as(target):
-            raise QuivkitError("BAD_ARGUMENT", "morphism has wrong endpoints")
-        vm = {}
-        for name, e in gq_a.generators()[0].items():
-            img = alpha.apply(e)
-            if vec_is_zero(f, img):
-                vm[name] = POINT
-                continue
-            hits = [v for v in pset.vertices
-                    if img[target_t.vertex_idem[v]] != f.zero]
-            if len(hits) != 1:
-                raise QuivkitError("INTERNAL",
-                                   "idempotent image is not primitive or zero")
-            vm[name] = hits[0]
-        return VQuiverMap(f, pointed_set(gq_a.vertex_names), pset, vm, {})
-
-    return to_alg, to_pset
-
-
-def _class_coordinates(a: FinAlgebra):
-    """Coordinates of each basis vector mod J in the canonical idempotent
-    basis of A/J."""
-    cols = [list(c) for c in a.ss_classes] + [list(v) for v in a.radical.basis]
-    system = Mat.from_cols(a.field, cols, rows=a.dim)
-    sols = solve_multi(system, [a.basis_vector(i) for i in range(a.dim)])
-    if any(sol is None for sol in sols):
-        raise QuivkitError("INTERNAL", "class coordinate system inconsistent")
-    return [sol[:len(a.ss_classes)] for sol in sols]
 
 
 # ---------------------------------------------------------------------------

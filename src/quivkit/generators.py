@@ -10,13 +10,11 @@ import os
 import random
 from fractions import Fraction
 
-from .algebra import (AlgMorphism, IdealSubspace, ideal_generated_by, identity_morphism,
-                      validate_morphism)
-from .adjunction import conjugation_automorphism, psi
+from .algebra import AlgMorphism, IdealSubspace, ideal_generated_by
+from .adjunction import conjugated_images
 from .exactlin import Mat, vec_combination, vec_zero
 from .gabriel import GabrielQuiverResult
-from .pathalg import TruncatedTensorAlgebra, universal_map
-from .splittings import conjugate_element
+from .pathalg import TruncatedTensorAlgebra, universal_map, vqmap_generator_images
 from .vquiver import POINT, VQuiver, VQuiverMap
 
 DEFAULT_SEED = 20240901
@@ -73,24 +71,23 @@ def random_relation_ideal(rng, t: TruncatedTensorAlgebra) -> IdealSubspace:
 
 def random_identity_class_automorphism(rng, t: TruncatedTensorAlgebra,
                                        ) -> AlgMorphism:
-    """Random member of the identity class: conjugation then arrow shifts."""
+    """Random member of the identity class: arrow shifts into longer paths,
+    then a conjugation, as generator images."""
     f = t.field
-    delta = identity_morphism(t.carrier)
+    w = None
     if rng.random() < 0.8 and t.carrier.radical.dim > 0:
-        v = random_radical_element(rng, t, min_length=1)
-        delta = conjugation_automorphism(t, v)
+        w = random_radical_element(rng, t, min_length=1)
+    idem_images, arrow_images = t.identity_images()
     if rng.random() < 0.8:
-        arrow_images = {}
-        for lab in t.vq.arrow_labels():
+        for lab, img in arrow_images.items():
             src, tgt, _ = t.vq.arrow_location(lab)
-            img = t.arrow_element(lab)
             for i in t.deeper_paths(src, tgt):
                 if rng.random() < 0.3:
                     img[i] = f.of(random_scalar(rng, f))
-            arrow_images[lab] = img
-        shift = universal_map(t, t.carrier, t.generators()[0], arrow_images)
-        delta = delta.compose(shift)
-    return delta
+    if w is not None:
+        idem_images, arrow_images = conjugated_images(t.carrier, w, idem_images,
+                                                      arrow_images)
+    return universal_map(t, t.carrier, idem_images, arrow_images)
 
 
 def random_vqmap_to_gq(rng, vq: VQuiver, gq_a: GabrielQuiverResult,
@@ -122,21 +119,18 @@ def random_padm_morphism(rng, t: TruncatedTensorAlgebra, gq_a, *,
                          conjugate=True) -> AlgMorphism | None:
     """Random admissible morphism k[[VQ]] -> A.
 
-    Built from a random vertex assignment onto a (possibly conjugated) copy
-    of the lifted idempotents, with random block-compatible radical elements
-    for the arrows.
+    The generator images of psi of a random Vquiver map (vertices onto the
+    lifted idempotents, arrows onto block-compatible radical elements),
+    possibly conjugated by 1+w for a random w in J.
     """
     a = gq_a.algebra
     f = t.field
     rho = random_vqmap_to_gq(rng, t.vq, gq_a, f)
     if rho is None:
         return None
-    alpha = psi(t, rho, gq_a)
+    images = vqmap_generator_images(rho, a.dim, *gq_a.generators())
     if conjugate and a.radical.dim > 0 and rng.random() < 0.7:
         coeffs = [f.of(random_scalar(rng, f)) for _ in a.radical.basis]
         w = vec_combination(f, a.dim, coeffs, a.radical.basis)
-        cols = [conjugate_element(a, w, col) for col in alpha.matrix.columns()]
-        alpha = validate_morphism(t.carrier, a,
-                                  Mat.from_cols(f, cols, rows=a.dim))
-    return alpha
-
+        images = conjugated_images(a, w, *images)
+    return universal_map(t, a, *images)

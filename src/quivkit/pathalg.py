@@ -78,6 +78,12 @@ class TruncatedTensorAlgebra:
                   for pair, labs in self.vq.spaces.items()}
         return idems, arrows
 
+    def identity_images(self):
+        """Vertex idempotents by vertex and arrow elements by label: the
+        identity's generator images, in the form universal_map takes."""
+        return ({v: self.idempotent(v) for v in self.vq.vertices},
+                {lab: self.arrow_element(lab) for lab in self.vq.arrow_labels()})
+
     def deeper_paths(self, src, tgt):
         """Indices of the paths of length >= 2 from src to tgt."""
         return [i for i, p in enumerate(self.paths)

@@ -140,8 +140,9 @@ class Splitting:
         return f"Splitting(r={self.rank}, arrows={self.total_block_dim()})"
 
 
-def conjugate_element(a: FinAlgebra, w, x):
-    """(1+w) x (1+w)^{-1} for w in the radical (exact geometric inverse)."""
+def conjugation(a: FinAlgebra, w):
+    """The map x -> (1+w) x (1+w)^{-1} for w in the radical; the inverse is
+    the exact geometric series, summed once."""
     f = a.field
     one_plus = vec_add(f, a.unit, w)
     inv = a.unit
@@ -153,7 +154,12 @@ def conjugate_element(a: FinAlgebra, w, x):
         inv = vec_add(f, inv, term)
     if a.mul(one_plus, inv) != a.unit:
         raise QuivkitError("NOT_VALIDATED", "1+w is not invertible (w outside J?)")
-    return a.mul(one_plus, a.mul(x, inv))
+    return lambda x: a.mul(one_plus, a.mul(x, inv))
+
+
+def conjugate_element(a: FinAlgebra, w, x):
+    """(1+w) x (1+w)^{-1} for w in the radical."""
+    return conjugation(a, w)(x)
 
 
 def conjugating_element(a: FinAlgebra, pairs):
@@ -176,7 +182,8 @@ def conjugating_element(a: FinAlgebra, pairs):
     if sol is None:
         return None
     w = vec_combination(f, a.dim, sol, jbasis)
-    if any(conjugate_element(a, w, q) != p for p, q in pairs):
+    conj = conjugation(a, w)
+    if any(conj(q) != p for p, q in pairs):
         return None
     return w
 
@@ -195,7 +202,7 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
     if conjugate_by is not None:
         if not a.radical.contains(conjugate_by):
             raise QuivkitError("BAD_ARGUMENT", "conjugator must lie in J")
-        elements = [conjugate_element(a, conjugate_by, e) for e in elements]
+        elements = list(map(conjugation(a, conjugate_by), elements))
         idems = IdempotentSet(a, elements)
     j1 = a.radical
     j2 = a.radical_power(2)

@@ -229,6 +229,25 @@ def test_demo_reports_match_golden(args, golden):
     assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
+LATE_FIELD_DOC = """vquiver V { vertices: 1; space 1 -> 1 = [x]; }
+algebra A = kvq(V, level=3);
+field F5;
+"""
+
+
+def test_late_field_is_the_reported_field(tmp_path, capsys):
+    doc = tmp_path / "late.quiv"
+    doc.write_text(LATE_FIELD_DOC, encoding="utf-8")
+    out = tmp_path / "gq.json"
+    assert main(["run", str(doc), "--command", "gq", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["field"] == "F5"
+    doc.write_text("field Q;\n" + LATE_FIELD_DOC, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SEMANTIC_ERROR:") and "(line 4, column 1)" in err
+
+
 def test_check_mode_reports_quivkit_error_with_exit_2(tmp_path):
     text = DEMO.read_text(encoding="utf-8")
     assert "check unit(TRI, 3);" in text

@@ -157,6 +157,41 @@ algebra A = kvq(L, level=3);
     assert doc.algebras["A"].algebra.field == qk.GF(5)
 
 
+LOOP_DOC = """vquiver V { vertices: 1; space 1 -> 1 = [x]; }
+algebra A = kvq(V, level=3);
+"""
+
+
+def test_late_field_declaration_applies_to_the_whole_document():
+    doc = parse(LOOP_DOC + "field F5;\n")
+    assert doc.field == qk.GF(5)
+    assert doc.algebras["A"].algebra.field == qk.GF(5)
+
+
+def test_second_field_declaration_is_a_positioned_error():
+    with pytest.raises(QuivkitError) as exc:
+        parse("field Q;\n" + LOOP_DOC + "  field F5;\n")
+    assert exc.value.code == "SEMANTIC_ERROR"
+    assert str(exc.value).endswith("(line 4, column 3)")
+    assert "line 1, column 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, code", [
+    ("vquiver V { vertices: 1; }\nalgebra A = kvq(V, level=0);", "LEVEL_TOO_SMALL"),
+    ("quiver Q { vertices: 1; }\n  algebra A = cpa(Q, level=1);", "LEVEL_TOO_SMALL"),
+    ("vquiver V { vertices: 1; space 1 -> 1 = [x, y]; }\n"
+     "algebra A = kvq(V, level=40);", "TOO_LARGE"),
+    ("quiver Q { vertices: 1; arrows: x: 1 -> 1, y: 1 -> 1; }\n"
+     "algebra A = cpa(Q, level=40) / ideal(x*y);", "TOO_LARGE"),
+])
+def test_path_algebra_construction_errors_carry_the_position(text, code):
+    with pytest.raises(QuivkitError) as exc:
+        parse(text)
+    assert exc.value.code == code
+    column = text.split("\n")[1].index("algebra") + 1
+    assert str(exc.value).endswith(f"(line 2, column {column})")
+
+
 def test_quiver_and_cpa_declaration():
     text = """
 quiver Q { vertices: 1, 2, 3; arrows: a: 1 -> 2, b: 1 -> 2, c: 2 -> 3; }
