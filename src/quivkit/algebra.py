@@ -6,8 +6,14 @@ field.  There are two entry points.  `validate_algebra` reads a raw dense
 table, checks associativity and computes the radical from the trace form,
 which requires char 0 or p > dim.  `presented_algebra` admits what a
 construction (path algebra, quotient) writes directly in the stored sparse
-form, with its radical and idempotent classes; those are re-verified, which
-keeps every field characteristic usable.
+form, with its radical, its vertex idempotents and its arrows; a certificate
+over those generators re-verifies the radical, which keeps every field
+characteristic usable.
+
+Every admitted algebra keeps a verified generating set G: the idempotents
+and the arrows of a presented algebra, the basis of a raw table.  Ideal
+tests and morphism checks run over G, which is enough because words in G
+span A.
 """
 
 from __future__ import annotations
@@ -41,15 +47,18 @@ class FinAlgebra:
     filtration [A, J, J^2, ..., 0] is computed at validation time and cached;
     `truncation_level` is the least n with J^n = 0.  `ss_classes` are vectors
     whose images mod J are the canonical primitive orthogonal idempotents of
-    A/J (they certify pointedness and seed idempotent lifting).
+    A/J (they certify pointedness and seed idempotent lifting).  `arrows`
+    is None for a raw table; for a presented algebra the classes are exact
+    orthogonal idempotents, each arrow lies in one Peirce block of theirs,
+    and the words in the arrows span J.
     """
 
     __slots__ = ("field", "dim", "basis_labels", "structconst", "unit",
                  "radical_filtration", "truncation_level", "ss_classes",
-                 "_label_index", "_rq", "_splitting_cache")
+                 "arrows", "_label_index", "_rq", "_splitting_cache")
 
     def __init__(self, field, basis_labels, structconst, unit,
-                 radical_filtration, ss_classes):
+                 radical_filtration, ss_classes, arrows):
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
@@ -58,6 +67,7 @@ class FinAlgebra:
         self.radical_filtration = radical_filtration
         self.truncation_level = len(radical_filtration) - 1
         self.ss_classes = ss_classes
+        self.arrows = arrows
         self._label_index = {lab: i for i, lab in enumerate(basis_labels)}
         self._rq = None
         self._splitting_cache = None
@@ -73,11 +83,21 @@ class FinAlgebra:
     def mul(self, x, y):
         return _mul_raw(self.field, self.dim, self.structconst, _terms(x), _terms(y))
 
+    def generators(self):
+        """G: the classes and the arrows of a presented algebra, else the basis."""
+        if self.arrows is None:
+            return [self.basis_vector(i) for i in range(self.dim)]
+        return self.ss_classes + self.arrows
+
     # -- radical -----------------------------------------------------------
 
     @property
     def radical(self) -> Subspace:
         return self.radical_filtration[1]
+
+    def radical_generators(self):
+        """Elements of J whose words span J: the arrows, else a basis of J."""
+        return self.radical.basis if self.arrows is None else self.arrows
 
     def radical_power(self, n: int) -> Subspace:
         if n < 0:
@@ -279,37 +299,51 @@ def trace_form_radical(a_or_data) -> Subspace:
     return kernel(Mat.from_rows(field, rows, cols=dim))
 
 
-def _is_two_sided_ideal(field, dim, sc, space: Subspace) -> bool:
+def _closed_under(field, dim, sc, gens, space: Subspace) -> bool:
+    """True iff g*S and S*g lie in S for every g in `gens`.
+
+    When the gens generate A, that is when S is a two-sided ideal.
+    """
+    gen_terms = [_terms(g) for g in gens]
     for v in space.basis:
         vt = _terms(v)
-        for i in range(dim):
-            bt = ((i, field.one),)
-            if not space.contains(_mul_raw(field, dim, sc, bt, vt)):
+        for gt in gen_terms:
+            if not space.contains(_mul_raw(field, dim, sc, gt, vt)):
                 return False
-            if not space.contains(_mul_raw(field, dim, sc, vt, bt)):
+            if not space.contains(_mul_raw(field, dim, sc, vt, gt)):
                 return False
     return True
 
 
-def _radical_filtration(field, dim, sc, j_space: Subspace):
-    filtration = [Subspace.full(field, dim), j_space]
-    j_terms = [_terms(x) for x in j_space.basis]
-    cur = j_space
-    while cur.dim > 0:
-        cur_terms = [_terms(y) for y in cur.basis]
+def _radical_filtration(field, dim, sc, arrows):
+    """[A, J, J^2, ..., 0] from elements of J whose words span J.
+
+    W_1 = span(arrows) and W_{n+1} = span(W_n * arrows) hold the words of
+    length n, so J^n = W_n + W_{n+1} + ...  That costs |arrows| * dim J
+    products.  RADICAL_NOT_NILPOTENT if the W_n do not reach 0 within dim
+    steps.
+    """
+    x_terms = [_terms(x) for x in arrows]
+    layers = [Subspace.span(field, dim, arrows)]
+    while layers[-1].dim:
+        cur = layers[-1]
         prods = []
-        for xt in j_terms:
-            for yt in cur_terms:
-                prod = _mul_raw(field, dim, sc, xt, yt)
+        for y in cur.basis:
+            yt = _terms(y)
+            for xt in x_terms:
+                prod = _mul_raw(field, dim, sc, yt, xt)
                 if any(prod):
                     prods.append(prod)
         nxt = Subspace.span(field, dim, prods)
-        if nxt.dim >= cur.dim:
+        if nxt.dim and (nxt == cur or len(layers) >= dim):
             raise QuivkitError("RADICAL_NOT_NILPOTENT",
                                "radical powers do not descend to zero")
-        filtration.append(nxt)
-        cur = nxt
-    return filtration
+        layers.append(nxt)
+    filtration = [layers.pop()]
+    while layers:
+        filtration.append(layers.pop().sum(filtration[-1]))
+    filtration.append(Subspace.full(field, dim))
+    return filtration[::-1]
 
 
 def _verify_pointed_classes(field, dim, sc, unit, j_space, classes):
@@ -425,14 +459,67 @@ def _split_eigenvalues(field, m: Mat):
     return roots_if_split(field, charpoly(m))
 
 
-def _admit(field, basis_labels, sc, unit, j_space, classes) -> FinAlgebra:
-    """The checks both entry points end with, then the FinAlgebra."""
-    dim = len(basis_labels)
-    if not _is_two_sided_ideal(field, dim, sc, j_space):
+def _verify_presentation(field, dim, sc, unit, idems, arrows):
+    """Check that `idems` are orthogonal idempotents summing to 1 and that
+    each arrow lies in exactly one Peirce block e_t A e_s of theirs."""
+    idem_terms = [_terms(e) for e in idems]
+    zero = vec_zero(field, dim)
+    for i, et in enumerate(idem_terms):
+        for j, ft in enumerate(idem_terms):
+            if _mul_raw(field, dim, sc, et, ft) != (idems[i] if i == j else zero):
+                raise QuivkitError("NOT_POINTED",
+                                   f"class {i} is not idempotent" if i == j
+                                   else f"classes {i},{j} not orthogonal")
+    total = zero
+    for e in idems:
+        total = vec_add(field, total, e)
+    if total != unit:
+        raise QuivkitError("NOT_POINTED", "classes do not sum to 1")
+    for k, x in enumerate(arrows):
+        xt = _terms(x)
+        # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
+        # x = e_t x = x e_s = e_t x e_s
+        left = sum(1 for et in idem_terms if any(_mul_raw(field, dim, sc, et, xt)))
+        right = sum(1 for et in idem_terms if any(_mul_raw(field, dim, sc, xt, et)))
+        if left != 1 or right != 1:
+            raise QuivkitError("BIMODULE_CONDITION_FAIL",
+                               f"arrow {k} does not lie in one Peirce block")
+
+
+def _basis_certificate(field, dim, sc, unit, radical, classes):
+    """The radical checks over G = the basis: a two-sided ideal, nilpotent,
+    with the classes splitting A/J into copies of k.  Returns the filtration."""
+    basis = [vec_unit(field, dim, i) for i in range(dim)]
+    if not _closed_under(field, dim, sc, basis, radical):
         raise QuivkitError("RADICAL_NOT_NILPOTENT", "radical is not a two-sided ideal")
-    filtration = _radical_filtration(field, dim, sc, j_space)
-    _verify_pointed_classes(field, dim, sc, unit, j_space, classes)
-    return FinAlgebra(field, basis_labels, sc, unit, filtration, classes)
+    filtration = _radical_filtration(field, dim, sc, radical.basis)
+    _verify_pointed_classes(field, dim, sc, unit, radical, classes)
+    return filtration
+
+
+def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebra:
+    """The radical checks both entry points end with, then the FinAlgebra.
+
+    Without arrows they run over the basis.  With arrows, let F_1 be the
+    span of the words in them.  If the classes are orthogonal idempotents
+    summing to 1, every arrow lies in one of their Peirce blocks, the words
+    reach 0, F_1 is the radical given and span(classes) + F_1 = A, then F_1
+    is a nilpotent two-sided ideal with A/F_1 = k^r, so it is J.  A radical
+    that is not F_1 is named by the basis checks, as for a raw table.
+    """
+    dim = len(basis_labels)
+    if arrows is None:
+        filtration = _basis_certificate(field, dim, sc, unit, radical, classes)
+    else:
+        _verify_presentation(field, dim, sc, unit, classes, arrows)
+        filtration = _radical_filtration(field, dim, sc, arrows)
+        if filtration[1] != radical:
+            _basis_certificate(field, dim, sc, unit, radical, classes)
+            raise QuivkitError("BAD_ARGUMENT",
+                               f"the words in the arrows span {filtration[1].dim} "
+                               f"dimensions, the radical {radical.dim}")
+        _verify_pointed_classes(field, dim, sc, unit, radical, classes)
+    return FinAlgebra(field, basis_labels, sc, unit, filtration, classes, arrows)
 
 
 def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
@@ -471,19 +558,23 @@ def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
     _verify_associative(field, dim, sc)
     j_space = trace_form_radical((field, dim, sc))
     classes = _semisimple_pointed_classes(field, dim, sc, unit, j_space)
-    return _admit(field, basis_labels, sc, unit, j_space, classes)
+    return _admit(field, basis_labels, sc, unit, j_space, classes, None)
 
 
-def presented_algebra(field, basis_labels, terms, unit, radical, classes) -> FinAlgebra:
+def presented_algebra(field, basis_labels, terms, unit, radical, classes,
+                      arrows) -> FinAlgebra:
     """Admit an algebra that a construction writes in the stored form.
 
     `terms[i][j]` is b_i b_j as the sparse tuple of `FinAlgebra.structconst`,
-    and associativity is the construction's guarantee.  The unit, the
-    radical (a nilpotent two-sided ideal) and the idempotent classes modulo
-    it are re-verified, so a construction can never smuggle in a wrong one.
+    and associativity is the construction's guarantee.  `classes` are the
+    vertex idempotents and `arrows` the arrow elements (each in one Peirce
+    block); None for arrows means the construction has no such generators
+    (a quotient of a raw table), and the checks run over the basis.  The
+    unit and the radical are re-verified (see `_admit`), so a construction
+    can never smuggle in a wrong one.
     """
     _check_unit(field, len(basis_labels), terms, unit)
-    return _admit(field, basis_labels, terms, unit, radical, classes)
+    return _admit(field, basis_labels, terms, unit, radical, classes, arrows)
 
 
 def radical(a: FinAlgebra) -> Subspace:
@@ -498,13 +589,43 @@ def radical_power(a: FinAlgebra, n: int) -> Subspace:
 # morphisms
 # ---------------------------------------------------------------------------
 
+def _first_unmultiplied(source, target, cols, gens):
+    """(g, j) for the first g in `gens` and basis vector b_j with
+    f(g b_j) != f(g) f(b_j), where f has the columns `cols`; or None."""
+    f, sc, one = source.field, source.structconst, source.field.one
+    add, mul = f.add, f.mul
+    col_terms = [_terms(c) for c in cols]
+
+    def apply(terms):
+        out = [f.zero] * target.dim
+        for m, c in terms:
+            for k, v in col_terms[m]:
+                out[k] = add(out[k], mul(c, v))
+        return out
+
+    for gi, gt in enumerate(map(_terms, gens)):
+        if len(gt) == 1 and gt[0][1] == one:
+            row = sc[gt[0][0]]
+        else:
+            row = [_terms(_mul_raw(f, source.dim, sc, gt, ((j, one),)))
+                   for j in range(source.dim)]
+        image = apply(gt)
+        for j in range(source.dim):
+            if apply(row[j]) != target.mul(image, cols[j]):
+                return gi, j
+    return None
+
+
 def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
                       ) -> AlgMorphism:
     """Admit a linear map as an algebra morphism.
 
-    Checks: unital, multiplicative on all basis pairs, radical preservation,
-    and surjectivity of the induced map on radical quotients (the admission
-    condition for this category of pointed algebras).
+    Checks: unital, multiplicative, radical preservation, and surjectivity
+    of the induced map on radical quotients (the admission condition for
+    this category of pointed algebras).  A unital map f with f(g b) =
+    f(g) f(b) for g in the source's generators G and b in its basis is
+    multiplicative, since words in G span the source; so is one that sends
+    the radical generators into J(B), since their words span J(A).
     """
     if source.field != target.field:
         raise QuivkitError("BAD_FIELD", "source and target fields differ")
@@ -514,26 +635,17 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
     if matrix.matvec(source.unit) != target.unit:
         raise QuivkitError("NOT_UNITAL", "matrix does not send 1 to 1")
     cols = matrix.columns()
-    col_terms = [_terms(c) for c in cols]
-    add, mul = f.add, f.mul
-    for i in range(source.dim):
-        ci = cols[i]
-        sci = source.structconst[i]
-        for j in range(source.dim):
-            # matrix * (b_i b_j) as the sum of c * col_m over its terms
-            lhs = [f.zero] * target.dim
-            for m, c in sci[j]:
-                for k, v in col_terms[m]:
-                    lhs[k] = add(lhs[k], mul(c, v))
-            rhs = target.mul(ci, cols[j])
-            if lhs != rhs:
-                raise QuivkitError(
-                    "NOT_MULTIPLICATIVE",
-                    f"fails on basis pair ({source.basis_labels[i]}, "
-                    f"{source.basis_labels[j]})")
+    if _first_unmultiplied(source, target, cols, source.generators()):
+        # some basis pair fails too; name the first, as the full scan does
+        basis = [source.basis_vector(i) for i in range(source.dim)]
+        i, j = _first_unmultiplied(source, target, cols, basis)
+        raise QuivkitError(
+            "NOT_MULTIPLICATIVE",
+            f"fails on basis pair ({source.basis_labels[i]}, "
+            f"{source.basis_labels[j]})")
     # radical preservation (automatic for pointed targets; re-verified)
     jt = target.radical
-    for v in source.radical.basis:
+    for v in source.radical_generators():
         if not jt.contains(matrix.matvec(v)):
             raise QuivkitError("RADICAL_NOT_PRESERVED",
                                "image of J(A) escapes J(B)")
@@ -572,22 +684,23 @@ def ideal_subspace(a: FinAlgebra, space: Subspace) -> IdealSubspace:
     """Admit a subspace as a two-sided ideal (error NOT_AN_IDEAL otherwise)."""
     if space.ambient_dim != a.dim:
         raise QuivkitError("BAD_SHAPE", "ideal ambient dimension mismatch")
-    if not _is_two_sided_ideal(a.field, a.dim, a.structconst, space):
+    if not _closed_under(a.field, a.dim, a.structconst, a.generators(), space):
         raise QuivkitError("NOT_AN_IDEAL", "subspace is not a two-sided ideal")
     return IdealSubspace(a, space)
 
 
 def ideal_generated_by(a: FinAlgebra, vectors) -> IdealSubspace:
-    """Two-sided ideal closure of a list of elements."""
+    """Two-sided ideal closure of a list of elements: the least subspace
+    holding them that is closed under the generators on both sides."""
     f = a.field
+    gens = a.generators()
     cur = Subspace.span(f, a.dim, [list(v) for v in vectors])
     while True:
         prods = []
         for v in cur.basis:
-            for i in range(a.dim):
-                bi = a.basis_vector(i)
-                prods.append(a.mul(bi, v))
-                prods.append(a.mul(v, bi))
+            for g in gens:
+                prods.append(a.mul(g, v))
+                prods.append(a.mul(v, g))
         nxt = Subspace.span(f, a.dim, list(cur.basis) + prods)
         if nxt.dim == cur.dim:
             return IdealSubspace(a, nxt)
@@ -641,11 +754,12 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
 
     Returns (Q, pi) where pi is the canonical surjection with kernel I.  The
     radical of Q is the image of J(A) (surjections map radicals onto
-    radicals), so no trace-form computation is needed.
+    radicals), so no trace-form computation is needed; Q is presented by the
+    nonzero images of A's classes and arrows.
     """
     if not a.same_as(ideal.parent):
         raise QuivkitError("BAD_ARGUMENT", "ideal belongs to a different algebra")
-    if not _is_two_sided_ideal(a.field, a.dim, a.structconst, ideal.space):
+    if not _closed_under(a.field, a.dim, a.structconst, a.generators(), ideal.space):
         raise QuivkitError("NOT_AN_IDEAL", "quotient by a non-ideal")
     f = a.field
     full = Subspace.full(f, a.dim)
@@ -666,7 +780,10 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     j_img = Subspace.span(f, qdim, [proj.matvec(v) for v in a.radical.basis])
     class_imgs = [img for img in map(proj.matvec, a.ss_classes)
                   if not j_img.contains(img)]
-    q = presented_algebra(f, labels, sc, proj.matvec(a.unit), j_img, class_imgs)
+    arrows = None if a.arrows is None else \
+        [img for img in map(proj.matvec, a.arrows) if any(img)]
+    q = presented_algebra(f, labels, sc, proj.matvec(a.unit), j_img, class_imgs,
+                          arrows)
     pi = validate_morphism(a, q, proj)
     if kernel(pi.matrix) != ideal.space:
         raise QuivkitError("INTERNAL", "projection kernel mismatch")

@@ -20,7 +20,7 @@ from .errors import QuivkitError
 from . import jsonio
 from .adjunction import counit, factor_delta, phi, psi, unit_map
 from .algebra import is_relation_ideal, trace_form_radical
-from .dsl import Document, format_text, parse
+from .dsl import Document, _at, format_text, parse
 from .gabriel import check_sim, check_sim_n, gq
 from .generators import random_padm_morphism, random_vqmap_to_gq, seeded_rng
 from .pathalg import build_kvq, cpa as cpa_build
@@ -90,14 +90,14 @@ def _cmd_cpa(doc: Document, rng):
     return results, True
 
 
-def _adjunction_roundtrip(doc: Document, vq_name: str, alg_name: str,
-                          rng, samples: int = 25):
+def _adjunction_roundtrip(doc: Document, stmt, rng, samples: int = 25):
+    vq_name, alg_name = stmt.args[0], stmt.args[1]
     vq = doc.vquivers[vq_name]
     entry = doc.algebras[alg_name]
     a = entry.algebra
     g = gq(a)
     level = max(2, a.truncation_level)
-    t = build_kvq(doc.field, vq, level)
+    t = _at(stmt, build_kvq, doc.field, vq, level)
     phis = 0
     psis = 0
     failures = []
@@ -126,7 +126,7 @@ def _adjunction_roundtrip(doc: Document, vq_name: str, alg_name: str,
 
 
 def _cmd_psi_phi(doc: Document, rng):
-    results = [_adjunction_roundtrip(doc, stmt.args[0], stmt.args[1], rng)
+    results = [_adjunction_roundtrip(doc, stmt, rng)
                for stmt in doc.checks if stmt.name == "adjunction"]
     return results, all(r["pass"] for r in results)
 
@@ -202,15 +202,14 @@ def _run_check(doc: Document, stmt, rng):
             val = check_sim(f_m, g_m, 0 if name == "sim0" else 1)
         return {**head, "result": val, "pass": True}
     if name == "adjunction":
-        return {**head, **_adjunction_roundtrip(doc, stmt.args[0],
-                                                stmt.args[1], rng)}
+        return {**head, **_adjunction_roundtrip(doc, stmt, rng)}
     if name == "factor_delta":
         return {**head, **_factor_delta_check(doc, *stmt.args)}
     if name == "counit":
         return {**head, **_counit_check(doc.algebras[stmt.args[0]].algebra)}
     if name == "unit":
         vq = doc.vquivers[stmt.args[0]]
-        eta, _ = unit_map(build_kvq(doc.field, vq, stmt.args[1]))
+        eta, _ = unit_map(_at(stmt, build_kvq, doc.field, vq, stmt.args[1]))
         return {**head, "isomorphism": eta.is_isomorphism(),
                 "pass": eta.is_isomorphism()}
     if name == "gq_dims":

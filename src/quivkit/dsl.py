@@ -539,7 +539,7 @@ def elaborate(ast: Node) -> Document:
         _err("SEMANTIC_ERROR", f"field already declared at line {fields[0].line}, "
              f"column {fields[0].col}", fields[1].line, fields[1].col)
     if fields:
-        doc.field = field_by_name(fields[0].name)
+        doc.field = _at(fields[0], field_by_name, fields[0].name)
     for stmt in ast.statements:
         if stmt.kind == "field":
             continue

@@ -469,6 +469,23 @@ def invert(m: Mat) -> Mat:
 # subspaces
 # ---------------------------------------------------------------------------
 
+def _eliminate(field, rows, pivots, v):
+    """Remainder of v after eliminating, in order, each row's pivot entry.
+
+    The rows need only be in echelon order: each row is 1 at its pivot and 0
+    at the pivots of the rows before it.
+    """
+    sub, mul = field.sub, field.mul
+    v = list(v)
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        if c:
+            for k, b in enumerate(row):
+                if b:
+                    v[k] = sub(v[k], mul(c, b))
+    return v
+
+
 class Subspace:
     """Subspace of k^n stored as a canonical RREF basis (no zero rows)."""
 
@@ -507,15 +524,7 @@ class Subspace:
 
     def reduce(self, v):
         """Remainder of v after elimination against the basis."""
-        sub, mul = self.field.sub, self.field.mul
-        v = list(v)
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            if c:
-                for k, b in enumerate(row):
-                    if b:
-                        v[k] = sub(v[k], mul(c, b))
-        return v
+        return _eliminate(self.field, self.basis, self.pivots, v)
 
     def contains(self, v) -> bool:
         return vec_is_zero(self.field, self.reduce(v))
@@ -615,16 +624,19 @@ def complement(ambient: Subspace, sub: Subspace, constraint=None) -> Subspace:
         if w.dim != ambient.dim - sub.dim:
             raise QuivkitError("BLOCKS_NOT_DIRECT", "blockwise complement failed")
         return w
+    # one elimination: each row independent of the rows so far joins them,
+    # scaled from its remainder so the rows stay in echelon order
     added = []
-    cur_rows = list(sub.basis)
-    cur = Subspace.span(f, n, cur_rows)
+    rows, pivots = list(sub.basis), list(sub.pivots)
     for row in ambient.basis:
-        if cur.dim == ambient.dim:
+        if len(rows) == ambient.dim:
             break
-        if not cur.contains(row):
+        rem = _eliminate(f, rows, pivots, row)
+        pc = next((k for k, x in enumerate(rem) if x), None)
+        if pc is not None:
             added.append(row)
-            cur_rows.append(row)
-            cur = Subspace.span(f, n, cur_rows)
+            rows.append(vec_scale(f, f.inv(rem[pc]), rem))
+            pivots.append(pc)
     return Subspace.span(f, n, added)
 
 

@@ -559,7 +559,7 @@ def test_raw_table_matches_presented_algebra():
 def _triangle_presentation():
     a = triangle_algebra().carrier
     return a, [a.field, a.basis_labels, a.structconst, a.unit, a.radical,
-               a.ss_classes]
+               a.ss_classes, a.arrows]
 
 
 def test_presented_algebra_admits_its_own_presentation():

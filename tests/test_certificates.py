@@ -1,0 +1,315 @@
+"""Generator certificates against the basis-pair checks they replace.
+
+Presented algebras are admitted, and morphisms out of them checked, over
+their generators (vertex idempotents and arrows) instead of over all basis
+pairs.  Each test here keeps the basis-pair version as its oracle.
+"""
+
+import random
+
+import pytest
+
+import quivkit as qk
+import quivkit.exactlin as el
+from quivkit.algebra import _first_unmultiplied, presented_algebra
+from quivkit.errors import QuivkitError
+from quivkit.generators import random_vqmap_to_gq
+
+from corpus import (
+    QQ,
+    F2,
+    F3,
+    F5,
+    double_loop_vq,
+    lower_triangular,
+    triangle_algebra,
+    vq_corpus,
+)
+
+F101 = qk.GF(101)
+FIELDS = (QQ, F2, F3, F5, F101)
+TWO = qk.VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["a", "b"],
+                              ("2", "1"): ["c"]})
+
+
+# -- oracles: the basis-pair loops of the checks before certificates -------
+
+def _basis_pair_filtration(a, j_space):
+    """[A, J, J^2, ..., 0] with J^(n+1) = span(J * J^n) over basis pairs."""
+    filtration = [el.Subspace.full(a.field, a.dim), j_space]
+    cur = j_space
+    while cur.dim > 0:
+        prods = [a.mul(x, y) for x in j_space.basis for y in cur.basis]
+        nxt = el.Subspace.span(a.field, a.dim, prods)
+        assert nxt.dim < cur.dim
+        filtration.append(nxt)
+        cur = nxt
+    return filtration
+
+
+def _is_ideal_over_basis(a, space):
+    return all(space.contains(a.mul(a.basis_vector(i), v))
+               and space.contains(a.mul(v, a.basis_vector(i)))
+               for v in space.basis for i in range(a.dim))
+
+
+def _basis_closure(a, vectors):
+    cur = el.Subspace.span(a.field, a.dim, vectors)
+    while True:
+        prods = [p for v in cur.basis for i in range(a.dim)
+                 for p in (a.mul(a.basis_vector(i), v), a.mul(v, a.basis_vector(i)))]
+        nxt = el.Subspace.span(a.field, a.dim, cur.basis + prods)
+        if nxt.dim == cur.dim:
+            return nxt
+        cur = nxt
+
+
+def _full_scan_pair(source, target, matrix):
+    """First basis pair (b_i, b_j), i outer, with f(b_i b_j) != f(b_i) f(b_j)."""
+    cols = matrix.columns()
+    for i in range(source.dim):
+        for j in range(source.dim):
+            lhs = matrix.matvec(source.mul(source.basis_vector(i), source.basis_vector(j)))
+            if lhs != target.mul(cols[i], cols[j]):
+                return source.basis_labels[i], source.basis_labels[j]
+    return None
+
+
+def _old_complement(ambient, sub):
+    """The unconstrained complement loop that re-spanned after each row."""
+    f, n = ambient.field, ambient.ambient_dim
+    added, cur_rows = [], list(sub.basis)
+    cur = el.Subspace.span(f, n, cur_rows)
+    for row in ambient.basis:
+        if cur.dim == ambient.dim:
+            break
+        if not cur.contains(row):
+            added.append(row)
+            cur_rows.append(row)
+            cur = el.Subspace.span(f, n, cur_rows)
+    return el.Subspace.span(f, n, added)
+
+
+# -- corpus ------------------------------------------------------------------
+
+def _layer_sum(t, lengths):
+    f = t.field
+    return [f.one if t.paths[i].length in lengths else f.zero for i in range(t.dim)]
+
+
+def _presented_cases(field):
+    """(name, algebra, radical it was admitted with): every corpus path
+    algebra, a graded and a mixed-degree quotient of each, and a quotient of
+    a quotient."""
+    cases = []
+    for name, vq in vq_corpus() + [("double_loop", double_loop_vq()), ("TWO", TWO)]:
+        t = qk.build_kvq(field, vq, 4 if name in ("loop", "TWO") else 3)
+        a, j = t.carrier, t.paths_of_length_at_least(1)
+        cases.append((name, a, j))
+        if len(t.grading) < 3:
+            continue
+        rels = {"graded": {2}, "mixed": {2, 3} if len(t.grading) > 3 else {1, 2}}
+        for kind, lengths in rels.items():
+            ideal = qk.ideal_generated_by(a, [_layer_sum(t, lengths)])
+            if ideal.dim == a.dim:
+                continue
+            q, pi = qk.quotient_algebra(a, ideal)
+            j_q = el.Subspace.span(field, q.dim, [pi.apply(v) for v in j.basis])
+            cases.append((f"{name}_mod_{kind}", q, j_q))
+            if kind == "graded" and q.truncation_level > 2:
+                top = [pi.apply(_layer_sum(t, {len(t.grading) - 1}))]
+                q2, pi2 = qk.quotient_algebra(q, qk.ideal_generated_by(q, top))
+                j_q2 = el.Subspace.span(field, q2.dim, [pi2.apply(v) for v in j_q.basis])
+                cases.append((f"{name}_mod_{kind}_twice", q2, j_q2))
+    return cases
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_certified_filtration_matches_basis_pairs(field):
+    cases = _presented_cases(field)
+    assert len(cases) >= 15
+    for name, a, j in cases:
+        assert a.arrows is not None, name
+        assert _is_ideal_over_basis(a, j), name
+        assert a.radical_filtration == _basis_pair_filtration(a, j), name
+
+
+def test_path_algebra_radical_powers_are_path_lengths():
+    for field in FIELDS:
+        t = qk.build_kvq(field, TWO, 5)
+        for n in range(t.level + 1):
+            assert t.carrier.radical_power(n) == t.paths_of_length_at_least(n)
+
+
+# -- morphisms ---------------------------------------------------------------
+
+def _perturbed(rng, m, skip):
+    """m with one or two entries moved in columns outside `skip`."""
+    f = m.field
+    out = m.copy()
+    cols = [c for c in range(m.cols) if c not in skip]
+    for _ in range(rng.choice((1, 2))):
+        r, c = rng.randrange(m.rows), rng.choice(cols)
+        out.data[r][c] = f.add(out.data[r][c], f.of(rng.choice((1, -1, 2))))
+    return out
+
+
+def _psi_cases(field, rng):
+    """(source, target, matrix): psi morphisms out of path algebras into the
+    presented corpus, and identities on its quotients and on a raw table."""
+    out = []
+    targets = [a for _n, a, _j in _presented_cases(field)]
+    for a in targets[::2]:
+        g = qk.gq(a)
+        t = qk.build_kvq(field, g.vquiver, max(2, a.truncation_level))
+        for _ in range(2):
+            rho = random_vqmap_to_gq(rng, g.vquiver, g, field)
+            if rho is not None:
+                out.append((t.carrier, a, qk.psi(t, rho, g).matrix))
+    for q in targets[1::2]:
+        out.append((q, q, el.Mat.identity(field, q.dim)))
+    if field.char == 0 or field.char > 3:
+        raw = lower_triangular(field)
+        out.append((raw, raw, el.Mat.identity(field, raw.dim)))
+    return out
+
+
+@pytest.mark.parametrize("field", (QQ, F3, F101), ids=repr)
+def test_generator_check_raises_exactly_when_the_full_scan_does(field):
+    rng = random.Random(f"perturbed-psi-{field!r}")
+    failing = passing = 0
+    for source, target, matrix in _psi_cases(field, rng):
+        unit_cols = {i for i, c in enumerate(source.unit) if c}
+        if len(unit_cols) == source.dim:
+            continue
+        for m in (matrix, _perturbed(rng, matrix, unit_cols),
+                  _perturbed(rng, matrix, unit_cols)):
+            pair = _full_scan_pair(source, target, m)
+            first = _first_unmultiplied(source, target, m.columns(), source.generators())
+            assert (pair is None) == (first is None)
+            if pair is None:
+                passing += 1
+                try:
+                    qk.validate_morphism(source, target, m)
+                except QuivkitError as exc:
+                    assert exc.code != "NOT_MULTIPLICATIVE"
+                continue
+            failing += 1
+            with pytest.raises(QuivkitError) as exc:
+                qk.validate_morphism(source, target, m)
+            assert exc.value.code == "NOT_MULTIPLICATIVE"
+            assert exc.value.message == f"fails on basis pair ({pair[0]}, {pair[1]})"
+    assert failing >= 20 and passing >= 10
+
+
+# -- refusals ------------------------------------------------------------------
+
+def _triangle_args():
+    a = triangle_algebra().carrier
+    return a, [a.field, a.basis_labels, a.structconst, a.unit, a.radical,
+               list(a.ss_classes), list(a.arrows)]
+
+
+def _refusal(args):
+    with pytest.raises(QuivkitError) as exc:
+        presented_algebra(*args)
+    return exc.value
+
+
+def test_generators_missing_an_arrow_are_refused():
+    a, args = _triangle_args()
+    args[6] = [a.element("a"), a.element("b")]
+    err = _refusal(args)
+    assert err.code == "BAD_ARGUMENT"
+    assert "span 2 dimensions, the radical 4" in err.message
+
+
+def test_an_arrow_outside_its_peirce_block_is_refused():
+    a, args = _triangle_args()
+    # a: 1 -> 2 and b: 1 -> 3, so a + b has two target vertices
+    args[6][0] = el.vec_add(QQ, a.element("a"), a.element("b"))
+    assert _refusal(args).code == "BIMODULE_CONDITION_FAIL"
+
+
+def test_non_orthogonal_idempotents_are_refused():
+    a, args = _triangle_args()
+    # e1 + a is idempotent and orthogonal to e2 modulo J, but e2 (e1 + a) = a
+    args[5][0] = el.vec_add(QQ, a.element("e1"), a.element("a"))
+    err = _refusal(args)
+    assert err.code == "NOT_POINTED" and "not orthogonal" in err.message
+
+
+def test_a_non_nilpotent_arrow_is_refused():
+    a, args = _triangle_args()
+    args[6].append(a.element("e1"))
+    assert _refusal(args).code == "RADICAL_NOT_NILPOTENT"
+
+
+@pytest.mark.parametrize("hint, code", [
+    ("J^2", "NOT_POINTED"),
+    ("span b", "RADICAL_NOT_NILPOTENT"),
+    ("A", "RADICAL_NOT_NILPOTENT"),
+    ("J + e1", "RADICAL_NOT_NILPOTENT"),
+    ("ideal of e1", "RADICAL_NOT_NILPOTENT"),
+])
+def test_a_wrong_radical_hint_is_refused(hint, code):
+    a, args = _triangle_args()
+    args[4] = {
+        "J^2": a.radical_power(2),
+        "span b": el.Subspace.span(QQ, a.dim, [a.element("b")]),
+        "A": el.Subspace.full(QQ, a.dim),
+        "J + e1": a.radical.sum(el.Subspace.span(QQ, a.dim, [a.element("e1")])),
+        # span{e1, a, b, cb}: an ideal of the radical's dimension
+        "ideal of e1": qk.ideal_generated_by(a, [a.element("e1")]).space,
+    }[hint]
+    assert _refusal(args).code == code
+
+
+# -- ideals and complements --------------------------------------------------
+
+@pytest.mark.parametrize("field", (QQ, F2, F5), ids=repr)
+def test_ideal_generated_by_matches_the_basis_closure(field):
+    rng = random.Random(f"ideal-closure-{field!r}")
+    algebras = [a for _n, a, _j in _presented_cases(field)]
+    if field == QQ:
+        algebras.append(lower_triangular(QQ))
+    for a in algebras:
+        for count in (1, 2):
+            vecs = [[field.of(rng.choice((0, 0, 0, 1, -1))) for _ in range(a.dim)]
+                    for _ in range(count)]
+            ideal = qk.ideal_generated_by(a, vecs)
+            assert ideal.space == _basis_closure(a, vecs)
+            assert _is_ideal_over_basis(a, ideal.space)
+
+
+def test_ideal_tests_over_generators_match_the_basis_test():
+    rng = random.Random("ideal-test")
+    for _n, a, _j in _presented_cases(QQ):
+        spans = [el.Subspace.span(QQ, a.dim, [[QQ.of(rng.choice((0, 0, 1, -1)))
+                                               for _ in range(a.dim)]])
+                 for _ in range(3)]
+        for space in spans + [a.radical, a.radical_power(2)]:
+            if _is_ideal_over_basis(a, space):
+                assert qk.algebra.ideal_subspace(a, space).space == space
+            else:
+                with pytest.raises(QuivkitError) as exc:
+                    qk.algebra.ideal_subspace(a, space)
+                assert exc.value.code == "NOT_AN_IDEAL"
+
+
+def test_complement_matches_the_respanning_loop():
+    rng = random.Random("complement")
+    checked = 0
+    for field in (QQ, F3):
+        for _n, a, _j in _presented_cases(field):
+            full = el.Subspace.full(field, a.dim)
+            mixed = el.Subspace.span(field, a.dim, [
+                [field.of(rng.choice((0, 1, -1, 2))) for _ in range(a.dim)]
+                for _ in range(max(1, a.dim // 2))])
+            pairs = [(full, a.radical), (full, a.radical_power(2)),
+                     (a.radical, a.radical_power(2)), (full, mixed),
+                     (mixed, el.Subspace.zero(field, a.dim))]
+            for ambient, sub in pairs:
+                assert el.complement(ambient, sub) == _old_complement(ambient, sub)
+                checked += 1
+    assert checked >= 50

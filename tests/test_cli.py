@@ -262,6 +262,29 @@ def test_check_mode_reports_quivkit_error_with_exit_2(tmp_path):
         assert proc.stderr.decode().startswith("LEVEL_TOO_SMALL:")
 
 
+@pytest.mark.parametrize("directive, code", [
+    ("check unit(TRI, 1);", "LEVEL_TOO_SMALL"),
+    # gq(A) of the 2-loop algebra has the level of A, 9: 511 paths in V2
+    ("check adjunction(V2, L);", "TOO_LARGE"),
+])
+def test_check_directive_construction_errors_carry_the_position(tmp_path, capsys,
+                                                                directive, code):
+    text = DEMO.read_text(encoding="utf-8").replace(
+        "check unit(TRI, 3);",
+        "vquiver V2 { vertices: 1; space 1 -> 1 = [x, y]; }\n"
+        "vquiver LOOP { vertices: 1; space 1 -> 1 = [x]; }\n"
+        "algebra L = kvq(LOOP, level=9);\n  " + directive)
+    lines = text.split("\n")
+    line_no = next(i for i, line in enumerate(lines, 1) if directive in line)
+    doc = tmp_path / "directive.quiv"
+    doc.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{code}:")
+    assert err.rstrip().endswith(f"(line {line_no}, column 3)")
+
+
 TABLE_F5_DOC = """field F5;
 algebra D = table {
   basis: e, x;

@@ -176,6 +176,15 @@ def test_second_field_declaration_is_a_positioned_error():
     assert "line 1, column 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("tag, code", [("F4", "NOT_PRIME"), ("F" + "7" * 1001, "BAD_FIELD")],
+                         ids=["F4", "1001-digits"])
+def test_field_errors_carry_the_position(tag, code):
+    with pytest.raises(QuivkitError) as exc:
+        parse(f"# a comment\n\n  field {tag};\n" + LOOP_DOC)
+    assert exc.value.code == code
+    assert str(exc.value).endswith("(line 3, column 3)")
+
+
 @pytest.mark.parametrize("text, code", [
     ("vquiver V { vertices: 1; }\nalgebra A = kvq(V, level=0);", "LEVEL_TOO_SMALL"),
     ("quiver Q { vertices: 1; }\n  algebra A = cpa(Q, level=1);", "LEVEL_TOO_SMALL"),
