@@ -79,9 +79,6 @@ def psi(t: TruncatedTensorAlgebra, rho: VQuiverMap,
         raise QuivkitError("TARGET_MISMATCH", "map source is not the path algebra's Vquiver")
     if rho.target != gq_a.vquiver:
         raise QuivkitError("TARGET_MISMATCH", "map target is not gq(A)")
-    if a.truncation_level > t.level:
-        raise QuivkitError("TRUNCATION_INCOMPATIBLE",
-                           "path algebra level below the target truncation")
     images = vqmap_generator_images(rho, a.dim, *gq_a.generators())
     return universal_map(t, a, *images)
 
@@ -130,7 +127,7 @@ def counit(a: FinAlgebra, *, level: int = None,
     eps = psi(t, identity_vqmap(gq_a.vquiver, a.field), gq_a)
     if not eps.surjective:
         raise QuivkitError("INTERNAL", "counit representative is not surjective")
-    ker = ideal_subspace(t.carrier, kernel(eps.matrix))
+    ker = IdealSubspace(t.carrier, kernel(eps.matrix))
     if not is_relation_ideal(ker):
         raise QuivkitError("INTERNAL", "counit kernel is not a relation ideal")
     return CounitResult(eps, ker, t, gq_a)

@@ -160,9 +160,9 @@ class IdealSubspace:
 class AlgMorphism:
     """Linear map between FinAlgebras known to be a valid morphism.
 
-    Build through `validate_morphism` (or the constructions that guarantee
-    validity); `matrix` is target-dim x source-dim and acts on coordinate
-    columns.
+    Build through `validate_morphism`, or through a construction whose own
+    checks prove validity (`universal_map`, `quotient_algebra`); `matrix` is
+    target-dim x source-dim and acts on coordinate columns.
     """
 
     __slots__ = ("source", "target", "matrix", "surjective")
@@ -235,6 +235,17 @@ def _mul_raw(field, dim, sc, xs, ys):
                 c = mul(xi, yj)
                 for m, cm in terms:
                     out[m] = add(out[m], mul(c, cm))
+    return out
+
+
+def _combine(field, n, col_terms, terms):
+    """Dense coordinates of the sum of c * col_m over the (m, c) in `terms`,
+    with each column col_m given by its sparse terms."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * n
+    for m, c in terms:
+        for k, v in col_terms[m]:
+            out[k] = add(out[k], mul(c, v))
     return out
 
 
@@ -459,22 +470,33 @@ def _split_eigenvalues(field, m: Mat):
     return roots_if_split(field, charpoly(m))
 
 
-def _verify_presentation(field, dim, sc, unit, idems, arrows):
-    """Check that `idems` are orthogonal idempotents summing to 1 and that
-    each arrow lies in exactly one Peirce block e_t A e_s of theirs."""
-    idem_terms = [_terms(e) for e in idems]
-    zero = vec_zero(field, dim)
-    for i, et in enumerate(idem_terms):
-        for j, ft in enumerate(idem_terms):
-            if _mul_raw(field, dim, sc, et, ft) != (idems[i] if i == j else zero):
-                raise QuivkitError("NOT_POINTED",
-                                   f"class {i} is not idempotent" if i == j
-                                   else f"classes {i},{j} not orthogonal")
-    total = zero
-    for e in idems:
+def orthogonal_idempotents(field, dim, sc, unit, elems, code, names):
+    """Raise `code` unless `elems` (named `names`) are orthogonal idempotents
+    summing to `unit`; return how many are nonzero.  In a pointed algebra that
+    is at most dim A/J, with equality iff each one is primitive."""
+    terms = [_terms(e) for e in elems]
+    for i, et in enumerate(terms):
+        if _mul_raw(field, dim, sc, et, et) != elems[i]:
+            raise QuivkitError(code, f"{names[i]} is not idempotent")
+        for j in range(i):
+            if any(_mul_raw(field, dim, sc, et, terms[j])) or \
+                    any(_mul_raw(field, dim, sc, terms[j], et)):
+                raise QuivkitError(code, f"{names[j]} and {names[i]} are not orthogonal")
+    total = vec_zero(field, dim)
+    for e in elems:
         total = vec_add(field, total, e)
     if total != unit:
-        raise QuivkitError("NOT_POINTED", "classes do not sum to 1")
+        raise QuivkitError(code, "the idempotents do not sum to 1")
+    return sum(1 for et in terms if et)
+
+
+def _verify_presentation(field, dim, sc, unit, idems, arrows):
+    """Check that `idems` are orthogonal idempotents summing to 1 and that
+    each arrow lies in exactly one Peirce block e_t A e_s of theirs; return
+    how many idempotents are nonzero."""
+    count = orthogonal_idempotents(field, dim, sc, unit, idems, "NOT_POINTED",
+                                   [f"class {i}" for i in range(len(idems))])
+    idem_terms = [_terms(e) for e in idems]
     for k, x in enumerate(arrows):
         xt = _terms(x)
         # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
@@ -484,6 +506,7 @@ def _verify_presentation(field, dim, sc, unit, idems, arrows):
         if left != 1 or right != 1:
             raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                f"arrow {k} does not lie in one Peirce block")
+    return count
 
 
 def _basis_certificate(field, dim, sc, unit, radical, classes):
@@ -503,22 +526,25 @@ def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebr
     Without arrows they run over the basis.  With arrows, let F_1 be the
     span of the words in them.  If the classes are orthogonal idempotents
     summing to 1, every arrow lies in one of their Peirce blocks, the words
-    reach 0, F_1 is the radical given and span(classes) + F_1 = A, then F_1
-    is a nilpotent two-sided ideal with A/F_1 = k^r, so it is J.  A radical
-    that is not F_1 is named by the basis checks, as for a raw table.
+    reach 0 and F_1 is the radical given, then F_1 is a nilpotent two-sided
+    ideal.  If moreover the classes are dim A - dim F_1 nonzero ones, they
+    are independent mod F_1 and A/F_1 = k^r, so F_1 is J.  A radical that
+    is not F_1 is named by the basis checks, as for a raw table.
     """
     dim = len(basis_labels)
     if arrows is None:
         filtration = _basis_certificate(field, dim, sc, unit, radical, classes)
     else:
-        _verify_presentation(field, dim, sc, unit, classes, arrows)
+        count = _verify_presentation(field, dim, sc, unit, classes, arrows)
         filtration = _radical_filtration(field, dim, sc, arrows)
         if filtration[1] != radical:
             _basis_certificate(field, dim, sc, unit, radical, classes)
             raise QuivkitError("BAD_ARGUMENT",
                                f"the words in the arrows span {filtration[1].dim} "
                                f"dimensions, the radical {radical.dim}")
-        _verify_pointed_classes(field, dim, sc, unit, radical, classes)
+        if not count == len(classes) == dim - radical.dim:
+            raise QuivkitError("NOT_POINTED", f"{count} of {len(classes)} classes are "
+                                              f"nonzero, dim A/J is {dim - radical.dim}")
     return FinAlgebra(field, basis_labels, sc, unit, filtration, classes, arrows)
 
 
@@ -592,26 +618,17 @@ def radical_power(a: FinAlgebra, n: int) -> Subspace:
 def _first_unmultiplied(source, target, cols, gens):
     """(g, j) for the first g in `gens` and basis vector b_j with
     f(g b_j) != f(g) f(b_j), where f has the columns `cols`; or None."""
-    f, sc, one = source.field, source.structconst, source.field.one
-    add, mul = f.add, f.mul
+    f, sc, one, n = source.field, source.structconst, source.field.one, target.dim
     col_terms = [_terms(c) for c in cols]
-
-    def apply(terms):
-        out = [f.zero] * target.dim
-        for m, c in terms:
-            for k, v in col_terms[m]:
-                out[k] = add(out[k], mul(c, v))
-        return out
-
     for gi, gt in enumerate(map(_terms, gens)):
         if len(gt) == 1 and gt[0][1] == one:
             row = sc[gt[0][0]]
         else:
             row = [_terms(_mul_raw(f, source.dim, sc, gt, ((j, one),)))
                    for j in range(source.dim)]
-        image = apply(gt)
+        image = _combine(f, n, col_terms, gt)
         for j in range(source.dim):
-            if apply(row[j]) != target.mul(image, cols[j]):
+            if _combine(f, n, col_terms, row[j]) != target.mul(image, cols[j]):
                 return gi, j
     return None
 
@@ -767,16 +784,13 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     qdim = len(reps)
     if qdim == 0:
         raise QuivkitError("BAD_ARGUMENT", "quotient by the whole algebra")
-    labels = []
-    for r_vec in reps:
-        nz = [i for i, c in enumerate(r_vec) if c != f.zero]
-        if len(nz) == 1 and r_vec[nz[0]] == f.one:
-            labels.append(a.basis_labels[nz[0]])
-        else:
-            labels.append(f"q{len(labels)}")
-    if len(set(labels)) != qdim:
-        labels = [f"q{i}" for i in range(qdim)]
-    sc = [[tuple(_terms(proj.matvec(a.mul(ri, rj)))) for rj in reps] for ri in reps]
+    # the reps complement a subspace of k^n, so they are basis vectors b_i and
+    # their products are table rows, each projected over its terms only
+    idx = [r_vec.index(f.one) for r_vec in reps]
+    labels = [a.basis_labels[i] for i in idx]
+    proj_cols = [_terms(c) for c in proj.columns()]
+    sc = [[tuple(_terms(_combine(f, qdim, proj_cols, a.structconst[i][j]))) for j in idx]
+          for i in idx]
     j_img = Subspace.span(f, qdim, [proj.matvec(v) for v in a.radical.basis])
     class_imgs = [img for img in map(proj.matvec, a.ss_classes)
                   if not j_img.contains(img)]
@@ -784,7 +798,8 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
         [img for img in map(proj.matvec, a.arrows) if any(img)]
     q = presented_algebra(f, labels, sc, proj.matvec(a.unit), j_img, class_imgs,
                           arrows)
-    pi = validate_morphism(a, q, proj)
+    # q's table is defined through proj, so proj is a morphism
+    pi = AlgMorphism(a, q, proj, surjective=True)
     if kernel(pi.matrix) != ideal.space:
         raise QuivkitError("INTERNAL", "projection kernel mismatch")
     return q, pi

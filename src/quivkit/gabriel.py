@@ -132,6 +132,8 @@ def gq(a: FinAlgebra, splitting: Splitting = None) -> GabrielQuiverResult:
         if splitting is None:
             splitting = make_splitting(a)
             a._splitting_cache = splitting
+    elif not a.same_as(splitting.parent):
+        raise QuivkitError("BAD_ARGUMENT", "splitting of a different algebra")
     r = splitting.rank
     names = [str(i + 1) for i in range(r)]
     spaces = {}
@@ -141,14 +143,7 @@ def gq(a: FinAlgebra, splitting: Splitting = None) -> GabrielQuiverResult:
         labels = [f"a_{src}_{tgt}_{k}" for k in range(len(vecs))]
         spaces[(src, tgt)] = labels
         arrow_bases[(src, tgt)] = [list(v) for v in vecs]
-    vq = VQuiver(names, spaces)
-    jdim = a.radical.dim
-    j2dim = a.radical_power(2).dim
-    if len(names) != a.dim - jdim:
-        raise QuivkitError("INTERNAL", "vertex count != dim A/J")
-    if vq.total_arrow_dim() != jdim - j2dim:
-        raise QuivkitError("INTERNAL", "arrow dims != dim J/J^2")
-    return GabrielQuiverResult(a, vq, arrow_bases, splitting)
+    return GabrielQuiverResult(a, VQuiver(names, spaces), arrow_bases, splitting)
 
 
 def gq_on_morphism(alpha: AlgMorphism, gq_a: GabrielQuiverResult,

@@ -2,7 +2,9 @@
 
 Presented algebras are admitted, and morphisms out of them checked, over
 their generators (vertex idempotents and arrows) instead of over all basis
-pairs.  Each test here keeps the basis-pair version as its oracle.
+pairs.  `universal_map`, `quotient_algebra`, `IdempotentSet` and
+`make_splitting` trust what their inputs certify instead of re-proving it.
+Each test here keeps the earlier, basis-wide version as its oracle.
 """
 
 import random
@@ -11,9 +13,16 @@ import pytest
 
 import quivkit as qk
 import quivkit.exactlin as el
+from quivkit.adjunction import conjugated_images
 from quivkit.algebra import _first_unmultiplied, presented_algebra
 from quivkit.errors import QuivkitError
-from quivkit.generators import random_vqmap_to_gq
+from quivkit.generators import (
+    random_identity_class_automorphism,
+    random_radical_element,
+    random_vqmap_to_gq,
+)
+from quivkit.pathalg import universal_map, vqmap_generator_images
+from quivkit.splittings import _peirce_blocks
 
 from corpus import (
     QQ,
@@ -98,14 +107,14 @@ def _layer_sum(t, lengths):
 
 
 def _presented_cases(field):
-    """(name, algebra, radical it was admitted with): every corpus path
-    algebra, a graded and a mixed-degree quotient of each, and a quotient of
-    a quotient."""
+    """(name, algebra, radical it was admitted with, (parent, ideal, pi) for
+    a quotient or None): every corpus path algebra, a graded and a
+    mixed-degree quotient of each, and a quotient of a quotient."""
     cases = []
     for name, vq in vq_corpus() + [("double_loop", double_loop_vq()), ("TWO", TWO)]:
         t = qk.build_kvq(field, vq, 4 if name in ("loop", "TWO") else 3)
         a, j = t.carrier, t.paths_of_length_at_least(1)
-        cases.append((name, a, j))
+        cases.append((name, a, j, None))
         if len(t.grading) < 3:
             continue
         rels = {"graded": {2}, "mixed": {2, 3} if len(t.grading) > 3 else {1, 2}}
@@ -115,12 +124,13 @@ def _presented_cases(field):
                 continue
             q, pi = qk.quotient_algebra(a, ideal)
             j_q = el.Subspace.span(field, q.dim, [pi.apply(v) for v in j.basis])
-            cases.append((f"{name}_mod_{kind}", q, j_q))
+            cases.append((f"{name}_mod_{kind}", q, j_q, (a, ideal, pi)))
             if kind == "graded" and q.truncation_level > 2:
                 top = [pi.apply(_layer_sum(t, {len(t.grading) - 1}))]
-                q2, pi2 = qk.quotient_algebra(q, qk.ideal_generated_by(q, top))
+                ideal2 = qk.ideal_generated_by(q, top)
+                q2, pi2 = qk.quotient_algebra(q, ideal2)
                 j_q2 = el.Subspace.span(field, q2.dim, [pi2.apply(v) for v in j_q.basis])
-                cases.append((f"{name}_mod_{kind}_twice", q2, j_q2))
+                cases.append((f"{name}_mod_{kind}_twice", q2, j_q2, (q, ideal2, pi2)))
     return cases
 
 
@@ -128,7 +138,7 @@ def _presented_cases(field):
 def test_certified_filtration_matches_basis_pairs(field):
     cases = _presented_cases(field)
     assert len(cases) >= 15
-    for name, a, j in cases:
+    for name, a, j, _how in cases:
         assert a.arrows is not None, name
         assert _is_ideal_over_basis(a, j), name
         assert a.radical_filtration == _basis_pair_filtration(a, j), name
@@ -158,7 +168,7 @@ def _psi_cases(field, rng):
     """(source, target, matrix): psi morphisms out of path algebras into the
     presented corpus, and identities on its quotients and on a raw table."""
     out = []
-    targets = [a for _n, a, _j in _presented_cases(field)]
+    targets = [a for _n, a, _j, _how in _presented_cases(field)]
     for a in targets[::2]:
         g = qk.gq(a)
         t = qk.build_kvq(field, g.vquiver, max(2, a.truncation_level))
@@ -270,7 +280,7 @@ def test_a_wrong_radical_hint_is_refused(hint, code):
 @pytest.mark.parametrize("field", (QQ, F2, F5), ids=repr)
 def test_ideal_generated_by_matches_the_basis_closure(field):
     rng = random.Random(f"ideal-closure-{field!r}")
-    algebras = [a for _n, a, _j in _presented_cases(field)]
+    algebras = [a for _n, a, _j, _how in _presented_cases(field)]
     if field == QQ:
         algebras.append(lower_triangular(QQ))
     for a in algebras:
@@ -284,7 +294,7 @@ def test_ideal_generated_by_matches_the_basis_closure(field):
 
 def test_ideal_tests_over_generators_match_the_basis_test():
     rng = random.Random("ideal-test")
-    for _n, a, _j in _presented_cases(QQ):
+    for _n, a, _j, _how in _presented_cases(QQ):
         spans = [el.Subspace.span(QQ, a.dim, [[QQ.of(rng.choice((0, 0, 1, -1)))
                                                for _ in range(a.dim)]])
                  for _ in range(3)]
@@ -301,7 +311,7 @@ def test_complement_matches_the_respanning_loop():
     rng = random.Random("complement")
     checked = 0
     for field in (QQ, F3):
-        for _n, a, _j in _presented_cases(field):
+        for _n, a, _j, _how in _presented_cases(field):
             full = el.Subspace.full(field, a.dim)
             mixed = el.Subspace.span(field, a.dim, [
                 [field.of(rng.choice((0, 1, -1, 2))) for _ in range(a.dim)]
@@ -313,3 +323,197 @@ def test_complement_matches_the_respanning_loop():
                 assert el.complement(ambient, sub) == _old_complement(ambient, sub)
                 checked += 1
     assert checked >= 50
+
+
+# -- universal_map is its own certificate -------------------------------------
+
+def _path_image_matrix(t, target, idems, arrows):
+    """Each path to the product of its generator images."""
+    cols = []
+    for p in t.paths:
+        acc = list(idems[p.start])
+        for lab in p.arrows:
+            acc = target.mul(arrows[lab], acc)
+        cols.append(acc)
+    return el.Mat.from_cols(t.field, cols, rows=target.dim)
+
+
+def _outcome(call):
+    try:
+        m = call()
+    except QuivkitError as exc:
+        return exc.code
+    return m.matrix, m.surjective
+
+
+def _merged_images(t, v, w):
+    """Identity images with e_v folded into e_w: e_v and the arrows at v go
+    to 0, so the map is a morphism that is not onto mod radicals."""
+    f = t.field
+    idems, arrows = t.identity_images()
+    idems[w] = el.vec_add(f, idems[w], idems[v])
+    idems[v] = el.vec_zero(f, t.dim)
+    for lab in arrows:
+        src, tgt, _ = t.vq.arrow_location(lab)
+        if v in (src, tgt):
+            arrows[lab] = el.vec_zero(f, t.dim)
+    return idems, arrows
+
+
+def _universal_map_inputs(field, rng):
+    """(t, target, idem images, arrow images): psi of seeded random maps into
+    the presented corpus, conjugation automorphisms of the corpus path
+    algebras and their merged images."""
+    out = []
+    for _n, a, _j, _how in _presented_cases(field):
+        g = qk.gq(a)
+        t = qk.build_kvq(field, g.vquiver, max(2, a.truncation_level))
+        for _ in range(2):
+            rho = random_vqmap_to_gq(rng, g.vquiver, g, field)
+            if rho is not None:
+                out.append((t, a) + vqmap_generator_images(rho, a.dim, *g.generators()))
+    for name, vq in vq_corpus() + [("TWO", TWO)]:
+        t = qk.build_kvq(field, vq, 4 if name in ("loop", "TWO") else 3)
+        w = random_radical_element(rng, t)
+        out.append((t, t.carrier) + conjugated_images(t.carrier, w, *t.identity_images()))
+        v, *rest = t.vq.vertices
+        if rest:
+            out.append((t, t.carrier) + _merged_images(t, v, rest[-1]))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_universal_map_agrees_with_validate_morphism(field):
+    rng = random.Random(f"universal-map-{field!r}")
+    outcomes = []
+    for t, target, idems, arrows in _universal_map_inputs(field, rng):
+        got = _outcome(lambda: universal_map(t, target, idems, arrows))
+        m = _path_image_matrix(t, target, idems, arrows)
+        assert got == _outcome(lambda: qk.validate_morphism(t.carrier, target, m))
+        outcomes.append(got if isinstance(got, str) else got[1])
+    for _ in range(4):
+        t = qk.build_kvq(field, TWO, 4)
+        delta = random_identity_class_automorphism(rng, t)
+        full = qk.validate_morphism(t.carrier, t.carrier, delta.matrix)
+        assert (full.matrix, full.surjective) == (delta.matrix, delta.surjective)
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 2
+    assert outcomes.count("RADICAL_QUOTIENT_NOT_SURJECTIVE") >= 4
+
+
+@pytest.mark.parametrize("case, code", [
+    ("no vertex image", "BIMODULE_CONDITION_FAIL"),
+    ("not idempotent", "BIMODULE_CONDITION_FAIL"),
+    ("not orthogonal", "BIMODULE_CONDITION_FAIL"),
+    ("not summing to 1", "BIMODULE_CONDITION_FAIL"),
+    ("e2 and a to 0", "RADICAL_QUOTIENT_NOT_SURJECTIVE"),
+])
+def test_bad_images_keep_their_codes(case, code):
+    """Blocks, radical and level refusals are in tests/test_pathalg.py."""
+    t = qk.build_kvq(QQ, qk.VQuiver(["1", "2"], {("1", "2"): ["a"]}), 3)
+    a = t.carrier
+    e1, e2, x = a.element("e1"), a.element("e2"), a.element("a")
+    zero = el.vec_zero(QQ, a.dim)
+    idems, arrows = {"1": e1, "2": e2}, {"a": x}
+    if case == "no vertex image":
+        del idems["2"]
+    elif case == "not idempotent":
+        idems["1"] = el.vec_scale(QQ, 2, e1)
+    elif case == "not orthogonal":
+        idems["1"] = el.vec_add(QQ, e1, x)
+    elif case == "not summing to 1":
+        idems["2"] = zero
+    else:
+        idems, arrows = {"1": a.unit, "2": zero}, {"a": zero}
+    with pytest.raises(QuivkitError) as exc:
+        universal_map(t, a, idems, arrows)
+    assert exc.value.code == code, exc.value.message
+    if case in ("not idempotent", "not orthogonal"):
+        assert case in exc.value.message
+
+
+# -- primitivity by counting ---------------------------------------------------
+
+def _is_primitive(a, e):
+    """The basis-wide test the count replaced: e A e is local."""
+    eae = a.peirce_block(e, e, el.Subspace.full(a.field, a.dim))
+    eje = a.peirce_block(e, e, a.radical)
+    return eae.dim - eje.dim == 1
+
+
+@pytest.mark.parametrize("field", (QQ, F2, F5), ids=repr)
+def test_counting_decides_primitivity_as_the_peirce_test_does(field):
+    algebras = [a for _n, a, _j, _how in _presented_cases(field)]
+    if field == QQ:
+        algebras.append(lower_triangular(QQ))
+    accepted = refused = 0
+    for a in algebras:
+        elems = qk.lift_idempotents(a).elements
+        sets = [elems]
+        for i in range(1, len(elems)):
+            merged = el.vec_add(field, elems[0], elems[i])
+            sets.append([merged] + [e for k, e in enumerate(elems) if k not in (0, i)])
+        for idems in sets:
+            primitive = all(_is_primitive(a, e) for e in idems)
+            try:
+                qk.IdempotentSet(a, idems)
+            except QuivkitError as exc:
+                assert exc.code == "NOT_VALIDATED" and not primitive
+                refused += 1
+            else:
+                assert primitive
+                accepted += 1
+    assert accepted == len(algebras) and refused >= 10
+
+
+# -- Peirce blocks split once ----------------------------------------------------
+
+def test_split_once_blocks_equal_peirce_block():
+    rng = random.Random("peirce-blocks")
+    checked = 0
+    for field in (QQ, F3):
+        algebras = [a for _n, a, _j, _how in _presented_cases(field)]
+        if field == QQ:
+            algebras.append(lower_triangular(QQ))
+        for a in algebras:
+            w = el.vec_combination(field, a.dim, [field.of(rng.choice((0, 1, -1, 2)))
+                                                  for _ in a.radical.basis], a.radical.basis)
+            elems = qk.make_splitting(a, conjugate_by=w).idems.elements
+            for space in (el.Subspace.full(field, a.dim), a.radical, a.radical_power(2)):
+                blocks = _peirce_blocks(a, elems, space)
+                assert len(blocks) == len(elems) ** 2
+                for (i, j), block in blocks.items():
+                    assert block == a.peirce_block(elems[j], elems[i], space)
+                    checked += 1
+    assert checked >= 300
+
+
+# -- quotients -------------------------------------------------------------------
+
+def _dense_quotient(a, ideal):
+    """Labels and table the way quotient_algebra wrote them before: a dense
+    projection of each product of representatives."""
+    f = a.field
+    reps, proj = el.quotient_basis(el.Subspace.full(f, a.dim), ideal.space)
+    labels = []
+    for r_vec in reps:
+        nz = [i for i, c in enumerate(r_vec) if c != f.zero]
+        if len(nz) == 1 and r_vec[nz[0]] == f.one:
+            labels.append(a.basis_labels[nz[0]])
+        else:
+            labels.append(f"q{len(labels)}")
+    if len(set(labels)) != len(reps):
+        labels = [f"q{i}" for i in range(len(reps))]
+    table = [[tuple((m, c) for m, c in enumerate(proj.matvec(a.mul(ri, rj))) if c)
+              for rj in reps] for ri in reps]
+    return labels, table
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_quotient_table_and_projection_match_the_dense_path(field):
+    quotients = [(name, how) for name, _a, _j, how in _presented_cases(field) if how]
+    assert len(quotients) >= 8 and any(name.endswith("_twice") for name, _ in quotients)
+    for _name, (parent, ideal, pi) in quotients:
+        q = pi.target
+        assert (q.basis_labels, q.structconst) == _dense_quotient(parent, ideal)
+        full = qk.validate_morphism(parent, q, pi.matrix)
+        assert full.surjective and pi.surjective

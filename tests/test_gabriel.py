@@ -74,6 +74,18 @@ def test_gq_splitting_independence():
     assert g1.vquiver == g2.vquiver
 
 
+def test_gq_and_counit_refuse_a_splitting_of_another_algebra():
+    # both of dim 6 at level 3, so only the splitting's parent tells them apart
+    a = build_kvq(QQ, VQuiver(["1", "2"], {("1", "2"): ["a"], ("2", "1"): ["b"]}), 3).carrier
+    b = build_kvq(QQ, VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["a"]}), 3).carrier
+    split_b = qk.make_splitting(b)
+    for call in (lambda: qk.gq(a, split_b), lambda: qk.counit(a, splitting=split_b)):
+        with pytest.raises(QuivkitError) as exc:
+            call()
+        assert exc.value.code == "BAD_ARGUMENT"
+    assert set(qk.gq(a, qk.make_splitting(a)).vquiver.spaces) == {("1", "2"), ("2", "1")}
+
+
 def test_gq_on_identity_morphism():
     a = triangle_algebra().carrier
     g = qk.gq(a)
