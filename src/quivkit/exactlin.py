@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and F_p: fields, matrices, subspaces.
 
-All arithmetic is exact.  Rational scalars are `fractions.Fraction` in lowest
-terms with positive denominator; prime-field scalars are ints in [0, p).
+All arithmetic is exact.  A rational scalar is a plain int when it is
+integral and a `fractions.Fraction` (lowest terms, positive denominator)
+otherwise; prime-field scalars are ints in [0, p).
 Subspaces are stored in reduced row-echelon form, so two subspaces are equal
 as sets exactly when their stored bases are identical.
 """
@@ -97,14 +98,21 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field Q.  Values are Fractions (auto-reduced, positive denominator)."""
+    """The field Q.  An integral value is a plain int, any other a Fraction
+    (lowest terms, positive denominator).  The two mix exactly under +, -
+    and *, compare and hash equal and print alike, so integral matrices are
+    reduced at int speed; `of`, `parse` and `inv` return ints for integral
+    results."""
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, x):
-        return Fraction(x)
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def add(self, a, b):
         return a + b
@@ -121,13 +129,15 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return Fraction(1) / a
+        if type(a) is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        return self.of(1 / a)
 
     def fmt(self, a) -> str:
         return str(a)
 
     def parse(self, text: str):
-        return Fraction(text.strip())
+        return self.of(text.strip())
 
     @property
     def name(self) -> str:

@@ -32,7 +32,7 @@ def random_scalar(rng: random.Random, field, *, nonzero=False):
             num = rng.randint(-3, 3)
             den = rng.choice([1, 1, 1, 2, 3])
             if not nonzero or num != 0:
-                return Fraction(num, den)
+                return field.of(Fraction(num, den))
     while True:
         v = rng.randrange(field.char)
         if not nonzero or v != 0:
@@ -58,7 +58,7 @@ def random_radical_element(rng, t: TruncatedTensorAlgebra, *, min_length=1):
     for layer in t.grading[min_length:]:
         for i in layer:
             if rng.random() < 0.4:
-                out[i] = f.of(random_scalar(rng, f))
+                out[i] = random_scalar(rng, f)
     return out
 
 
@@ -83,7 +83,7 @@ def random_identity_class_automorphism(rng, t: TruncatedTensorAlgebra,
             src, tgt, _ = t.vq.arrow_location(lab)
             for i in t.deeper_paths(src, tgt):
                 if rng.random() < 0.3:
-                    img[i] = f.of(random_scalar(rng, f))
+                    img[i] = random_scalar(rng, f)
     if w is not None:
         idem_images, arrow_images = conjugated_images(t.carrier, w, idem_images,
                                                       arrow_images)
@@ -109,7 +109,7 @@ def random_vqmap_to_gq(rng, vq: VQuiver, gq_a: GabrielQuiverResult,
         m = vq.dim(s, t_)
         if d == 0:
             continue
-        data = [[field.of(random_scalar(rng, field)) for _ in range(m)]
+        data = [[random_scalar(rng, field) for _ in range(m)]
                 for _ in range(d)]
         mats[(s, t_)] = Mat(field, d, m, data)
     return VQuiverMap(field, vq, tgt, vm, mats)
@@ -130,7 +130,7 @@ def random_padm_morphism(rng, t: TruncatedTensorAlgebra, gq_a, *,
         return None
     images = vqmap_generator_images(rho, a.dim, *gq_a.generators())
     if conjugate and a.radical.dim > 0 and rng.random() < 0.7:
-        coeffs = [f.of(random_scalar(rng, f)) for _ in a.radical.basis]
+        coeffs = [random_scalar(rng, f) for _ in a.radical.basis]
         w = vec_combination(f, a.dim, coeffs, a.radical.basis)
         images = conjugated_images(a, w, *images)
     return universal_map(t, a, *images)

@@ -101,8 +101,8 @@ class TruncatedTensorAlgebra:
 # term or none, so memory is no limit; time is.  The radical is re-verified by
 # the generator certificate, |arrows| * dim J products: at dim 254, the
 # level-7 algebra of the 2-vertex quiver with a loop, two arrows 1 -> 2 and
-# one arrow 2 -> 1, build_kvq takes about 0.1 s over F5 and 0.3 s over Q, and
-# build_kvq, gq and counit together 0.4 s and 1.1 s, on a 2-core x86-64 VM.
+# one arrow 2 -> 1, build_kvq takes about 0.1 s, and build_kvq, gq and counit
+# together 0.25-0.3 s, over F5 and over Q alike, on a 2-core x86-64 VM.
 MAX_KVQ_DIM = 256
 
 
@@ -181,9 +181,10 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
     idempotents summing to 1, zeros allowed); `arrow_images` maps each arrow
     label to an element of the target, forced to live in the matching Peirce
     block and inside the target radical.  Paths map to the products of their
-    arrow images.  Those checks and J^level = 0 in the target are the
-    universal property, so the map is a morphism with no further check; it is
-    onto mod radicals iff dim B/J(B) vertex images are nonzero.
+    arrow images, each built from its prefix's column.  Those checks and
+    J^level = 0 in the target are the universal property, so the map is a
+    morphism with no further check; it is onto mod radicals iff dim B/J(B)
+    vertex images are nonzero.
     """
     f = t.field
     if target.field != f:
@@ -221,15 +222,15 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
         raise QuivkitError("RADICAL_QUOTIENT_NOT_SURJECTIVE",
                            "induced map A/J(A) -> B/J(B) is not onto")
 
+    # paths come in order of length, so a path's prefix (all arrows but the
+    # last) has its column already; an arrow's column is its framed image
     cols = []
     for p in t.paths:
-        if p.length == 0:
-            cols.append(u[p.start])
-            continue
-        acc = x[p.arrows[0]]
-        for lab in p.arrows[1:]:
-            acc = target.mul(x[lab], acc)
-        cols.append(acc)
+        if p.length <= 1:
+            cols.append(x[p.arrows[0]] if p.arrows else u[p.start])
+        else:
+            prefix = cols[t.index[(p.start, p.arrows[:-1])]]
+            cols.append(target.mul(x[p.arrows[-1]], prefix))
     m = Mat.from_cols(f, cols, rows=target.dim)
     return AlgMorphism(t.carrier, target, m, surjective=rank(m) == target.dim)
 

@@ -184,7 +184,7 @@ def _split_rational(a):
             r = (r - _value(mon, r) * pow(_value(dmon, r), -1, q)) % q
         y = r if 2 * r <= q else r - q
         if _value(mon, y) == 0:
-            roots.append(Fraction(y, lead))
+            roots.append(QQ.of(Fraction(y, lead)))
     return sorted(roots) if len(roots) == d else None
 
 

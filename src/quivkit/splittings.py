@@ -8,7 +8,7 @@ section of J -> J/J^2, and conjugators between two such splittings.
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import FinAlgebra, orthogonal_idempotents
+from .algebra import FinAlgebra, _mul_raw, _terms, orthogonal_idempotents
 from .exactlin import (
     Mat,
     Subspace,
@@ -171,16 +171,20 @@ def conjugating_element(a: FinAlgebra, pairs):
 
 def _peirce_blocks(a: FinAlgebra, elements, space: Subspace):
     """{(i, j): e_j * space * e_i} for every ordered pair of `elements`, each
-    basis vector v split once: r products v e_i, then e_j (v e_i)."""
+    basis vector v split once: r products v e_i, then e_j (v e_i).  Every
+    factor is scanned for its terms once."""
+    f, dim, sc = a.field, a.dim, a.structconst
     r = len(elements)
+    e_terms = [_terms(e) for e in elements]
     parts = {(i, j): [] for i in range(r) for j in range(r)}
     for v in space.basis:
-        for i, e_i in enumerate(elements):
-            ve = a.mul(v, e_i)
-            if any(ve):
-                for j, e_j in enumerate(elements):
-                    parts[(i, j)].append(a.mul(e_j, ve))
-    return {key: Subspace.span(a.field, a.dim, vecs) for key, vecs in parts.items()}
+        vt = _terms(v)
+        for i, ei in enumerate(e_terms):
+            ve = _terms(_mul_raw(f, dim, sc, vt, ei))
+            if ve:
+                for j, ej in enumerate(e_terms):
+                    parts[(i, j)].append(_mul_raw(f, dim, sc, ej, ve))
+    return {key: Subspace.span(f, dim, vecs) for key, vecs in parts.items()}
 
 
 def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitting:

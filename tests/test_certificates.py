@@ -400,6 +400,31 @@ def test_universal_map_agrees_with_validate_morphism(field):
     assert outcomes.count("RADICAL_QUOTIENT_NOT_SURJECTIVE") >= 4
 
 
+@pytest.mark.parametrize("field", (QQ, F2, F5), ids=repr)
+def test_universal_map_builds_each_path_from_its_prefix(field, monkeypatch):
+    """The matrix is the product of images, and beyond the framing check's two
+    products per arrow each path of length >= 2 costs one product."""
+    rng = random.Random(f"prefix-columns-{field!r}")
+    calls = []
+    real_mul = qk.FinAlgebra.mul
+    monkeypatch.setattr(qk.FinAlgebra, "mul",
+                        lambda a, x, y: calls.append(1) or real_mul(a, x, y))
+    built = longer = 0
+    for t, target, idems, arrows in _universal_map_inputs(field, rng):
+        calls.clear()
+        try:
+            m = universal_map(t, target, idems, arrows).matrix
+        except QuivkitError:
+            continue
+        products = len(calls)
+        assert m == _path_image_matrix(t, target, idems, arrows)
+        long_paths = [p for p in t.paths if p.length >= 2]
+        assert products - 2 * len(arrows) == len(long_paths) <= len(t.paths)
+        built += 1
+        longer += sum(p.length - 1 for p in long_paths) > len(t.paths)
+    assert built >= 10 and longer >= 2
+
+
 @pytest.mark.parametrize("case, code", [
     ("no vertex image", "BIMODULE_CONDITION_FAIL"),
     ("not idempotent", "BIMODULE_CONDITION_FAIL"),

@@ -144,6 +144,8 @@ morphism f: A -> A { e1 -> e1; x -> 3/2*x - x*x; }
     from fractions import Fraction
 
     assert img == [Fraction(0), Fraction(3, 2), Fraction(-1)]
+    # integral coefficients elaborate to ints, the rest to Fractions
+    assert [type(c) for c in img] == [int, Fraction, int]
 
 
 def test_finite_field_document():
