@@ -2,18 +2,21 @@
 
 An algebra is admitted only if it is associative, unital, has nilpotent
 radical and a radical quotient isomorphic to a product of copies of the base
-field.  There are two entry points.  `validate_algebra` reads a raw dense
-table, checks associativity and computes the radical from the trace form,
-which requires char 0 or p > dim.  `presented_algebra` admits what a
-construction (path algebra, quotient) writes directly in the stored sparse
-form, with its radical, its vertex idempotents and its arrows; a certificate
-over those generators re-verifies the radical, which keeps every field
-characteristic usable.
+field.  Such an algebra is a quotient of a path algebra, so it is presented
+by primitive orthogonal idempotents and by arrows, each in one Peirce block
+of theirs, whose words span the radical J; every algebra is admitted through
+that one certificate (`_admit`), which re-verifies the radical over those
+generators in any field characteristic.  A construction (path algebra,
+quotient) writes its table in the stored sparse form and hands over its
+idempotents and arrows (`presented_algebra`).  A raw dense table
+(`validate_algebra`) is checked for associativity, its radical is the kernel
+of the trace form (char 0 or p > dim), and the idempotents and arrows are
+made from it: the classes that split A/J are lifted to exact idempotents
+and the arrows are bases of the Peirce blocks of J.
 
-Every admitted algebra keeps a verified generating set G: the idempotents
-and the arrows of a presented algebra, the basis of a raw table.  Ideal
-tests and morphism checks run over G, which is enough because words in G
-span A.
+Every admitted algebra keeps that verified generating set G, the idempotents
+and the arrows.  Ideal tests and morphism checks run over G, which is enough
+because words in G span A.
 """
 
 from __future__ import annotations
@@ -45,17 +48,15 @@ class FinAlgebra:
     nonzero coordinates c of the product, in ascending basis index m.  The
     form is canonical, so equal algebras have equal tables.  The radical
     filtration [A, J, J^2, ..., 0] is computed at validation time and cached;
-    `truncation_level` is the least n with J^n = 0.  `ss_classes` are vectors
-    whose images mod J are the canonical primitive orthogonal idempotents of
-    A/J (they certify pointedness and seed idempotent lifting).  `arrows`
-    is None for a raw table; for a presented algebra the classes are exact
-    orthogonal idempotents, each arrow lies in one Peirce block of theirs,
-    and the words in the arrows span J.
+    `truncation_level` is the least n with J^n = 0.  `ss_classes` are
+    primitive orthogonal idempotents summing to 1, one for each copy of k in
+    A/J; each of the `arrows` lies in one Peirce block of theirs, and the
+    words in the arrows span J.
     """
 
     __slots__ = ("field", "dim", "basis_labels", "structconst", "unit",
                  "radical_filtration", "truncation_level", "ss_classes",
-                 "arrows", "_label_index", "_rq", "_splitting_cache")
+                 "arrows", "_label_index", "_splitting_cache")
 
     def __init__(self, field, basis_labels, structconst, unit,
                  radical_filtration, ss_classes, arrows):
@@ -69,7 +70,6 @@ class FinAlgebra:
         self.ss_classes = ss_classes
         self.arrows = arrows
         self._label_index = {lab: i for i, lab in enumerate(basis_labels)}
-        self._rq = None
         self._splitting_cache = None
 
     # -- elements ----------------------------------------------------------
@@ -84,9 +84,7 @@ class FinAlgebra:
         return _mul_raw(self.field, self.dim, self.structconst, _terms(x), _terms(y))
 
     def generators(self):
-        """G: the classes and the arrows of a presented algebra, else the basis."""
-        if self.arrows is None:
-            return [self.basis_vector(i) for i in range(self.dim)]
+        """G: the idempotents and the arrows."""
         return self.ss_classes + self.arrows
 
     # -- radical -----------------------------------------------------------
@@ -95,23 +93,12 @@ class FinAlgebra:
     def radical(self) -> Subspace:
         return self.radical_filtration[1]
 
-    def radical_generators(self):
-        """Elements of J whose words span J: the arrows, else a basis of J."""
-        return self.radical.basis if self.arrows is None else self.arrows
-
     def radical_power(self, n: int) -> Subspace:
         if n < 0:
             raise QuivkitError("BAD_ARGUMENT", "n must be >= 0")
         if n >= len(self.radical_filtration):
             return Subspace.zero(self.field, self.dim)
         return self.radical_filtration[n]
-
-    def radical_quotient(self):
-        """Cached (reps, proj) for A -> A/J in the canonical quotient basis."""
-        if self._rq is None:
-            full = Subspace.full(self.field, self.dim)
-            self._rq = quotient_basis(full, self.radical)
-        return self._rq
 
     # -- subspace arithmetic -----------------------------------------------
 
@@ -357,33 +344,6 @@ def _radical_filtration(field, dim, sc, arrows):
     return filtration[::-1]
 
 
-def _verify_pointed_classes(field, dim, sc, unit, j_space, classes):
-    """Check that `classes` certify A/J = k^r (orthogonal idempotent classes)."""
-    r = dim - j_space.dim
-    if len(classes) != r:
-        raise QuivkitError("NOT_POINTED",
-                           f"expected {r} idempotent classes, got {len(classes)}")
-    class_terms = [_terms(c) for c in classes]
-    for i, c in enumerate(classes):
-        if j_space.contains(c):
-            raise QuivkitError("NOT_POINTED", f"class {i} vanishes mod J")
-        ct = class_terms[i]
-        sq = _mul_raw(field, dim, sc, ct, ct)
-        if not j_space.contains(vec_sub(field, sq, c)):
-            raise QuivkitError("NOT_POINTED", f"class {i} is not idempotent mod J")
-        for j2 in range(i):
-            pr = _mul_raw(field, dim, sc, ct, class_terms[j2])
-            pr2 = _mul_raw(field, dim, sc, class_terms[j2], ct)
-            if not j_space.contains(pr) or not j_space.contains(pr2):
-                raise QuivkitError("NOT_POINTED",
-                                   f"classes {i},{j2} not orthogonal mod J")
-    total = vec_zero(field, dim)
-    for c in classes:
-        total = vec_add(field, total, c)
-    if not j_space.contains(vec_sub(field, total, unit)):
-        raise QuivkitError("NOT_POINTED", "classes do not sum to 1 mod J")
-
-
 def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
     """Split A/J into one-dimensional blocks; NOT_POINTED if impossible.
 
@@ -470,6 +430,49 @@ def _split_eigenvalues(field, m: Mat):
     return roots_if_split(field, charpoly(m))
 
 
+def _lift_classes(field, dim, sc, unit, classes, steps):
+    """Exact orthogonal idempotents with the classes mod J of `classes`.
+
+    Each class is framed away from the idempotents lifted before it, then
+    pushed to an exact idempotent by x <- 3x^2 - 2x^3, which squares the
+    power of J holding x^2 - x, so `steps` > log2 of the nilpotency index
+    suffice.  The result is not checked here: `_admit` certifies it.
+    """
+    three, two = field.of(3), field.of(2)
+    lifted = []
+    prev_sum = vec_zero(field, dim)
+    for c in classes:
+        frame = _terms(vec_sub(field, unit, prev_sum))
+        x = _mul_raw(field, dim, sc, frame, _terms(_mul_raw(field, dim, sc, _terms(c), frame)))
+        for _ in range(steps):
+            xt = _terms(x)
+            sq = _mul_raw(field, dim, sc, xt, xt)
+            if sq == x:
+                break
+            cube = _mul_raw(field, dim, sc, _terms(sq), xt)
+            x = vec_sub(field, vec_scale(field, three, sq), vec_scale(field, two, cube))
+        lifted.append(x)
+        prev_sum = vec_add(field, prev_sum, x)
+    return lifted
+
+
+def _peirce_blocks(field, dim, sc, elements, space: Subspace):
+    """{(i, j): e_j * space * e_i} for every ordered pair of `elements`, each
+    basis vector v split once: r products v e_i, then e_j (v e_i).  Every
+    factor is scanned for its terms once."""
+    r = len(elements)
+    e_terms = [_terms(e) for e in elements]
+    parts = {(i, j): [] for i in range(r) for j in range(r)}
+    for v in space.basis:
+        vt = _terms(v)
+        for i, ei in enumerate(e_terms):
+            ve = _terms(_mul_raw(field, dim, sc, vt, ei))
+            if ve:
+                for j, ej in enumerate(e_terms):
+                    parts[(i, j)].append(_mul_raw(field, dim, sc, ej, ve))
+    return {key: Subspace.span(field, dim, vecs) for key, vecs in parts.items()}
+
+
 def orthogonal_idempotents(field, dim, sc, unit, elems, code, names):
     """Raise `code` unless `elems` (named `names`) are orthogonal idempotents
     summing to `unit`; return how many are nonzero.  In a pointed algebra that
@@ -509,42 +512,46 @@ def _verify_presentation(field, dim, sc, unit, idems, arrows):
     return count
 
 
-def _basis_certificate(field, dim, sc, unit, radical, classes):
-    """The radical checks over G = the basis: a two-sided ideal, nilpotent,
-    with the classes splitting A/J into copies of k.  Returns the filtration."""
+def _basis_certificate(field, dim, sc, radical, classes):
+    """Name what is wrong with a radical that is not the span of the words
+    in the arrows: checked over the basis, it must be a two-sided ideal,
+    nilpotent, and hold none of the dim A - dim J orthogonal idempotents
+    `classes`."""
     basis = [vec_unit(field, dim, i) for i in range(dim)]
     if not _closed_under(field, dim, sc, basis, radical):
         raise QuivkitError("RADICAL_NOT_NILPOTENT", "radical is not a two-sided ideal")
-    filtration = _radical_filtration(field, dim, sc, radical.basis)
-    _verify_pointed_classes(field, dim, sc, unit, radical, classes)
-    return filtration
+    _radical_filtration(field, dim, sc, radical.basis)
+    r = dim - radical.dim
+    if len(classes) != r:
+        raise QuivkitError("NOT_POINTED",
+                           f"expected {r} idempotent classes, got {len(classes)}")
+    for i, c in enumerate(classes):
+        if radical.contains(c):
+            raise QuivkitError("NOT_POINTED", f"class {i} vanishes mod J")
 
 
 def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebra:
     """The radical checks both entry points end with, then the FinAlgebra.
 
-    Without arrows they run over the basis.  With arrows, let F_1 be the
-    span of the words in them.  If the classes are orthogonal idempotents
-    summing to 1, every arrow lies in one of their Peirce blocks, the words
-    reach 0 and F_1 is the radical given, then F_1 is a nilpotent two-sided
-    ideal.  If moreover the classes are dim A - dim F_1 nonzero ones, they
-    are independent mod F_1 and A/F_1 = k^r, so F_1 is J.  A radical that
-    is not F_1 is named by the basis checks, as for a raw table.
+    Let F_1 be the span of the words in the arrows.  If the classes are
+    orthogonal idempotents summing to 1, every arrow lies in one of their
+    Peirce blocks, the words reach 0 and F_1 is the radical given, then F_1
+    is a nilpotent two-sided ideal.  If moreover the classes are
+    dim A - dim F_1 nonzero ones, they are independent mod F_1 and
+    A/F_1 = k^r, so F_1 is J.  A radical that is not F_1 is named by the
+    basis checks.
     """
     dim = len(basis_labels)
-    if arrows is None:
-        filtration = _basis_certificate(field, dim, sc, unit, radical, classes)
-    else:
-        count = _verify_presentation(field, dim, sc, unit, classes, arrows)
-        filtration = _radical_filtration(field, dim, sc, arrows)
-        if filtration[1] != radical:
-            _basis_certificate(field, dim, sc, unit, radical, classes)
-            raise QuivkitError("BAD_ARGUMENT",
-                               f"the words in the arrows span {filtration[1].dim} "
-                               f"dimensions, the radical {radical.dim}")
-        if not count == len(classes) == dim - radical.dim:
-            raise QuivkitError("NOT_POINTED", f"{count} of {len(classes)} classes are "
-                                              f"nonzero, dim A/J is {dim - radical.dim}")
+    count = _verify_presentation(field, dim, sc, unit, classes, arrows)
+    filtration = _radical_filtration(field, dim, sc, arrows)
+    if filtration[1] != radical:
+        _basis_certificate(field, dim, sc, radical, classes)
+        raise QuivkitError("BAD_ARGUMENT",
+                           f"the words in the arrows span {filtration[1].dim} "
+                           f"dimensions, the radical {radical.dim}")
+    if not count == len(classes) == dim - radical.dim:
+        raise QuivkitError("NOT_POINTED", f"{count} of {len(classes)} classes are "
+                                          f"nonzero, dim A/J is {dim - radical.dim}")
     return FinAlgebra(field, basis_labels, sc, unit, filtration, classes, arrows)
 
 
@@ -554,7 +561,9 @@ def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
     `structconst[i][j]` must be the dense coordinate vector of b_i b_j;
     entries are coerced through the field and stored in the sparse form of
     `FinAlgebra.structconst`.  Every check runs: shape, unit, associativity,
-    the trace-form radical and the idempotent classes it splits off.
+    the trace-form radical and the idempotent classes it splits off.  The
+    classes are lifted to exact idempotents and the arrows are bases of the
+    Peirce blocks of J; `_admit` certifies both.
     """
     dim = len(basis_labels)
     if dim == 0:
@@ -584,7 +593,11 @@ def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
     _verify_associative(field, dim, sc)
     j_space = trace_form_radical((field, dim, sc))
     classes = _semisimple_pointed_classes(field, dim, sc, unit, j_space)
-    return _admit(field, basis_labels, sc, unit, j_space, classes, None)
+    # the nilpotency index is at most dim J + 1
+    idems = _lift_classes(field, dim, sc, unit, classes, (j_space.dim + 1).bit_length() + 2)
+    blocks = _peirce_blocks(field, dim, sc, idems, j_space)
+    arrows = [v for block in blocks.values() for v in block.basis]
+    return _admit(field, basis_labels, sc, unit, j_space, idems, arrows)
 
 
 def presented_algebra(field, basis_labels, terms, unit, radical, classes,
@@ -593,11 +606,10 @@ def presented_algebra(field, basis_labels, terms, unit, radical, classes,
 
     `terms[i][j]` is b_i b_j as the sparse tuple of `FinAlgebra.structconst`,
     and associativity is the construction's guarantee.  `classes` are the
-    vertex idempotents and `arrows` the arrow elements (each in one Peirce
-    block); None for arrows means the construction has no such generators
-    (a quotient of a raw table), and the checks run over the basis.  The
-    unit and the radical are re-verified (see `_admit`), so a construction
-    can never smuggle in a wrong one.
+    vertex idempotents and `arrows` the arrow elements, each in one Peirce
+    block, whose words span the radical.  The unit and the radical are
+    re-verified (see `_admit`), so a construction can never smuggle in a
+    wrong one.
     """
     _check_unit(field, len(basis_labels), terms, unit)
     return _admit(field, basis_labels, terms, unit, radical, classes, arrows)
@@ -641,14 +653,13 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
     of the induced map on radical quotients (the admission condition for
     this category of pointed algebras).  A unital map f with f(g b) =
     f(g) f(b) for g in the source's generators G and b in its basis is
-    multiplicative, since words in G span the source; so is one that sends
-    the radical generators into J(B), since their words span J(A).
+    multiplicative, since words in G span the source; it preserves radicals
+    if it sends the arrows into J(B), since their words span J(A).
     """
     if source.field != target.field:
         raise QuivkitError("BAD_FIELD", "source and target fields differ")
     if matrix.rows != target.dim or matrix.cols != source.dim:
         raise QuivkitError("BAD_SHAPE", "morphism matrix has wrong shape")
-    f = source.field
     if matrix.matvec(source.unit) != target.unit:
         raise QuivkitError("NOT_UNITAL", "matrix does not send 1 to 1")
     cols = matrix.columns()
@@ -662,21 +673,14 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
             f"{source.basis_labels[j]})")
     # radical preservation (automatic for pointed targets; re-verified)
     jt = target.radical
-    for v in source.radical_generators():
+    for v in source.arrows:
         if not jt.contains(matrix.matvec(v)):
             raise QuivkitError("RADICAL_NOT_PRESERVED",
                                "image of J(A) escapes J(B)")
-    # induced map on radical quotients must be onto
-    reps_s, _proj_s = source.radical_quotient()
-    _reps_t, proj_t = target.radical_quotient()
-    ind_cols = [proj_t.matvec(matrix.matvec(r)) for r in reps_s]
-    r_t = target.dim - jt.dim
-    if ind_cols:
-        ind = Mat.from_cols(f, ind_cols, rows=r_t)
-        ok = rank(ind) == r_t
-    else:
-        ok = r_t == 0
-    if not ok:
+    # induced map on radical quotients must be onto: the images of the
+    # idempotents are orthogonal idempotents summing to 1, so their classes
+    # span B/J(B) = k^r iff r of them are nonzero
+    if sum(1 for e in source.ss_classes if any(matrix.matvec(e))) != target.dim - jt.dim:
         raise QuivkitError("RADICAL_QUOTIENT_NOT_SURJECTIVE",
                            "induced map A/J(A) -> B/J(B) is not onto")
     return AlgMorphism(source, target, matrix,
@@ -772,7 +776,7 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     Returns (Q, pi) where pi is the canonical surjection with kernel I.  The
     radical of Q is the image of J(A) (surjections map radicals onto
     radicals), so no trace-form computation is needed; Q is presented by the
-    nonzero images of A's classes and arrows.
+    nonzero images of A's idempotents and arrows.
     """
     if not a.same_as(ideal.parent):
         raise QuivkitError("BAD_ARGUMENT", "ideal belongs to a different algebra")
@@ -792,10 +796,8 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     sc = [[tuple(_terms(_combine(f, qdim, proj_cols, a.structconst[i][j]))) for j in idx]
           for i in idx]
     j_img = Subspace.span(f, qdim, [proj.matvec(v) for v in a.radical.basis])
-    class_imgs = [img for img in map(proj.matvec, a.ss_classes)
-                  if not j_img.contains(img)]
-    arrows = None if a.arrows is None else \
-        [img for img in map(proj.matvec, a.arrows) if any(img)]
+    class_imgs = [img for img in map(proj.matvec, a.ss_classes) if any(img)]
+    arrows = [img for img in map(proj.matvec, a.arrows) if any(img)]
     q = presented_algebra(f, labels, sc, proj.matvec(a.unit), j_img, class_imgs,
                           arrows)
     # q's table is defined through proj, so proj is a morphism

@@ -410,11 +410,14 @@ def rref(m: Mat):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = f.inv(a[r][c])
-        pivot_terms = [(k, f.mul(inv, x)) for k, x in enumerate(a[r]) if x]
-        a[r] = [f.zero] * m.cols
-        for k, x in pivot_terms:
-            a[r][k] = x
+        prow = a[r]
+        if prow[c] != f.one:
+            # entries left of c are zero: earlier columns hold no pivot here
+            inv = f.inv(prow[c])
+            for k in range(c, m.cols):
+                if prow[k]:
+                    prow[k] = f.mul(inv, prow[k])
+        pivot_terms = [(k, x) for k, x in enumerate(prow) if x]
         for i in range(m.rows):
             arow = a[i]
             coef = arow[c]

@@ -156,9 +156,10 @@ def build_kvq(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
 
     # p * q = "q then p": one path or zero
     one, nv = field.one, len(vq.vertices)
+    lengths = [p.length for p in paths]
     sc = [[((index[(q.start, q.arrows + p.arrows)], one),)
-           if p.start == q.end and p.length + q.length < level else ()
-           for q in paths] for p in paths]
+           if p.start == q.end and lp + lq < level else ()
+           for q, lq in zip(paths, lengths)] for p, lp in zip(paths, lengths)]
     idems = [vec_unit(field, dim, i) for i in range(nv)]
     unit = [one] * nv + [field.zero] * (dim - nv)
     radical = Subspace.span(field, dim, [vec_unit(field, dim, i) for i in range(nv, dim)])

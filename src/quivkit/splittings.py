@@ -1,17 +1,17 @@
 """Constructive Wedderburn-Malcev data.
 
-Lifting a complete set of primitive orthogonal idempotents along the
-nilpotent radical, the induced algebra section of A -> A/J, the blockwise
-section of J -> J/J^2, and conjugators between two such splittings.
+Every admitted algebra already holds a complete set of primitive orthogonal
+idempotents, lifted along the nilpotent radical at admission.  From them
+come the algebra section of A -> A/J, the blockwise section of J -> J/J^2,
+and conjugators between two such splittings.
 """
 
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import FinAlgebra, _mul_raw, _terms, orthogonal_idempotents
+from .algebra import FinAlgebra, _peirce_blocks, orthogonal_idempotents
 from .exactlin import (
     Mat,
-    Subspace,
     complement,
     solve,
     vec_add,
@@ -51,41 +51,10 @@ class IdempotentSet:
         return f"IdempotentSet(r={len(self.elements)})"
 
 
-def _idempotize(a: FinAlgebra, x):
-    """Cubic iteration x <- 3x^2 - 2x^3; converges when x^2 = x mod J."""
-    f = a.field
-    three = f.of(3)
-    two = f.of(2)
-    steps = a.truncation_level.bit_length() + 2
-    for _ in range(steps):
-        sq = a.mul(x, x)
-        if sq == x:
-            return x
-        cube = a.mul(sq, x)
-        x = vec_sub(f, vec_scale(f, three, sq), vec_scale(f, two, cube))
-    if a.mul(x, x) == x:
-        return x
-    raise QuivkitError("NOT_VALIDATED", "idempotent iteration failed to converge")
-
-
 def lift_idempotents(a: FinAlgebra) -> IdempotentSet:
-    """Lift the canonical idempotents of A/J to primitive orthogonal ones.
-
-    Seeds come from the pointedness certificate stored on the algebra.  Each
-    seed is framed away from the already-lifted idempotents and pushed to an
-    exact idempotent by the cubic iteration; orthogonality to the previous
-    ones and completeness follow from nilpotence of J (IdempotentSet checks).
-    """
-    f = a.field
-    lifted = []
-    prev_sum = vec_zero(f, a.dim)
-    for seed in a.ss_classes:
-        frame = vec_sub(f, a.unit, prev_sum)
-        x = a.mul(frame, a.mul(seed, frame))
-        e = _idempotize(a, x)
-        lifted.append(e)
-        prev_sum = vec_add(f, prev_sum, e)
-    return IdempotentSet(a, lifted)
+    """The primitive orthogonal idempotents that lift the canonical ones of
+    A/J: the algebra's own, lifted and certified at admission."""
+    return IdempotentSet(a, a.ss_classes)
 
 
 class Splitting:
@@ -169,24 +138,6 @@ def conjugating_element(a: FinAlgebra, pairs):
     return w
 
 
-def _peirce_blocks(a: FinAlgebra, elements, space: Subspace):
-    """{(i, j): e_j * space * e_i} for every ordered pair of `elements`, each
-    basis vector v split once: r products v e_i, then e_j (v e_i).  Every
-    factor is scanned for its terms once."""
-    f, dim, sc = a.field, a.dim, a.structconst
-    r = len(elements)
-    e_terms = [_terms(e) for e in elements]
-    parts = {(i, j): [] for i in range(r) for j in range(r)}
-    for v in space.basis:
-        vt = _terms(v)
-        for i, ei in enumerate(e_terms):
-            ve = _terms(_mul_raw(f, dim, sc, vt, ei))
-            if ve:
-                for j, ej in enumerate(e_terms):
-                    parts[(i, j)].append(_mul_raw(f, dim, sc, ej, ve))
-    return {key: Subspace.span(f, dim, vecs) for key, vecs in parts.items()}
-
-
 def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitting:
     """Build a splitting; deterministic given the algebra.
 
@@ -195,7 +146,6 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
     adding block-compatible elements of J^2; both knobs produce a different
     but equally valid splitting, which downstream independence checks use.
     """
-    f = a.field
     idems = lift_idempotents(a)
     elements = idems.elements
     if conjugate_by is not None:
@@ -205,9 +155,10 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
         idems = IdempotentSet(a, elements)
     j1 = a.radical
     j2 = a.radical_power(2)
-    j2_blocks = _peirce_blocks(a, elements, j2)
+    f, dim, sc = a.field, a.dim, a.structconst
+    j2_blocks = _peirce_blocks(f, dim, sc, elements, j2)
     blocks = {}
-    for (i, j), amb in _peirce_blocks(a, elements, j1).items():
+    for (i, j), amb in _peirce_blocks(f, dim, sc, elements, j1).items():
         sub = j2_blocks[(i, j)]
         vecs = [list(v) for v in complement(amb, sub).basis]
         if t_shift is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import quivkit as qk
 from quivkit.vquiver import VQuiver
 
@@ -72,6 +74,28 @@ def lower_triangular(field):
 
     sc = [[prod(i, j) for j in range(3)] for i in range(3)]
     return qk.validate_algebra(field, labels, sc, [1, 0, 1])
+
+
+def upper_triangular(field, n, shuffle=False):
+    """Upper triangular n x n matrices by a raw dense table; `shuffle`
+    permutes the basis by a fixed seed."""
+    pos = [(i, j) for i in range(n) for j in range(i, n)]
+    if shuffle:
+        random.Random(f"upper-{n}").shuffle(pos)
+    index = {p: k for k, p in enumerate(pos)}
+    dim = len(pos)
+    sc = []
+    for (i, j) in pos:
+        row = []
+        for (k, l) in pos:
+            vec = [0] * dim
+            if j == k:
+                vec[index[(i, l)]] = 1
+            row.append(vec)
+        sc.append(row)
+    unit = [1 if i == j else 0 for (i, j) in pos]
+    labels = [f"E{i + 1}{j + 1}" for (i, j) in pos]
+    return qk.validate_algebra(field, labels, sc, unit)
 
 
 def triangle_algebra(field=QQ, level=3):

@@ -14,7 +14,7 @@ import pytest
 import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.adjunction import conjugated_images
-from quivkit.algebra import _first_unmultiplied, presented_algebra
+from quivkit.algebra import _first_unmultiplied, _peirce_blocks, presented_algebra
 from quivkit.errors import QuivkitError
 from quivkit.generators import (
     random_identity_class_automorphism,
@@ -22,7 +22,6 @@ from quivkit.generators import (
     random_vqmap_to_gq,
 )
 from quivkit.pathalg import universal_map, vqmap_generator_images
-from quivkit.splittings import _peirce_blocks
 
 from corpus import (
     QQ,
@@ -504,7 +503,7 @@ def test_split_once_blocks_equal_peirce_block():
                                                   for _ in a.radical.basis], a.radical.basis)
             elems = qk.make_splitting(a, conjugate_by=w).idems.elements
             for space in (el.Subspace.full(field, a.dim), a.radical, a.radical_power(2)):
-                blocks = _peirce_blocks(a, elems, space)
+                blocks = _peirce_blocks(field, a.dim, a.structconst, elems, space)
                 assert len(blocks) == len(elems) ** 2
                 for (i, j), block in blocks.items():
                     assert block == a.peirce_block(elems[j], elems[i], space)

@@ -202,6 +202,8 @@ def test_default_level_bounded_on_complete_digraph():
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "demo" / "triangle.quiv"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# a raw table: the upper triangular 4x4 matrices with their basis shuffled
+TABLE_DOC = GOLDEN / "table_t4.quiv"
 
 
 def _cli(*args, module=("-m", "quivkit.cli"), timeout=None):
@@ -222,6 +224,8 @@ def _cli(*args, module=("-m", "quivkit.cli"), timeout=None):
     (["run", str(DEMO), "--command", "factor-delta"], "run_factor-delta.json"),
     (["run", str(DEMO), "--command", "psi"], "run_psi.json"),
     (["run", str(DEMO), "--command", "cpa"], "run_cpa.json"),
+    (["check", str(TABLE_DOC)], "table_check.json"),
+    (["run", str(TABLE_DOC), "--command", "gq"], "table_run_gq.json"),
 ])
 def test_demo_reports_match_golden(args, golden):
     proc = _cli(*args, "--seed", "20240901")
