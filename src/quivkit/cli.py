@@ -194,12 +194,9 @@ def _run_check(doc: Document, stmt, rng):
     name = stmt.name
     head = {"check": name, "args": list(stmt.args)}
     if name in ("sim0", "sim1", "simn"):
-        f_m = doc.morphisms[stmt.args[0]].morphism
-        g_m = doc.morphisms[stmt.args[1]].morphism
-        if name == "simn":
-            val = check_sim_n(f_m, g_m, stmt.args[2])
-        else:
-            val = check_sim(f_m, g_m, 0 if name == "sim0" else 1)
+        level = stmt.args[2] if name == "simn" else int(name == "sim1")
+        val = check_sim_n(doc.morphisms[stmt.args[0]].morphism,
+                          doc.morphisms[stmt.args[1]].morphism, level)
         return {**head, "result": val, "pass": True}
     if name == "adjunction":
         return {**head, **_adjunction_roundtrip(doc, stmt, rng)}
@@ -210,8 +207,8 @@ def _run_check(doc: Document, stmt, rng):
     if name == "unit":
         vq = doc.vquivers[stmt.args[0]]
         eta, _ = unit_map(_at(stmt, build_kvq, doc.field, vq, stmt.args[1]))
-        return {**head, "isomorphism": eta.is_isomorphism(),
-                "pass": eta.is_isomorphism()}
+        iso = eta.is_isomorphism()
+        return {**head, "isomorphism": iso, "pass": iso}
     if name == "gq_dims":
         v_ok, a_ok = _gq_dims_check(doc.algebras[stmt.args[0]].algebra)
         return {**head, "vertex_count_ok": v_ok, "arrow_dim_ok": a_ok,

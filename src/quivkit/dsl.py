@@ -610,10 +610,15 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
         return out
 
     sc = [[list(zero_vec) for _ in range(dim)] for _ in range(dim)]
+    given = set()
     for left, right, val in stmt.products:
         if left not in index or right not in index:
             _err("UNKNOWN_NAME", f"product {left}*{right} uses unknown labels",
                  stmt.line, stmt.col)
+        if (left, right) in given:
+            _err("DUPLICATE_NAME", f"product {left}*{right} given twice",
+                 val.terms[0].line, val.terms[0].col)
+        given.add((left, right))
         sc[index[left]][index[right]] = expr_vec(val)
     unit = expr_vec(stmt.unit)
     return AlgebraEntry(_at(stmt, validate_algebra, f, basis, sc, unit))

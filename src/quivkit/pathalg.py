@@ -287,38 +287,10 @@ def cpa(field, q: Quiver, level: int) -> TruncatedTensorAlgebra:
 def cpa_on_inclusion(iota: QuiverMap, level: int, field, *,
                      src: TruncatedTensorAlgebra = None,
                      tgt: TruncatedTensorAlgebra = None) -> AlgMorphism:
-    """CPA(R) -> CPA(Q) for an injective quiver map Q -> R.
-
-    Computed through the Vquiver functor and cross-checked against the direct
-    description (kill every path not completely inside Q).
-    """
-    rho = v_of_inclusion(iota, field)
-    if src is None:
-        src = build_kvq(field, rho.source, level)
-    if tgt is None:
-        tgt = build_kvq(field, rho.target, level)
-    morph = kvq_on_map(rho, level, src=src, tgt=tgt)
-    inv_v = {w: v for v, w in iota.vertex_map.items()}
-    inv_a = {b: a for a, b in iota.arrow_map.items()}
-    f = field
-    cols = []
-    for p in src.paths:
-        if p.length == 0:
-            v = inv_v.get(p.start)
-            cols.append(vec_zero(f, tgt.dim) if v is None else tgt.idempotent(v))
-            continue
-        pre = [inv_a.get(lab) for lab in p.arrows]
-        if any(a is None for a in pre):
-            cols.append(vec_zero(f, tgt.dim))
-            continue
-        start = inv_v[p.start]
-        key = (start, tuple(pre))
-        cols.append(tgt.carrier.basis_vector(tgt.index[key]))
-    direct = Mat.from_cols(f, cols, rows=tgt.dim)
-    if direct != morph.matrix:
-        raise QuivkitError("INTERNAL",
-                           "path-killing map disagrees with the functorial one")
-    return morph
+    """CPA(R) -> CPA(Q) for an injective quiver map Q -> R: the Vquiver
+    functor on v_of_inclusion, which kills every path not completely inside
+    Q and sends the others to their preimages."""
+    return kvq_on_map(v_of_inclusion(iota, field), level, src=src, tgt=tgt)
 
 
 def k2vq(field, vq: VQuiver) -> TruncatedTensorAlgebra:

@@ -129,6 +129,13 @@ def test_criterion_3_adjunction_roundtrip():
                f"roundtrips over {len(pairs)} corpus pairs, zero failures")
 
 
+def _assert_radicals_kept(morphisms):
+    """Every admitted morphism sends J(A) into J(B); validate_morphism does
+    not check it, since it follows from multiplicativity."""
+    for m in morphisms:
+        assert m.target.radical.contains_subspace(m.image_of(m.source.radical)), m
+
+
 def _hom_count_instance(vq, algebra_t, field):
     """(number of ~1 classes, number of Vquiver maps) for one instance."""
     a = algebra_t.carrier if hasattr(algebra_t, "carrier") else algebra_t
@@ -136,6 +143,7 @@ def _hom_count_instance(vq, algebra_t, field):
     level = max(2, a.truncation_level)
     t = build_kvq(field, vq, level)
     morphisms = enumerate_path_algebra_morphisms(t, a)
+    _assert_radicals_kept(morphisms)
     classes = congruence_classes(morphisms, 1)
     vqmaps = enumerate_vquiver_maps(field, vq, g.vquiver)
     return len(classes), len(vqmaps)
@@ -167,6 +175,7 @@ def test_criterion_4_homset_bijection_enumerated():
     a = truncated_power_series(F2, 3).carrier
     gen_morphs = enumerate_path_algebra_morphisms(t, a)
     lin_morphs = enumerate_linear_morphisms(t.carrier, a)
+    _assert_radicals_kept(lin_morphs)
     assert {m.matrix for m in gen_morphs} == {m.matrix for m in lin_morphs}
     elapsed = time.time() - start
     assert elapsed < 300.0
@@ -280,6 +289,7 @@ def test_criterion_9_related_adjunctions_enumerated():
         g = qk.gq(a)
         k2 = qk.k2vq(field, vq)
         morphisms = enumerate_linear_morphisms(a, k2.carrier)
+        _assert_radicals_kept(morphisms)
         classes = congruence_classes(morphisms, 1)
         vqmaps = enumerate_vquiver_maps(field, g.vquiver, vq)
         assert len(classes) == len(vqmaps), (field.char, len(classes), len(vqmaps))
@@ -297,6 +307,7 @@ def test_criterion_9_related_adjunctions_enumerated():
             pset = pointed_set([f"w{i}" for i in range(size)])
             k0 = build_kvq(field, pset, 2).carrier
             morphisms = enumerate_linear_morphisms(a, k0)
+            _assert_radicals_kept(morphisms)
             classes = congruence_classes(morphisms, 0)
             pmaps = enumerate_vquiver_maps(field, qk.gq0(a, g), pset)
             assert len(classes) == len(pmaps), (field.char, size)

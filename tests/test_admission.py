@@ -122,6 +122,7 @@ def test_quotient_by_a_vertex_drops_its_idempotent():
                 assert q.ss_classes == [x for x in images if not q.radical.contains(x)]
                 assert len(q.ss_classes) == len(a.ss_classes) - 1
                 assert qk.validate_morphism(a, q, pi.matrix).surjective
+                assert el.kernel(pi.matrix) == qk.ideal_generated_by(a, [e]).space
                 checked += 1
     assert checked == 18
 
@@ -214,6 +215,11 @@ def _phi_cases(field, rng, monkeypatch):
     return [(f"phi of T{s.dim}", s, t, m) for s, t, m in seen]
 
 
+def _keeps_radical(source, target, matrix):
+    """f(J(A)) lies in J(B), checked over a basis of J(A)."""
+    return all(target.radical.contains(matrix.matvec(v)) for v in source.radical.basis)
+
+
 def _outcome(source, target, matrix):
     try:
         m = qk.validate_morphism(source, target, matrix)
@@ -231,6 +237,9 @@ def test_onto_mod_radicals_agrees_with_the_rank_test(field, monkeypatch):
         got = _outcome(source, target, matrix)
         assert got in (True, False, NOT_ONTO), (name, got)
         assert (got != NOT_ONTO) == _onto_by_rank(source, target, matrix), name
+        # validate_morphism has no radical check: every case is unital and
+        # multiplicative into a pointed algebra, so it keeps J(A) in J(B)
+        assert _keeps_radical(source, target, matrix), name
         outcomes.append(got)
     assert outcomes[:3] == [NOT_ONTO, NOT_ONTO, False]
     assert sum(name.startswith("phi of") for name, *_ in cases) == 6

@@ -168,9 +168,7 @@ def test_emit_dot(doc_file, tmp_path):
 
 
 def test_console_entry_point(doc_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "quivkit.cli", "check", str(doc_file)],
-        capture_output=True, text=True)
+    proc = _cli("check", str(doc_file))
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["pass"] is True

@@ -48,6 +48,20 @@ def test_duplicate_name_reports_both_positions():
     assert "line 1" in str(exc.value) and "line 2" in str(exc.value)
 
 
+def test_table_product_given_twice_is_refused_at_its_value():
+    text = ("algebra A = table {\n"
+            "  basis: e, x;\n  unit: e;\n"
+            "  e*e = e; x*e = x; e*x = 2*x;\n"
+            "  e*x = x;\n"
+            "};\n")
+    with pytest.raises(QuivkitError) as exc:
+        parse(text)
+    assert exc.value.code == "DUPLICATE_NAME"
+    assert str(exc.value) == "DUPLICATE_NAME: product e*x given twice (line 5, column 9)"
+    # the last statement alone gives an algebra, which used to be admitted
+    assert parse(text.replace(" e*x = 2*x;", "")).algebras["A"].algebra.dim == 2
+
+
 def test_unknown_reference_diagnostic():
     with pytest.raises(QuivkitError) as exc:
         parse("algebra A = kvq(NOPE, level=2);")

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import quivkit.exactlin as el
 from quivkit.errors import QuivkitError
+from quivkit.generators import random_identity_class_automorphism, seeded_rng
+
+from corpus import algebra_corpus, presented_corpus
 
 QQ = el.QQ
 F2 = el.GF(2)
@@ -96,50 +99,6 @@ def test_complement_requires_containment():
     assert exc.value.code == "NOT_A_SUBSPACE"
 
 
-def test_blockwise_complement():
-    # ambient spanned by e0,e1,e2 inside k^4; sub = span{e2};
-    # blocks: span{e0, e2} and span{e1, e3}
-    f = QQ
-    amb = el.Subspace.span(f, 4, [el.vec_unit(f, 4, i) for i in (0, 1, 2)])
-    sub = el.Subspace.span(f, 4, [el.vec_unit(f, 4, 2)])
-    b1 = el.Subspace.span(f, 4, [el.vec_unit(f, 4, 0), el.vec_unit(f, 4, 2)])
-    b2 = el.Subspace.span(f, 4, [el.vec_unit(f, 4, 1), el.vec_unit(f, 4, 3)])
-    w = el.complement(amb, sub, constraint=[b1, b2])
-    assert w.dim == 2
-    assert w.sum(sub) == amb
-    assert w.intersect(sub).dim == 0
-
-
-def test_blockwise_complement_on_triangle_radical():
-    # ambient = radical of the triangle path algebra, sub = its square,
-    # blocks = the Peirce pieces; the complement is the arrow span
-    import quivkit as qk
-    from corpus import triangle_algebra
-
-    t = triangle_algebra()
-    a = t.carrier
-    j1, j2 = a.radical, a.radical_power(2)
-    idems = qk.lift_idempotents(a)
-    blocks = []
-    for fi in idems.elements:
-        for fj in idems.elements:
-            blocks.append(a.peirce_block(fj, fi, el.Subspace.full(QQ, a.dim)))
-    w = el.complement(j1, j2, constraint=blocks)
-    expected = el.Subspace.span(QQ, 7, [a.element(l) for l in ("a", "b", "c")])
-    assert w == expected
-
-
-def test_blockwise_complement_rejects_bad_blocks():
-    f = QQ
-    amb = el.Subspace.span(f, 2, [[f.of(1), f.of(1)]])
-    sub = el.Subspace.zero(f, 2)
-    b1 = el.Subspace.span(f, 2, [el.vec_unit(f, 2, 0)])
-    b2 = el.Subspace.span(f, 2, [el.vec_unit(f, 2, 1)])
-    with pytest.raises(QuivkitError) as exc:
-        el.complement(amb, sub, constraint=[b1, b2])
-    assert exc.value.code == "BLOCKS_NOT_DIRECT"
-
-
 def test_solve_and_invert():
     m = mat(QQ, [[1, 2], [3, 4]])
     x = el.solve(m, [QQ.of(5), QQ.of(6)])
@@ -149,6 +108,56 @@ def test_solve_and_invert():
     with pytest.raises(QuivkitError):
         el.invert(mat(QQ, [[1, 2], [2, 4]]))
     assert el.solve(mat(QQ, [[1, 1], [1, 1]]), [QQ.of(0), QQ.of(1)]) is None
+
+
+def _mult_matrix(a, x, left=True):
+    """The matrix of y -> x y (or y x) on the algebra a."""
+    basis = [a.basis_vector(j) for j in range(a.dim)]
+    cols = [a.mul(x, b) if left else a.mul(b, x) for b in basis]
+    return el.Mat.from_cols(a.field, cols, rows=a.dim)
+
+
+def _corpus_matrices():
+    """Square matrices from the algebra corpora: multiplications by 1 + w
+    and by w for w in J, members of the identity class of the path
+    algebras, and random matrices over Q, F2 and F5."""
+    rng = random.Random("invert-corpus")
+    out = []
+    for name, a in algebra_corpus():
+        f = a.field
+        w = el.vec_combination(f, a.dim, [f.of(rng.randrange(-3, 4)) for _ in a.radical.basis],
+                               a.radical.basis)
+        one_w = el.vec_add(f, a.unit, w)
+        out += [(f"L(1+w) on {name}", _mult_matrix(a, one_w)),
+                (f"R(1+w) on {name}", _mult_matrix(a, one_w, left=False)),
+                (f"L(w) on {name}", _mult_matrix(a, w))]
+    for name, t in presented_corpus():
+        for k in range(3):
+            delta = random_identity_class_automorphism(seeded_rng(k), t)
+            out.append((f"identity class {k} of {name}", delta.matrix))
+    for f in (QQ, F2, F5):
+        for n in range(1, 7):
+            for k in range(4):
+                rows = [[f.of(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(n)]
+                out.append((f"random {n}x{n} {k} over {f!r}", el.Mat.from_rows(f, rows, cols=n)))
+    return out
+
+
+def test_invert_is_exact_across_the_corpora():
+    """invert does not multiply back: its columns solve m x = e_i exactly."""
+    invertible = singular = 0
+    for name, m in _corpus_matrices():
+        ident = el.Mat.identity(m.field, m.rows)
+        if el.rank(m) == m.rows:
+            inv = el.invert(m)
+            assert m.matmul(inv) == ident and inv.matmul(m) == ident, name
+            invertible += 1
+        else:
+            with pytest.raises(QuivkitError) as exc:
+                el.invert(m)
+            assert exc.value.code == "SINGULAR", name
+            singular += 1
+    assert invertible >= 90 and singular >= 30
 
 
 def test_small_primality_unchanged():

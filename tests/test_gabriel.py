@@ -16,6 +16,7 @@ from quivkit.generators import (
     seeded_rng,
 )
 from quivkit.pathalg import build_kvq, universal_map
+from quivkit.splittings import conjugate_element
 from quivkit.vquiver import VQuiver
 
 from corpus import (
@@ -355,3 +356,6 @@ def test_identity_class_vs_conjugations_empirically():
         delta = random_identity_class_automorphism(rng, t2)
         w = inner_conjugation_witness(delta)
         assert w is not None
+        for i in range(t2.dim):
+            x = t2.carrier.basis_vector(i)
+            assert conjugate_element(t2.carrier, w, x) == delta.apply(x)

@@ -255,16 +255,60 @@ def test_cpa_matches_path_count():
     assert cpa(QQ, loopq, 2).dim == 2
 
 
+def _path_killing_matrix(iota, src, tgt):
+    """CPA(R) -> CPA(Q) described directly: a path of R made of images of
+    arrows of Q goes to its preimage, an idempotent of an image vertex to its
+    preimage's, and every other path to 0."""
+    f = tgt.field
+    inv_v = {w: v for v, w in iota.vertex_map.items()}
+    inv_a = {b: a for a, b in iota.arrow_map.items()}
+    cols = []
+    for p in src.paths:
+        pre = tuple(inv_a.get(lab) for lab in p.arrows)
+        if p.start not in inv_v or None in pre:
+            cols.append(el.vec_zero(f, tgt.dim))
+        else:
+            cols.append(tgt.carrier.basis_vector(tgt.index[(inv_v[p.start], pre)]))
+    return el.Mat.from_cols(f, cols, rows=tgt.dim)
+
+
+def _inclusions():
+    line = Quiver(["1", "2"], [("a", "1", "2")])
+    r3 = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")])
+    cycle = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
+    loops = Quiver(["1", "2"], [("x", "1", "1"), ("y", "1", "1"), ("z", "1", "2")])
+    kron = Quiver(["u", "v"], [("p", "u", "v"), ("q", "u", "v")])
+    return [
+        ("arrow into R3", QuiverMap(line, r3, {"1": "1", "2": "2"}, {"a": "a"})),
+        ("R3 onto itself", QuiverMap(r3, r3, {v: v for v in r3.vertices},
+                                     {"a": "a", "b": "b", "c": "c"})),
+        ("path into a cycle", QuiverMap(
+            Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]), cycle,
+            {"1": "1", "2": "2", "3": "3"}, {"a": "a", "b": "b"})),
+        ("renamed arrow into a cycle", QuiverMap(
+            Quiver(["s", "t"], [("r", "s", "t")]), cycle, {"s": "2", "t": "3"}, {"r": "b"})),
+        ("loop among loops", QuiverMap(Quiver(["1"], [("x", "1", "1")]), loops,
+                                       {"1": "1"}, {"x": "y"})),
+        ("points of R3", QuiverMap(Quiver(["1", "3"], []), r3, {"1": "1", "3": "3"}, {})),
+        ("swapped Kronecker arrows", QuiverMap(kron, r3, {"u": "1", "v": "2"},
+                                               {"p": "b", "q": "a"})),
+    ]
+
+
 def test_cpa_on_inclusion_equals_path_killing():
-    q = Quiver(["1", "2"], [("a", "1", "2")])
-    r = Quiver(["1", "2", "3"],
-               [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")])
-    iota = QuiverMap(q, r, {"1": "1", "2": "2"}, {"a": "a"})
-    m = cpa_on_inclusion(iota, 3, QQ)  # internal cross-check asserts equality
-    assert m.surjective
-    src = m.source
-    assert el.vec_is_zero(QQ, m.apply(src.element("b")))
-    assert el.vec_is_zero(QQ, m.apply(src.element("e3")))
+    checked = 0
+    for field in (QQ, F5):
+        for name, iota in _inclusions():
+            for level in (2, 3, 4):
+                src, tgt = cpa(field, iota.target, level), cpa(field, iota.source, level)
+                m = cpa_on_inclusion(iota, level, field, src=src, tgt=tgt)
+                assert m.matrix == _path_killing_matrix(iota, src, tgt), (field, name, level)
+                assert m.surjective, (field, name, level)
+                checked += 1
+        m = cpa_on_inclusion(_inclusions()[0][1], 3, field)
+        assert el.vec_is_zero(field, m.apply(m.source.element("b")))
+        assert el.vec_is_zero(field, m.apply(m.source.element("e3")))
+    assert checked == 42
 
 
 def test_k2vq_dimensions():

@@ -4,12 +4,16 @@ import random
 
 import quivkit as qk
 import quivkit.exactlin as el
-from quivkit.splittings import conjugate_element, conjugating_element
+from quivkit.adjunction import conjugation_automorphism
+from quivkit.gabriel import inner_conjugation_witness
+from quivkit.generators import random_identity_class_automorphism, seeded_rng
+from quivkit.splittings import conjugate_element, conjugating_element, conjugation
 
 from corpus import (
     QQ,
     algebra_corpus,
     lower_triangular,
+    presented_corpus,
     semisimple,
     triangle_algebra,
     truncated_power_series,
@@ -204,3 +208,44 @@ def test_conjugating_element_none_across_orbits():
         assert conjugating_element(a, [(moved, idems[0])]) is None, name
         checked += 1
     assert checked >= 5
+
+
+def _conjugates(a, w, pairs):
+    """True iff (1+w) q (1+w)^{-1} = p for every (p, q) in pairs."""
+    return all(conjugate_element(a, w, q) == p for p, q in pairs)
+
+
+def test_every_conjugation_witness_conjugates_its_pairs():
+    """conjugating_element solves the linear system and does not conjugate
+    back; the witnesses it hands to same_orbit, conjugator and
+    inner_conjugation_witness are checked here by conjugating."""
+    witnesses = 0
+    for seed, (name, a) in enumerate(algebra_corpus()):
+        w0 = _seeded_radical_element(a, seed + 100)
+        conj = conjugation(a, w0)
+        basis = [a.basis_vector(i) for i in range(a.dim)]
+        for pairs in ([(conj(x), x) for x in basis], [(conj(e), e) for e in a.ss_classes]):
+            w = conjugating_element(a, pairs)
+            assert w is not None and a.radical.contains(w), name
+            assert _conjugates(a, w, pairs), name
+            witnesses += 1
+        for e in a.ss_classes:
+            ok, w = qk.same_orbit(a, e, conj(e))
+            assert ok and _conjugates(a, w, [(conj(e), e)]), name
+            witnesses += 1
+        s1, s2 = qk.make_splitting(a), qk.make_splitting(a, conjugate_by=w0)
+        w = qk.conjugator(s1, s2)
+        assert _conjugates(a, w, zip(s1.idems.elements, s2.idems.elements)), name
+        witnesses += 1
+    for name, t in presented_corpus():
+        a = t.carrier
+        basis = [a.basis_vector(i) for i in range(a.dim)]
+        deltas = [conjugation_automorphism(t, _seeded_radical_element(a, name))]
+        deltas += [random_identity_class_automorphism(seeded_rng(k), t) for k in range(4)]
+        for k, delta in enumerate(deltas):
+            w = inner_conjugation_witness(delta)
+            assert w is not None or k > 0, name
+            if w is not None:
+                assert _conjugates(a, w, [(delta.apply(x), x) for x in basis]), name
+                witnesses += 1
+    assert witnesses >= 80
