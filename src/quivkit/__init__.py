@@ -10,7 +10,6 @@ from .algebra import (
     ideal_generated_by,
     identity_morphism,
     image_of_radical_check,
-    is_admissible,
     is_relation_ideal,
     quotient_algebra,
     radical,

@@ -8,11 +8,12 @@ of theirs, whose words span the radical J; every algebra is admitted through
 that one certificate (`_admit`), which re-verifies the radical over those
 generators in any field characteristic.  A construction (path algebra,
 quotient) writes its table in the stored sparse form and hands over its
-idempotents and arrows (`presented_algebra`).  A raw dense table
-(`validate_algebra`) is checked for associativity, its radical is the kernel
-of the trace form (char 0 or p > dim), and the idempotents and arrows are
-made from it: the classes that split A/J are lifted to exact idempotents
-and the arrows are bases of the Peirce blocks of J.
+idempotents and arrows (`presented_algebra`).  A raw table, sparse
+(`table_algebra`) or dense (`validate_algebra`), is checked for
+associativity, its radical is the kernel of the trace form (char 0 or
+p > dim), and the idempotents and arrows are made from it: A/J is split on
+its own table by minimal polynomials, the classes are lifted to exact
+idempotents and the arrows are bases of the Peirce blocks of J.
 
 Every admitted algebra keeps that verified generating set G, the idempotents
 and the arrows.  Ideal tests and morphism checks run over G, which is enough
@@ -29,16 +30,15 @@ from .exactlin import (
     kernel,
     quotient_basis,
     rank,
+    solve,
     solve_multi,
     vec_add,
-    vec_combination,
-    vec_is_zero,
     vec_scale,
     vec_sub,
     vec_unit,
     vec_zero,
 )
-from .poly import charpoly, roots_if_split
+from .poly import roots_if_split
 
 
 class FinAlgebra:
@@ -251,10 +251,12 @@ def _check_unit(field, dim, sc, unit):
 
 def _verify_associative(field, dim, sc):
     one = field.one
+    # (b_i b_j) b_l and b_i (b_j b_l) are both 0 when b_i b_j = b_j b_l = 0
+    nonzero = [[l for l in range(dim) if sc[j][l]] for j in range(dim)]
     for i in range(dim):
         for j in range(dim):
             ij = sc[i][j]
-            for l in range(dim):
+            for l in (range(dim) if ij else nonzero[j]):
                 left = _mul_raw(field, dim, sc, ij, ((l, one),))
                 right = _mul_raw(field, dim, sc, ((i, one),), sc[j][l])
                 if left != right:
@@ -346,90 +348,83 @@ def _radical_filtration(field, dim, sc, arrows):
     return filtration[::-1]
 
 
+def _quotient_table(field, sc, sub: Subspace):
+    """A/sub, for a subspace `sub` of A with table `sc`, as (idx, table, proj).
+
+    The classes of the basis vectors b_i, i in `idx`, are a basis of A/sub,
+    `table` is its table in the stored sparse form and `proj` takes
+    coordinates in A to coordinates in A/sub.
+    """
+    reps, proj = quotient_basis(Subspace.full(field, len(sc)), sub)
+    # the reps complement a subspace of k^n, so they are basis vectors b_i and
+    # their products are table rows, each projected over its terms only
+    idx = [r_vec.index(field.one) for r_vec in reps]
+    qdim, proj_cols = len(idx), [_terms(c) for c in proj.columns()]
+    table = [[tuple(_terms(_combine(field, qdim, proj_cols, sc[i][j]))) for j in idx]
+             for i in idx]
+    return idx, table, proj
+
+
 def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
     """Split A/J into one-dimensional blocks; NOT_POINTED if impossible.
 
-    Returns class representatives (vectors in A).  Eigenvalues of
-    multiplication operators are the roots of their characteristic
-    polynomials (`poly`); everything else is plain linear algebra over the
-    field.
+    Works on A/J's own table.  For each basis element x and each idempotent
+    u found so far, the minimal polynomial of y = u x in uA/J is read off the
+    powers u, y, y^2, ...  If it has distinct roots r in k, u splits into
+    the idempotents prod_{s != r} (y - s u) / (r - s), on each of which x
+    acts as the scalar r (Friedl and Rónyai 1985; Eberly and Giesbrecht
+    2000).  Once every x acts as a scalar, each block is one-dimensional.
+    Returns class representatives (vectors in A), sorted by their
+    coordinates mod J.
     """
-    full = Subspace.full(field, dim)
-    reps, proj = quotient_basis(full, j_space)
-    qdim = len(reps)
-
-    def lift(u):
-        return vec_combination(field, dim, u, reps)
-
-    def qmul(u, v):
-        return proj.matvec(_mul_raw(field, dim, sc, _terms(lift(u)), _terms(lift(v))))
-
+    idx, qsc, proj = _quotient_table(field, sc, j_space)
+    qdim = len(idx)
     # commutativity of the radical quotient is necessary for pointedness
     for i in range(qdim):
-        ei = vec_unit(field, qdim, i)
         for j in range(i):
-            ej = vec_unit(field, qdim, j)
-            if qmul(ei, ej) != qmul(ej, ei):
+            if qsc[i][j] != qsc[j][i]:
                 raise QuivkitError("NOT_POINTED", "A/J is not commutative")
 
+    def qmul(u, v):
+        return _mul_raw(field, qdim, qsc, _terms(u), _terms(v))
+
     idems = [proj.matvec(unit)]
-    for x_idx in range(qdim):
-        x = vec_unit(field, qdim, x_idx)
+    for x in range(qdim):
         new_idems = []
         for u in idems:
-            block = Subspace.span(field, qdim,
-                                  [qmul(u, vec_unit(field, qdim, j)) for j in range(qdim)])
-            if block.dim <= 1:
+            y = qmul(u, vec_unit(field, qdim, x))
+            powers = [u, y]
+            while True:
+                coeffs = solve(Mat.from_cols(field, powers[:-1], rows=qdim), powers[-1])
+                if coeffs is not None:
+                    break
+                powers.append(qmul(powers[-1], y))
+            if len(coeffs) == 1:  # y is a multiple of u: x is a scalar here
                 new_idems.append(u)
                 continue
-            ux = qmul(u, x)
-            # matrix of multiplication by ux on the block, in block coordinates
-            cols = []
-            for bvec in block.basis:
-                w = qmul(ux, bvec)
-                coords = block.coords_of(w)
-                if coords is None:
-                    raise QuivkitError("INTERNAL", "block not multiplication-stable")
-                cols.append(coords)
-            m = Mat.from_cols(field, cols, rows=block.dim)
-            roots = _split_eigenvalues(field, m)
+            roots = roots_if_split(field, [field.neg(c) for c in coeffs] + [field.one])
             if roots is None:
                 raise QuivkitError("NOT_POINTED",
                                    "A/J has a simple factor larger than k")
-            # diagonalizability certificate: prod (M - r I) must vanish
-            probe = Mat.identity(field, block.dim)
+            if len(roots) < len(coeffs):
+                raise QuivkitError("NOT_POINTED", "A/J is not semisimple over k")
             for r_val in roots:
-                probe = probe.matmul(m.sub(Mat.identity(field, block.dim).scale(r_val)))
-            if not probe.is_zero():
-                raise QuivkitError("NOT_POINTED",
-                                   "A/J is not semisimple over k")
-            if len(roots) == 1:
-                new_idems.append(u)
-                continue
-            ucoords = block.coords_of(u)
-            if ucoords is None:
-                raise QuivkitError("INTERNAL", "unit piece outside its own block")
-            for r_val in roots:
-                piece = ucoords
+                piece = u
                 for other in roots:
-                    if other == r_val:
-                        continue
-                    shifted = m.sub(Mat.identity(field, block.dim).scale(other))
-                    piece = shifted.matvec(piece)
-                    piece = vec_scale(field,
-                                      field.inv(field.sub(r_val, other)), piece)
-                new_idems.append(vec_combination(field, qdim, piece, block.basis))
-        idems = [u for u in new_idems if not vec_is_zero(field, u)]
-    if len(idems) != qdim:
-        raise QuivkitError("NOT_POINTED",
-                           f"A/J splits into {len(idems)} blocks, dim is {qdim}")
-    idems.sort(key=lambda u: tuple(u))
-    return [lift(u) for u in idems]
-
-
-def _split_eigenvalues(field, m: Mat):
-    """Distinct eigenvalues of m in the base field, or None if any live outside."""
-    return roots_if_split(field, charpoly(m))
+                    if other != r_val:
+                        shifted = vec_sub(field, y, vec_scale(field, other, u))
+                        piece = vec_scale(field, field.inv(field.sub(r_val, other)),
+                                          qmul(piece, shifted))
+                new_idems.append(piece)
+        idems = new_idems
+    idems.sort(key=tuple)
+    classes = []
+    for u in idems:
+        c = vec_zero(field, dim)
+        for i, ui in zip(idx, u):
+            c[i] = ui
+        classes.append(c)
+    return classes
 
 
 def _lift_classes(field, dim, sc, unit, classes, steps):
@@ -558,20 +553,13 @@ def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebr
 
 
 def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
-    """Validate a raw table and build a FinAlgebra.
+    """Validate a raw dense table and build a FinAlgebra.
 
     `structconst[i][j]` must be the dense coordinate vector of b_i b_j;
-    entries are coerced through the field and stored in the sparse form of
-    `FinAlgebra.structconst`.  Every check runs: shape, unit, associativity,
-    the trace-form radical and the idempotent classes it splits off.  The
-    classes are lifted to exact idempotents and the arrows are bases of the
-    Peirce blocks of J; `_admit` certifies both.
+    entries are coerced through the field, written in the sparse form of
+    `FinAlgebra.structconst` and admitted by `table_algebra`.
     """
     dim = len(basis_labels)
-    if dim == 0:
-        raise QuivkitError("BAD_SHAPE", "algebras must have positive dimension")
-    if len(set(basis_labels)) != dim:
-        raise QuivkitError("BAD_SHAPE", "basis labels must be unique")
     of = field.of
     sc = []
     for i in range(dim):
@@ -588,7 +576,23 @@ def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
                         terms.append((m, c))
             row.append(tuple(terms))
         sc.append(row)
-    unit = [field.of(c) for c in unit]
+    return table_algebra(field, basis_labels, sc, [of(c) for c in unit])
+
+
+def table_algebra(field, basis_labels, sc, unit) -> FinAlgebra:
+    """Validate a raw table in the stored sparse form and build a FinAlgebra.
+
+    `sc[i][j]` is b_i b_j as the sparse tuple of `FinAlgebra.structconst`
+    and `unit` a dense vector of field values.  Every check runs: shape,
+    unit, associativity, the trace-form radical and the idempotent classes
+    it splits off.  The classes are lifted to exact idempotents and the
+    arrows are bases of the Peirce blocks of J; `_admit` certifies both.
+    """
+    dim = len(basis_labels)
+    if dim == 0:
+        raise QuivkitError("BAD_SHAPE", "algebras must have positive dimension")
+    if len(set(basis_labels)) != dim:
+        raise QuivkitError("BAD_SHAPE", "basis labels must be unique")
     if len(unit) != dim:
         raise QuivkitError("BAD_SHAPE", "unit vector length")
     _check_unit(field, dim, sc, unit)
@@ -754,20 +758,6 @@ def is_relation_ideal(ideal: IdealSubspace) -> bool:
     return ideal.parent.radical_power(2).contains_subspace(ideal.space)
 
 
-def is_admissible(ideal: IdealSubspace) -> bool:
-    """True iff some radical power J^n lies inside the ideal.
-
-    Every object here is truncated, so J^(truncation_level) = 0 is contained
-    in any ideal and the answer is always True; at finite truncation the
-    admissible/finite-dimensional dichotomy collapses.
-    """
-    a = ideal.parent
-    for n in range(a.truncation_level + 1):
-        if ideal.space.contains_subspace(a.radical_power(n)):
-            return True
-    return False
-
-
 def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     """Quotient A/I with induced structure constants, plus the projection.
 
@@ -781,18 +771,11 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     if not _closed_under(a.field, a.dim, a.structconst, a.generators(), ideal.space):
         raise QuivkitError("NOT_AN_IDEAL", "quotient by a non-ideal")
     f = a.field
-    full = Subspace.full(f, a.dim)
-    reps, proj = quotient_basis(full, ideal.space)
-    qdim = len(reps)
+    idx, sc, proj = _quotient_table(f, a.structconst, ideal.space)
+    qdim = len(idx)
     if qdim == 0:
         raise QuivkitError("BAD_ARGUMENT", "quotient by the whole algebra")
-    # the reps complement a subspace of k^n, so they are basis vectors b_i and
-    # their products are table rows, each projected over its terms only
-    idx = [r_vec.index(f.one) for r_vec in reps]
     labels = [a.basis_labels[i] for i in idx]
-    proj_cols = [_terms(c) for c in proj.columns()]
-    sc = [[tuple(_terms(_combine(f, qdim, proj_cols, a.structconst[i][j]))) for j in idx]
-          for i in idx]
     j_img = Subspace.span(f, qdim, [proj.matvec(v) for v in a.radical.basis])
     class_imgs = [img for img in map(proj.matvec, a.ss_classes) if any(img)]
     arrows = [img for img in map(proj.matvec, a.arrows) if any(img)]

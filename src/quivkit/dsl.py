@@ -43,10 +43,10 @@ from .algebra import (
     ideal_generated_by,
     induced_on_quotient,
     quotient_algebra,
-    validate_algebra,
+    table_algebra,
 )
 from .exactlin import MAX_CHAR_DIGITS, field_by_name, QQ, vec_combination
-from .pathalg import build_kvq, cpa, universal_map
+from .pathalg import MAX_KVQ_DIM, build_kvq, cpa, universal_map
 from .vquiver import Quiver, VQuiver
 
 
@@ -586,14 +586,16 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
         quotient, pi = _at(stmt, quotient_algebra, tensor.carrier, ideal)
         return AlgebraEntry(quotient, tensor=tensor, ideal=ideal,
                             projection=pi)
-    # table form
+    # table form, written straight into the stored sparse form
     basis = stmt.basis
     dim = len(basis)
+    if dim > MAX_KVQ_DIM:
+        _err("TOO_LARGE", f"table has {dim} basis labels, more than {MAX_KVQ_DIM}",
+             stmt.line, stmt.col)
     index = {lab: i for i, lab in enumerate(basis)}
-    zero_vec = [f.zero] * dim
 
-    def expr_vec(expr):
-        out = list(zero_vec)
+    def expr_terms(expr):
+        acc = {}
         for term in expr.terms:
             if not term.word:
                 _err("SEMANTIC_ERROR", "constants need the unit declared first",
@@ -606,10 +608,11 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
             if lab not in index:
                 _err("UNKNOWN_NAME", f"{lab!r} is not in the declared basis",
                      term.line, term.col)
-            out[index[lab]] = f.add(out[index[lab]], _coeff(f, term))
-        return out
+            m = index[lab]
+            acc[m] = f.add(acc.get(m, f.zero), _coeff(f, term))
+        return tuple((m, c) for m, c in sorted(acc.items()) if c)
 
-    sc = [[list(zero_vec) for _ in range(dim)] for _ in range(dim)]
+    sc = [[()] * dim for _ in range(dim)]
     given = set()
     for left, right, val in stmt.products:
         if left not in index or right not in index:
@@ -619,9 +622,11 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
             _err("DUPLICATE_NAME", f"product {left}*{right} given twice",
                  val.terms[0].line, val.terms[0].col)
         given.add((left, right))
-        sc[index[left]][index[right]] = expr_vec(val)
-    unit = expr_vec(stmt.unit)
-    return AlgebraEntry(_at(stmt, validate_algebra, f, basis, sc, unit))
+        sc[index[left]][index[right]] = expr_terms(val)
+    unit = [f.zero] * dim
+    for m, c in expr_terms(stmt.unit):
+        unit[m] = c
+    return AlgebraEntry(_at(stmt, table_algebra, f, basis, sc, unit))
 
 
 def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
@@ -646,7 +651,7 @@ def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
     for gen, expr in stmt.images:
         if gen in given:
             _err("DUPLICATE_NAME", f"generator {gen!r} assigned twice",
-                 stmt.line, stmt.col)
+                 expr.terms[0].line, expr.terms[0].col)
         given[gen] = expr
     needed = set(idem_labels) | arrow_labels
     missing = sorted(needed - set(given))

@@ -546,15 +546,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
 
-    def coords_of(self, v):
-        """Coefficients of v in the stored basis, or None if v is outside."""
-        f = self.field
-        coords = [v[pc] for pc in self.pivots]
-        rem = self.reduce(v)
-        if not vec_is_zero(f, rem):
-            return None
-        return coords
-
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.span(self.field, self.ambient_dim, self.basis + other.basis)
 

@@ -1,4 +1,4 @@
-"""Univariate polynomials over Q and F_p: characteristic polynomials and roots.
+"""Univariate polynomials over Q and F_p: their roots in the field.
 
 A polynomial is a list of field values, lowest degree first, with no trailing
 zeros; the zero polynomial is [].  Everything is exact.  Roots over F_p are
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactlin import GF, QQ, Mat, Subspace, _is_prime, solve, vec_unit
+from .exactlin import GF, QQ, _is_prime
 
 
 def _trim(a):
@@ -89,35 +89,6 @@ def _value(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def charpoly(m: Mat):
-    """det(t I - m), by relative Krylov iteration.
-
-    Each standard basis vector outside the m-stable subspace W found so far
-    starts a chain v, m v, m^2 v, ...  The first power m^d v that lies in W
-    plus the chain gives m^d v = w + sum x_i m^i v, and t^d - sum x_i t^i is
-    the characteristic polynomial of m on (W + chain) / W.  det(t I - m) is
-    the product of these factors along the flag of stable subspaces.
-    """
-    f = m.field
-    n = m.rows
-    stable = []
-    out = [f.one]
-    for j in range(n):
-        v = vec_unit(f, n, j)
-        if stable and Subspace.span(f, n, stable).contains(v):
-            continue
-        chain = [v]
-        while True:
-            w = m.matvec(chain[-1])
-            x = solve(Mat.from_cols(f, stable + chain, rows=n), w)
-            if x is not None:
-                break
-            chain.append(w)
-        out = _mul(f, out, [f.neg(c) for c in x[len(stable):]] + [f.one])
-        stable += chain
-    return out
 
 
 def _distinct_roots_mod_p(f, a):

@@ -207,7 +207,8 @@ def test_criterion_6_counit_kernels():
         cu = qk.counit(a)
         assert cu.morphism.surjective, name
         assert qk.is_relation_ideal(cu.kernel_ideal), name
-        counit_factorization(cu)  # invertibility of the factored counit
+        eps_inf = counit_factorization(cu)
+        assert el.rank(eps_inf.matrix) == eps_inf.source.dim == a.dim, name
     for name, t in presented_corpus():
         cu = qk.counit(t.carrier, level=t.level)
         assert cu.kernel_ideal.dim == 0, name

@@ -243,7 +243,7 @@ def test_counit_on_quotient():
     assert cu.kernel_ideal.dim == 1
     assert qk.is_relation_ideal(cu.kernel_ideal)
     eps_inf = counit_factorization(cu)
-    assert eps_inf.source.dim == quotient.dim
+    assert el.rank(eps_inf.matrix) == eps_inf.source.dim == quotient.dim
 
 
 def test_counit_on_semisimple():
@@ -259,7 +259,8 @@ def test_counit_kernels_are_relation_ideals_across_corpus():
         cu = qk.counit(a)
         assert qk.is_relation_ideal(cu.kernel_ideal), name
         assert cu.morphism.surjective, name
-        counit_factorization(cu)  # raises if not invertible
+        eps_inf = counit_factorization(cu)
+        assert el.rank(eps_inf.matrix) == eps_inf.source.dim == a.dim, name
 
 
 def test_naturality_second_variable():
@@ -431,6 +432,7 @@ def test_gamma_through_automorphism():
     assert image.space == ideal.space  # the automorphism fixes cb
     q, pi = qk.quotient_algebra(t.carrier, ideal)
     g = qk.gamma(aut, pi, pi)
+    assert el.rank(g.matrix) == q.dim
     assert qk.check_sim(g, qk.identity_morphism(q), 1)
     assert qk.check_sim(g.compose(pi), pi, 1)
 

@@ -15,7 +15,7 @@ import pytest
 import quivkit as qk
 import quivkit.exactlin as el
 import quivkit.adjunction as adjunction
-from quivkit.algebra import _semisimple_pointed_classes
+from quivkit.algebra import _semisimple_pointed_classes, table_algebra
 from quivkit.errors import QuivkitError
 from quivkit.generators import random_vqmap_to_gq
 from quivkit.splittings import conjugation
@@ -29,9 +29,10 @@ from corpus import (
     triangle_mod_cb,
     upper_triangular,
 )
-from test_algebra import _dense_table, _presented_oracle_cases
+from test_algebra import _charpoly_classes, _dense_table, _presented_oracle_cases
 
 F101 = qk.GF(101)
+F257 = qk.GF(257)
 NOT_ONTO = "RADICAL_QUOTIENT_NOT_SURJECTIVE"
 
 
@@ -106,6 +107,52 @@ def test_raw_tables_hold_lifted_idempotents_and_peirce_arrows():
             i, j = pieces[0]
             assert a.mul(a.ss_classes[j], a.mul(x, a.ss_classes[i])) == x, name
     assert lifted_away >= 4
+
+
+def _k_power(field, n):
+    """k^n as a table in the stored sparse form: orthogonal idempotents
+    e_i with e_i e_i = e_i, summing to the unit."""
+    sc = [[((i, field.one),) if i == j else () for j in range(n)] for i in range(n)]
+    return table_algebra(field, [f"e{i}" for i in range(n)], sc, [field.one] * n)
+
+
+def test_minimal_polynomial_splitter_matches_the_charpoly_oracle():
+    rng = random.Random("charpoly-oracle")
+    cases = _raw_tables()
+    for n in (3, 4, 5, 6):
+        cases.append((f"T{n}_F257", upper_triangular(F257, n, shuffle=n % 2 == 0)))
+    for name, a in (("T3", upper_triangular(F257, 3)), ("lower", lower_triangular(F257)),
+                    ("triangle", triangle_algebra(F257).carrier)):
+        cases.append((f"{name}_rebased_F257", _rebased(a, rng)))
+    for field in (QQ, F101, F257):
+        cases += [(f"k{n}_{field!r}", _k_power(field, n)) for n in (1, 2, 7, 16)]
+    for name, a in cases:
+        args = (a.field, a.dim, a.structconst, a.unit, a.radical)
+        assert _semisimple_pointed_classes(*args) == _charpoly_classes(*args), name
+
+
+_MATRIX_UNITS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("field, dense, unit, message", [
+    (QQ, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], [1, 0],
+     "A/J has a simple factor larger than k"),
+    (qk.GF(3), [[[1, 0], [0, 1]], [[0, 1], [2, 0]]], [1, 0],
+     "A/J has a simple factor larger than k"),
+    (QQ, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0], "A/J is not semisimple over k"),
+    (QQ, [[[int(b == c and (a, d) == p) for p in _MATRIX_UNITS] for (c, d) in _MATRIX_UNITS]
+          for (a, b) in _MATRIX_UNITS], [1, 0, 0, 1], "A/J is not commutative"),
+], ids=["gaussian_Q", "gaussian_F3", "dual_numbers_J0", "matrices_2x2"])
+def test_both_splitters_refuse_alike(field, dense, unit, message):
+    """With J taken as 0, each splitter names the same obstruction."""
+    dim = len(unit)
+    sc = [[tuple((m, field.of(c)) for m, c in enumerate(v) if c) for v in row]
+          for row in dense]
+    args = (field, dim, sc, [field.of(c) for c in unit], el.Subspace.zero(field, dim))
+    for split in (_semisimple_pointed_classes, _charpoly_classes):
+        with pytest.raises(QuivkitError) as exc:
+            split(*args)
+        assert (exc.value.code, exc.value.message) == ("NOT_POINTED", message)
 
 
 def test_quotient_by_a_vertex_drops_its_idempotent():

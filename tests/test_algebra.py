@@ -8,8 +8,9 @@ import pytest
 import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.algebra import (
+    _mul_raw,
     _semisimple_pointed_classes,
-    _split_eigenvalues,
+    _terms,
     ideal_subspace,
     induced_on_quotient,
     presented_algebra,
@@ -17,6 +18,7 @@ from quivkit.algebra import (
 )
 from quivkit.dsl import parse
 from quivkit.errors import QuivkitError
+from quivkit.poly import _mul as poly_mul, roots_if_split
 
 from corpus import (
     QQ,
@@ -226,7 +228,6 @@ def test_ideal_generated_by_cb():
     ideal = qk.ideal_generated_by(a, [a.element("cb")])
     assert ideal.space == el.Subspace.span(QQ, 7, [a.element("cb")])
     assert qk.is_relation_ideal(ideal)
-    assert qk.is_admissible(ideal)
 
 
 def test_ideal_generated_by_arrow_is_not_relation():
@@ -241,7 +242,6 @@ def test_zero_ideal_is_relation_ideal():
     zero = qk.ideal_generated_by(a, [])
     assert zero.dim == 0
     assert qk.is_relation_ideal(zero)
-    assert qk.is_admissible(zero)
 
 
 def test_radical_quotient_commutes_with_quotient():
@@ -414,7 +414,106 @@ def test_induced_on_quotient_factors_through_the_projection():
     assert checked >= 5
 
 
-# -- eigenvalue splitting against sympy ---------------------------------------
+# -- splitting A/J: the characteristic-polynomial oracle and sympy -------------
+
+def _charpoly(m):
+    """det(t I - m), by relative Krylov iteration.
+
+    Each standard basis vector outside the m-stable subspace W found so far
+    starts a chain v, m v, m^2 v, ...  The first power m^d v that lies in W
+    plus the chain gives m^d v = w + sum x_i m^i v, and t^d - sum x_i t^i is
+    the characteristic polynomial of m on (W + chain) / W.
+    """
+    f, n = m.field, m.rows
+    stable, out = [], [f.one]
+    for j in range(n):
+        v = el.vec_unit(f, n, j)
+        if stable and el.Subspace.span(f, n, stable).contains(v):
+            continue
+        chain = [v]
+        while True:
+            w = m.matvec(chain[-1])
+            x = el.solve(el.Mat.from_cols(f, stable + chain, rows=n), w)
+            if x is not None:
+                break
+            chain.append(w)
+        out = poly_mul(f, out, [f.neg(c) for c in x[len(stable):]] + [f.one])
+        stable += chain
+    return out
+
+
+def _block_coords(block, v):
+    """Coefficients of v in the RREF basis of `block`, which must hold it."""
+    assert block.contains(v)
+    return [v[pc] for pc in block.pivots]
+
+
+def _charpoly_classes(field, dim, sc, unit, j_space):
+    """The splitter A/J had before it read minimal polynomials on its own
+    table, kept as the oracle: multiply in A/J by lifting to A and projecting
+    back, and split each block by the roots of the characteristic polynomial
+    of a multiplication matrix, after a diagonalisability probe."""
+    reps, proj = el.quotient_basis(el.Subspace.full(field, dim), j_space)
+    qdim = len(reps)
+
+    def lift(u):
+        return el.vec_combination(field, dim, u, reps)
+
+    def qmul(u, v):
+        return proj.matvec(_mul_raw(field, dim, sc, _terms(lift(u)), _terms(lift(v))))
+
+    def unit_vec(i):
+        return el.vec_unit(field, qdim, i)
+
+    for i in range(qdim):
+        for j in range(i):
+            if qmul(unit_vec(i), unit_vec(j)) != qmul(unit_vec(j), unit_vec(i)):
+                raise QuivkitError("NOT_POINTED", "A/J is not commutative")
+    idems = [proj.matvec(unit)]
+    for x_idx in range(qdim):
+        new_idems = []
+        for u in idems:
+            block = el.Subspace.span(field, qdim, [qmul(u, unit_vec(j)) for j in range(qdim)])
+            if block.dim <= 1:
+                new_idems.append(u)
+                continue
+            ux = qmul(u, unit_vec(x_idx))
+            m = el.Mat.from_cols(field, [_block_coords(block, qmul(ux, b)) for b in block.basis],
+                                 rows=block.dim)
+            roots = roots_if_split(field, _charpoly(m))
+            if roots is None:
+                raise QuivkitError("NOT_POINTED", "A/J has a simple factor larger than k")
+            ident = el.Mat.identity(field, block.dim)
+            probe = ident
+            for r_val in roots:
+                probe = probe.matmul(m.sub(ident.scale(r_val)))
+            if not probe.is_zero():
+                raise QuivkitError("NOT_POINTED", "A/J is not semisimple over k")
+            if len(roots) == 1:
+                new_idems.append(u)
+                continue
+            for r_val in roots:
+                piece = _block_coords(block, u)
+                for other in roots:
+                    if other != r_val:
+                        piece = el.vec_scale(field, field.inv(field.sub(r_val, other)),
+                                             m.sub(ident.scale(other)).matvec(piece))
+                new_idems.append(el.vec_combination(field, qdim, piece, block.basis))
+        idems = [u for u in new_idems if any(u)]
+    assert len(idems) == qdim
+    idems.sort(key=tuple)
+    return [lift(u) for u in idems]
+
+
+def _sympy_charpoly(field, m):
+    """sympy's det(t I - m), lowest degree first, as field values."""
+    import sympy
+
+    lam = sympy.Symbol("lam")
+    sm = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.data[i][j]))
+    coeffs = sm.charpoly(lam).all_coeffs()[::-1]
+    return [field.of(Fraction(int(c.p), int(c.q))) for c in coeffs]
+
 
 def _sympy_split_eigenvalues(field, m):
     """The sympy charpoly + factor_list splitter, kept as the oracle."""
@@ -468,13 +567,17 @@ def test_split_eigenvalues_matches_sympy(field):
         else:
             evs = [field.of(rng.randint(0, 6)) for _ in range(n)]
         m = _conjugated_diagonal(field, rng, evs)
-        roots = _split_eigenvalues(field, m)
+        coeffs = _sympy_charpoly(field, m)
+        assert _charpoly(m) == coeffs
+        roots = roots_if_split(field, coeffs)
         assert roots == sorted(set(evs))
         assert roots == _sympy_split_eigenvalues(field, m)
         # a random matrix usually does not split
         r = el.Mat(field, n, n, [[field.of(rng.randint(-5, 5)) for _ in range(n)]
                                  for _ in range(n)])
-        assert _split_eigenvalues(field, r) == _sympy_split_eigenvalues(field, r)
+        coeffs = _sympy_charpoly(field, r)
+        assert _charpoly(r) == coeffs
+        assert roots_if_split(field, coeffs) == _sympy_split_eigenvalues(field, r)
 
 
 @pytest.mark.parametrize("field, c0", [(QQ, 1), (qk.GF(3), 1), (QQ, -2)],
@@ -482,7 +585,7 @@ def test_split_eigenvalues_matches_sympy(field):
 def test_split_eigenvalues_refuses_irreducible_quadratics(field, c0):
     # companion matrix of t^2 + c0
     m = el.Mat(field, 2, 2, [[field.zero, field.of(-c0)], [field.one, field.zero]])
-    assert _split_eigenvalues(field, m) is None
+    assert roots_if_split(field, _sympy_charpoly(field, m)) is None
     assert _sympy_split_eigenvalues(field, m) is None
 
 
@@ -492,13 +595,28 @@ def test_jordan_block_has_its_root_and_is_not_semisimple():
         m = el.Mat(field, 3, 3, [[three, field.one, field.zero],
                                  [field.zero, three, field.one],
                                  [field.zero, field.zero, three]])
-        assert _split_eigenvalues(field, m) == [three]
-    # k[x]/(x^2) with J taken as 0: multiplication by x is a Jordan block
+        assert roots_if_split(field, _sympy_charpoly(field, m)) == [three]
+    # k[x]/(x^2) with J taken as 0: x has minimal polynomial t^2
     a = qk.validate_algebra(QQ, ["e", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
     with pytest.raises(QuivkitError) as exc:
         _semisimple_pointed_classes(QQ, 2, a.structconst, a.unit, el.Subspace.zero(QQ, 2))
     assert (exc.value.code, exc.value.message) == ("NOT_POINTED",
                                                    "A/J is not semisimple over k")
+
+
+def test_associativity_is_checked_where_only_the_right_side_is_nonzero():
+    # b1 b2 = 0, so (b1 b2) b3 = 0, while b1 (b2 b3) = b1 b4 = b3
+    labels = ["one", "x", "y", "z", "w"]
+    products = {(1, 4): 3, (2, 3): 4}
+    sc = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for i in range(5):
+        sc[0][i][i] = sc[i][0][i] = 1
+    for (i, j), m in products.items():
+        sc[i][j][m] = 1
+    with pytest.raises(QuivkitError) as exc:
+        qk.validate_algebra(QQ, labels, sc, [1, 0, 0, 0, 0])
+    assert (exc.value.code, exc.value.message) == ("ASSOCIATIVITY_FAIL",
+                                                   "(b1 b2) b3 != b1 (b2 b3)")
 
 
 GAUSSIAN_TABLE = """field {field};

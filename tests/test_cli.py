@@ -11,6 +11,7 @@ import pytest
 
 import quivkit.cli as cli
 from quivkit.cli import _default_level, main
+from quivkit.pathalg import MAX_KVQ_DIM
 from quivkit.vquiver import VQuiver
 
 from corpus import line_vq, loop_vq, triangle_vq
@@ -389,6 +390,36 @@ def test_upper_triangular_tables_over_q_pass(tmp_path, capsys, n):
     assert main(["check", str(doc)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True and len(report["results"]) >= 3
+
+
+def _k_power_doc(n):
+    """k^n as a `table`: orthogonal idempotents e0 ... e(n-1) summing to 1."""
+    labels = [f"e{i}" for i in range(n)]
+    return ("field Q;\nalgebra K = table {\n"
+            f"  basis: {', '.join(labels)};\n  unit: {' + '.join(labels)};\n"
+            + "".join(f"  {e}*{e} = {e};\n" for e in labels)
+            + "};\ncheck gq_dims(K);\n")
+
+
+def test_k64_table_checks_within_two_seconds(tmp_path, capsys):
+    doc = tmp_path / "k64.quiv"
+    doc.write_text(_k_power_doc(64), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(doc)]) == 0
+    assert time.perf_counter() - start < 2.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and len(report["results"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["check", "fmt"])
+def test_table_over_the_size_bound_is_refused_at_once(tmp_path, capsys, mode):
+    doc = tmp_path / "big.quiv"
+    doc.write_text(_k_power_doc(MAX_KVQ_DIM + 1), encoding="utf-8")
+    start = time.perf_counter()
+    assert main([mode, str(doc)]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == (f"TOO_LARGE: table has {MAX_KVQ_DIM + 1} basis "
+                                       f"labels, more than {MAX_KVQ_DIM} (line 2, column 1)\n")
 
 
 @pytest.mark.parametrize("tag", ["F" + "7" * 5000, "F\u00b2"],

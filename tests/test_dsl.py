@@ -62,6 +62,20 @@ def test_table_product_given_twice_is_refused_at_its_value():
     assert parse(text.replace(" e*x = 2*x;", "")).algebras["A"].algebra.dim == 2
 
 
+def test_generator_assigned_twice_is_refused_at_its_value():
+    text = ("vquiver L { vertices: 1; space 1 -> 1 = [x]; }\n"
+            "algebra A = kvq(L, level=3);\n"
+            "morphism f: A -> A {\n"
+            "  e1 -> e1;\n"
+            "  x -> x;\n"
+            "  x -> 2*x;\n"
+            "}\n")
+    with pytest.raises(QuivkitError) as exc:
+        parse(text)
+    assert str(exc.value) == "DUPLICATE_NAME: generator 'x' assigned twice (line 6, column 8)"
+    assert parse(text.replace("  x -> x;\n", "")).morphisms["f"].morphism.matrix.rows == 3
+
+
 def test_unknown_reference_diagnostic():
     with pytest.raises(QuivkitError) as exc:
         parse("algebra A = kvq(NOPE, level=2);")
