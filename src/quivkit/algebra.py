@@ -24,15 +24,18 @@ from __future__ import annotations
 
 from .errors import QuivkitError
 from .exactlin import (
+    Echelon,
     Mat,
     Subspace,
+    add_scaled,
+    dense,
     invert,
     kernel,
     quotient_basis,
     rank,
     solve,
     solve_multi,
-    vec_add,
+    sparse,
     vec_scale,
     vec_sub,
     vec_unit,
@@ -81,7 +84,8 @@ class FinAlgebra:
         return self.basis_vector(self._label_index[label])
 
     def mul(self, x, y):
-        return _mul_raw(self.field, self.dim, self.structconst, _terms(x), _terms(y))
+        return dense(self.field, self.dim,
+                     _mul_raw(self.field, self.structconst, sparse(x), sparse(y)))
 
     def generators(self):
         """G: the idempotents and the arrows."""
@@ -104,8 +108,9 @@ class FinAlgebra:
 
     def peirce_block(self, left_idem, right_idem, space: Subspace) -> Subspace:
         """Subspace  left_idem * space * right_idem."""
-        vecs = [self.mul(left_idem, self.mul(v, right_idem)) for v in space.basis]
-        return Subspace.span(self.field, self.dim, vecs)
+        f, sc, left, right = self.field, self.structconst, sparse(left_idem), sparse(right_idem)
+        return Subspace.span(f, self.dim, [_mul_raw(f, sc, left, _mul_raw(f, sc, v, right))
+                                           for v in space.rows.values()])
 
     def same_as(self, other: "FinAlgebra") -> bool:
         if self is other:
@@ -207,45 +212,38 @@ def identity_morphism(a: FinAlgebra) -> AlgMorphism:
 # validation
 # ---------------------------------------------------------------------------
 
-def _terms(v):
-    """Sparse form of a dense vector: its nonzero (index, value) pairs."""
-    return [(i, c) for i, c in enumerate(v) if c]
-
-
-def _mul_raw(field, dim, sc, xs, ys):
-    """Dense coordinates of x * y, with x and y given as sparse terms."""
+def _mul_raw(field, sc, x, y):
+    """x * y for sparse elements x and y ({index: nonzero value}), sparse."""
     add, mul = field.add, field.mul
-    out = [field.zero] * dim
-    for i, xi in xs:
+    out = {}
+    get = out.get
+    ys = y.items()
+    for i, xi in x.items():
         sci = sc[i]
         for j, yj in ys:
             terms = sci[j]
             if terms:
                 c = mul(xi, yj)
                 for m, cm in terms:
-                    out[m] = add(out[m], mul(c, cm))
-    return out
+                    prev = get(m)
+                    out[m] = mul(c, cm) if prev is None else add(prev, mul(c, cm))
+    return out if all(out.values()) else {m: c for m, c in out.items() if c}
 
 
-def _combine(field, n, col_terms, terms):
-    """Dense coordinates of the sum of c * col_m over the (m, c) in `terms`,
-    with each column col_m given by its sparse terms."""
-    add, mul = field.add, field.mul
-    out = [field.zero] * n
+def _combine(field, cols, terms):
+    """The sparse sum of c * cols[m] over the (m, c) in `terms`, with each
+    column cols[m] sparse."""
+    out = {}
     for m, c in terms:
-        for k, v in col_terms[m]:
-            out[k] = add(out[k], mul(c, v))
+        add_scaled(field, out, c, cols[m])
     return out
 
 
 def _check_unit(field, dim, sc, unit):
-    ut = _terms(unit)
+    ut = sparse(unit)
     for j in range(dim):
-        bj = vec_unit(field, dim, j)
-        bt = ((j, field.one),)
-        left = _mul_raw(field, dim, sc, ut, bt)
-        right = _mul_raw(field, dim, sc, bt, ut)
-        if left != bj or right != bj:
+        bj = {j: field.one}
+        if _mul_raw(field, sc, ut, bj) != bj or _mul_raw(field, sc, bj, ut) != bj:
             raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")
 
 
@@ -253,12 +251,14 @@ def _verify_associative(field, dim, sc):
     one = field.one
     # (b_i b_j) b_l and b_i (b_j b_l) are both 0 when b_i b_j = b_j b_l = 0
     nonzero = [[l for l in range(dim) if sc[j][l]] for j in range(dim)]
+    products = [[dict(t) for t in row] for row in sc]
     for i in range(dim):
+        bi = {i: one}
         for j in range(dim):
-            ij = sc[i][j]
+            ij = products[i][j]
             for l in (range(dim) if ij else nonzero[j]):
-                left = _mul_raw(field, dim, sc, ij, ((l, one),))
-                right = _mul_raw(field, dim, sc, ((i, one),), sc[j][l])
+                left = _mul_raw(field, sc, ij, {l: one})
+                right = _mul_raw(field, sc, bi, products[j][l])
                 if left != right:
                     raise QuivkitError(
                         "ASSOCIATIVITY_FAIL",
@@ -301,68 +301,66 @@ def trace_form_radical(a_or_data) -> Subspace:
     return kernel(Mat.from_rows(field, rows, cols=dim))
 
 
-def _closed_under(field, dim, sc, gens, space: Subspace) -> bool:
+def _closed_under(field, sc, gens, space: Subspace) -> bool:
     """True iff g*S and S*g lie in S for every g in `gens`.
 
     When the gens generate A, that is when S is a two-sided ideal.
     """
-    gen_terms = [_terms(g) for g in gens]
-    for v in space.basis:
-        vt = _terms(v)
-        for gt in gen_terms:
-            if not space.contains(_mul_raw(field, dim, sc, gt, vt)):
+    gens = list(map(sparse, gens))
+    for v in space.rows.values():
+        for g in gens:
+            if not space.contains(_mul_raw(field, sc, g, v)):
                 return False
-            if not space.contains(_mul_raw(field, dim, sc, vt, gt)):
+            if not space.contains(_mul_raw(field, sc, v, g)):
                 return False
     return True
 
 
 def _radical_filtration(field, dim, sc, arrows):
-    """[A, J, J^2, ..., 0] from elements of J whose words span J.
+    """[A, J, J^2, ..., 0] from sparse elements of J whose words span J.
 
     W_1 = span(arrows) and W_{n+1} = span(W_n * arrows) hold the words of
-    length n, so J^n = W_n + W_{n+1} + ...  That costs |arrows| * dim J
-    products.  RADICAL_NOT_NILPOTENT if the W_n do not reach 0 within dim
-    steps.
+    length n, so J^n = W_n + J^(n+1).  That costs |arrows| * dim J products.
+    One echelon takes the rows of the W_n from the last one up, and J^n is
+    its state after W_n.  RADICAL_NOT_NILPOTENT if the W_n do not reach 0
+    within dim steps.
     """
-    x_terms = [_terms(x) for x in arrows]
     layers = [Subspace.span(field, dim, arrows)]
     while layers[-1].dim:
         cur = layers[-1]
-        prods = []
-        for y in cur.basis:
-            yt = _terms(y)
-            for xt in x_terms:
-                prod = _mul_raw(field, dim, sc, yt, xt)
-                if any(prod):
-                    prods.append(prod)
-        nxt = Subspace.span(field, dim, prods)
+        nxt = Subspace.span(field, dim, [_mul_raw(field, sc, y, x)
+                                         for y in cur.rows.values() for x in arrows])
         if nxt.dim and (nxt == cur or len(layers) >= dim):
             raise QuivkitError("RADICAL_NOT_NILPOTENT",
                                "radical powers do not descend to zero")
         layers.append(nxt)
-    filtration = [layers.pop()]
-    while layers:
-        filtration.append(layers.pop().sum(filtration[-1]))
+    ech = Echelon(field)
+    filtration = [Subspace.zero(field, dim)]
+    for layer in reversed(layers[:-1]):
+        for row in layer.rows.values():
+            ech.insert(dict(row))
+        filtration.append(ech.subspace(dim))
     filtration.append(Subspace.full(field, dim))
     return filtration[::-1]
 
 
 def _quotient_table(field, sc, sub: Subspace):
-    """A/sub, for a subspace `sub` of A with table `sc`, as (idx, table, proj).
+    """A/sub, for a subspace `sub` of A with table `sc`, as
+    (idx, table, proj, cols).
 
     The classes of the basis vectors b_i, i in `idx`, are a basis of A/sub,
     `table` is its table in the stored sparse form and `proj` takes
-    coordinates in A to coordinates in A/sub.
+    coordinates in A to coordinates in A/sub; `cols` are proj's columns,
+    sparse, for `_combine`.
     """
     reps, proj = quotient_basis(Subspace.full(field, len(sc)), sub)
     # the reps complement a subspace of k^n, so they are basis vectors b_i and
     # their products are table rows, each projected over its terms only
     idx = [r_vec.index(field.one) for r_vec in reps]
-    qdim, proj_cols = len(idx), [_terms(c) for c in proj.columns()]
-    table = [[tuple(_terms(_combine(field, qdim, proj_cols, sc[i][j]))) for j in idx]
+    cols = [sparse(c) for c in proj.columns()]
+    table = [[tuple(sorted(_combine(field, cols, sc[i][j]).items())) for j in idx]
              for i in idx]
-    return idx, table, proj
+    return idx, table, proj, cols
 
 
 def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
@@ -377,7 +375,7 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
     Returns class representatives (vectors in A), sorted by their
     coordinates mod J.
     """
-    idx, qsc, proj = _quotient_table(field, sc, j_space)
+    idx, qsc, proj, _cols = _quotient_table(field, sc, j_space)
     qdim = len(idx)
     # commutativity of the radical quotient is necessary for pointedness
     for i in range(qdim):
@@ -386,7 +384,7 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
                 raise QuivkitError("NOT_POINTED", "A/J is not commutative")
 
     def qmul(u, v):
-        return _mul_raw(field, qdim, qsc, _terms(u), _terms(v))
+        return dense(field, qdim, _mul_raw(field, qsc, sparse(u), sparse(v)))
 
     idems = [proj.matvec(unit)]
     for x in range(qdim):
@@ -435,22 +433,20 @@ def _lift_classes(field, dim, sc, unit, classes, steps):
     power of J holding x^2 - x, so `steps` > log2 of the nilpotency index
     suffice.  The result is not checked here: `_admit` certifies it.
     """
-    three, two = field.of(3), field.of(2)
+    three, minus_two, minus_one = field.of(3), field.of(-2), field.of(-1)
     lifted = []
-    prev_sum = vec_zero(field, dim)
+    frame = sparse(unit)   # 1 minus the idempotents lifted so far
     for c in classes:
-        frame = _terms(vec_sub(field, unit, prev_sum))
-        x = _mul_raw(field, dim, sc, frame, _terms(_mul_raw(field, dim, sc, _terms(c), frame)))
+        x = _mul_raw(field, sc, frame, _mul_raw(field, sc, sparse(c), frame))
         for _ in range(steps):
-            xt = _terms(x)
-            sq = _mul_raw(field, dim, sc, xt, xt)
+            sq = _mul_raw(field, sc, x, x)
             if sq == x:
                 break
-            cube = _mul_raw(field, dim, sc, _terms(sq), xt)
-            x = vec_sub(field, vec_scale(field, three, sq), vec_scale(field, two, cube))
+            x = add_scaled(field, {k: field.mul(three, v) for k, v in sq.items()},
+                           minus_two, _mul_raw(field, sc, sq, x))
         lifted.append(x)
-        prev_sum = vec_add(field, prev_sum, x)
-    return lifted
+        add_scaled(field, frame, minus_one, x)
+    return [dense(field, dim, x) for x in lifted]
 
 
 def _peirce_blocks(field, dim, sc, elements, space: Subspace):
@@ -458,51 +454,47 @@ def _peirce_blocks(field, dim, sc, elements, space: Subspace):
     basis vector v split once: r products v e_i, then e_j (v e_i).  Every
     factor is scanned for its terms once."""
     r = len(elements)
-    e_terms = [_terms(e) for e in elements]
+    e_terms = [sparse(e) for e in elements]
     parts = {(i, j): [] for i in range(r) for j in range(r)}
-    for v in space.basis:
-        vt = _terms(v)
+    for v in space.rows.values():
         for i, ei in enumerate(e_terms):
-            ve = _terms(_mul_raw(field, dim, sc, vt, ei))
+            ve = _mul_raw(field, sc, v, ei)
             if ve:
                 for j, ej in enumerate(e_terms):
-                    parts[(i, j)].append(_mul_raw(field, dim, sc, ej, ve))
+                    parts[(i, j)].append(_mul_raw(field, sc, ej, ve))
     return {key: Subspace.span(field, dim, vecs) for key, vecs in parts.items()}
 
 
-def orthogonal_idempotents(field, dim, sc, unit, elems, code, names):
+def orthogonal_idempotents(field, sc, unit, elems, code, names):
     """Raise `code` unless `elems` (named `names`) are orthogonal idempotents
     summing to `unit`; return how many are nonzero.  In a pointed algebra that
     is at most dim A/J, with equality iff each one is primitive."""
-    terms = [_terms(e) for e in elems]
+    terms = [sparse(e) for e in elems]
+    total = {}
     for i, et in enumerate(terms):
-        if _mul_raw(field, dim, sc, et, et) != elems[i]:
+        if _mul_raw(field, sc, et, et) != et:
             raise QuivkitError(code, f"{names[i]} is not idempotent")
         for j in range(i):
-            if any(_mul_raw(field, dim, sc, et, terms[j])) or \
-                    any(_mul_raw(field, dim, sc, terms[j], et)):
+            if _mul_raw(field, sc, et, terms[j]) or _mul_raw(field, sc, terms[j], et):
                 raise QuivkitError(code, f"{names[j]} and {names[i]} are not orthogonal")
-    total = vec_zero(field, dim)
-    for e in elems:
-        total = vec_add(field, total, e)
-    if total != unit:
+        add_scaled(field, total, field.one, et)
+    if total != sparse(unit):
         raise QuivkitError(code, "the idempotents do not sum to 1")
     return sum(1 for et in terms if et)
 
 
-def _verify_presentation(field, dim, sc, unit, idems, arrows):
+def _verify_presentation(field, sc, unit, idems, arrows):
     """Check that `idems` are orthogonal idempotents summing to 1 and that
-    each arrow lies in exactly one Peirce block e_t A e_s of theirs; return
-    how many idempotents are nonzero."""
-    count = orthogonal_idempotents(field, dim, sc, unit, idems, "NOT_POINTED",
+    each arrow (sparse) lies in exactly one Peirce block e_t A e_s of theirs;
+    return how many idempotents are nonzero."""
+    count = orthogonal_idempotents(field, sc, unit, idems, "NOT_POINTED",
                                    [f"class {i}" for i in range(len(idems))])
-    idem_terms = [_terms(e) for e in idems]
-    for k, x in enumerate(arrows):
-        xt = _terms(x)
+    idem_terms = [sparse(e) for e in idems]
+    for k, xt in enumerate(arrows):
         # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
         # x = e_t x = x e_s = e_t x e_s
-        left = sum(1 for et in idem_terms if any(_mul_raw(field, dim, sc, et, xt)))
-        right = sum(1 for et in idem_terms if any(_mul_raw(field, dim, sc, xt, et)))
+        left = sum(1 for et in idem_terms if _mul_raw(field, sc, et, xt))
+        right = sum(1 for et in idem_terms if _mul_raw(field, sc, xt, et))
         if left != 1 or right != 1:
             raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                f"arrow {k} does not lie in one Peirce block")
@@ -515,9 +507,9 @@ def _basis_certificate(field, dim, sc, radical, classes):
     nilpotent, and hold none of the dim A - dim J orthogonal idempotents
     `classes`."""
     basis = [vec_unit(field, dim, i) for i in range(dim)]
-    if not _closed_under(field, dim, sc, basis, radical):
+    if not _closed_under(field, sc, basis, radical):
         raise QuivkitError("RADICAL_NOT_NILPOTENT", "radical is not a two-sided ideal")
-    _radical_filtration(field, dim, sc, radical.basis)
+    _radical_filtration(field, dim, sc, list(radical.rows.values()))
     r = dim - radical.dim
     if len(classes) != r:
         raise QuivkitError("NOT_POINTED",
@@ -539,8 +531,9 @@ def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebr
     basis checks.
     """
     dim = len(basis_labels)
-    count = _verify_presentation(field, dim, sc, unit, classes, arrows)
-    filtration = _radical_filtration(field, dim, sc, arrows)
+    arrow_terms = [sparse(x) for x in arrows]
+    count = _verify_presentation(field, sc, unit, classes, arrow_terms)
+    filtration = _radical_filtration(field, dim, sc, arrow_terms)
     if filtration[1] != radical:
         _basis_certificate(field, dim, sc, radical, classes)
         raise QuivkitError("BAD_ARGUMENT",
@@ -636,17 +629,16 @@ def radical_power(a: FinAlgebra, n: int) -> Subspace:
 def _first_unmultiplied(source, target, cols, gens):
     """(g, j) for the first g in `gens` and basis vector b_j with
     f(g b_j) != f(g) f(b_j), where f has the columns `cols`; or None."""
-    f, sc, one, n = source.field, source.structconst, source.field.one, target.dim
-    col_terms = [_terms(c) for c in cols]
-    for gi, gt in enumerate(map(_terms, gens)):
-        if len(gt) == 1 and gt[0][1] == one:
-            row = sc[gt[0][0]]
+    f, sc, one, tsc = source.field, source.structconst, source.field.one, target.structconst
+    col_terms = [sparse(c) for c in cols]
+    for gi, gt in enumerate(map(sparse, gens)):
+        if len(gt) == 1 and one in gt.values():
+            row = sc[next(iter(gt))]
         else:
-            row = [_terms(_mul_raw(f, source.dim, sc, gt, ((j, one),)))
-                   for j in range(source.dim)]
-        image = _combine(f, n, col_terms, gt)
+            row = [_mul_raw(f, sc, gt, {j: one}).items() for j in range(source.dim)]
+        image = _combine(f, col_terms, gt.items())
         for j in range(source.dim):
-            if _combine(f, n, col_terms, row[j]) != target.mul(image, cols[j]):
+            if _combine(f, col_terms, row[j]) != _mul_raw(f, tsc, image, col_terms[j]):
                 return gi, j
     return None
 
@@ -707,27 +699,31 @@ def ideal_subspace(a: FinAlgebra, space: Subspace) -> IdealSubspace:
     """Admit a subspace as a two-sided ideal (error NOT_AN_IDEAL otherwise)."""
     if space.ambient_dim != a.dim:
         raise QuivkitError("BAD_SHAPE", "ideal ambient dimension mismatch")
-    if not _closed_under(a.field, a.dim, a.structconst, a.generators(), space):
+    if not _closed_under(a.field, a.structconst, a.generators(), space):
         raise QuivkitError("NOT_AN_IDEAL", "subspace is not a two-sided ideal")
     return IdealSubspace(a, space)
 
 
 def ideal_generated_by(a: FinAlgebra, vectors) -> IdealSubspace:
     """Two-sided ideal closure of a list of elements: the least subspace
-    holding them that is closed under the generators on both sides."""
-    f = a.field
-    gens = a.generators()
-    cur = Subspace.span(f, a.dim, [list(v) for v in vectors])
-    while True:
-        prods = []
-        for v in cur.basis:
-            for g in gens:
-                prods.append(a.mul(g, v))
-                prods.append(a.mul(v, g))
-        nxt = Subspace.span(f, a.dim, list(cur.basis) + prods)
-        if nxt.dim == cur.dim:
-            return IdealSubspace(a, nxt)
-        cur = nxt
+    holding them that is closed under the generators on both sides.
+
+    One echelon grows from the elements' span; each vector that enlarges it
+    is multiplied by the generators on both sides once, and the products of
+    the vectors that do not are combinations of those.
+    """
+    f, sc = a.field, a.structconst
+    gens = list(map(sparse, a.generators()))
+    start = Subspace.span(f, a.dim, vectors)
+    ech = Echelon(f, start)
+    todo = list(start.rows.values())
+    while todo:
+        v = todo.pop()
+        for g in gens:
+            for prod in (_mul_raw(f, sc, g, v), _mul_raw(f, sc, v, g)):
+                if ech.insert(dict(prod)):
+                    todo.append(prod)
+    return IdealSubspace(a, ech.subspace(a.dim))
 
 
 def quotient_section(pi: AlgMorphism):
@@ -768,18 +764,23 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     """
     if not a.same_as(ideal.parent):
         raise QuivkitError("BAD_ARGUMENT", "ideal belongs to a different algebra")
-    if not _closed_under(a.field, a.dim, a.structconst, a.generators(), ideal.space):
-        raise QuivkitError("NOT_AN_IDEAL", "quotient by a non-ideal")
     f = a.field
-    idx, sc, proj = _quotient_table(f, a.structconst, ideal.space)
+    if not _closed_under(f, a.structconst, a.generators(), ideal.space):
+        raise QuivkitError("NOT_AN_IDEAL", "quotient by a non-ideal")
+    idx, sc, proj, cols = _quotient_table(f, a.structconst, ideal.space)
     qdim = len(idx)
     if qdim == 0:
         raise QuivkitError("BAD_ARGUMENT", "quotient by the whole algebra")
+
+    def image(v):
+        return _combine(f, cols, sparse(v).items())
+
     labels = [a.basis_labels[i] for i in idx]
-    j_img = Subspace.span(f, qdim, [proj.matvec(v) for v in a.radical.basis])
-    class_imgs = [img for img in map(proj.matvec, a.ss_classes) if any(img)]
-    arrows = [img for img in map(proj.matvec, a.arrows) if any(img)]
-    q = presented_algebra(f, labels, sc, proj.matvec(a.unit), j_img, class_imgs,
+    j_img = Subspace.span(f, qdim, [_combine(f, cols, v.items())
+                                    for v in a.radical.rows.values()])
+    class_imgs = [dense(f, qdim, img) for img in map(image, a.ss_classes) if img]
+    arrows = [dense(f, qdim, img) for img in map(image, a.arrows) if img]
+    q = presented_algebra(f, labels, sc, dense(f, qdim, image(a.unit)), j_img, class_imgs,
                           arrows)
     # q's table is defined through proj, so proj is a morphism; proj is the
     # coordinate map of k^n = span(reps) + I, so its kernel is I

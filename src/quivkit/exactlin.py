@@ -3,8 +3,8 @@
 All arithmetic is exact.  A rational scalar is a plain int when it is
 integral and a `fractions.Fraction` (lowest terms, positive denominator)
 otherwise; prime-field scalars are ints in [0, p).
-Subspaces are stored in reduced row-echelon form, so two subspaces are equal
-as sets exactly when their stored bases are identical.
+Subspaces are stored as sparse rows in reduced row-echelon form, so two
+subspaces are equal as sets exactly when their stored rows are identical.
 """
 
 from __future__ import annotations
@@ -291,6 +291,31 @@ def dot(field, u, v):
     return acc
 
 
+def sparse(v):
+    """The sparse form of a dense vector: a dict {index: nonzero value}."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def dense(field, n, terms):
+    """The length-n dense vector of a sparse one."""
+    out = [field.zero] * n
+    for i, c in terms.items():
+        out[i] = c
+    return out
+
+
+def add_scaled(field, v, c, w):
+    """v += c * w on sparse vectors, in place, dropping zeros; returns v."""
+    add, mul, zero = field.add, field.mul, field.zero
+    for k, x in w.items():
+        y = add(v.get(k, zero), mul(c, x))
+        if y:
+            v[k] = y
+        else:
+            v.pop(k, None)
+    return v
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -301,7 +326,7 @@ class Mat:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows: int, cols: int, data):
-        if len(data) != rows or any(len(r) != cols for r in data):
+        if len(data) != rows or any(map(cols.__ne__, map(len, data))):
             raise QuivkitError("BAD_SHAPE", f"expected {rows}x{cols} data")
         self.field = field
         self.rows = rows
@@ -336,6 +361,15 @@ class Mat:
                 raise QuivkitError("BAD_SHAPE", "rows required for empty col list")
             rows = len(cols_list[0])
         data = [[cols_list[j][i] for j in range(len(cols_list))] for i in range(rows)]
+        return cls(field, rows, len(cols_list), data)
+
+    @classmethod
+    def from_sparse_cols(cls, field, cols_list, rows):
+        """The matrix whose columns are the sparse vectors `cols_list`."""
+        data = [[field.zero] * len(cols_list) for _ in range(rows)]
+        for j, col in enumerate(cols_list):
+            for i, c in col.items():
+                data[i][j] = c
         return cls(field, rows, len(cols_list), data)
 
     def copy(self):
@@ -482,99 +516,171 @@ def invert(m: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
+#
+# A subspace is stored as its sparse reduced row-echelon form: `rows` maps
+# each pivot column to its row, a dict {column: nonzero value} that is 1 at
+# that pivot and 0 (absent) at every other pivot.  The form is unique, and a
+# row is never changed once stored: an echelon that grows replaces it.
 
-def _eliminate(field, rows, pivots, v):
-    """Remainder of v after eliminating, in order, each row's pivot entry.
+def _reduce(field, rows, v, tags=None, tag=None):
+    """Remainder of the sparse vector v (changed in place) against `rows`.
 
-    The rows need only be in echelon order: each row is 1 at its pivot and 0
-    at the pivots of the rows before it.
+    Each row is 0 at the other rows' pivots, so v's multiple of a row is v's
+    own entry at that row's pivot, and only the pivots v touches cost work.
+    With `tags`, `tag` is changed by the same multiples of the rows' tags.
     """
-    sub, mul = field.sub, field.mul
-    v = list(v)
-    for row, pc in zip(rows, pivots):
-        c = v[pc]
-        if c:
-            for k, b in enumerate(row):
-                if b:
-                    v[k] = sub(v[k], mul(c, b))
+    hits = [p for p in v if p in rows] if len(v) <= len(rows) else \
+        [p for p in rows if p in v]
+    neg = field.neg
+    for p in hits:
+        c = neg(v[p])
+        add_scaled(field, v, c, rows[p])
+        if tags is not None:
+            add_scaled(field, tag, c, tags[p])
     return v
 
 
+class Echelon:
+    """A reduced echelon form that grows one sparse vector at a time.
+
+    `rows` is as in a Subspace, and `where[k]` holds at least the pivots of
+    the rows that are nonzero at the non-pivot column k, so a new pivot is
+    cleared from those rows only.  With `tagged`, each row carries a tag, a
+    sparse vector combined as the row is.
+    """
+
+    __slots__ = ("field", "rows", "where", "tags")
+
+    def __init__(self, field, start: "Subspace" = None, tagged=False):
+        self.field = field
+        self.rows = {} if start is None else dict(start.rows)
+        self.where = {}
+        for p, row in self.rows.items():
+            for k in row:
+                if k != p:
+                    self.where.setdefault(k, set()).add(p)
+        self.tags = {p: {} for p in self.rows} if tagged else None
+
+    def insert(self, v, tag=None) -> bool:
+        """Add the sparse vector v (consumed), with its tag; return whether
+        it was independent of the rows.
+
+        The remainder is scaled to 1 at its first column p, which becomes a
+        pivot, and p is cleared from the rows that hold it.
+        """
+        f, rows, tags = self.field, self.rows, self.tags
+        _reduce(f, rows, v, tags, tag)
+        if not v:
+            return False
+        p = min(v)
+        if v[p] != f.one:
+            inv, mul = f.inv(v[p]), f.mul
+            v = {k: mul(inv, x) for k, x in v.items()}
+            if tags is not None:
+                tag = {k: mul(inv, x) for k, x in tag.items()}
+        v[p] = f.one
+        where = self.where
+        others = [k for k in v if k != p]
+        for k in others:
+            where.setdefault(k, set()).add(p)
+        for q in where.pop(p, ()):
+            c = rows[q].get(p)
+            if c:
+                rows[q] = add_scaled(f, dict(rows[q]), f.neg(c), v)
+                if tags is not None:
+                    tags[q] = add_scaled(f, dict(tags[q]), f.neg(c), tag)
+                for k in others:
+                    where[k].add(q)
+        rows[p] = v
+        if tags is not None:
+            tags[p] = tag
+        return True
+
+    def subspace(self, ambient_dim) -> "Subspace":
+        """The span of the rows so far; later inserts do not change it."""
+        return Subspace(self.field, ambient_dim, dict(self.rows))
+
+
+def _as_sparse(v, ambient_dim):
+    """A fresh sparse copy of v, a dict or a dense vector of length ambient_dim."""
+    if type(v) is dict:
+        return dict(v)
+    if len(v) != ambient_dim:
+        raise QuivkitError("BAD_SHAPE", "vector length != ambient_dim")
+    return sparse(v)
+
+
 class Subspace:
-    """Subspace of k^n stored as a canonical RREF basis (no zero rows)."""
+    """Subspace of k^n stored as its sparse reduced row-echelon form.
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    `rows` maps each pivot to its row (see above) and `pivots` lists the
+    pivots in ascending order.  `basis` is the dense view, the rows as
+    vectors of length n in pivot order, built on first use.  Methods take
+    vectors dense or sparse ({column: nonzero value}).
+    """
 
-    def __init__(self, field, ambient_dim, basis_rows, pivots):
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis")
+
+    def __init__(self, field, ambient_dim, rows):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis_rows
-        self.pivots = pivots
+        self.rows = rows
+        self.pivots = sorted(rows)
+        self._basis = None
 
     @classmethod
     def span(cls, field, ambient_dim, vectors):
-        vectors = [list(v) for v in vectors]
+        ech = Echelon(field)
         for v in vectors:
-            if len(v) != ambient_dim:
-                raise QuivkitError("BAD_SHAPE", "vector length != ambient_dim")
-        if not vectors:
-            return cls(field, ambient_dim, [], [])
-        red, piv = rref(Mat.from_rows(field, vectors, cols=ambient_dim))
-        rows = [red.data[i] for i in range(len(piv))]
-        return cls(field, ambient_dim, rows, piv)
+            ech.insert(_as_sparse(v, ambient_dim))
+        return cls(field, ambient_dim, ech.rows)
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, [], [])
+        return cls(field, ambient_dim, {})
 
     @classmethod
     def full(cls, field, ambient_dim):
-        rows = [vec_unit(field, ambient_dim, i) for i in range(ambient_dim)]
-        return cls(field, ambient_dim, rows, list(range(ambient_dim)))
+        one = field.one
+        return cls(field, ambient_dim, {i: {i: one} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = [dense(self.field, self.ambient_dim, self.rows[p])
+                           for p in self.pivots]
+        return self._basis
 
     def reduce(self, v):
-        """Remainder of v after elimination against the basis."""
-        return _eliminate(self.field, self.basis, self.pivots, v)
+        """Remainder of v after elimination against the rows, dense or sparse
+        as v is."""
+        rem = _reduce(self.field, self.rows, _as_sparse(v, self.ambient_dim))
+        return rem if type(v) is dict else dense(self.field, self.ambient_dim, rem)
 
     def contains(self, v) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return not _reduce(self.field, self.rows, _as_sparse(v, self.ambient_dim))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        return all(self.contains(r) for r in other.rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.field, self.ambient_dim, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: rows [u|u] for u in U, [w|0] for w in W; rows of the
-        # echelon form that vanish on the left block span U∩W on the right.
-        f = self.field
-        n = self.ambient_dim
-        rows = [r + r for r in self.basis] + [r + vec_zero(f, n) for r in other.basis]
-        if not rows:
-            return Subspace.zero(f, n)
-        red, piv = rref(Mat.from_rows(f, rows, cols=2 * n))
-        out = []
-        for i in range(len(piv)):
-            row = red.data[i]
-            if vec_is_zero(f, row[:n]) and not vec_is_zero(f, row[n:]):
-                out.append(row[n:])
-        return Subspace.span(f, n, out)
-
-    def basis_key(self):
-        return tuple(tuple(r) for r in self.basis)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        ech = Echelon(self.field, big)
+        for r in small.rows.values():
+            ech.insert(dict(r))
+        return Subspace(self.field, self.ambient_dim, ech.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis_key()))
+        return hash((self.ambient_dim, tuple(self.pivots)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -585,14 +691,13 @@ def kernel(m: Mat) -> Subspace:
     f = m.field
     red, piv = rref(m)
     pivset = set(piv)
-    free = [c for c in range(m.cols) if c not in pivset]
     basis = []
-    for fc in free:
-        v = vec_zero(f, m.cols)
-        v[fc] = f.one
-        for r_i, pc in enumerate(piv):
-            v[pc] = f.neg(red.data[r_i][fc])
-        basis.append(v)
+    for fc in range(m.cols):
+        if fc not in pivset:
+            v = {pc: f.neg(red.data[r_i][fc]) for r_i, pc in enumerate(piv)
+                 if red.data[r_i][fc]}
+            v[fc] = f.one
+            basis.append(v)
     return Subspace.span(f, m.cols, basis)
 
 
@@ -601,31 +706,37 @@ def image(m: Mat) -> Subspace:
     return Subspace.span(m.field, m.rows, m.columns())
 
 
+def _complement_rows(ambient: Subspace, sub: Subspace, tagged=False):
+    """The rows of `ambient`, scanned in pivot order, that are independent of
+    `sub` and of the rows kept before them, as {pivot: row}, and the tags.
+
+    One echelon starts from sub's rows and takes each scanned row.  With
+    `tagged` its rows carry their coordinates on the kept rows; it ends
+    spanning `ambient`, so a v in ambient has the coordinates sum over
+    pivots p of v[p] * tags[p].
+    """
+    if not ambient.contains_subspace(sub):
+        raise QuivkitError("NOT_A_SUBSPACE", "sub is not contained in ambient")
+    f = ambient.field
+    ech = Echelon(f, sub, tagged)
+    kept = {}
+    for p in ambient.pivots:
+        if len(ech.rows) == ambient.dim:
+            break
+        if ech.insert(dict(ambient.rows[p]), {len(kept): f.one} if tagged else None):
+            kept[p] = ambient.rows[p]
+    return kept, ech.tags
+
+
 def complement(ambient: Subspace, sub: Subspace) -> Subspace:
     """Deterministic complement W with ambient = sub ⊕ W.
 
-    The RREF basis of `ambient` is scanned in order and rows independent
+    The RREF rows of `ambient` are scanned in order and rows independent
     from `sub` are collected (for ambient = k^n these are standard basis
-    vectors).
+    vectors); rows of a reduced echelon form are one themselves.
     """
-    f = ambient.field
-    n = ambient.ambient_dim
-    if not ambient.contains_subspace(sub):
-        raise QuivkitError("NOT_A_SUBSPACE", "sub is not contained in ambient")
-    # one elimination: each row independent of the rows so far joins them,
-    # scaled from its remainder so the rows stay in echelon order
-    added = []
-    rows, pivots = list(sub.basis), list(sub.pivots)
-    for row in ambient.basis:
-        if len(rows) == ambient.dim:
-            break
-        rem = _eliminate(f, rows, pivots, row)
-        pc = next((k for k, x in enumerate(rem) if x), None)
-        if pc is not None:
-            added.append(row)
-            rows.append(vec_scale(f, f.inv(rem[pc]), rem))
-            pivots.append(pc)
-    return Subspace.span(f, n, added)
+    kept, _tags = _complement_rows(ambient, sub)
+    return Subspace(ambient.field, ambient.ambient_dim, kept)
 
 
 def quotient_basis(ambient: Subspace, sub: Subspace):
@@ -633,23 +744,14 @@ def quotient_basis(ambient: Subspace, sub: Subspace):
 
     Returns (reps, proj) where reps is a list of vectors whose classes are a
     basis of the quotient, and proj is a (len(reps) x n) matrix computing
-    quotient coordinates for vectors lying in `ambient`.
+    quotient coordinates for vectors lying in `ambient`.  proj is 0 off the
+    pivot columns of `ambient`, which makes it unique.
     """
-    if not ambient.contains_subspace(sub):
-        raise QuivkitError("NOT_A_SUBSPACE", "sub is not contained in ambient")
     f = ambient.field
     n = ambient.ambient_dim
-    w = complement(ambient, sub)
-    reps = [list(r) for r in w.basis]
-    q = len(reps)
-    rows = reps + [list(r) for r in sub.basis]
-    if not rows:
-        return [], Mat.zeros(f, 0, n)
-    n_mat = Mat.from_rows(f, rows, cols=n)
-    # proj rows P_i satisfy  N P_i^T = e_i, so P v recovers the rep
-    # coefficients of any v = sum y_j (row_j of N) lying in ambient.  The
-    # rows of N are independent, so every one of these systems is solvable.
-    targets = [vec_unit(f, n_mat.rows, i) for i in range(q)]
-    prows = solve_multi(n_mat, targets)
-    proj = Mat.from_rows(f, prows, cols=n) if prows else Mat.zeros(f, 0, n)
-    return reps, proj
+    kept, tags = _complement_rows(ambient, sub, tagged=True)
+    proj = [[f.zero] * n for _ in kept]
+    for p, tag in tags.items():
+        for i, c in tag.items():
+            proj[i][p] = c
+    return [dense(f, n, r) for r in kept.values()], Mat(f, len(kept), n, proj)

@@ -11,8 +11,8 @@ m-th radical power is the span of paths of length >= m.
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import AlgMorphism, FinAlgebra, orthogonal_idempotents, presented_algebra
-from .exactlin import Mat, Subspace, rank, vec_combination, vec_unit, vec_zero
+from .algebra import AlgMorphism, FinAlgebra, _mul_raw, orthogonal_idempotents, presented_algebra
+from .exactlin import Mat, Subspace, sparse, vec_combination, vec_unit, vec_zero
 from .vquiver import POINT, Quiver, QuiverMap, VQuiver, VQuiverMap, v_of_inclusion, v_of_quiver
 
 
@@ -90,8 +90,9 @@ class TruncatedTensorAlgebra:
                 if p.start == src and p.end == tgt and p.length >= 2]
 
     def paths_of_length_at_least(self, m: int) -> Subspace:
-        vecs = [self.carrier.basis_vector(i) for layer in self.grading[m:] for i in layer]
-        return Subspace.span(self.field, self.dim, vecs)
+        one = self.field.one
+        return Subspace.span(self.field, self.dim,
+                             [{i: one} for layer in self.grading[m:] for i in layer])
 
     def __repr__(self):
         return f"TruncatedTensorAlgebra(level={self.level}, dim={self.dim})"
@@ -162,7 +163,7 @@ def build_kvq(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
            for q, lq in zip(paths, lengths)] for p, lp in zip(paths, lengths)]
     idems = [vec_unit(field, dim, i) for i in range(nv)]
     unit = [one] * nv + [field.zero] * (dim - nv)
-    radical = Subspace.span(field, dim, [vec_unit(field, dim, i) for i in range(nv, dim)])
+    radical = Subspace.span(field, dim, [{i: one} for i in range(nv, dim)])
     arrows = [vec_unit(field, dim, i) for layer in grading[1:2] for i in layer]
     carrier = presented_algebra(field, labels, sc, unit, radical, idems, arrows)
     vertex_idem = {v: index[(v, ())] for v in vq.vertices}
@@ -200,25 +201,25 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
             raise QuivkitError("BIMODULE_CONDITION_FAIL", f"no image for vertex {v}")
         u[v] = list(idem_images[v])
     verts = t.vq.vertices
-    nonzero = orthogonal_idempotents(f, target.dim, target.structconst, target.unit,
+    nonzero = orthogonal_idempotents(f, target.structconst, target.unit,
                                      [u[v] for v in verts], "BIMODULE_CONDITION_FAIL",
                                      [f"image of vertex {v}" for v in verts])
-    jt = target.radical
-    x = {}
+    jt, sc = target.radical, target.structconst
+    us = {v: sparse(u[v]) for v in verts}
+    xs = {}
     for (src, tgt), labs in t.vq.spaces.items():
         for lab in labs:
             if lab not in arrow_images:
                 raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                    f"no image for arrow {lab}")
-            xa = list(arrow_images[lab])
-            framed = target.mul(u[tgt], target.mul(xa, u[src]))
-            if framed != xa:
+            xa = sparse(arrow_images[lab])
+            if _mul_raw(f, sc, us[tgt], _mul_raw(f, sc, xa, us[src])) != xa:
                 raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                    f"image of arrow {lab} escapes its block")
             if not jt.contains(xa):
                 raise QuivkitError("TRUNCATION_INCOMPATIBLE",
                                    f"image of arrow {lab} is not in the radical")
-            x[lab] = xa
+            xs[lab] = xa
     if nonzero != target.dim - jt.dim:
         raise QuivkitError("RADICAL_QUOTIENT_NOT_SURJECTIVE",
                            "induced map A/J(A) -> B/J(B) is not onto")
@@ -228,12 +229,13 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
     cols = []
     for p in t.paths:
         if p.length <= 1:
-            cols.append(x[p.arrows[0]] if p.arrows else u[p.start])
+            cols.append(xs[p.arrows[0]] if p.arrows else us[p.start])
         else:
             prefix = cols[t.index[(p.start, p.arrows[:-1])]]
-            cols.append(target.mul(x[p.arrows[-1]], prefix))
-    m = Mat.from_cols(f, cols, rows=target.dim)
-    return AlgMorphism(t.carrier, target, m, surjective=rank(m) == target.dim)
+            cols.append(_mul_raw(f, sc, xs[p.arrows[-1]], prefix))
+    m = Mat.from_sparse_cols(f, cols, target.dim)
+    onto = Subspace.span(f, target.dim, cols).dim == target.dim
+    return AlgMorphism(t.carrier, target, m, surjective=onto)
 
 
 def vqmap_generator_images(rho: VQuiverMap, n: int, idems, arrow_bases):

@@ -9,11 +9,13 @@ and conjugators between two such splittings.
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import FinAlgebra, _peirce_blocks, orthogonal_idempotents
+from .algebra import FinAlgebra, _mul_raw, _peirce_blocks, orthogonal_idempotents
 from .exactlin import (
     Mat,
     complement,
+    dense,
     solve,
+    sparse,
     vec_add,
     vec_combination,
     vec_is_zero,
@@ -37,7 +39,7 @@ class IdempotentSet:
     def verify(self):
         a = self.parent
         n = len(self.elements)
-        count = orthogonal_idempotents(a.field, a.dim, a.structconst, a.unit,
+        count = orthogonal_idempotents(a.field, a.structconst, a.unit,
                                        self.elements, "NOT_VALIDATED",
                                        [f"idempotent {i}" for i in range(n)])
         if not count == n == a.dim - a.radical.dim:
@@ -53,8 +55,11 @@ class IdempotentSet:
 
 def lift_idempotents(a: FinAlgebra) -> IdempotentSet:
     """The primitive orthogonal idempotents that lift the canonical ones of
-    A/J: the algebra's own, lifted and certified at admission."""
-    return IdempotentSet(a, a.ss_classes)
+    A/J: the algebra's own, lifted and certified at admission, so they are
+    read as they are and not verified again."""
+    idems = object.__new__(IdempotentSet)
+    idems.parent, idems.elements = a, [list(e) for e in a.ss_classes]
+    return idems
 
 
 class Splitting:
@@ -104,7 +109,8 @@ def conjugation(a: FinAlgebra, w):
         inv = vec_add(f, inv, term)
     if a.mul(one_plus, inv) != a.unit:
         raise QuivkitError("NOT_VALIDATED", "1+w is not invertible (w outside J?)")
-    return lambda x: a.mul(one_plus, a.mul(x, inv))
+    sc, left, right = a.structconst, sparse(one_plus), sparse(inv)
+    return lambda x: dense(f, a.dim, _mul_raw(f, sc, left, _mul_raw(f, sc, sparse(x), right)))
 
 
 def conjugate_element(a: FinAlgebra, w, x):

