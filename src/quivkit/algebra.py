@@ -33,7 +33,6 @@ from .exactlin import (
     kernel,
     quotient_basis,
     rank,
-    solve,
     solve_multi,
     sparse,
     vec_scale,
@@ -391,20 +390,21 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
         new_idems = []
         for u in idems:
             y = qmul(u, vec_unit(field, qdim, x))
-            powers = [u, y]
-            while True:
-                coeffs = solve(Mat.from_cols(field, powers[:-1], rows=qdim), powers[-1])
-                if coeffs is not None:
-                    break
-                powers.append(qmul(powers[-1], y))
-            if len(coeffs) == 1:  # y is a multiple of u: x is a scalar here
+            # the first power y^d dependent on u, ..., y^(d-1) reduces to zero,
+            # its tag to the monic minimal polynomial's coefficients
+            ech = Echelon(field, tagged=True)
+            ech.insert(sparse(u), {0: field.one})
+            power, d = y, 1
+            while ech.insert(sparse(power), minpoly := {d: field.one}):
+                power, d = qmul(power, y), d + 1
+            if d == 1:  # y is a multiple of u: x is a scalar here
                 new_idems.append(u)
                 continue
-            roots = roots_if_split(field, [field.neg(c) for c in coeffs] + [field.one])
+            roots = roots_if_split(field, dense(field, d + 1, minpoly))
             if roots is None:
                 raise QuivkitError("NOT_POINTED",
                                    "A/J has a simple factor larger than k")
-            if len(roots) < len(coeffs):
+            if len(roots) < d:
                 raise QuivkitError("NOT_POINTED", "A/J is not semisimple over k")
             for r_val in roots:
                 piece = u

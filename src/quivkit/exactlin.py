@@ -5,6 +5,9 @@ integral and a `fractions.Fraction` (lowest terms, positive denominator)
 otherwise; prime-field scalars are ints in [0, p).
 Subspaces are stored as sparse rows in reduced row-echelon form, so two
 subspaces are equal as sets exactly when their stored rows are identical.
+There is one elimination, the incremental sparse `Echelon`: subspaces grow
+in it, and `rank`, `solve_multi`, `invert` and `kernel` of a dense `Mat` run
+on it too.  `rref` is the dense view of the span of a matrix's rows.
 """
 
 from __future__ import annotations
@@ -430,43 +433,15 @@ class Mat:
 
 
 def rref(m: Mat):
-    """Reduced row-echelon form and pivot column list (unique, canonical)."""
-    f = m.field
-    a = [row[:] for row in m.data]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = None
-        for i in range(r, m.rows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        if prow[c] != f.one:
-            # entries left of c are zero: earlier columns hold no pivot here
-            inv = f.inv(prow[c])
-            for k in range(c, m.cols):
-                if prow[k]:
-                    prow[k] = f.mul(inv, prow[k])
-        pivot_terms = [(k, x) for k, x in enumerate(prow) if x]
-        for i in range(m.rows):
-            arow = a[i]
-            coef = arow[c]
-            if i != r and coef:
-                for k, x in pivot_terms:
-                    arow[k] = f.sub(arow[k], f.mul(coef, x))
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Mat(f, m.rows, m.cols, a), pivots
+    """Reduced row-echelon form and pivot column list (unique, canonical):
+    the dense view of the span of m's rows, padded with zero rows."""
+    span = Subspace.span(m.field, m.cols, m.data)
+    zeros = [[m.field.zero] * m.cols for _ in range(m.rows - span.dim)]
+    return Mat(m.field, m.rows, m.cols, span.basis + zeros), span.pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return Subspace.span(m.field, m.cols, m.data).dim
 
 
 def solve(m: Mat, b):
@@ -475,27 +450,24 @@ def solve(m: Mat, b):
 
 
 def solve_multi(m: Mat, bs):
-    """Solve m x = b for each b in bs; list of solutions (None where inconsistent)."""
+    """Solve m x = b for each b in bs; list of solutions (None where inconsistent).
+
+    m's columns go in order into one echelon, column j tagged e_j.  Only a
+    column independent of those before it, an RREF pivot column, is kept,
+    so the tags combine pivot columns only.  A consistent b reduces to zero,
+    and minus its reduced tag is then the solution with free variables 0.
+    """
     f = m.field
-    k = len(bs)
-    if k == 0:
-        return []
-    aug = Mat(f, m.rows, m.cols + k,
-              [m.data[i] + [b[i] for b in bs] for i in range(m.rows)])
-    red, piv = rref(aug)
-    main_piv = [p for p in piv if p < m.cols]
-    # the rows after the main pivots are zero on the main block
-    rest = red.data[len(main_piv):]
+    ech = Echelon(f, tagged=True)
+    for j, col in enumerate(zip(*m.data)):
+        ech.insert(sparse(col), {j: f.one})
     sols = []
-    for j in range(k):
-        col = m.cols + j
-        if any(row[col] for row in rest):
+    for b in bs:
+        tag = {}
+        if _reduce(f, ech.rows, _as_sparse(b, m.rows), ech.tags, tag):
             sols.append(None)
-            continue
-        x = vec_zero(f, m.cols)
-        for r_i, pc in enumerate(main_piv):
-            x[pc] = red.data[r_i][col]
-        sols.append(x)
+        else:
+            sols.append(dense(f, m.cols, {j: f.neg(c) for j, c in tag.items()}))
     return sols
 
 
@@ -687,18 +659,17 @@ class Subspace:
 
 
 def kernel(m: Mat) -> Subspace:
-    """Solution space of m x = 0."""
+    """Solution space of m x = 0: for each non-pivot column k of the RREF
+    of m's rows, the vector that is 1 at k and minus row p's entry at k at
+    each pivot p."""
     f = m.field
-    red, piv = rref(m)
-    pivset = set(piv)
-    basis = []
-    for fc in range(m.cols):
-        if fc not in pivset:
-            v = {pc: f.neg(red.data[r_i][fc]) for r_i, pc in enumerate(piv)
-                 if red.data[r_i][fc]}
-            v[fc] = f.one
-            basis.append(v)
-    return Subspace.span(f, m.cols, basis)
+    rows = Subspace.span(f, m.cols, m.data).rows
+    basis = {k: {k: f.one} for k in range(m.cols) if k not in rows}
+    for p, row in rows.items():
+        for k, x in row.items():
+            if k != p:
+                basis[k][p] = f.neg(x)
+    return Subspace.span(f, m.cols, basis.values())
 
 
 def image(m: Mat) -> Subspace:

@@ -129,13 +129,10 @@ def conjugating_element(a: FinAlgebra, pairs):
     f = a.field
     pairs = list(pairs)
     jbasis = a.radical.basis
-    rows = []
-    rhs = []
-    for p, q in pairs:
-        cols = [vec_sub(f, a.mul(jb, q), a.mul(p, jb)) for jb in jbasis]
-        rows.extend(Mat.from_cols(f, cols, rows=a.dim).data)
-        rhs.extend(vec_sub(f, p, q))
-    sol = solve(Mat.from_rows(f, rows, cols=len(jbasis)), rhs)
+    cols = [[x for p, q in pairs for x in vec_sub(f, a.mul(jb, q), a.mul(p, jb))]
+            for jb in jbasis]
+    rhs = [x for p, q in pairs for x in vec_sub(f, p, q)]
+    sol = solve(Mat.from_cols(f, cols, rows=len(rhs)), rhs)
     if sol is None:
         return None
     return vec_combination(f, a.dim, sol, jbasis)

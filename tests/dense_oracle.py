@@ -1,13 +1,105 @@
-"""Dense reference forms of the sparse echelon, built on `exactlin.rref`.
+"""Dense reference forms of the sparse echelon, built on a dense pivot loop.
 
-`Subspace` keeps sparse reduced row-echelon rows and grows them one vector
-at a time.  The functions here are what it replaced: every span a fresh
-dense `rref`, elimination over dense rows, the quotient projection solved
-with `solve_multi`, and the radical filtration layer by layer.  A subspace
-is given here as its dense RREF, a pair (rows, pivots).
+`exactlin` has one elimination, the sparse `Echelon`: `Subspace` keeps its
+reduced row-echelon rows and grows them one vector at a time, and `rref`,
+`rank`, `solve_multi`, `invert` and `kernel` run on it.  The functions here
+are what it replaced: the dense Gauss-Jordan loop `rref` and the solves,
+inverse and kernel read off it, every span a fresh dense `rref`,
+elimination over dense rows, the quotient projection solved with
+`solve_multi`, and the radical filtration layer by layer.  A subspace is
+given here as its dense RREF, a pair (rows, pivots).
 """
 
 import quivkit.exactlin as el
+from quivkit.errors import QuivkitError
+
+
+def rref(m):
+    """Reduced row-echelon form and pivot column list (unique, canonical)."""
+    f = m.field
+    a = [row[:] for row in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = None
+        for i in range(r, m.rows):
+            if a[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        prow = a[r]
+        if prow[c] != f.one:
+            # entries left of c are zero: earlier columns hold no pivot here
+            inv = f.inv(prow[c])
+            for k in range(c, m.cols):
+                if prow[k]:
+                    prow[k] = f.mul(inv, prow[k])
+        pivot_terms = [(k, x) for k, x in enumerate(prow) if x]
+        for i in range(m.rows):
+            arow = a[i]
+            coef = arow[c]
+            if i != r and coef:
+                for k, x in pivot_terms:
+                    arow[k] = f.sub(arow[k], f.mul(coef, x))
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return el.Mat(f, m.rows, m.cols, a), pivots
+
+
+def solve_multi(m, bs):
+    """Solve m x = b for each b in bs; list of solutions (None where inconsistent)."""
+    f = m.field
+    k = len(bs)
+    if k == 0:
+        return []
+    aug = el.Mat(f, m.rows, m.cols + k,
+                 [m.data[i] + [b[i] for b in bs] for i in range(m.rows)])
+    red, piv = rref(aug)
+    main_piv = [p for p in piv if p < m.cols]
+    # the rows after the main pivots are zero on the main block
+    rest = red.data[len(main_piv):]
+    sols = []
+    for j in range(k):
+        col = m.cols + j
+        if any(row[col] for row in rest):
+            sols.append(None)
+            continue
+        x = el.vec_zero(f, m.cols)
+        for r_i, pc in enumerate(main_piv):
+            x[pc] = red.data[r_i][col]
+        sols.append(x)
+    return sols
+
+
+def invert(m):
+    """Inverse of a square matrix; SINGULAR if some m x = e_i has no solution."""
+    if m.rows != m.cols:
+        raise QuivkitError("BAD_SHAPE", "inverse of non-square matrix")
+    cols = solve_multi(m, [el.vec_unit(m.field, m.rows, i) for i in range(m.rows)])
+    if any(c is None for c in cols):
+        raise QuivkitError("SINGULAR", "matrix is not invertible")
+    return el.Mat.from_cols(m.field, cols, rows=m.rows)
+
+
+def kernel(m):
+    """Solution space of m x = 0, as the dense vectors read off `rref`: one
+    per free column, in column order (a basis, not an RREF)."""
+    f = m.field
+    red, piv = rref(m)
+    pivset = set(piv)
+    basis = []
+    for fc in range(m.cols):
+        if fc not in pivset:
+            v = el.vec_zero(f, m.cols)
+            for r_i, pc in enumerate(piv):
+                v[pc] = f.neg(red.data[r_i][fc])
+            v[fc] = f.one
+            basis.append(v)
+    return basis
 
 
 def echelon(field, n, vectors):
@@ -15,7 +107,7 @@ def echelon(field, n, vectors):
     vectors = [list(v) for v in vectors]
     if not vectors:
         return [], []
-    red, piv = el.rref(el.Mat.from_rows(field, vectors, cols=n))
+    red, piv = rref(el.Mat.from_rows(field, vectors, cols=n))
     return [red.data[i] for i in range(len(piv))], piv
 
 
@@ -58,7 +150,7 @@ def quotient_basis(field, n, ambient, sub):
     if not rows:
         return [], []
     targets = [el.vec_unit(field, len(rows), i) for i in range(len(reps))]
-    return reps, el.solve_multi(el.Mat.from_rows(field, rows, cols=n), targets)
+    return reps, solve_multi(el.Mat.from_rows(field, rows, cols=n), targets)
 
 
 def intersect(u, w):
@@ -69,7 +161,7 @@ def intersect(u, w):
     rows = [r + r for r in u.basis] + [r + el.vec_zero(f, n) for r in w.basis]
     if not rows:
         return el.Subspace.zero(f, n)
-    red, piv = el.rref(el.Mat.from_rows(f, rows, cols=2 * n))
+    red, piv = rref(el.Mat.from_rows(f, rows, cols=2 * n))
     out = [row[n:] for row in red.data[:len(piv)] if not any(row[:n]) and any(row[n:])]
     return el.Subspace.span(f, n, out)
 

@@ -12,7 +12,7 @@ from quivkit.errors import QuivkitError
 from quivkit.generators import random_identity_class_automorphism, seeded_rng
 
 from corpus import algebra_corpus, presented_corpus
-from dense_oracle import intersect
+from dense_oracle import intersect, rref as dense_rref
 
 QQ = el.QQ
 F2 = el.GF(2)
@@ -321,10 +321,10 @@ def matrix_and_vector(draw):
 
 
 def _solve_reference(m, b):
-    """The single-column solve: rref of [m | b], free variables 0."""
+    """The single-column solve: the dense rref of [m | b], free variables 0."""
     aug = el.Mat(m.field, m.rows, m.cols + 1,
                  [m.data[i] + [b[i]] for i in range(m.rows)])
-    red, piv = el.rref(aug)
+    red, piv = dense_rref(aug)
     if piv and piv[-1] == m.cols:
         return None
     x = el.vec_zero(m.field, m.cols)

@@ -1,8 +1,11 @@
 """No module of the package keeps a module-level import that nothing uses,
-and no function, class or method that nothing names."""
+and no function, class or method that nothing names; and every name that
+the benchmark's tracer wraps still resolves."""
 
 import ast
+import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,14 @@ def test_no_dead_definitions():
     defining = texts(SRC, "*.py")
     others = {**texts(ROOT / "tests", "*.py"), **texts(ROOT / "perfbench", "*.py")}
     assert dead_definitions(defining, others) == []
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # run from its source, so nothing is written under perfbench/
+    tracer = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+    names = [entry[:2] for table in ("SPANS", "SIZED", "FIELD_OPS") for entry in tracer[table]]
+    for module, _path in names:
+        importlib.import_module(module)
+    for module, path in names:
+        assert callable(tracer["_original"](module, path)), (module, path)
+    assert names

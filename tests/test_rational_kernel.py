@@ -16,6 +16,7 @@ from quivkit.exactlin import RationalField
 from quivkit.generators import random_scalar, random_vqmap_to_gq
 from quivkit.poly import roots_if_split
 
+import dense_oracle
 from corpus import QQ, presented_corpus, triangle_mod_cb
 
 TWO = qk.VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["a", "b"],
@@ -139,7 +140,7 @@ def _both(rows):
 def test_linear_algebra_matches_the_fraction_kernel(rows, seed):
     m, m_old = _both(rows)
     red, piv = el.rref(m)
-    red_old, piv_old = el.rref(m_old)
+    red_old, piv_old = dense_oracle.rref(m_old)
     assert piv == piv_old
     assert _all_fractions(_same(red, red_old))
     assert _all_fractions(_same(el.kernel(m), el.kernel(m_old)))

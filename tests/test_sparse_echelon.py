@@ -1,11 +1,11 @@
 """The sparse echelon of `Subspace` against the dense forms it replaced.
 
-Every subspace operation must give the same pivots and equal values as the
-dense `rref` reference in `dense_oracle`, over Q (with non-integral
-values), F2, F5 and F101, on lists that may be empty and may hold zero and
-repeated vectors.  The radical filtration, grown in one echelon, must equal
-the layer-by-layer spans and sums on corpus algebras, quotients and raw
-tables.
+Every subspace operation, and `rref`, `rank`, `solve_multi`, `invert` and
+`kernel`, must give the same pivots and equal values as the dense pivot
+loop in `dense_oracle`, over Q (with non-integral values), F2, F5 and F101,
+on lists that may be empty and may hold zero and repeated vectors.  The
+radical filtration, grown in one echelon, must equal the layer-by-layer
+spans and sums on corpus algebras, quotients and raw tables.
 """
 
 from fractions import Fraction
@@ -125,6 +125,55 @@ def test_equal_subspaces_are_equal_and_hash_alike(case):
     assert el.kernel(el.Mat.zeros(field, 1, n)) == full
     same_rref = dense.echelon(field, n, vs) == dense.echelon(field, n, ws)
     assert (u == _span(field, n, ws)) == same_rref
+
+
+def _vector(field, n):
+    return st.lists(_scalars(field), min_size=n, max_size=n)
+
+
+@st.composite
+def matrices(draw):
+    """(field, m): 0 to 6 columns and 0 to 7 rows, wide, square or tall,
+    and often rank-deficient, with a row that combines two others."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    data = draw(st.lists(_vector(field, cols), min_size=rows, max_size=rows))
+    if data and draw(st.booleans()):
+        u, w = draw(st.sampled_from(data)), draw(st.sampled_from(data))
+        row = el.vec_add(field, u, el.vec_scale(field, draw(_scalars(field)), w))
+        data.insert(draw(st.integers(0, len(data))), row)
+    return field, el.Mat(field, len(data), cols, data)
+
+
+@seed(1705)
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_matrix_functions_match_the_dense_pivot_loop(case, data):
+    field, m = case
+    red, piv = dense.rref(m)
+    assert el.rref(m) == (red, piv)
+    assert el.rank(m) == len(piv)
+    assert dense.form(el.kernel(m)) == dense.echelon(field, m.cols, dense.kernel(m))
+    # images m x are consistent; free vectors are often not
+    bs = [m.matvec(x) for x in data.draw(st.lists(_vector(field, m.cols), max_size=3))]
+    bs += data.draw(st.lists(_vector(field, m.rows), max_size=3)) + [el.vec_zero(field, m.rows)]
+    bs = data.draw(st.permutations(bs))
+    assert el.solve_multi(m, bs) == dense.solve_multi(m, bs)
+    assert el.solve(m, bs[0]) == dense.solve_multi(m, bs[:1])[0]
+    if m.rows != m.cols:
+        with pytest.raises(qk.QuivkitError) as exc:
+            el.invert(m)
+        assert exc.value.code == "BAD_SHAPE"
+        return
+    try:
+        ref = dense.invert(m)
+    except qk.QuivkitError as ref_exc:
+        assert ref_exc.code == "SINGULAR"
+        with pytest.raises(qk.QuivkitError) as exc:
+            el.invert(m)
+        assert exc.value.code == "SINGULAR"
+    else:
+        assert el.invert(m) == ref
 
 
 # -- the radical filtration in one echelon -------------------------------------------
