@@ -23,29 +23,30 @@ from .algebra import is_relation_ideal, trace_form_radical
 from .dsl import Document, _at, format_text, parse
 from .gabriel import check_sim, check_sim_n, gq
 from .generators import random_padm_morphism, random_vqmap_to_gq, seeded_rng
-from .pathalg import build_kvq, cpa as cpa_build
+from .pathalg import MAX_KVQ_DIM, build_kvq, cpa as cpa_build
 from .vquiver import VQuiver, v_of_quiver
 
 
 def _default_level(vq: VQuiver) -> int:
     """2 plus the longest simple directed path (edge count), capped at 8.
 
-    A path of 6 edges reaches the cap, so the search goes no deeper and
-    ends at the first such path; this bounds it on dense quivers.
+    The search ends at the first path of 6 edges, which reaches the cap.
+    Every path it visits is a basis path at the level it returns, so past
+    MAX_KVQ_DIM of them it refuses TOO_LARGE, as build_kvq would.
     """
     adj = {v: [] for v in vq.vertices}
     for (src, tgt) in vq.arrow_pairs():
         adj[src].append(tgt)
-    longest = 6
-    best = 0
+    best, visited = 0, 0
 
     def walk(v, seen, length):
-        nonlocal best
-        best = max(best, length)
+        nonlocal best, visited
+        best, visited = max(best, length), visited + 1
+        if visited > MAX_KVQ_DIM:
+            raise QuivkitError("TOO_LARGE", "the path algebra at the default level has "
+                                            f"more than {MAX_KVQ_DIM} basis paths")
         for w in adj[v]:
-            if best == longest:
-                return
-            if w not in seen:
+            if best < 6 and w not in seen:
                 walk(w, seen | {w}, length + 1)
 
     for v in vq.vertices:

@@ -1,18 +1,18 @@
 """Constructive Wedderburn-Malcev data.
 
 Every admitted algebra already holds a complete set of primitive orthogonal
-idempotents, lifted along the nilpotent radical at admission.  From them
-come the algebra section of A -> A/J, the blockwise section of J -> J/J^2,
-and conjugators between two such splittings.
+idempotents, lifted along the radical at admission, and arrows in their
+Peirce blocks whose words span J.  From them come the sections of A -> A/J
+and, blockwise, of J -> J/J^2, and conjugators between two such splittings.
 """
 
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import FinAlgebra, _mul_raw, _peirce_blocks, orthogonal_idempotents
+from .algebra import FinAlgebra, _mul_raw, orthogonal_idempotents
 from .exactlin import (
+    Echelon,
     Mat,
-    complement,
     dense,
     solve,
     sparse,
@@ -141,43 +141,42 @@ def conjugating_element(a: FinAlgebra, pairs):
 def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitting:
     """Build a splitting; deterministic given the algebra.
 
-    `conjugate_by` (an element of J) replaces every idempotent by its
-    conjugate under 1+w, and `t_shift` perturbs the section of J -> J/J^2 by
-    adding block-compatible elements of J^2; both knobs produce a different
-    but equally valid splitting, which downstream independence checks use.
+    The section of J -> J/J^2 is read off the admitted arrows: each lies in
+    one Peirce block e_j A e_i, keyed (i, j), and their words span J, so the
+    arrows independent of J^2 and of those kept before them are a blockwise
+    basis of J/J^2.  `conjugate_by` (an element of J) conjugates idempotents
+    and arrows under 1+w, and `t_shift` perturbs the section by adding
+    elements of the J^2 block; both knobs produce a different but equally
+    valid splitting, which downstream independence checks use.
     """
     idems = lift_idempotents(a)
-    elements = idems.elements
+    elements, arrows = idems.elements, a.arrows
     if conjugate_by is not None:
         if not a.radical.contains(conjugate_by):
             raise QuivkitError("BAD_ARGUMENT", "conjugator must lie in J")
-        elements = list(map(conjugation(a, conjugate_by), elements))
+        conj = conjugation(a, conjugate_by)
+        elements, arrows = list(map(conj, elements)), list(map(conj, arrows))
         idems = IdempotentSet(a, elements)
-    j1 = a.radical
-    j2 = a.radical_power(2)
-    f, dim, sc = a.field, a.dim, a.structconst
-    j2_blocks = _peirce_blocks(f, dim, sc, elements, j2)
-    blocks = {}
-    for (i, j), amb in _peirce_blocks(f, dim, sc, elements, j1).items():
-        sub = j2_blocks[(i, j)]
-        vecs = [list(v) for v in complement(amb, sub).basis]
-        if t_shift is not None:
-            shifted = []
+    f, sc, j2 = a.field, a.structconst, a.radical_power(2)
+    e_terms = [sparse(e) for e in elements]
+    ech, kept = Echelon(f, j2), {}
+    for x in arrows:
+        xt = sparse(x)
+        if ech.insert(dict(xt)):
+            key = (next(i for i, e in enumerate(e_terms) if _mul_raw(f, sc, xt, e)),
+                   next(j for j, e in enumerate(e_terms) if _mul_raw(f, sc, e, xt)))
+            kept.setdefault(key, []).append(list(x))
+    blocks = dict(sorted(kept.items()))
+    if t_shift is not None:
+        for (i, j), vecs in blocks.items():
+            sub = a.peirce_block(elements[j], elements[i], j2)
             for k, v in enumerate(vecs):
                 extra = t_shift(i, j, k, sub)
                 if extra is not None:
                     if not sub.contains(extra):
-                        raise QuivkitError("BAD_ARGUMENT",
-                                           "t shift must land in the J^2 block")
-                    v = vec_add(f, v, extra)
-                shifted.append(v)
-            vecs = shifted
-        if vecs:
-            blocks[(i, j)] = vecs
-    split = Splitting(a, idems, blocks)
-    if split.total_block_dim() != j1.dim - j2.dim:
-        raise QuivkitError("NOT_VALIDATED", "block dimensions do not add up")
-    return split
+                        raise QuivkitError("BAD_ARGUMENT", "t shift must land in the J^2 block")
+                    vecs[k] = vec_add(f, v, extra)
+    return Splitting(a, idems, blocks)
 
 
 def conjugator(s1: Splitting, s2: Splitting):

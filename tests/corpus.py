@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import quivkit as qk
 from quivkit.vquiver import VQuiver
@@ -168,3 +171,20 @@ def remark_pair(field=QQ):
     beta = qk.validate_morphism(t_src.carrier, a,
                                 el.Mat.from_cols(field, col_b, rows=3))
     return t_src, t_tgt, alpha, beta
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_workloads():
+    """The namespace of perfbench/workloads.py, run from its source.  Nothing
+    is written under perfbench/: the `oracle` module it imports is compiled
+    without writing bytecode and dropped from sys.modules again."""
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return runpy.run_path(str(PERFBENCH / "workloads.py"))
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+        sys.modules.pop("oracle", None)

@@ -7,10 +7,13 @@ are what it replaced: the dense Gauss-Jordan loop `rref` and the solves,
 inverse and kernel read off it, every span a fresh dense `rref`,
 elimination over dense rows, the quotient projection solved with
 `solve_multi`, and the radical filtration layer by layer.  A subspace is
-given here as its dense RREF, a pair (rows, pivots).
+given here as its dense RREF, a pair (rows, pivots).  `peirce_complements`
+is the section of J -> J/J^2 as `make_splitting` built it before it read
+the admitted arrows.
 """
 
 import quivkit.exactlin as el
+from quivkit.algebra import _peirce_blocks
 from quivkit.errors import QuivkitError
 
 
@@ -191,3 +194,22 @@ def radical_filtration(field, dim, sc, arrows):
         filtration.append(echelon(field, dim, layers.pop()[0] + filtration[-1][0]))
     filtration.append(echelon(field, dim, [el.vec_unit(field, dim, i) for i in range(dim)]))
     return filtration[::-1]
+
+
+def peirce_complements(a, elements):
+    """{(i, j): vectors}: every basis vector of J and of J^2 split into its
+    Peirce parts for the idempotents `elements`, and in each block e_j J e_i
+    the complement of the J^2 block, kept when it is not empty."""
+    j1 = a.radical
+    j2 = a.radical_power(2)
+    f, dim, sc = a.field, a.dim, a.structconst
+    j2_blocks = _peirce_blocks(f, dim, sc, elements, j2)
+    blocks = {}
+    for (i, j), amb in _peirce_blocks(f, dim, sc, elements, j1).items():
+        sub = j2_blocks[(i, j)]
+        vecs = [list(v) for v in el.complement(amb, sub).basis]
+        if vecs:
+            blocks[(i, j)] = vecs
+    if sum(map(len, blocks.values())) != j1.dim - j2.dim:
+        raise QuivkitError("NOT_VALIDATED", "block dimensions do not add up")
+    return blocks

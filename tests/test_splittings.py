@@ -1,24 +1,44 @@
 """Idempotent lifting, splittings, conjugators, orbit decisions."""
 
 import random
+from pathlib import Path
 
 import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.adjunction import conjugation_automorphism
-from quivkit.algebra import orthogonal_idempotents
+from quivkit.algebra import _peirce_blocks, orthogonal_idempotents
+from quivkit.dsl import parse
 from quivkit.gabriel import inner_conjugation_witness
-from quivkit.generators import random_identity_class_automorphism, seeded_rng
+from quivkit.generators import (
+    random_identity_class_automorphism,
+    random_radical_element,
+    random_relation_ideal,
+    random_scalar,
+    random_vquiver,
+    seeded_rng,
+)
 from quivkit.splittings import conjugate_element, conjugating_element, conjugation
 
 from corpus import (
+    F2,
+    F3,
+    F5,
     QQ,
     algebra_corpus,
     lower_triangular,
+    perfbench_workloads,
     presented_corpus,
     semisimple,
     triangle_algebra,
     truncated_power_series,
+    upper_triangular,
 )
+from dense_oracle import peirce_complements
+from test_algebra import _dense_table
+
+ROOT = Path(__file__).resolve().parents[1]
+F101 = qk.GF(101)
+FIELDS = (QQ, F2, F3, F5, F101)
 
 
 def test_lift_on_product_of_fields():
@@ -262,3 +282,101 @@ def test_every_conjugation_witness_conjugates_its_pairs():
                 assert _conjugates(a, w, [(delta.apply(x), x) for x in basis]), name
                 witnesses += 1
     assert witnesses >= 80
+
+
+def _shuffled_table(a, rng):
+    """`a` admitted again as a raw table, its basis in a random order."""
+    perm = list(range(a.dim))
+    rng.shuffle(perm)
+    table = _dense_table(a)
+    return qk.validate_algebra(a.field, [a.basis_labels[p] for p in perm],
+                               [[[table[x][y][p] for p in perm] for y in perm] for x in perm],
+                               [a.unit[p] for p in perm])
+
+
+def _document_algebras(name, text):
+    return [(f"{name}:{alg}", entry.algebra) for alg, entry in parse(text).algebras.items()]
+
+
+def _splitting_cases():
+    """(name, algebra) pairs: the corpus; path algebras of random Vquivers at
+    levels 2-4 over Q, F2, F3, F5 and F101, their quotients by a random
+    relation ideal and by the ideal of a random radical element (which is not
+    admissible when the element has an arrow term), some of them admitted
+    again as shuffled tables; shuffled upper triangular tables; the demo and
+    tests/golden documents; and the algebras of the benchmark's counit corpus
+    and CLI documents."""
+    cases = algebra_corpus() + [(f"{n}_presented", t.carrier) for n, t in presented_corpus()]
+    cases += [(f"T{n}_{f!r}", upper_triangular(f, n, shuffle=True)) for f in (QQ, F5, F101)
+              for n in (2, 3, 4) if f.char == 0 or f.char > n * (n + 1) // 2]
+    rng = random.Random("splitting-oracle")
+    for k in range(45):
+        field = FIELDS[k % len(FIELDS)]
+        t = qk.build_kvq(field, random_vquiver(rng, max_total_arrows=5), rng.randint(2, 4))
+        ideals = [random_relation_ideal(rng, t),
+                  qk.ideal_generated_by(t.carrier, [random_radical_element(rng, t)])]
+        family = [t.carrier] + [qk.quotient_algebra(t.carrier, i)[0] for i in ideals]
+        family += [_shuffled_table(a, rng) for a in family
+                   if a.dim <= 16 and (field.char == 0 or field.char > a.dim)]
+        cases += [(f"random{k}_{m}_{field!r}", a) for m, a in enumerate(family)]
+    for path in (ROOT / "demo" / "triangle.quiv", ROOT / "tests" / "golden" / "table_t4.quiv"):
+        cases += _document_algebras(path.name, path.read_text(encoding="utf-8"))
+    bench = perfbench_workloads()
+    rng = random.Random("counit_scaled:1")
+    for field_name, quiver, level, n_rel, _copies in bench["COUNIT_CORPUS"]:
+        field = el.field_by_name(field_name)
+        rels = bench["_top_relations"](rng, quiver, level, n_rel, field.char)
+        cases.append((f"{quiver}/L{level}/{field_name}/r{n_rel}",
+                      bench["_present"](field, quiver, level, rels)[1]))
+    for doc_id, (_kind, text) in bench["cli_universe"](str(ROOT)).items():
+        cases += _document_algebras(doc_id, text)
+    return cases
+
+
+def _assert_valid_section(a, split, name):
+    """Each vector lies in J and in its Peirce block of the splitting's
+    idempotents, and the classes are a basis of J/J^2."""
+    elems, j2 = split.idems.elements, a.radical_power(2)
+    vecs = []
+    for (i, j), block in split.blocks.items():
+        for v in block:
+            assert a.radical.contains(v), name
+            assert a.mul(elems[j], a.mul(v, elems[i])) == v, name
+            vecs.append(v)
+    assert len(vecs) == a.radical.dim - j2.dim, name
+    assert el.Subspace.span(a.field, a.dim, j2.basis + vecs).dim == a.radical.dim, name
+
+
+def _combination(rng, a, vecs):
+    return el.vec_combination(a.field, a.dim, [random_scalar(rng, a.field) for _ in vecs], vecs)
+
+
+def test_splitting_reads_the_peirce_complements_off_the_arrows():
+    """make_splitting keeps the admitted arrows independent of J^2 and of the
+    arrows before them; its blocks are, vector for vector and key for key,
+    the complements of the J^2 blocks in the Peirce blocks of J that it took
+    before.  Conjugated and shifted splittings are checked for validity, and
+    the shift sees each kept block's J^2 block, in key order."""
+    cases = _splitting_cases()
+    assert len(cases) >= 200
+    assert {a.field for _name, a in cases} == set(FIELDS)
+    rng = random.Random("splitting-knobs")
+    for name, a in cases:
+        blocks = qk.make_splitting(a).blocks
+        assert list(blocks.items()) == list(peirce_complements(a, a.ss_classes).items()), name
+        w = _combination(rng, a, a.radical.basis)
+        _assert_valid_section(a, qk.make_splitting(a, conjugate_by=w), name)
+        for conj in (None, w):
+            calls = []
+
+            def shift(i, j, k, sub):
+                calls.append((i, j, k, sub))
+                return _combination(rng, a, sub.basis) if sub.dim and rng.random() < 0.7 else None
+
+            split = qk.make_splitting(a, conjugate_by=conj, t_shift=shift)
+            _assert_valid_section(a, split, name)
+            j2_blocks = _peirce_blocks(a.field, a.dim, a.structconst, split.idems.elements,
+                                       a.radical_power(2))
+            assert [c[:3] for c in calls] == [(i, j, k) for (i, j), vecs in blocks.items()
+                                              for k in range(len(vecs))], name
+            assert all(sub == j2_blocks[(i, j)] for i, j, _k, sub in calls), name
