@@ -385,8 +385,9 @@ def kinfty_on_map(rho: VQuiverMap, src_cls: IdealOrbitClass,
 
     `witness_src` is (I', delta_I) with delta_I(I) = I', and likewise for the
     target; defaults take the representatives themselves with the identity.
-    Requires rho surjective and k[[rho]](I') contained in K'
-    (WITNESS_INVALID otherwise).
+    Requires rho surjective, k[[rho]](I') in K' (WITNESS_INVALID otherwise)
+    and each delta in the identity class (DELTA_INVALID).  The map is read
+    off its lift pi_K . delta_K^-1 . k[[rho]] . delta_I, which kills I.
     """
     t_src, t_tgt = src_cls.parent, tgt_cls.parent
     if rho.source != t_src.vq or rho.target != t_tgt.vq:
@@ -409,15 +410,12 @@ def kinfty_on_map(rho: VQuiverMap, src_cls: IdealOrbitClass,
     krho = kvq_on_map(rho, t_src.level, src=t_src, tgt=t_tgt)
     if not kprime.space.contains_subspace(krho.image_of(iprime.space)):
         raise QuivkitError("WITNESS_INVALID", "k[[rho]] does not take I' into K'")
+    if not (check_sim(delta_i, ident_src, 1) and check_sim(delta_k, ident_tgt, 1)):
+        raise QuivkitError("DELTA_INVALID", "delta is not in the identity class")
     _q_i, pi_i = quotient_algebra(t_src.carrier, i_rep)
-    _q_ip, pi_ip = quotient_algebra(t_src.carrier, iprime)
     _q_k, pi_k = quotient_algebra(t_tgt.carrier, k_rep)
-    _q_kp, pi_kp = quotient_algebra(t_tgt.carrier, kprime)
-    gamma_i = gamma(delta_i, pi_i, pi_ip)
-    gamma_k = gamma(delta_k, pi_k, pi_kp)
-    # induced map on the primed quotients
-    mid = induced_on_quotient(pi_ip, pi_kp.compose(krho))
-    return gamma_k.inverse().compose(mid).compose(gamma_i)
+    return induced_on_quotient(
+        pi_i, pi_k.compose(delta_k.inverse()).compose(krho).compose(delta_i))
 
 
 def same_ideal_orbit(t: TruncatedTensorAlgebra, ideal_a: IdealSubspace,

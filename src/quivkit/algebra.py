@@ -33,7 +33,6 @@ from .exactlin import (
     kernel,
     quotient_basis,
     rank,
-    solve_multi,
     sparse,
     vec_scale,
     vec_sub,
@@ -154,17 +153,21 @@ class AlgMorphism:
     Build through `validate_morphism`, or through a construction that is a
     morphism by how it is made (`universal_map` from certified generator
     images, `quotient_algebra`'s projection, whose kernel is the ideal by
-    construction); nothing re-checks those.  `matrix` is target-dim x
-    source-dim and acts on coordinate columns.
+    construction, `induced_on_quotient` from its lift); nothing re-checks
+    those.  `matrix` is target-dim x source-dim and acts on coordinate
+    columns; `surjective` is read off it when asked.
     """
 
-    __slots__ = ("source", "target", "matrix", "surjective")
+    __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source, target, matrix, surjective):
+    def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.surjective = surjective
+
+    @property
+    def surjective(self) -> bool:
+        return rank(self.matrix) == self.target.dim
 
     def apply(self, v):
         return self.matrix.matvec(v)
@@ -178,13 +181,10 @@ class AlgMorphism:
         """self ∘ other (apply `other` first)."""
         if not other.target.same_as(self.source):
             raise QuivkitError("NOT_COMPOSABLE", "morphism targets do not line up")
-        m = self.matrix.matmul(other.matrix)
-        return AlgMorphism(other.source, self.target, m,
-                           surjective=rank(m) == self.target.dim)
+        return AlgMorphism(other.source, self.target, self.matrix.matmul(other.matrix))
 
     def inverse(self) -> "AlgMorphism":
-        inv = invert(self.matrix)
-        return AlgMorphism(self.target, self.source, inv, surjective=True)
+        return AlgMorphism(self.target, self.source, invert(self.matrix))
 
     def is_identity(self) -> bool:
         return (self.source is self.target
@@ -204,7 +204,7 @@ class AlgMorphism:
 
 
 def identity_morphism(a: FinAlgebra) -> AlgMorphism:
-    return AlgMorphism(a, a, Mat.identity(a.field, a.dim), surjective=True)
+    return AlgMorphism(a, a, Mat.identity(a.field, a.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +677,7 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
     if sum(1 for e in source.ss_classes if any(matrix.matvec(e))) != r:
         raise QuivkitError("RADICAL_QUOTIENT_NOT_SURJECTIVE",
                            "induced map A/J(A) -> B/J(B) is not onto")
-    return AlgMorphism(source, target, matrix,
-                       surjective=rank(matrix) == target.dim)
+    return AlgMorphism(source, target, matrix)
 
 
 def image_of_radical_check(alpha: AlgMorphism) -> bool:
@@ -726,27 +725,20 @@ def ideal_generated_by(a: FinAlgebra, vectors) -> IdealSubspace:
     return IdealSubspace(a, ech.subspace(a.dim))
 
 
-def quotient_section(pi: AlgMorphism):
-    """Preimages under a surjection pi of the target's basis vectors.
-
-    All are solved at once; each is the pivot-minimal solution.
-    """
-    q = pi.target
-    pres = solve_multi(pi.matrix, [q.basis_vector(i) for i in range(q.dim)])
-    if any(p is None for p in pres):
-        raise QuivkitError("INTERNAL", "projection not surjective")
-    return pres
-
-
 def induced_on_quotient(pi: AlgMorphism, h: AlgMorphism) -> AlgMorphism:
-    """The morphism g with h = g . pi, for a surjection pi whose kernel h kills.
+    """The morphism g with g . pi = h, for pi: A -> A/I from `quotient_algebra`
+    and a morphism h out of A that kills I (the caller's to know).
 
-    Each basis class of pi's target goes to the image under h of its
-    section preimage.
+    Column k of g is h's column at the basis vector of A with A/I's k-th
+    label.  pi is onto, so g . pi = h makes g a morphism with no check.
     """
-    cols = [h.apply(pre) for pre in quotient_section(pi)]
-    m = Mat.from_cols(h.target.field, cols, rows=h.target.dim)
-    return validate_morphism(pi.target, h.target, m)
+    a, q = pi.source, pi.target
+    idx = [a._label_index.get(lab) for lab in q.basis_labels]
+    if not h.source.same_as(a) or None in idx or any(
+            pi.matrix.col(i) != vec_unit(a.field, q.dim, k) for k, i in enumerate(idx)):
+        raise QuivkitError("BAD_ARGUMENT", "pi is not a quotient projection of h's source")
+    return AlgMorphism(q, h.target, Mat(h.target.field, h.target.dim, q.dim,
+                                        [[row[i] for i in idx] for row in h.matrix.data]))
 
 
 def is_relation_ideal(ideal: IdealSubspace) -> bool:
@@ -760,7 +752,8 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     Returns (Q, pi) where pi is the canonical surjection with kernel I.  The
     radical of Q is the image of J(A) (surjections map radicals onto
     radicals), so no trace-form computation is needed; Q is presented by the
-    nonzero images of A's idempotents and arrows.
+    nonzero images of A's idempotents and arrows.  pi sends the basis vector
+    of A with Q's k-th label to Q's k-th basis vector, its class.
     """
     if not a.same_as(ideal.parent):
         raise QuivkitError("BAD_ARGUMENT", "ideal belongs to a different algebra")
@@ -784,4 +777,4 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
                           arrows)
     # q's table is defined through proj, so proj is a morphism; proj is the
     # coordinate map of k^n = span(reps) + I, so its kernel is I
-    return q, AlgMorphism(a, q, proj, surjective=True)
+    return q, AlgMorphism(a, q, proj)

@@ -54,9 +54,15 @@ def _default_level(vq: VQuiver) -> int:
     return 2 + best
 
 
-def _load(path: str) -> Document:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+def _read(path: str) -> str:
+    """The file's text with universal newlines; PARSE_ERROR if not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise QuivkitError("PARSE_ERROR",
+                           f"file is not UTF-8: invalid byte at offset {exc.start}") from None
 
 
 def _cmd_gq(doc: Document, rng):
@@ -160,7 +166,7 @@ def _factor_delta_check(doc: Document, alpha_name: str, beta_name: str):
     g_entry = doc.morphisms[beta_name]
     src_entry = doc.algebras[f_entry.source_name]
     res = {"alpha": alpha_name, "beta": beta_name}
-    if src_entry.tensor is None or src_entry.ideal is not None:
+    if src_entry.tensor is None or src_entry.relations is not None:
         res["error"] = "SOURCE_NOT_PATH_ALGEBRA"
         res["pass"] = False
         return res
@@ -302,8 +308,7 @@ def main(argv=None) -> int:
 
     if args.mode == "fmt":
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = format_text(fh.read())
+            text = format_text(_read(args.file))
         except (QuivkitError, OSError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -313,7 +318,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        doc = _load(args.file)
+        doc = parse(_read(args.file))
     except (QuivkitError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -456,12 +456,12 @@ def parse_ast(text: str) -> Node:
 # ---------------------------------------------------------------------------
 
 class AlgebraEntry:
-    __slots__ = ("algebra", "tensor", "ideal", "projection")
+    __slots__ = ("algebra", "tensor", "relations", "projection")
 
-    def __init__(self, algebra, tensor=None, ideal=None, projection=None):
+    def __init__(self, algebra, tensor=None, relations=None, projection=None):
         self.algebra = algebra
         self.tensor = tensor
-        self.ideal = ideal
+        self.relations = relations
         self.projection = projection
 
 
@@ -581,10 +581,10 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
         tensor = _at(stmt, build, f, decls[stmt.base], stmt.level)
         if not stmt.ideal:
             return AlgebraEntry(tensor.carrier, tensor=tensor)
-        gens = [eval_expr(e, tensor.carrier) for e in stmt.ideal]
-        ideal = ideal_generated_by(tensor.carrier, gens)
+        rels = [eval_expr(e, tensor.carrier) for e in stmt.ideal]
+        ideal = ideal_generated_by(tensor.carrier, rels)
         quotient, pi = _at(stmt, quotient_algebra, tensor.carrier, ideal)
-        return AlgebraEntry(quotient, tensor=tensor, ideal=ideal,
+        return AlgebraEntry(quotient, tensor=tensor, relations=rels,
                             projection=pi)
     # table form, written straight into the stored sparse form
     basis = stmt.basis
@@ -667,13 +667,13 @@ def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
         idem_images[v] = eval_expr(given[lab], target)
     arrow_images = {lab: eval_expr(given[lab], target) for lab in arrow_labels}
     lifted = _at(stmt, universal_map, tensor, target, idem_images, arrow_images)
-    if src_entry.ideal is None:
+    if src_entry.relations is None:
         return MorphismEntry(lifted, stmt.source, stmt.target)
-    # descend through the quotient presentation
-    if lifted.image_of(src_entry.ideal.space).dim:
+    # descend through the quotient: killing its relations kills its ideal
+    if any(any(lifted.apply(r)) for r in src_entry.relations):
         _err("SEMANTIC_ERROR", "images do not kill the presentation ideal",
              stmt.line, stmt.col)
-    descended = _at(stmt, induced_on_quotient, src_entry.projection, lifted)
+    descended = induced_on_quotient(src_entry.projection, lifted)
     return MorphismEntry(descended, stmt.source, stmt.target)
 
 

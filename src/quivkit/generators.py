@@ -10,6 +10,7 @@ import os
 import random
 from fractions import Fraction
 
+from .errors import QuivkitError
 from .algebra import AlgMorphism, IdealSubspace, ideal_generated_by
 from .adjunction import conjugated_images
 from .exactlin import Mat, vec_combination, vec_zero
@@ -22,7 +23,11 @@ DEFAULT_SEED = 20240901
 
 def seeded_rng(seed=None) -> random.Random:
     if seed is None:
-        seed = int(os.environ.get("QUIVKIT_SEED", DEFAULT_SEED))
+        value = os.environ.get("QUIVKIT_SEED", DEFAULT_SEED)
+        try:
+            seed = int(value)
+        except ValueError:
+            raise QuivkitError("BAD_ARGUMENT", f"QUIVKIT_SEED={value!r} is not an integer") from None
     return random.Random(seed)
 
 

@@ -243,9 +243,7 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
         else:
             prefix = cols[t.index[(p.start, p.arrows[:-1])]]
             cols.append(_mul_raw(f, sc, xs[p.arrows[-1]], prefix))
-    m = Mat.from_sparse_cols(f, cols, target.dim)
-    onto = Subspace.span(f, target.dim, cols).dim == target.dim
-    return AlgMorphism(t.carrier, target, m, surjective=onto)
+    return AlgMorphism(t.carrier, target, Mat.from_sparse_cols(f, cols, target.dim))
 
 
 def vqmap_generator_images(rho: VQuiverMap, n: int, idems, arrow_bases):

@@ -47,6 +47,12 @@ def double_loop_vq():
     return VQuiver(["1"], {("1", "1"): ["x", "y"]})
 
 
+def two_vq():
+    """TWO: a loop x at 1, arrows a, b: 1 -> 2 and c: 2 -> 1."""
+    return VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["a", "b"],
+                                ("2", "1"): ["c"]})
+
+
 def vq_corpus():
     return [
         ("two_point", two_point_vq()),

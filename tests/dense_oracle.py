@@ -9,12 +9,18 @@ elimination over dense rows, the quotient projection solved with
 `solve_multi`, and the radical filtration layer by layer.  A subspace is
 given here as its dense RREF, a pair (rows, pivots).  `peirce_complements`
 is the section of J -> J/J^2 as `make_splitting` built it before it read
-the admitted arrows.
+the admitted arrows.  `quotient_section`, `induced_on_quotient` and
+`kinfty_on_map` are morphisms out of a quotient as they were built before
+they were read off the labels of the lift: a solved section of the
+projection, the result admitted again by `validate_morphism`, and k∞ maps
+through `gamma` on four quotients.
 """
 
 import quivkit.exactlin as el
-from quivkit.algebra import _peirce_blocks
+from quivkit.adjunction import apply_to_ideal, gamma
+from quivkit.algebra import _peirce_blocks, identity_morphism, quotient_algebra, validate_morphism
 from quivkit.errors import QuivkitError
+from quivkit.pathalg import kvq_on_map
 
 
 def rref(m):
@@ -213,3 +219,62 @@ def peirce_complements(a, elements):
     if sum(map(len, blocks.values())) != j1.dim - j2.dim:
         raise QuivkitError("NOT_VALIDATED", "block dimensions do not add up")
     return blocks
+
+
+def quotient_section(pi):
+    """Preimages under a surjection pi of the target's basis vectors.
+
+    All are solved at once; each is the pivot-minimal solution.
+    """
+    q = pi.target
+    pres = solve_multi(pi.matrix, [q.basis_vector(i) for i in range(q.dim)])
+    if any(p is None for p in pres):
+        raise QuivkitError("INTERNAL", "projection not surjective")
+    return pres
+
+
+def induced_on_quotient(pi, h):
+    """The morphism g with h = g . pi, for a surjection pi whose kernel h kills.
+
+    Each basis class of pi's target goes to the image under h of its
+    section preimage.
+    """
+    cols = [h.apply(pre) for pre in quotient_section(pi)]
+    m = el.Mat.from_cols(h.target.field, cols, rows=h.target.dim)
+    return validate_morphism(pi.target, h.target, m)
+
+
+def kinfty_on_map(rho, src_cls, tgt_cls, *, witness_src=None, witness_tgt=None):
+    """k[[VQ]]/I -> k[[VR]]/K induced by rho: gamma_K^-1 . mid . gamma_I,
+    with mid induced on the primed quotients (the witnesses' checks and
+    codes as in `quivkit.kinfty_on_map`)."""
+    t_src, t_tgt = src_cls.parent, tgt_cls.parent
+    if rho.source != t_src.vq or rho.target != t_tgt.vq:
+        raise QuivkitError("BAD_ARGUMENT", "map endpoints do not match the classes")
+    if not rho.is_surjective():
+        raise QuivkitError("NOT_SURJECTIVE",
+                           "only surjective maps are admitted here")
+    if t_src.level != t_tgt.level:
+        raise QuivkitError("TRUNCATION_INCOMPATIBLE", "levels differ")
+    ident_src = identity_morphism(t_src.carrier)
+    ident_tgt = identity_morphism(t_tgt.carrier)
+    i_rep = src_cls.representative
+    k_rep = tgt_cls.representative
+    iprime, delta_i = witness_src if witness_src is not None else (i_rep, ident_src)
+    kprime, delta_k = witness_tgt if witness_tgt is not None else (k_rep, ident_tgt)
+    if apply_to_ideal(delta_i, i_rep) != iprime:
+        raise QuivkitError("WITNESS_INVALID", "source witness does not map I to I'")
+    if apply_to_ideal(delta_k, k_rep) != kprime:
+        raise QuivkitError("WITNESS_INVALID", "target witness does not map K to K'")
+    krho = kvq_on_map(rho, t_src.level, src=t_src, tgt=t_tgt)
+    if not kprime.space.contains_subspace(krho.image_of(iprime.space)):
+        raise QuivkitError("WITNESS_INVALID", "k[[rho]] does not take I' into K'")
+    _q_i, pi_i = quotient_algebra(t_src.carrier, i_rep)
+    _q_ip, pi_ip = quotient_algebra(t_src.carrier, iprime)
+    _q_k, pi_k = quotient_algebra(t_tgt.carrier, k_rep)
+    _q_kp, pi_kp = quotient_algebra(t_tgt.carrier, kprime)
+    gamma_i = gamma(delta_i, pi_i, pi_ip)
+    gamma_k = gamma(delta_k, pi_k, pi_kp)
+    # induced map on the primed quotients
+    mid = induced_on_quotient(pi_ip, pi_kp.compose(krho))
+    return gamma_k.inverse().compose(mid).compose(gamma_i)

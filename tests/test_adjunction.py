@@ -19,6 +19,7 @@ from quivkit.generators import (
 from quivkit.pathalg import build_kvq, kvq_on_map, universal_map
 from quivkit.vquiver import POINT, VQuiver, VQuiverMap, compose_vq, identity_vqmap
 
+import dense_oracle
 from corpus import (
     QQ,
     F3,
@@ -31,6 +32,7 @@ from corpus import (
     triangle_mod_cb,
     triangle_vq,
     truncated_power_series,
+    two_vq,
     vq_corpus,
 )
 
@@ -520,21 +522,28 @@ def test_kinfty_respects_witnesses():
     assert qk.check_sim(m1, m2, 1)
 
 
-def test_kinfty_requires_surjective():
+def _onto_triangle_map():
+    """A Vquiver with a doubled arrow over the triangle, at level 3, and an
+    onto map from it."""
     t = triangle_algebra()
-    zero = qk.ideal_generated_by(t.carrier, [])
-    cls = qk.IdealOrbitClass(t, zero)
     vr = VQuiver(["1", "2", "3"],
                  {("1", "2"): ["a", "a2"], ("1", "3"): ["b"], ("3", "2"): ["c"]})
-    t_big = build_kvq(QQ, vr, 3)
-    cls_big = qk.IdealOrbitClass(t_big, qk.ideal_generated_by(t_big.carrier, []))
     rho = VQuiverMap(QQ, vr, t.vq, {"1": "1", "2": "2", "3": "3"},
                      {("1", "2"): el.Mat(QQ, 1, 2, [[QQ.of(1), QQ.of(0)]]),
                       ("1", "3"): el.Mat.identity(QQ, 1),
                       ("3", "2"): el.Mat.identity(QQ, 1)})
+    return build_kvq(QQ, vr, 3), rho
+
+
+def test_kinfty_requires_surjective():
+    t = triangle_algebra()
+    zero = qk.ideal_generated_by(t.carrier, [])
+    cls = qk.IdealOrbitClass(t, zero)
+    t_big, rho = _onto_triangle_map()
+    cls_big = qk.IdealOrbitClass(t_big, qk.ideal_generated_by(t_big.carrier, []))
     ok = qk.kinfty_on_map(rho, cls_big, cls)
     assert ok.surjective
-    weak = VQuiverMap(QQ, vr, t.vq, {"1": "1", "2": "2", "3": "3"},
+    weak = VQuiverMap(QQ, t_big.vq, t.vq, {"1": "1", "2": "2", "3": "3"},
                       {("1", "2"): el.Mat.zeros(QQ, 1, 2),
                        ("1", "3"): el.Mat.identity(QQ, 1),
                        ("3", "2"): el.Mat.identity(QQ, 1)})
@@ -568,6 +577,73 @@ def test_kinfty_invalid_witness():
         qk.kinfty_on_map(identity_vqmap(t.vq, QQ), cls, cls,
                          witness_src=(zero, qk.identity_morphism(a)))
     assert exc.value.code == "WITNESS_INVALID"
+
+
+def _kinfty_cases():
+    """(name, rho, source class, target class, witnesses): the k∞ cases
+    above, and witnesses that move the ideals on either side."""
+    t = triangle_algebra()
+    a = t.carrier
+    ident = identity_vqmap(t.vq, QQ)
+    cb = qk.IdealOrbitClass(t, qk.ideal_generated_by(a, [a.element("cb")]))
+    conj = conjugation_automorphism(t, a.element("a"))
+    moved = apply_to_ideal(conj, cb.representative)
+    t_big, rho = _onto_triangle_map()
+    zero_big = qk.IdealOrbitClass(t_big, qk.ideal_generated_by(t_big.carrier, []))
+    cases = [("identity", ident, cb, cb, {}),
+             ("conjugation", ident, cb, cb,
+              {"witness_src": (moved, conj), "witness_tgt": (moved, conj)}),
+             ("onto", rho, zero_big, qk.IdealOrbitClass(t, qk.ideal_generated_by(a, [])), {}),
+             ("onto mod cb", rho, zero_big, cb, {})]
+    # in TWO at level 4, b -> b + ax moves (bc) to (bc + axc); the classes of
+    # k[[TWO]]/(bc) skip the basis path bc
+    two = build_kvq(QQ, two_vq(), 4)
+    b2 = two.carrier
+    bc = qk.IdealOrbitClass(two, qk.ideal_generated_by(b2, [b2.element("bc")]))
+    zero_two = qk.IdealOrbitClass(two, qk.ideal_generated_by(b2, []))
+    idems, arrows = two.identity_images()
+    shift = universal_map(two, b2, idems,
+                          dict(arrows, b=el.vec_add(QQ, arrows["b"], b2.element("ax"))))
+    moved_bc = apply_to_ideal(shift, bc.representative)
+    assert moved_bc != bc.representative
+    ident_two = identity_vqmap(two.vq, QQ)
+    cases.append(("shift", ident_two, bc, bc,
+                  {"witness_src": (moved_bc, shift), "witness_tgt": (moved_bc, shift)}))
+    # random members of the identity class, different on the two sides
+    for k in range(3):
+        for name, r, src_cls, tgt_cls in (("random", ident_two, zero_two, bc),
+                                          ("random onto", rho, zero_big, cb)):
+            d_src = random_identity_class_automorphism(seeded_rng(40 + k), src_cls.parent)
+            d_tgt = random_identity_class_automorphism(seeded_rng(50 + k), tgt_cls.parent)
+            cases.append((f"{name} {k}", r, src_cls, tgt_cls,
+                          {"witness_src": (src_cls.representative, d_src),
+                           "witness_tgt": (apply_to_ideal(d_tgt, tgt_cls.representative),
+                                           d_tgt)}))
+    return cases
+
+
+def test_kinfty_matches_the_gamma_oracle():
+    cases = _kinfty_cases()
+    assert len(cases) == 11
+    for name, rho, src, tgt, witnesses in cases:
+        m = qk.kinfty_on_map(rho, src, tgt, **witnesses)
+        assert m == dense_oracle.kinfty_on_map(rho, src, tgt, **witnesses), name
+
+
+def test_kinfty_refuses_a_witness_outside_the_identity_class():
+    # a -> 2a fixes (cb) but moves a out of a + J^2
+    t = triangle_algebra()
+    a = t.carrier
+    cls = qk.IdealOrbitClass(t, qk.ideal_generated_by(a, [a.element("cb")]))
+    idems, arrows = t.identity_images()
+    scale = universal_map(t, a, idems, dict(arrows, a=el.vec_scale(QQ, QQ.of(2), arrows["a"])))
+    assert apply_to_ideal(scale, cls.representative) == cls.representative
+    for side in ("witness_src", "witness_tgt"):
+        witnesses = {side: (cls.representative, scale)}
+        for fn in (qk.kinfty_on_map, dense_oracle.kinfty_on_map):
+            with pytest.raises(QuivkitError) as exc:
+                fn(identity_vqmap(t.vq, QQ), cls, cls, **witnesses)
+            assert exc.value.code == "DELTA_INVALID"
 
 
 def test_same_ideal_orbit_finds_conjugated_ideal():

@@ -13,12 +13,17 @@ from quivkit.algebra import (
     ideal_subspace,
     induced_on_quotient,
     presented_algebra,
-    quotient_section,
 )
 from quivkit.dsl import parse
 from quivkit.errors import QuivkitError
+from quivkit.pathalg import universal_map
 from quivkit.poly import _mul as poly_mul, roots_if_split
 
+from dense_oracle import (
+    induced_on_quotient as solved_induced_on_quotient,
+    quotient_section,
+    rref as dense_rref,
+)
 from corpus import (
     QQ,
     F2,
@@ -30,6 +35,7 @@ from corpus import (
     triangle_algebra,
     triangle_mod_cb,
     truncated_power_series,
+    two_vq,
     vq_corpus,
 )
 
@@ -370,47 +376,81 @@ def test_perturbed_psi_names_reference_pair():
     assert exc.value.message == f"fails on basis pair ({pair[0]}, {pair[1]})"
 
 
-def test_quotient_section_matches_one_solve_per_column():
-    checked = 0
+def _raw_upper_triangular(field):
+    """Upper triangular 3 x 3 matrices as a raw table in a shuffled basis,
+    admitted with its certificate (the trace form would refuse F2 and F5)."""
+    labels = ["E12", "E22", "E13", "E23", "E11", "E33"]
+    index = {lab: k for k, lab in enumerate(labels)}
+    terms = [[((index[f"E{x[1]}{y[2]}"], field.one),) if x[2] == y[1] else ()
+              for y in labels] for x in labels]
+    unit = [field.one if lab[1] == lab[2] else field.zero for lab in labels]
+    vec = {lab: el.vec_unit(field, 6, k) for lab, k in index.items()}
+    radical = el.Subspace.span(field, 6, [vec["E12"], vec["E13"], vec["E23"]])
+    return presented_algebra(field, labels, terms, unit, radical,
+                             [vec["E11"], vec["E22"], vec["E33"]], [vec["E12"], vec["E23"]])
+
+
+def _quotient_cases():
+    """(name, A, I): every corpus algebra modulo J^2 and J, and quotients
+    whose representatives are not the earliest basis vectors of A."""
+    cases = []
     for name, a in algebra_corpus():
-        for space in (a.radical_power(2), a.radical):
-            if space.dim == 0:
-                continue
-            q, pi = qk.quotient_algebra(a, ideal_subspace(a, space))
-            section = quotient_section(pi)
-            # the loop the helper replaced: one solve per quotient basis vector
-            oracle = [el.solve(pi.matrix, q.basis_vector(i)) for i in range(q.dim)]
-            assert el.Mat.from_cols(a.field, section, rows=a.dim) == \
-                el.Mat.from_cols(a.field, oracle, rows=a.dim), name
-            for i, pre in enumerate(section):
-                assert pi.apply(pre) == q.basis_vector(i), name
-            checked += 1
-    t, _ideal, q, pi = triangle_mod_cb()
-    section = quotient_section(pi)
-    assert section == [el.solve(pi.matrix, q.basis_vector(i)) for i in range(q.dim)]
-    assert checked >= 8
+        for key, space in (("J2", a.radical_power(2)), ("J", a.radical)):
+            if space.dim:
+                cases.append((f"{name}/{key}", a, ideal_subspace(a, space)))
+    for field in (QQ, F2, F5):
+        for name, a, gen in (("triangle/(a)", triangle_algebra(field).carrier, "a"),
+                             ("TWO/(x)", qk.build_kvq(field, two_vq(), 3).carrier, "x"),
+                             ("upper3/(E12)", _raw_upper_triangular(field), "E12")):
+            ideal = qk.ideal_generated_by(a, [a.element(gen)])
+            cases.append((f"{name} {field!r}", a, ideal))
+    return cases
+
+
+def test_quotient_section_matches_one_solve_per_column():
+    skipped = 0
+    for name, a, ideal in _quotient_cases():
+        q, pi = qk.quotient_algebra(a, ideal)
+        section = quotient_section(pi)
+        # the loop the solved section replaced: one solve per basis vector
+        assert section == [el.solve(pi.matrix, q.basis_vector(i)) for i in range(q.dim)], name
+        assert section == [a.element(lab) for lab in q.basis_labels], name
+        skipped += q.basis_labels != a.basis_labels[:q.dim]
+    # quotients whose representatives skip an earlier basis vector
+    assert skipped >= 9
 
 
 def test_induced_on_quotient_factors_through_the_projection():
-    checked = 0
-    for name, a in algebra_corpus():
-        j2, j3 = a.radical_power(2), a.radical_power(3)
-        if j2.dim == 0:
-            continue
-        # J^3 is inside J^2, so A -> A/J^2 factors through A -> A/J^3
-        pi = qk.quotient_algebra(a, ideal_subspace(a, j3))[1] if j3.dim \
-            else qk.identity_morphism(a)
-        h = qk.quotient_algebra(a, ideal_subspace(a, j2))[1]
-        for hh in (h, pi):
-            g = induced_on_quotient(pi, hh)
-            assert g.compose(pi).matrix == hh.matrix, name
-        checked += 1
-    t, _ideal, q, pi = triangle_mod_cb()
-    cu = qk.counit(q)
-    pi_k = qk.quotient_algebra(cu.source_algebra.carrier, cu.kernel_ideal)[1]
-    g = induced_on_quotient(pi_k, cu.morphism)
-    assert g.compose(pi_k).matrix == cu.morphism.matrix
-    assert checked >= 5
+    cases = _quotient_cases()
+    assert len(cases) >= 25
+    for name, a, ideal in cases:
+        q, pi = qk.quotient_algebra(a, ideal)
+        further = qk.ideal_generated_by(a, ideal.space.basis + a.radical_power(2).basis)
+        cu = qk.counit(q)
+        pi_k = qk.quotient_algebra(cu.source_algebra.carrier, cu.kernel_ideal)[1]
+        for p, h in ((pi, pi), (pi, qk.quotient_algebra(a, further)[1]),
+                     (pi_k, cu.morphism)):
+            g = induced_on_quotient(p, h)
+            admitted = qk.validate_morphism(p.target, h.target, g.matrix)
+            assert g == admitted == solved_induced_on_quotient(p, h), name
+            assert g.surjective == (len(dense_rref(g.matrix)[1]) == h.target.dim), name
+            assert g.compose(p).matrix == h.matrix, name
+
+
+def test_induced_on_quotient_refuses_what_is_not_a_projection():
+    t = triangle_algebra()
+    a = t.carrier
+    q, pi = qk.quotient_algebra(a, qk.ideal_generated_by(a, [a.element("a")]))
+    # same labels, but the class of a is sent to a + cb
+    shifted = dict(t.identity_images()[1], a=el.vec_add(QQ, a.element("a"), a.element("cb")))
+    aut = universal_map(t, a, t.identity_images()[0], shifted)
+    # the table's labels are not labels of its counit's source
+    cu = qk.counit(_raw_upper_triangular(QQ))
+    # h must start where pi does
+    for p, h in ((aut, pi), (cu.morphism, cu.morphism), (pi, cu.morphism)):
+        with pytest.raises(QuivkitError) as exc:
+            induced_on_quotient(p, h)
+        assert exc.value.code == "BAD_ARGUMENT"
 
 
 # -- splitting A/J: the characteristic-polynomial oracle and sympy -------------

@@ -32,13 +32,13 @@ from corpus import (
     double_loop_vq,
     lower_triangular,
     triangle_algebra,
+    two_vq,
     vq_corpus,
 )
 
 F101 = qk.GF(101)
 FIELDS = (QQ, F2, F3, F5, F101)
-TWO = qk.VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["a", "b"],
-                              ("2", "1"): ["c"]})
+TWO = two_vq()
 
 
 # -- oracles: the basis-pair loops of the checks before certificates -------

@@ -560,3 +560,40 @@ def test_unwritable_output_path_is_an_input_error(doc_file, tmp_path, args):
     assert proc.returncode == 2, err
     assert "Traceback" not in err
     assert str(missing) in err
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "{doc}"], ["run", "{doc}", "--command", "gq"], ["fmt", "{doc}"],
+], ids=["check", "run", "fmt"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, args):
+    doc = tmp_path / "bad.quiv"
+    doc.write_bytes(b"field Q;\n# caf\xe9\n")
+    assert main([a.format(doc=doc) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "PARSE_ERROR: file is not UTF-8: invalid byte at offset 14\n"
+
+
+def test_crlf_and_cr_line_ends_read_as_newlines(tmp_path, capsys):
+    doc = tmp_path / "crlf.quiv"
+    doc.write_bytes(DEMO.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["fmt", str(doc)]) == 0
+    crlf = capsys.readouterr().out
+    doc.write_bytes(DEMO.read_bytes().replace(b"\n", b"\r"))
+    assert main(["fmt", str(doc)]) == 0
+    assert capsys.readouterr().out == crlf
+    assert main(["fmt", str(DEMO)]) == 0
+    assert capsys.readouterr().out == crlf
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_a_bad_quivkit_seed_is_refused(monkeypatch, capsys, value):
+    monkeypatch.setenv("QUIVKIT_SEED", value)
+    assert main(["check", str(DEMO)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"BAD_ARGUMENT: QUIVKIT_SEED={value!r} is not an integer\n"
+    # --seed overrides the variable, and fmt does not read it
+    assert main(["check", str(DEMO), "--seed", "20240901"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "check.json").read_text(encoding="utf-8")
+    assert main(["fmt", str(DEMO)]) == 0

@@ -144,9 +144,28 @@ algebra A = kvq(L, level=3) / ideal(x*x);
 algebra B = kvq(L, level=3);
 morphism bad: A -> B { e1 -> e1; x -> x; }
 """
-    with pytest.raises(QuivkitError) as exc:
-        parse(text)
-    assert "kill" in str(exc.value)
+    # of the second ideal's two relations, x*x*x is killed in B and x*x is not
+    for doc in (text, text.replace("level=3) / ideal(x*x)", "level=4) / ideal(x*x*x, x*x)")):
+        with pytest.raises(QuivkitError) as exc:
+            parse(doc)
+        assert str(exc.value) == ("SEMANTIC_ERROR: images do not kill the presentation "
+                                  "ideal (line 5, column 1)")
+
+
+def test_morphism_out_of_quotient_factors_its_lift():
+    text = """
+vquiver L { vertices: 1; space 1 -> 1 = [x]; }
+algebra A = kvq(L, level=4) / ideal(x*x*x);
+algebra B = kvq(L, level=3);
+morphism f: A -> B { e1 -> e1; x -> 2*x; }
+"""
+    doc = parse(text)
+    entry, b = doc.algebras["A"], doc.algebras["B"].algebra
+    x2 = [0, 2, 0]
+    lift = qk.universal_map(entry.tensor, b, {"1": b.unit}, {"x": x2})
+    f = doc.morphisms["f"].morphism
+    assert f.compose(entry.projection).matrix == lift.matrix
+    assert f == qk.validate_morphism(entry.algebra, b, f.matrix)
 
 
 def test_morphism_into_quotient():

@@ -1,9 +1,10 @@
-"""Token-level mutations of the demo and the test documents.
+"""Token-level and byte-level mutations of the demo and the test documents.
 
-Each mutant either elaborates or raises a QuivkitError, and `quivkit check`
-on it either writes its report (exit 0, or 1 when a check fails) or prints
-that same error and exits 2, within a per-example deadline; no other
-exception escapes.  Everything runs in process.
+Each token mutant either elaborates or raises a QuivkitError, and `quivkit
+check` on it either writes its report (exit 0, or 1 when a check fails) or
+prints that same error and exits 2, within a per-example deadline; no other
+exception escapes.  Byte mutants, often not UTF-8, keep the same contract
+for `check`.  Everything runs in process.
 """
 
 import contextlib
@@ -73,6 +74,16 @@ def _check(path):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_report_or_error(code, out, err):
+    """Exit 2 with one `CODE: message` line, or a report and its exit code."""
+    if code == 2:
+        assert out == ""
+        assert err.split(":")[0].isupper() and "Traceback" not in err
+    else:
+        assert err == ""
+        assert code == (0 if json.loads(out)["pass"] else 1)
+
+
 def test_unmutated_token_streams_behave_as_their_documents(tmp_path):
     codes = []
     for text, toks in zip(SEED_DOCS, SEED_TOKENS):
@@ -98,11 +109,44 @@ def test_mutated_documents_elaborate_or_fail_with_a_quivkit_error(text, tmp_path
     path = tmp_path_factory.getbasetemp() / "mutant.quiv"
     path.write_text(text, encoding="utf-8")
     code, out, err = _check(path)
+    _assert_report_or_error(code, out, err)
     if code == 2:
-        assert out == ""
-        assert err.split(":")[0].isupper() and "Traceback" not in err
         if error is not None:
             assert err == error + "\n"
     else:
-        assert error is None and err == ""
-        assert code == (0 if json.loads(out)["pass"] else 1)
+        assert error is None
+
+
+SEED_BYTES = [text.encode("utf-8") for text in SEED_DOCS]
+# a byte replaced, inserted or deleted; any byte, so most mutants are not UTF-8
+BYTE_MUTATION = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                          st.integers(min_value=0, max_value=10 ** 4),
+                          st.integers(min_value=0, max_value=255))
+
+
+@st.composite
+def byte_mutants(draw):
+    data = bytearray(draw(st.sampled_from(SEED_BYTES)))
+    for kind, pos, byte in draw(st.lists(BYTE_MUTATION, min_size=1, max_size=3)):
+        i = pos % len(data)
+        if kind == "replace":
+            data[i] = byte
+        elif kind == "insert":
+            data.insert(i, byte)
+        else:
+            del data[i]
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=3), derandomize=True,
+          database=None)
+@given(data=byte_mutants())
+def test_byte_mutants_end_in_a_report_or_a_quivkit_error(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "bytes.quiv"
+    path.write_bytes(data)
+    code, out, err = _check(path)
+    _assert_report_or_error(code, out, err)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 2 and err.startswith("PARSE_ERROR: file is not UTF-8")

@@ -1,6 +1,7 @@
 """No module of the package keeps a module-level import that nothing uses,
-and no function, class or method that nothing names; and every name that
-the benchmark's tracer wraps still resolves."""
+and no function, class or method that nothing names; every name that the
+benchmark's tracer wraps still resolves; and README's Errors section names
+every error code the package raises."""
 
 import ast
 import importlib
@@ -110,3 +111,30 @@ def test_every_name_the_tracer_wraps_resolves():
     for module, path in names:
         assert callable(tracer["_original"](module, path)), (module, path)
     assert names
+
+
+def error_codes(text):
+    """The string literals passed first to `QuivkitError` or `_err`."""
+    codes = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and node.args and \
+                isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("QuivkitError", "_err"):
+                codes.add(node.args[0].value)
+    return codes
+
+
+def test_the_check_finds_error_codes():
+    text = ("raise QuivkitError('A', 'm')\n_err('B', 'x', 1, 2)\n"
+            "errors.QuivkitError('C')\n_err(exc.code, 'y', 1, 2)\nprint('D')\n")
+    assert error_codes(text) == {"A", "B", "C"}
+
+
+def test_readme_lists_every_error_code():
+    codes = set().union(*(error_codes(p.read_text(encoding="utf-8")) for p in MODULES))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Errors\n", 1)[1].split("\n## ", 1)[0]
+    assert len(codes) >= 30
+    assert sorted(c for c in codes if f"`{c}`" not in section) == []
