@@ -239,11 +239,27 @@ def _combine(field, cols, terms):
 
 
 def _check_unit(field, dim, sc, unit):
-    ut = sparse(unit)
-    for j in range(dim):
-        bj = {j: field.one}
-        if _mul_raw(field, sc, ut, bj) != bj or _mul_raw(field, sc, bj, ut) != bj:
-            raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")
+    """UNIT_FAIL at the first j with u b_j != b_j or b_j u != b_j.
+
+    Both products are read off the table rows of the unit's support S:
+    u b_j sums u_i sc[i][j] and b_j u sums u_i sc[j][i] over i in S.  When
+    u is 1 on S, as a sum of vertex idempotents is, and the one nonzero
+    entry of such a sum is the single term (j, 1), the product is b_j with
+    no arithmetic; any other sum is added up.
+    """
+    one = field.one
+    supp = [i for i, c in enumerate(unit) if c]
+    ones = all(unit[i] == one for i in supp)
+    lefts = zip(*(sc[i] for i in supp)) if supp else [()] * dim
+    for j, left in enumerate(lefts):
+        row, bj = sc[j], ((j, one),)
+        for col in (left, [row[i] for i in supp]):
+            if not (ones and bj in col and col.count(()) == len(supp) - 1):
+                out = {}
+                for i, terms in zip(supp, col):
+                    add_scaled(field, out, unit[i], dict(terms))
+                if out != {j: one}:
+                    raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")
 
 
 def _verify_associative(field, dim, sc):
@@ -319,10 +335,51 @@ def _radical_filtration(field, dim, sc, arrows):
     """[A, J, J^2, ..., 0] from sparse elements of J whose words span J.
 
     W_1 = span(arrows) and W_{n+1} = span(W_n * arrows) hold the words of
-    length n, so J^n = W_n + J^(n+1).  That costs |arrows| * dim J products.
-    One echelon takes the rows of the W_n from the last one up, and J^n is
-    its state after W_n.  RADICAL_NOT_NILPOTENT if the W_n do not reach 0
-    within dim steps.
+    length n, so J^n = W_n + J^(n+1).  When each arrow is one term, as in a
+    path algebra and its quotients by paths or by top-layer elements, the
+    W_n are walked as sets of basis indices: W_{n+1} holds the index of the
+    one term of each b_i x, for i in W_n and x an arrow, and J^n is the
+    coordinate subspace on the union of W_n, W_(n+1), ...  The first
+    product with two or more terms, or with an explicit zero coefficient,
+    hands the call to `_echelon_filtration`.  RADICAL_NOT_NILPOTENT if the
+    W_n do not reach 0 within dim steps.
+    """
+    if any(len(x) != 1 for x in arrows):
+        return _echelon_filtration(field, dim, sc, arrows)
+    heads = [next(iter(x)) for x in arrows]
+    layers = [set(heads)]
+    while layers[-1]:
+        cur, nxt = layers[-1], set()
+        for i in cur:
+            row = sc[i]
+            for a in heads:
+                terms = row[a]
+                if terms:
+                    if len(terms) > 1 or not terms[0][1]:
+                        return _echelon_filtration(field, dim, sc, arrows)
+                    nxt.add(terms[0][0])
+        if nxt and (nxt == cur or len(layers) >= dim):
+            raise QuivkitError("RADICAL_NOT_NILPOTENT",
+                               "radical powers do not descend to zero")
+        layers.append(nxt)
+    # one row dict per index, shared by every level that holds it
+    one, rows = field.one, {}
+    filtration = [Subspace.zero(field, dim)]
+    for layer in reversed(layers[:-1]):
+        for i in layer:
+            rows.setdefault(i, {i: one})
+        filtration.append(Subspace(field, dim, dict(rows)))
+    for i in range(dim):
+        rows.setdefault(i, {i: one})
+    filtration.append(Subspace(field, dim, rows))
+    return filtration[::-1]
+
+
+def _echelon_filtration(field, dim, sc, arrows):
+    """`_radical_filtration` for any arrows, by spans of products.
+
+    That costs |arrows| * dim J products.  One echelon takes the rows of the
+    W_n from the last one up, and J^n is its state after W_n.
     """
     layers = [Subspace.span(field, dim, arrows)]
     while layers[-1].dim:
@@ -469,7 +526,11 @@ def orthogonal_idempotents(field, sc, unit, elems, code, names):
     """Raise `code` unless `elems` (named `names`) are orthogonal idempotents
     summing to `unit`; return how many are nonzero.  In a pointed algebra that
     is at most dim A/J, with equality iff each one is primitive."""
-    terms = [sparse(e) for e in elems]
+    return _orthogonal(field, sc, sparse(unit), [sparse(e) for e in elems], code, names)
+
+
+def _orthogonal(field, sc, unit_terms, terms, code, names):
+    """`orthogonal_idempotents` on the sparse unit and elements."""
     total = {}
     for i, et in enumerate(terms):
         if _mul_raw(field, sc, et, et) != et:
@@ -478,18 +539,17 @@ def orthogonal_idempotents(field, sc, unit, elems, code, names):
             if _mul_raw(field, sc, et, terms[j]) or _mul_raw(field, sc, terms[j], et):
                 raise QuivkitError(code, f"{names[j]} and {names[i]} are not orthogonal")
         add_scaled(field, total, field.one, et)
-    if total != sparse(unit):
+    if total != unit_terms:
         raise QuivkitError(code, "the idempotents do not sum to 1")
     return sum(1 for et in terms if et)
 
 
-def _verify_presentation(field, sc, unit, idems, arrows):
-    """Check that `idems` are orthogonal idempotents summing to 1 and that
-    each arrow (sparse) lies in exactly one Peirce block e_t A e_s of theirs;
+def _verify_presentation(field, sc, unit_terms, idem_terms, arrows):
+    """Check that the idempotents are orthogonal, sum to 1 and that each
+    arrow lies in exactly one Peirce block e_t A e_s of theirs, all sparse;
     return how many idempotents are nonzero."""
-    count = orthogonal_idempotents(field, sc, unit, idems, "NOT_POINTED",
-                                   [f"class {i}" for i in range(len(idems))])
-    idem_terms = [sparse(e) for e in idems]
+    count = _orthogonal(field, sc, unit_terms, idem_terms, "NOT_POINTED",
+                        [f"class {i}" for i in range(len(idem_terms))])
     for k, xt in enumerate(arrows):
         # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
         # x = e_t x = x e_s = e_t x e_s
@@ -532,7 +592,8 @@ def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebr
     """
     dim = len(basis_labels)
     arrow_terms = [sparse(x) for x in arrows]
-    count = _verify_presentation(field, sc, unit, classes, arrow_terms)
+    count = _verify_presentation(field, sc, sparse(unit), [sparse(e) for e in classes],
+                                 arrow_terms)
     filtration = _radical_filtration(field, dim, sc, arrow_terms)
     if filtration[1] != radical:
         _basis_certificate(field, dim, sc, radical, classes)

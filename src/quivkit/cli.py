@@ -55,9 +55,13 @@ def _default_level(vq: VQuiver) -> int:
 
 
 def _read(path: str) -> str:
-    """The file's text with universal newlines; PARSE_ERROR if not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The file's text with universal newlines; IO_ERROR if it cannot be
+    read, PARSE_ERROR if it is not UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise QuivkitError("IO_ERROR", f"cannot read {path}: {exc.strerror}") from None
     try:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
@@ -248,7 +252,7 @@ def _write(path: str, text: str) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(str(exc), file=sys.stderr)
+        print(QuivkitError("IO_ERROR", f"cannot write {path}: {exc.strerror}"), file=sys.stderr)
         return 2
     return 0
 
@@ -309,7 +313,7 @@ def main(argv=None) -> int:
     if args.mode == "fmt":
         try:
             text = format_text(_read(args.file))
-        except (QuivkitError, OSError) as exc:
+        except QuivkitError as exc:
             print(str(exc), file=sys.stderr)
             return 2
         if args.out:
@@ -319,7 +323,7 @@ def main(argv=None) -> int:
 
     try:
         doc = parse(_read(args.file))
-    except (QuivkitError, OSError) as exc:
+    except QuivkitError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import quivkit as qk
+import quivkit.exactlin as el
 from quivkit.vquiver import VQuiver
 
 QQ = qk.QQ
@@ -105,6 +106,19 @@ def upper_triangular(field, n, shuffle=False):
     unit = [1 if i == j else 0 for (i, j) in pos]
     labels = [f"E{i + 1}{j + 1}" for (i, j) in pos]
     return qk.validate_algebra(field, labels, sc, unit)
+
+
+def in_changed_basis(a):
+    """A's raw dense table and unit in the basis c_k = b_k + sum over i < k
+    of n_ik b_i, with seeded nonzero n_ik: (labels, table, unit).  Words in
+    the arrows are no longer single basis vectors there."""
+    f, n = a.field, a.dim
+    rng = random.Random("changed-basis")
+    p = el.Mat.from_rows(f, [[f.one if i == k else f.of(rng.randint(1, 3)) if i < k else f.zero
+                              for k in range(n)] for i in range(n)], cols=n)
+    to_c, cols = el.invert(p), p.columns()
+    table = [[to_c.matvec(a.mul(ck, cl)) for cl in cols] for ck in cols]
+    return [f"c{k}" for k in range(n)], table, to_c.matvec(a.unit)
 
 
 def triangle_algebra(field=QQ, level=3):

@@ -13,13 +13,22 @@ the admitted arrows.  `quotient_section`, `induced_on_quotient` and
 `kinfty_on_map` are morphisms out of a quotient as they were built before
 they were read off the labels of the lift: a solved section of the
 projection, the result admitted again by `validate_morphism`, and k∞ maps
-through `gamma` on four quotients.
+through `gamma` on four quotients.  `check_unit` is the unit check as it
+was before it read the products off the table rows: u b_j and b_j u by
+`_mul_raw` for each basis vector b_j.
 """
 
 import quivkit.exactlin as el
 from quivkit.adjunction import apply_to_ideal, gamma
-from quivkit.algebra import _peirce_blocks, identity_morphism, quotient_algebra, validate_morphism
+from quivkit.algebra import (
+    _mul_raw,
+    _peirce_blocks,
+    identity_morphism,
+    quotient_algebra,
+    validate_morphism,
+)
 from quivkit.errors import QuivkitError
+from quivkit.exactlin import sparse
 from quivkit.pathalg import kvq_on_map
 
 
@@ -278,3 +287,11 @@ def kinfty_on_map(rho, src_cls, tgt_cls, *, witness_src=None, witness_tgt=None):
     # induced map on the primed quotients
     mid = induced_on_quotient(pi_ip, pi_kp.compose(krho))
     return gamma_k.inverse().compose(mid).compose(gamma_i)
+
+
+def check_unit(field, dim, sc, unit):
+    ut = sparse(unit)
+    for j in range(dim):
+        bj = {j: field.one}
+        if _mul_raw(field, sc, ut, bj) != bj or _mul_raw(field, sc, bj, ut) != bj:
+            raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")

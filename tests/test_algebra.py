@@ -8,6 +8,7 @@ import pytest
 import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.algebra import (
+    _check_unit,
     _mul_raw,
     _semisimple_pointed_classes,
     ideal_subspace,
@@ -20,6 +21,7 @@ from quivkit.pathalg import universal_map
 from quivkit.poly import _mul as poly_mul, roots_if_split
 
 from dense_oracle import (
+    check_unit as multiplied_check_unit,
     induced_on_quotient as solved_induced_on_quotient,
     quotient_section,
     rref as dense_rref,
@@ -38,6 +40,7 @@ from corpus import (
     two_vq,
     vq_corpus,
 )
+from test_sparse_echelon import _changed_basis_cases, _filtration_cases
 
 
 def test_validate_semisimple_product():
@@ -82,6 +85,42 @@ def test_bad_unit_rejected():
     with pytest.raises(QuivkitError) as exc:
         qk.validate_algebra(QQ, ["e", "x"], sc, [1, 0])
     assert exc.value.code == "UNIT_FAIL"
+
+
+def _unit_mutants(field, unit):
+    """The unit, the unit plus each basis vector, the unit without each of
+    its terms, and twice the unit."""
+    out = [unit]
+    for k, c in enumerate(unit):
+        out.append(unit[:k] + [field.add(c, field.one)] + unit[k + 1:])
+        if c:
+            out.append(unit[:k] + [field.zero] + unit[k + 1:])
+    return out + [[field.add(c, c) for c in unit]]
+
+
+def test_unit_check_matches_the_product_oracle():
+    # with non-monomial tables, whose units are not sums of basis vectors
+    changed = [(name, b) for name, _a, b in _changed_basis_cases()]
+    assert all(any(len(terms) > 1 for row in b.structconst for terms in row)
+               for _name, b in changed)
+    tables = _filtration_cases() + changed
+    sides = set()
+    for name, a in tables:
+        f, sc = a.field, a.structconst
+        for u in _unit_mutants(f, a.unit):
+            try:
+                multiplied_check_unit(f, a.dim, sc, u)
+            except QuivkitError as ref:
+                with pytest.raises(QuivkitError) as exc:
+                    _check_unit(f, a.dim, sc, u)
+                assert (exc.value.code, str(exc.value)) == ("UNIT_FAIL", str(ref)), name
+                # which side fails at the first failing basis vector
+                j = int(str(ref).rsplit(" ", 1)[1])
+                bj, ut = {j: f.one}, el.sparse(u)
+                sides.add((_mul_raw(f, sc, ut, bj) != bj, _mul_raw(f, sc, bj, ut) != bj))
+            else:
+                _check_unit(f, a.dim, sc, u)
+    assert sides == {(True, False), (False, True), (True, True)}
 
 
 def test_field_extension_not_pointed():

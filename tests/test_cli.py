@@ -559,7 +559,21 @@ def test_unwritable_output_path_is_an_input_error(doc_file, tmp_path, args):
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
     assert "Traceback" not in err
-    assert str(missing) in err
+    path = args[-1].format(missing=missing)
+    assert err == f"IO_ERROR: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "{doc}"], ["run", "{doc}", "--command", "gq"], ["fmt", "{doc}"],
+], ids=["check", "run", "fmt"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_is_an_input_error(tmp_path, capsys, args, kind):
+    doc = tmp_path / "no_such.quiv" if kind == "missing" else tmp_path
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    assert main([a.format(doc=doc) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"IO_ERROR: cannot read {doc}: {reason}\n"
 
 
 @pytest.mark.parametrize("args", [

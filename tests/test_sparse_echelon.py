@@ -5,7 +5,10 @@ Every subspace operation, and `rref`, `rank`, `solve_multi`, `invert` and
 loop in `dense_oracle`, over Q (with non-integral values), F2, F5 and F101,
 on lists that may be empty and may hold zero and repeated vectors.  The
 radical filtration, grown in one echelon, must equal the layer-by-layer
-spans and sums on corpus algebras, quotients and raw tables.
+spans and sums on corpus algebras, quotients and raw tables.  Its walk on
+basis indices must equal that echelon walk level for level, be the one
+taken for path algebras and their quotients by top-layer elements, and
+hand over to the echelon walk when a word is not one basis path.
 """
 
 from fractions import Fraction
@@ -14,11 +17,24 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import quivkit as qk
+import quivkit.algebra as alg
 import quivkit.exactlin as el
-from quivkit.algebra import _radical_filtration
+from quivkit.algebra import _echelon_filtration, _radical_filtration, table_algebra
+from quivkit.vquiver import Quiver
 
 import dense_oracle as dense
-from corpus import algebra_corpus, upper_triangular
+from corpus import (
+    algebra_corpus,
+    double_loop_vq,
+    in_changed_basis,
+    line_vq,
+    lower_triangular,
+    triangle_mod_cb,
+    triangle_vq,
+    two_vq,
+    upper_triangular,
+    vq_corpus,
+)
 from test_certificates import _presented_cases
 
 QQ, F2, F5, F101 = el.QQ, el.GF(2), el.GF(5), el.GF(101)
@@ -187,8 +203,22 @@ def _filtration_cases():
     return out
 
 
-def test_radical_filtration_matches_the_layer_by_layer_spans():
+def _spy(monkeypatch):
+    """The argument lists of the calls that reach `_echelon_filtration`."""
+    calls, real = [], alg._echelon_filtration
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(alg, "_echelon_filtration", spy)
+    return calls
+
+
+def test_radical_filtration_matches_the_layer_by_layer_spans(monkeypatch):
     cases = _filtration_cases()
+    calls = _spy(monkeypatch)
+    walks = []
     for name, a in cases:
         f, sc = a.field, a.structconst
         ref = dense.radical_filtration(f, a.dim, sc, a.arrows)
@@ -196,15 +226,132 @@ def test_radical_filtration_matches_the_layer_by_layer_spans():
         # each layer holds its own rows, not the echelon's later state
         assert a.radical_filtration == [el.Subspace.span(f, a.dim, rows) for rows, _p in ref], name
         # from another set of words spanning J: its own basis
+        before = len(calls)
         again = _radical_filtration(f, a.dim, sc, list(a.radical.rows.values()))
+        walks.append(len(calls) > before)
         assert [dense.form(s) for s in again] == \
             dense.radical_filtration(f, a.dim, sc, a.radical.basis), name
     quotients = [name for name, _a in cases if "_mod_" in name]
     assert len(cases) >= 60 and len(quotients) >= 30
+    # both walks were compared with the dense oracle
+    assert any(walks) and not all(walks)
 
 
-def test_non_nilpotent_words_are_refused_as_before():
+# -- the walk on basis indices -------------------------------------------------------
+
+def _corpus_path_algebras(field):
+    """(name, TruncatedTensorAlgebra): kvq and cpa of every corpus quiver."""
+    out = []
+    for name, vq in vq_corpus() + [("double_loop", double_loop_vq()), ("TWO", two_vq())]:
+        level = 4 if name in ("loop", "TWO") else 3
+        q = Quiver(vq.vertices, [(lab, src, tgt) for (src, tgt), labs in vq.spaces.items()
+                                 for lab in labs])
+        out += [(f"kvq_{name}", qk.build_kvq(field, vq, level)),
+                (f"cpa_{name}", qk.cpa(field, q, level))]
+    return out
+
+
+def _top_layer_quotients(t):
+    """t's algebra modulo one path of the top layer, and modulo a combination
+    of two top-layer paths in each Peirce block that holds two."""
+    a, f = t.carrier, t.field
+    if len(t.grading) < 2:
+        return []
+    blocks = {}
+    for p in t.grading[-1]:
+        blocks.setdefault((t.paths[p].start, t.paths[p].end), []).append(p)
+    combos = [el.add_scaled(f, {ps[0]: f.one}, f.of(3), {ps[1]: f.one})
+              for ps in blocks.values() if len(ps) > 1]
+    out = []
+    for kind, gens in (("path", [{t.grading[-1][0]: f.one}]), ("combos", combos)):
+        if gens:
+            ideal = qk.ideal_generated_by(a, [el.dense(f, a.dim, g) for g in gens])
+            out.append((kind, qk.quotient_algebra(a, ideal)[0]))
+    return out
+
+
+def _monomial_cases(field):
+    """(name, algebra): the corpus path algebras and their top-layer quotients."""
+    out = []
+    for name, t in _corpus_path_algebras(field):
+        out.append((name, t.carrier))
+        out += [(f"{name}_mod_{kind}", q) for kind, q in _top_layer_quotients(t)]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_path_algebras_and_top_layer_quotients_take_the_index_walk(field, monkeypatch):
+    calls = _spy(monkeypatch)
+    cases = _monomial_cases(field)
+    # every admission of the construction ran the index walk to its end
+    assert calls == []
+    for name, a in cases:
+        words = [el.sparse(x) for x in a.arrows]
+        walk = _radical_filtration(field, a.dim, a.structconst, words)
+        assert calls == [], name
+        assert walk == a.radical_filtration == \
+            _echelon_filtration(field, a.dim, a.structconst, words), name
+    assert sum("_mod_combos" in name for name, _a in cases) >= 8
+    assert sum("_mod_path" in name for name, _a in cases) >= 10
+
+
+def _changed_basis_cases():
+    """(name, algebra, its raw table in a changed basis, admitted)."""
+    out = []
+    for field in (QQ, F101):
+        for name, a in (("line", qk.build_kvq(field, line_vq(), 3).carrier),
+                        ("triangle", qk.build_kvq(field, triangle_vq(), 3).carrier),
+                        ("TWO", qk.build_kvq(field, two_vq(), 3).carrier),
+                        ("lower_tri", lower_triangular(field)),
+                        ("triangle_mod_cb", triangle_mod_cb(field)[2])):
+            out.append((f"{name}_changed_{field!r}", a,
+                        qk.validate_algebra(field, *in_changed_basis(a))))
+    return out
+
+
+def test_index_walk_matches_the_echelon_walk_level_for_level():
+    cases = _filtration_cases() + [c for f in FIELDS for c in _monomial_cases(f)] + \
+        [(name, b) for name, _a, b in _changed_basis_cases()]
+    for name, a in cases:
+        f, sc = a.field, a.structconst
+        for words in ([el.sparse(x) for x in a.arrows], list(a.radical.rows.values())):
+            assert _radical_filtration(f, a.dim, sc, words) == \
+                _echelon_filtration(f, a.dim, sc, words), name
+
+
+def test_a_table_in_a_changed_basis_takes_the_echelon_walk(monkeypatch):
+    calls = _spy(monkeypatch)
+    for name, a, b in _changed_basis_cases():
+        before = len(calls)
+        words = [el.sparse(x) for x in b.arrows]
+        assert b.radical_filtration == _radical_filtration(b.field, b.dim, b.structconst, words)
+        assert len(calls) == before + 1, name
+        assert [s.dim for s in b.radical_filtration] == [s.dim for s in a.radical_filtration]
+
+
+@pytest.mark.parametrize("field", (QQ, F101), ids=repr)
+def test_an_explicit_zero_term_is_not_a_basis_path(field):
+    a = qk.build_kvq(field, line_vq(), 3).carrier
+    canon = table_algebra(field, a.basis_labels, a.structconst, a.unit)
+    # a product of arrows that is 0, written as the term (e1, 0)
+    i = a.arrows[0].index(field.one)
+    assert a.structconst[i][i] == ()
+    sc = [list(row) for row in a.structconst]
+    sc[i][i] = ((0, field.zero),)
+    b = table_algebra(field, a.basis_labels, sc, a.unit)
+    assert (b.radical_filtration, b.ss_classes, b.arrows, b.unit) == \
+        (canon.radical_filtration, canon.ss_classes, canon.arrows, canon.unit)
+
+
+def test_non_nilpotent_words_are_refused_as_before(monkeypatch):
+    calls = _spy(monkeypatch)
     a = qk.build_kvq(QQ, qk.VQuiver(["1"], {("1", "1"): ["x"]}), 3).carrier
-    with pytest.raises(qk.QuivkitError) as exc:
-        _radical_filtration(QQ, a.dim, a.structconst, [el.sparse(a.unit)])
-    assert exc.value.code == "RADICAL_NOT_NILPOTENT"
+    # one-term words: e1 stays e1, and b1 -> b2 -> b1 -> ... never stops
+    cycle = [[() for _ in range(3)] for _ in range(3)]
+    cycle[1][1], cycle[2][1] = ((2, 1),), ((1, 1),)
+    for dim, sc, words in ((a.dim, a.structconst, [el.sparse(a.unit)]), (3, cycle, [{1: 1}])):
+        for walk in (_radical_filtration, _echelon_filtration):
+            with pytest.raises(qk.QuivkitError) as exc:
+                walk(QQ, dim, sc, words)
+            assert exc.value.code == "RADICAL_NOT_NILPOTENT"
+    assert calls == []
