@@ -22,7 +22,9 @@ from .algebra import (
     validate_morphism,
 )
 from .exactlin import (
+    Echelon,
     Mat,
+    Subspace,
     kernel,
     solve,
     vec_add,
@@ -36,13 +38,14 @@ from .gabriel import (GabrielQuiverResult, check_sim, gq, gq0, gq_on_morphism,
                       pointed_set)
 from .pathalg import (
     TruncatedTensorAlgebra,
+    _universal_map,
     build_kvq,
     kvq_on_map,
     universal_map,
     vqmap_generator_images,
 )
 from .splittings import conjugating_element, conjugation
-from .vquiver import POINT, VQuiver, VQuiverMap, compose_vq, identity_vqmap
+from .vquiver import POINT, VQuiver, VQuiverMap, compose_vq
 
 
 class IdealOrbitClass:
@@ -119,16 +122,32 @@ def counit(a: FinAlgebra, *, level: int = None,
            splitting=None) -> CounitResult:
     """Counit representative k[[gq(A)]] -> A with its kernel.
 
-    The representative is psi of the identity of gq(A).  It is onto with
-    kernel in J^2 (the paper's counit theorem); neither is checked here:
-    `morphism.surjective` and `is_relation_ideal(kernel_ideal)` decide them.
+    The representative is psi of the identity of gq(A): each vertex goes to
+    its splitting idempotent and each arrow to its arrow basis element, the
+    generators of gq(A) handed to `universal_map` as they are.  The kernel
+    is read off the morphism's sparse columns by one tagged echelon: column
+    k goes in tagged e_k, and a column dependent on those before it reduces
+    to zero with its tag reduced to a kernel vector.  The representative is
+    onto with kernel in J^2 (the paper's counit theorem); neither is checked
+    here: `morphism.surjective` and `is_relation_ideal(kernel_ideal)` decide
+    them.
     """
     gq_a = gq(a, splitting)
     if level is None:
         level = max(2, a.truncation_level)
-    t = build_kvq(a.field, gq_a.vquiver, level)
-    eps = psi(t, identity_vqmap(gq_a.vquiver, a.field), gq_a)
-    return CounitResult(eps, IdealSubspace(t.carrier, kernel(eps.matrix)), t, gq_a)
+    f = a.field
+    t = build_kvq(f, gq_a.vquiver, level)
+    idems, bases = gq_a.generators()
+    arrows = {lab: x for pair, labs in gq_a.vquiver.spaces.items()
+              for lab, x in zip(labs, bases[pair])}
+    eps, cols = _universal_map(t, a, idems, arrows)
+    ech, ker = Echelon(f, tagged=True), []
+    for k, col in enumerate(cols):
+        tag = {k: f.one}
+        if not ech.insert(dict(col), tag):
+            ker.append(tag)
+    kernel_ideal = IdealSubspace(t.carrier, Subspace.span(f, t.dim, ker))
+    return CounitResult(eps, kernel_ideal, t, gq_a)
 
 
 # ---------------------------------------------------------------------------

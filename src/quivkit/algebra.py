@@ -413,9 +413,20 @@ def _quotient_table(field, sc, sub: Subspace):
     # the reps complement a subspace of k^n, so they are basis vectors b_i and
     # their products are table rows, each projected over its terms only
     idx = [r_vec.index(field.one) for r_vec in reps]
-    cols = [sparse(c) for c in proj.columns()]
-    table = [[tuple(sorted(_combine(field, cols, sc[i][j]).items())) for j in idx]
-             for i in idx]
+    cols = [sparse(c) for c in zip(*proj.data)]
+    # b_idx[k] projects to the k-th class, and idx ascends: a nonzero entry
+    # whose terms are all kept is relabelled in order, any other is combined
+    kept = {i: k for k, i in enumerate(idx)}
+    table = []
+    for i in idx:
+        qrow = [()] * len(idx)
+        nonzero = [(kept[j], terms) for j, terms in enumerate(sc[i]) if terms and j in kept]
+        for k, terms in nonzero:
+            if all(m in kept for m, _c in terms):
+                qrow[k] = tuple([(kept[m], c) for m, c in terms])
+            else:
+                qrow[k] = tuple(sorted(_combine(field, cols, terms).items()))
+        table.append(qrow)
     return idx, table, proj, cols
 
 
@@ -529,16 +540,39 @@ def orthogonal_idempotents(field, sc, unit, elems, code, names):
     return _orthogonal(field, sc, sparse(unit), [sparse(e) for e in elems], code, names)
 
 
+def _basis_indices(one, terms):
+    """[k, ...] when each sparse element is one basis vector b_k with
+    coefficient 1, as vertex idempotents are; otherwise None."""
+    ks = []
+    for et in terms:
+        if len(et) != 1 or one not in et.values():
+            return None
+        ks.append(next(iter(et)))
+    return ks
+
+
 def _orthogonal(field, sc, unit_terms, terms, code, names):
-    """`orthogonal_idempotents` on the sparse unit and elements."""
+    """`orthogonal_idempotents` on the sparse unit and elements.
+
+    When every element is a basis vector b_k (`_basis_indices`), b_k b_l is
+    the table entry sc[k][l]: b_k b_k is b_k when that entry is ((k, 1),),
+    and an empty entry is a zero product.  Only the other products are
+    multiplied out, so the checks and their first failure are those of the
+    products.
+    """
+    one = field.one
+    ks = _basis_indices(one, terms)
     total = {}
     for i, et in enumerate(terms):
-        if _mul_raw(field, sc, et, et) != et:
+        k = ks[i] if ks else None
+        if (k is None or sc[k][k] != ((k, one),)) and _mul_raw(field, sc, et, et) != et:
             raise QuivkitError(code, f"{names[i]} is not idempotent")
         for j in range(i):
-            if _mul_raw(field, sc, et, terms[j]) or _mul_raw(field, sc, terms[j], et):
+            l = ks[j] if ks else None
+            if (k is None or sc[k][l] or sc[l][k]) and (
+                    _mul_raw(field, sc, et, terms[j]) or _mul_raw(field, sc, terms[j], et)):
                 raise QuivkitError(code, f"{names[j]} and {names[i]} are not orthogonal")
-        add_scaled(field, total, field.one, et)
+        add_scaled(field, total, one, et)
     if total != unit_terms:
         raise QuivkitError(code, "the idempotents do not sum to 1")
     return sum(1 for et in terms if et)
@@ -547,14 +581,25 @@ def _orthogonal(field, sc, unit_terms, terms, code, names):
 def _verify_presentation(field, sc, unit_terms, idem_terms, arrows):
     """Check that the idempotents are orthogonal, sum to 1 and that each
     arrow lies in exactly one Peirce block e_t A e_s of theirs, all sparse;
-    return how many idempotents are nonzero."""
+    return how many idempotents are nonzero.
+
+    For basis-vector idempotents b_t and a one-term arrow c b_m, b_t x is
+    nonzero iff the entry sc[t][m] has a nonzero coefficient, and x b_t iff
+    sc[m][t] does; any other arrow or idempotents are multiplied out.
+    """
     count = _orthogonal(field, sc, unit_terms, idem_terms, "NOT_POINTED",
                         [f"class {i}" for i in range(len(idem_terms))])
+    ks = _basis_indices(field.one, idem_terms)
     for k, xt in enumerate(arrows):
         # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
         # x = e_t x = x e_s = e_t x e_s
-        left = sum(1 for et in idem_terms if _mul_raw(field, sc, et, xt))
-        right = sum(1 for et in idem_terms if _mul_raw(field, sc, xt, et))
+        if ks is not None and len(xt) == 1:
+            m = next(iter(xt))
+            left = sum(1 for t in ks if any(c for _i, c in sc[t][m]))
+            right = sum(1 for t in ks if any(c for _i, c in sc[m][t]))
+        else:
+            left = sum(1 for et in idem_terms if _mul_raw(field, sc, et, xt))
+            right = sum(1 for et in idem_terms if _mul_raw(field, sc, xt, et))
         if left != 1 or right != 1:
             raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                f"arrow {k} does not lie in one Peirce block")
@@ -633,14 +678,42 @@ def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
     return table_algebra(field, basis_labels, sc, [of(c) for c in unit])
 
 
+def _canonical_table(dim, sc):
+    """`sc` in the stored form: dim rows of dim entries, each a tuple of its
+    nonzero terms in ascending index; BAD_SHAPE for a missing or short row
+    and for an index outside 0..dim-1 or given twice in one entry."""
+    if len(sc) != dim:
+        raise QuivkitError("BAD_SHAPE", f"the table has {len(sc)} rows, expected {dim}")
+    table = []
+    for i, row in enumerate(sc):
+        if len(row) != dim:
+            raise QuivkitError("BAD_SHAPE",
+                               f"table row {i} has {len(row)} entries, expected {dim}")
+        out = []
+        for j, terms in enumerate(row):
+            seen = sorted(terms)
+            for n, (m, _c) in enumerate(seen):
+                if not 0 <= m < dim:
+                    raise QuivkitError("BAD_SHAPE", f"entry ({i}, {j}) names basis "
+                                                    f"index {m}, outside 0..{dim - 1}")
+                if n and seen[n - 1][0] == m:
+                    raise QuivkitError("BAD_SHAPE",
+                                       f"entry ({i}, {j}) names basis index {m} twice")
+            out.append(tuple([(m, c) for m, c in seen if c]))
+        table.append(out)
+    return table
+
+
 def table_algebra(field, basis_labels, sc, unit) -> FinAlgebra:
     """Validate a raw table in the stored sparse form and build a FinAlgebra.
 
-    `sc[i][j]` is b_i b_j as the sparse tuple of `FinAlgebra.structconst`
-    and `unit` a dense vector of field values.  Every check runs: shape,
-    unit, associativity, the trace-form radical and the idempotent classes
-    it splits off.  The classes are lifted to exact idempotents and the
-    arrows are bases of the Peirce blocks of J; `_admit` certifies both.
+    `sc[i][j]` is b_i b_j as a sequence of `(m, c)` pairs, each index m
+    once, and `unit` a dense vector of field values.  Every check runs:
+    shape, unit, associativity, the trace-form radical and the idempotent
+    classes it splits off.  The entries are stored in the canonical form of
+    `FinAlgebra.structconst`.  The classes are lifted to exact idempotents
+    and the arrows are bases of the Peirce blocks of J; `_admit` certifies
+    both.
     """
     dim = len(basis_labels)
     if dim == 0:
@@ -649,6 +722,7 @@ def table_algebra(field, basis_labels, sc, unit) -> FinAlgebra:
         raise QuivkitError("BAD_SHAPE", "basis labels must be unique")
     if len(unit) != dim:
         raise QuivkitError("BAD_SHAPE", "unit vector length")
+    sc = _canonical_table(dim, sc)
     _check_unit(field, dim, sc, unit)
     _verify_associative(field, dim, sc)
     j_space = trace_form_radical((field, dim, sc))

@@ -90,9 +90,10 @@ class TruncatedTensorAlgebra:
                 if p.start == src and p.end == tgt and p.length >= 2]
 
     def paths_of_length_at_least(self, m: int) -> Subspace:
+        # coordinate rows are their own reduced echelon form
         one = self.field.one
-        return Subspace.span(self.field, self.dim,
-                             [{i: one} for layer in self.grading[m:] for i in layer])
+        return Subspace(self.field, self.dim,
+                        {i: {i: one} for layer in self.grading[m:] for i in layer})
 
     def __repr__(self):
         return f"TruncatedTensorAlgebra(level={self.level}, dim={self.dim})"
@@ -102,9 +103,9 @@ class TruncatedTensorAlgebra:
 # term or none, so memory is no limit; time is.  The radical is re-verified by
 # the generator certificate, one table lookup per path of J and arrow: at dim
 # 254, the level-7 algebra of the 2-vertex quiver with a loop, two arrows
-# 1 -> 2 and one arrow 2 -> 1, build_kvq takes 4-6 ms, and build_kvq, gq and
-# counit together 0.015-0.020 s, over F5 and over Q alike, on a 2-core x86-64
-# VM.
+# 1 -> 2 and one arrow 2 -> 1, build_kvq takes 2-5 ms, and build_kvq, gq and
+# counit together 0.008-0.018 s of CPU time, over F5 and over Q alike, on a
+# 2-core x86-64 VM.
 MAX_KVQ_DIM = 256
 
 
@@ -174,7 +175,7 @@ def build_kvq(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
         sc.append(row)
     idems = [vec_unit(field, dim, i) for i in range(nv)]
     unit = [one] * nv + [field.zero] * (dim - nv)
-    radical = Subspace.span(field, dim, [{i: one} for i in range(nv, dim)])
+    radical = Subspace(field, dim, {i: {i: one} for i in range(nv, dim)})
     arrows = [vec_unit(field, dim, i) for layer in grading[1:2] for i in layer]
     carrier = presented_algebra(field, labels, sc, unit, radical, idems, arrows)
     vertex_idem = {v: index[(v, ())] for v in vq.vertices}
@@ -199,6 +200,11 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
     morphism with no further check; it is onto mod radicals iff dim B/J(B)
     vertex images are nonzero.
     """
+    return _universal_map(t, target, idem_images, arrow_images)[0]
+
+
+def _universal_map(t, target, idem_images, arrow_images):
+    """`universal_map`, and the morphism's columns as sparse vectors."""
     f = t.field
     if target.field != f:
         raise QuivkitError("BAD_FIELD", "target over a different field")
@@ -244,7 +250,7 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
         else:
             prefix = cols[t.index[(p.start, p.arrows[:-1])]]
             cols.append(_mul_raw(f, sc, xs[p.arrows[-1]], prefix))
-    return AlgMorphism(t.carrier, target, Mat.from_sparse_cols(f, cols, target.dim))
+    return AlgMorphism(t.carrier, target, Mat.from_sparse_cols(f, cols, target.dim)), cols
 
 
 def vqmap_generator_images(rho: VQuiverMap, n: int, idems, arrow_bases):

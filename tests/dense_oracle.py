@@ -15,12 +15,17 @@ they were read off the labels of the lift: a solved section of the
 projection, the result admitted again by `validate_morphism`, and k∞ maps
 through `gamma` on four quotients.  `check_unit` is the unit check as it
 was before it read the products off the table rows: u b_j and b_j u by
-`_mul_raw` for each basis vector b_j.
+`_mul_raw` for each basis vector b_j.  `orthogonal` and
+`verify_presentation` are admission's idempotent and Peirce-block checks
+as they were before they read the products of basis vectors off the table,
+each product by `_mul_raw`; `quotient_table` is A/I's table as it was
+before kept terms were relabelled, every entry combined over proj's columns.
 """
 
 import quivkit.exactlin as el
 from quivkit.adjunction import apply_to_ideal, gamma
 from quivkit.algebra import (
+    _combine,
     _mul_raw,
     _peirce_blocks,
     identity_morphism,
@@ -295,3 +300,54 @@ def check_unit(field, dim, sc, unit):
         bj = {j: field.one}
         if _mul_raw(field, sc, ut, bj) != bj or _mul_raw(field, sc, bj, ut) != bj:
             raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")
+
+
+def orthogonal(field, sc, unit_terms, terms, code, names):
+    """`orthogonal_idempotents` on the sparse unit and elements."""
+    total = {}
+    for i, et in enumerate(terms):
+        if _mul_raw(field, sc, et, et) != et:
+            raise QuivkitError(code, f"{names[i]} is not idempotent")
+        for j in range(i):
+            if _mul_raw(field, sc, et, terms[j]) or _mul_raw(field, sc, terms[j], et):
+                raise QuivkitError(code, f"{names[j]} and {names[i]} are not orthogonal")
+        el.add_scaled(field, total, field.one, et)
+    if total != unit_terms:
+        raise QuivkitError(code, "the idempotents do not sum to 1")
+    return sum(1 for et in terms if et)
+
+
+def verify_presentation(field, sc, unit_terms, idem_terms, arrows):
+    """Check that the idempotents are orthogonal, sum to 1 and that each
+    arrow lies in exactly one Peirce block e_t A e_s of theirs, all sparse;
+    return how many idempotents are nonzero."""
+    count = orthogonal(field, sc, unit_terms, idem_terms, "NOT_POINTED",
+                       [f"class {i}" for i in range(len(idem_terms))])
+    for k, xt in enumerate(arrows):
+        # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
+        # x = e_t x = x e_s = e_t x e_s
+        left = sum(1 for et in idem_terms if _mul_raw(field, sc, et, xt))
+        right = sum(1 for et in idem_terms if _mul_raw(field, sc, xt, et))
+        if left != 1 or right != 1:
+            raise QuivkitError("BIMODULE_CONDITION_FAIL",
+                               f"arrow {k} does not lie in one Peirce block")
+    return count
+
+
+def quotient_table(field, sc, sub):
+    """A/sub, for a subspace `sub` of A with table `sc`, as
+    (idx, table, proj, cols).
+
+    The classes of the basis vectors b_i, i in `idx`, are a basis of A/sub,
+    `table` is its table in the stored sparse form and `proj` takes
+    coordinates in A to coordinates in A/sub; `cols` are proj's columns,
+    sparse, for `_combine`.
+    """
+    reps, proj = el.quotient_basis(el.Subspace.full(field, len(sc)), sub)
+    # the reps complement a subspace of k^n, so they are basis vectors b_i and
+    # their products are table rows, each projected over its terms only
+    idx = [r_vec.index(field.one) for r_vec in reps]
+    cols = [sparse(c) for c in proj.columns()]
+    table = [[tuple(sorted(_combine(field, cols, sc[i][j]).items())) for j in idx]
+             for i in idx]
+    return idx, table, proj, cols
