@@ -22,10 +22,7 @@ from .algebra import (
     validate_morphism,
 )
 from .exactlin import (
-    Echelon,
     Mat,
-    Subspace,
-    kernel,
     solve,
     vec_add,
     vec_combination,
@@ -38,7 +35,6 @@ from .gabriel import (GabrielQuiverResult, check_sim, gq, gq0, gq_on_morphism,
                       pointed_set)
 from .pathalg import (
     TruncatedTensorAlgebra,
-    _universal_map,
     build_kvq,
     kvq_on_map,
     universal_map,
@@ -124,30 +120,21 @@ def counit(a: FinAlgebra, *, level: int = None,
 
     The representative is psi of the identity of gq(A): each vertex goes to
     its splitting idempotent and each arrow to its arrow basis element, the
-    generators of gq(A) handed to `universal_map` as they are.  The kernel
-    is read off the morphism's sparse columns by one tagged echelon: column
-    k goes in tagged e_k, and a column dependent on those before it reduces
-    to zero with its tag reduced to a kernel vector.  The representative is
-    onto with kernel in J^2 (the paper's counit theorem); neither is checked
-    here: `morphism.surjective` and `is_relation_ideal(kernel_ideal)` decide
-    them.
+    generators of gq(A) handed to `universal_map` as they are, and the
+    kernel is `AlgMorphism.kernel` of its columns.  gq(A) is the one cached
+    on A unless a splitting is given.  The representative is onto with
+    kernel in J^2 (the paper's counit theorem); neither is checked here:
+    `morphism.surjective` and `is_relation_ideal(kernel_ideal)` decide them.
     """
     gq_a = gq(a, splitting)
     if level is None:
         level = max(2, a.truncation_level)
-    f = a.field
-    t = build_kvq(f, gq_a.vquiver, level)
+    t = build_kvq(a.field, gq_a.vquiver, level)
     idems, bases = gq_a.generators()
     arrows = {lab: x for pair, labs in gq_a.vquiver.spaces.items()
               for lab, x in zip(labs, bases[pair])}
-    eps, cols = _universal_map(t, a, idems, arrows)
-    ech, ker = Echelon(f, tagged=True), []
-    for k, col in enumerate(cols):
-        tag = {k: f.one}
-        if not ech.insert(dict(col), tag):
-            ker.append(tag)
-    kernel_ideal = IdealSubspace(t.carrier, Subspace.span(f, t.dim, ker))
-    return CounitResult(eps, kernel_ideal, t, gq_a)
+    eps = universal_map(t, a, idems, arrows)
+    return CounitResult(eps, IdealSubspace(t.carrier, eps.kernel()), t, gq_a)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +362,7 @@ def gamma(delta: AlgMorphism, pi_i: AlgMorphism, pi_iprime: AlgMorphism,
         raise QuivkitError("BAD_ARGUMENT", "mismatched algebras")
     if not check_sim(delta, identity_morphism(t_alg), 1):
         raise QuivkitError("DELTA_INVALID", "delta is not in the identity class")
-    if delta.image_of(kernel(pi_i.matrix)) != kernel(pi_iprime.matrix):
+    if delta.image_of(pi_i.kernel()) != pi_iprime.kernel():
         raise QuivkitError("DELTA_INVALID", "delta does not map I onto I'")
     return induced_on_quotient(pi_i, pi_iprime.compose(delta))
 

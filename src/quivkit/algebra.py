@@ -27,12 +27,11 @@ from .exactlin import (
     Echelon,
     Mat,
     Subspace,
+    _complement_rows,
     add_scaled,
     dense,
     invert,
     kernel,
-    quotient_basis,
-    rank,
     sparse,
     vec_scale,
     vec_sub,
@@ -57,7 +56,7 @@ class FinAlgebra:
 
     __slots__ = ("field", "dim", "basis_labels", "structconst", "unit",
                  "radical_filtration", "truncation_level", "ss_classes",
-                 "arrows", "_label_index", "_splitting_cache")
+                 "arrows", "_label_index", "_gq_cache")
 
     def __init__(self, field, basis_labels, structconst, unit,
                  radical_filtration, ss_classes, arrows):
@@ -71,7 +70,7 @@ class FinAlgebra:
         self.ss_classes = ss_classes
         self.arrows = arrows
         self._label_index = {lab: i for i, lab in enumerate(basis_labels)}
-        self._splitting_cache = None
+        self._gq_cache = None
 
     # -- elements ----------------------------------------------------------
 
@@ -154,57 +153,87 @@ class AlgMorphism:
     morphism by how it is made (`universal_map` from certified generator
     images, `quotient_algebra`'s projection, whose kernel is the ideal by
     construction, `induced_on_quotient` from its lift); nothing re-checks
-    those.  `matrix` is target-dim x source-dim and acts on coordinate
-    columns; `surjective` is read off it when asked.
+    those.  `cols[j]` is the image of b_j as a sparse vector ({index:
+    nonzero value}); the columns are shared, never changed.  Products,
+    images, kernels and congruences work column by column (Gustavson 1978).
+    `matrix` is the dense target-dim x source-dim view, built on first use;
+    `surjective` is read off the columns when asked.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "cols", "_matrix")
 
-    def __init__(self, source, target, matrix):
+    def __init__(self, source, target, cols):
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.cols = cols
+        self._matrix = None
+
+    @property
+    def matrix(self) -> Mat:
+        if self._matrix is None:
+            self._matrix = Mat.from_sparse_cols(self.target.field, self.cols, self.target.dim)
+        return self._matrix
 
     @property
     def surjective(self) -> bool:
-        return rank(self.matrix) == self.target.dim
+        t = self.target
+        return Subspace.span(t.field, t.dim, self.cols).dim == t.dim
 
     def apply(self, v):
-        return self.matrix.matvec(v)
+        t = self.target
+        return dense(t.field, t.dim, _combine(t.field, self.cols, sparse(v).items()))
 
     def image_of(self, space: Subspace) -> Subspace:
         """The image of a subspace of the source."""
-        return Subspace.span(self.target.field, self.target.dim,
-                             [self.apply(v) for v in space.basis])
+        f = self.target.field
+        return Subspace.span(f, self.target.dim, [_combine(f, self.cols, row.items())
+                                                  for row in space.rows.values()])
+
+    def kernel(self) -> Subspace:
+        """The kernel, by one tagged echelon: column k goes in tagged e_k, and
+        a column dependent on those before it reduces to zero with its tag
+        reduced to a kernel vector."""
+        f = self.source.field
+        ech, ker = Echelon(f, tagged=True), []
+        for k, col in enumerate(self.cols):
+            tag = {k: f.one}
+            if not ech.insert(dict(col), tag):
+                ker.append(tag)
+        return Subspace.span(f, self.source.dim, ker)
 
     def compose(self, other: "AlgMorphism") -> "AlgMorphism":
         """self ∘ other (apply `other` first)."""
         if not other.target.same_as(self.source):
             raise QuivkitError("NOT_COMPOSABLE", "morphism targets do not line up")
-        return AlgMorphism(other.source, self.target, self.matrix.matmul(other.matrix))
+        f = self.target.field
+        return AlgMorphism(other.source, self.target,
+                           [_combine(f, self.cols, col.items()) for col in other.cols])
 
     def inverse(self) -> "AlgMorphism":
-        return AlgMorphism(self.target, self.source, invert(self.matrix))
+        return AlgMorphism(self.target, self.source,
+                           [sparse(c) for c in invert(self.matrix).columns()])
 
     def is_identity(self) -> bool:
+        one = self.source.field.one
         return (self.source is self.target
-                and self.matrix == Mat.identity(self.matrix.field, self.source.dim))
+                and all(col == {j: one} for j, col in enumerate(self.cols)))
 
     def __eq__(self, other):
         return (isinstance(other, AlgMorphism)
                 and self.source.same_as(other.source)
                 and self.target.same_as(other.target)
-                and self.matrix == other.matrix)
+                and self.cols == other.cols)
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash((self.target.dim, tuple(tuple(sorted(c.items())) for c in self.cols)))
 
     def __repr__(self):
         return f"AlgMorphism({self.source.dim} -> {self.target.dim})"
 
 
 def identity_morphism(a: FinAlgebra) -> AlgMorphism:
-    return AlgMorphism(a, a, Mat.identity(a.field, a.dim))
+    one = a.field.one
+    return AlgMorphism(a, a, [{j: one} for j in range(a.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +430,18 @@ def _echelon_filtration(field, dim, sc, arrows):
 
 
 def _quotient_table(field, sc, sub: Subspace):
-    """A/sub, for a subspace `sub` of A with table `sc`, as
-    (idx, table, proj, cols).
+    """A/sub, for a subspace `sub` of A with table `sc`, as (idx, table, cols).
 
     The classes of the basis vectors b_i, i in `idx`, are a basis of A/sub,
-    `table` is its table in the stored sparse form and `proj` takes
-    coordinates in A to coordinates in A/sub; `cols` are proj's columns,
-    sparse, for `_combine`.
+    `table` is its table in the stored sparse form and `cols[j]` is the
+    class of b_j in that basis, sparse: the projection's columns.
     """
-    reps, proj = quotient_basis(Subspace.full(field, len(sc)), sub)
-    # the reps complement a subspace of k^n, so they are basis vectors b_i and
-    # their products are table rows, each projected over its terms only
-    idx = [r_vec.index(field.one) for r_vec in reps]
-    cols = [sparse(c) for c in zip(*proj.data)]
+    # the kept rows complement sub in k^n, so they are basis vectors b_i and
+    # their products are table rows, each projected over its terms only; the
+    # echelon ends with every index a pivot, tagged with its class
+    reps, tags = _complement_rows(Subspace.full(field, len(sc)), sub, tagged=True)
+    idx = list(reps)
+    cols = [tags[j] for j in range(len(sc))]
     # b_idx[k] projects to the k-th class, and idx ascends: a nonzero entry
     # whose terms are all kept is relabelled in order, any other is combined
     kept = {i: k for k, i in enumerate(idx)}
@@ -427,7 +455,7 @@ def _quotient_table(field, sc, sub: Subspace):
             else:
                 qrow[k] = tuple(sorted(_combine(field, cols, terms).items()))
         table.append(qrow)
-    return idx, table, proj, cols
+    return idx, table, cols
 
 
 def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
@@ -442,7 +470,7 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
     Returns class representatives (vectors in A), sorted by their
     coordinates mod J.
     """
-    idx, qsc, proj, _cols = _quotient_table(field, sc, j_space)
+    idx, qsc, cols = _quotient_table(field, sc, j_space)
     qdim = len(idx)
     # commutativity of the radical quotient is necessary for pointedness
     for i in range(qdim):
@@ -453,7 +481,7 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
     def qmul(u, v):
         return dense(field, qdim, _mul_raw(field, qsc, sparse(u), sparse(v)))
 
-    idems = [proj.matvec(unit)]
+    idems = [dense(field, qdim, _combine(field, cols, sparse(unit).items()))]
     for x in range(qdim):
         new_idems = []
         for u in idems:
@@ -654,12 +682,11 @@ def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebr
 def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
     """Validate a raw dense table and build a FinAlgebra.
 
-    `structconst[i][j]` must be the dense coordinate vector of b_i b_j;
-    entries are coerced through the field, written in the sparse form of
-    `FinAlgebra.structconst` and admitted by `table_algebra`.
+    `structconst[i][j]` must be the dense coordinate vector of b_i b_j; its
+    nonzero entries are handed to `table_algebra`, which reads them through
+    the field.
     """
     dim = len(basis_labels)
-    of = field.of
     sc = []
     for i in range(dim):
         row = []
@@ -667,21 +694,27 @@ def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
             vec = structconst[i][j]
             if len(vec) != dim:
                 raise QuivkitError("BAD_SHAPE", "structure constant vector length")
-            terms = []
-            for m, c in enumerate(vec):
-                if c:
-                    c = of(c)
-                    if c:
-                        terms.append((m, c))
-            row.append(tuple(terms))
+            row.append([(m, c) for m, c in enumerate(vec) if c])
         sc.append(row)
-    return table_algebra(field, basis_labels, sc, [of(c) for c in unit])
+    return table_algebra(field, basis_labels, sc, unit)
 
 
-def _canonical_table(dim, sc):
+def _field_value(field, x, where, *pos):
+    """x read through `field.of`; BAD_ARGUMENT naming the entry `where % pos`
+    when it is not a value of the field."""
+    try:
+        return field.of(x)
+    except (ArithmeticError, TypeError, ValueError):
+        raise QuivkitError("BAD_ARGUMENT", f"{where % pos} is {x!r}, "
+                                           f"not a value of {field.name}") from None
+
+
+def _canonical_table(field, dim, sc):
     """`sc` in the stored form: dim rows of dim entries, each a tuple of its
-    nonzero terms in ascending index; BAD_SHAPE for a missing or short row
-    and for an index outside 0..dim-1 or given twice in one entry."""
+    terms in ascending index, every coefficient read through the field and
+    the zeros dropped; BAD_SHAPE for a missing or short row and for an index
+    outside 0..dim-1 or given twice in one entry, BAD_ARGUMENT for a
+    coefficient that is not a value of the field."""
     if len(sc) != dim:
         raise QuivkitError("BAD_SHAPE", f"the table has {len(sc)} rows, expected {dim}")
     table = []
@@ -699,7 +732,9 @@ def _canonical_table(dim, sc):
                 if n and seen[n - 1][0] == m:
                     raise QuivkitError("BAD_SHAPE",
                                        f"entry ({i}, {j}) names basis index {m} twice")
-            out.append(tuple([(m, c) for m, c in seen if c]))
+            terms = [(m, _field_value(field, c, "entry (%d, %d) at index %d", i, j, m))
+                     for m, c in seen if c]
+            out.append(tuple([(m, c) for m, c in terms if c]))
         table.append(out)
     return table
 
@@ -708,12 +743,12 @@ def table_algebra(field, basis_labels, sc, unit) -> FinAlgebra:
     """Validate a raw table in the stored sparse form and build a FinAlgebra.
 
     `sc[i][j]` is b_i b_j as a sequence of `(m, c)` pairs, each index m
-    once, and `unit` a dense vector of field values.  Every check runs:
-    shape, unit, associativity, the trace-form radical and the idempotent
-    classes it splits off.  The entries are stored in the canonical form of
-    `FinAlgebra.structconst`.  The classes are lifted to exact idempotents
-    and the arrows are bases of the Peirce blocks of J; `_admit` certifies
-    both.
+    once, and `unit` a dense vector; every value is read through the field.
+    Every check runs: shape, unit, associativity, the trace-form radical and
+    the idempotent classes it splits off.  The entries are stored in the
+    canonical form of `FinAlgebra.structconst`.  The classes are lifted to
+    exact idempotents and the arrows are bases of the Peirce blocks of J;
+    `_admit` certifies both.
     """
     dim = len(basis_labels)
     if dim == 0:
@@ -722,7 +757,8 @@ def table_algebra(field, basis_labels, sc, unit) -> FinAlgebra:
         raise QuivkitError("BAD_SHAPE", "basis labels must be unique")
     if len(unit) != dim:
         raise QuivkitError("BAD_SHAPE", "unit vector length")
-    sc = _canonical_table(dim, sc)
+    sc = _canonical_table(field, dim, sc)
+    unit = [_field_value(field, c, "unit entry %d", i) for i, c in enumerate(unit)]
     _check_unit(field, dim, sc, unit)
     _verify_associative(field, dim, sc)
     j_space = trace_form_radical((field, dim, sc))
@@ -763,17 +799,16 @@ def radical_power(a: FinAlgebra, n: int) -> Subspace:
 
 def _first_unmultiplied(source, target, cols, gens):
     """(g, j) for the first g in `gens` and basis vector b_j with
-    f(g b_j) != f(g) f(b_j), where f has the columns `cols`; or None."""
+    f(g b_j) != f(g) f(b_j), where f has the sparse columns `cols`; or None."""
     f, sc, one, tsc = source.field, source.structconst, source.field.one, target.structconst
-    col_terms = [sparse(c) for c in cols]
     for gi, gt in enumerate(map(sparse, gens)):
         if len(gt) == 1 and one in gt.values():
             row = sc[next(iter(gt))]
         else:
             row = [_mul_raw(f, sc, gt, {j: one}).items() for j in range(source.dim)]
-        image = _combine(f, col_terms, gt.items())
+        image = _combine(f, cols, gt.items())
         for j in range(source.dim):
-            if _combine(f, col_terms, row[j]) != _mul_raw(f, tsc, image, col_terms[j]):
+            if _combine(f, cols, row[j]) != _mul_raw(f, tsc, image, cols[j]):
                 return gi, j
     return None
 
@@ -782,7 +817,8 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
                       ) -> AlgMorphism:
     """Admit a linear map as an algebra morphism.
 
-    Checks: unital, multiplicative, and surjectivity of the induced map on
+    The matrix is read once into sparse columns, each entry through the
+    field (BAD_ARGUMENT for one that is not in it).  Checks: unital, multiplicative, and surjectivity of the induced map on
     radical quotients (the admission condition for this category of pointed
     algebras).  A unital map f with f(g b) = f(g) f(b) for g in the source's
     generators G and b in its basis is multiplicative, since words in G span
@@ -790,13 +826,20 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
     image of a nilpotent element is nilpotent, and B/J(B) = k^r, the target
     being pointed, has no nonzero nilpotents.
     """
-    if source.field != target.field:
+    f = source.field
+    if f != target.field:
         raise QuivkitError("BAD_FIELD", "source and target fields differ")
     if matrix.rows != target.dim or matrix.cols != source.dim:
         raise QuivkitError("BAD_SHAPE", "morphism matrix has wrong shape")
-    if matrix.matvec(source.unit) != target.unit:
+    cols = [{} for _ in range(source.dim)]
+    for i, row in enumerate(matrix.data):
+        for j, x in enumerate(row):
+            if x:
+                x = _field_value(f, x, "matrix entry (%d, %d)", i, j)
+                if x:
+                    cols[j][i] = x
+    if _combine(f, cols, sparse(source.unit).items()) != sparse(target.unit):
         raise QuivkitError("NOT_UNITAL", "matrix does not send 1 to 1")
-    cols = matrix.columns()
     if _first_unmultiplied(source, target, cols, source.generators()):
         # some basis pair fails too; name the first, as the full scan does
         basis = [source.basis_vector(i) for i in range(source.dim)]
@@ -809,10 +852,10 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
     # idempotents are orthogonal idempotents summing to 1, so their classes
     # span B/J(B) = k^r iff r of them are nonzero
     r = target.dim - target.radical.dim
-    if sum(1 for e in source.ss_classes if any(matrix.matvec(e))) != r:
+    if sum(1 for e in source.ss_classes if _combine(f, cols, sparse(e).items())) != r:
         raise QuivkitError("RADICAL_QUOTIENT_NOT_SURJECTIVE",
                            "induced map A/J(A) -> B/J(B) is not onto")
-    return AlgMorphism(source, target, matrix)
+    return AlgMorphism(source, target, cols)
 
 
 def image_of_radical_check(alpha: AlgMorphism) -> bool:
@@ -867,13 +910,12 @@ def induced_on_quotient(pi: AlgMorphism, h: AlgMorphism) -> AlgMorphism:
     Column k of g is h's column at the basis vector of A with A/I's k-th
     label.  pi is onto, so g . pi = h makes g a morphism with no check.
     """
-    a, q = pi.source, pi.target
+    a, q, one = pi.source, pi.target, pi.source.field.one
     idx = [a._label_index.get(lab) for lab in q.basis_labels]
     if not h.source.same_as(a) or None in idx or any(
-            pi.matrix.col(i) != vec_unit(a.field, q.dim, k) for k, i in enumerate(idx)):
+            pi.cols[i] != {k: one} for k, i in enumerate(idx)):
         raise QuivkitError("BAD_ARGUMENT", "pi is not a quotient projection of h's source")
-    return AlgMorphism(q, h.target, Mat(h.target.field, h.target.dim, q.dim,
-                                        [[row[i] for i in idx] for row in h.matrix.data]))
+    return AlgMorphism(q, h.target, [h.cols[i] for i in idx])
 
 
 def is_relation_ideal(ideal: IdealSubspace) -> bool:
@@ -895,7 +937,7 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     f = a.field
     if not _closed_under(f, a.structconst, a.generators(), ideal.space):
         raise QuivkitError("NOT_AN_IDEAL", "quotient by a non-ideal")
-    idx, sc, proj, cols = _quotient_table(f, a.structconst, ideal.space)
+    idx, sc, cols = _quotient_table(f, a.structconst, ideal.space)
     qdim = len(idx)
     if qdim == 0:
         raise QuivkitError("BAD_ARGUMENT", "quotient by the whole algebra")
@@ -910,6 +952,6 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     arrows = [dense(f, qdim, img) for img in map(image, a.arrows) if img]
     q = presented_algebra(f, labels, sc, dense(f, qdim, image(a.unit)), j_img, class_imgs,
                           arrows)
-    # q's table is defined through proj, so proj is a morphism; proj is the
-    # coordinate map of k^n = span(reps) + I, so its kernel is I
-    return q, AlgMorphism(a, q, proj)
+    # q's table is defined through the projection, so it is a morphism; it is
+    # the coordinate map of k^n = span(kept rows) + I, so its kernel is I
+    return q, AlgMorphism(a, q, cols)

@@ -11,8 +11,8 @@ radical filtration.
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import AlgMorphism, FinAlgebra
-from .exactlin import Mat, invert, vec_is_zero, vec_unit
+from .algebra import AlgMorphism, FinAlgebra, _combine
+from .exactlin import Mat, add_scaled, invert, vec_is_zero, vec_unit
 from .splittings import Splitting, conjugating_element, make_splitting
 from .vquiver import POINT, VQuiver, VQuiverMap
 
@@ -126,13 +126,14 @@ class GabrielQuiverResult:
 
 def gq(a: FinAlgebra, splitting: Splitting = None) -> GabrielQuiverResult:
     """Gabriel quiver of an algebra (vertex count = dim A/J, arrow dims from
-    the radical layer J/J^2)."""
+    the radical layer J/J^2).  Without a splitting, the result is built once
+    per algebra, on `make_splitting`, and cached on it; no caller changes
+    it."""
     if splitting is None:
-        splitting = a._splitting_cache
-        if splitting is None:
-            splitting = make_splitting(a)
-            a._splitting_cache = splitting
-    elif not a.same_as(splitting.parent):
+        if a._gq_cache is None:
+            a._gq_cache = gq(a, make_splitting(a))
+        return a._gq_cache
+    if not a.same_as(splitting.parent):
         raise QuivkitError("BAD_ARGUMENT", "splitting of a different algebra")
     r = splitting.rank
     names = [str(i + 1) for i in range(r)]
@@ -168,13 +169,15 @@ def check_sim_n(alpha: AlgMorphism, beta: AlgMorphism, n: int) -> bool:
     if not alpha.source.same_as(beta.source) or \
             not alpha.target.same_as(beta.target):
         raise QuivkitError("BAD_ARGUMENT", "morphisms have different endpoints")
-    diff = alpha.matrix.sub(beta.matrix)
     src, tgt = alpha.source, alpha.target
+    f = tgt.field
+    minus_one = f.neg(f.one)
+    diff = [add_scaled(f, dict(x), minus_one, y) for x, y in zip(alpha.cols, beta.cols)]
     # J^m(A) = 0 from the truncation level on, where the condition is empty
     for m in range(min(n + 1, src.truncation_level)):
         # J^0 = A, whose image is spanned by the columns of diff
-        images = diff.columns() if m == 0 else \
-            [diff.matvec(v) for v in src.radical_power(m).basis]
+        images = diff if m == 0 else \
+            [_combine(f, diff, row.items()) for row in src.radical_power(m).rows.values()]
         jm1 = tgt.radical_power(m + 1)
         if not all(jm1.contains(x) for x in images):
             return False

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import QuivkitError
 from .algebra import AlgMorphism, FinAlgebra, _mul_raw, orthogonal_idempotents, presented_algebra
-from .exactlin import Mat, Subspace, sparse, vec_combination, vec_unit, vec_zero
+from .exactlin import Subspace, sparse, vec_combination, vec_unit, vec_zero
 from .vquiver import POINT, Quiver, QuiverMap, VQuiver, VQuiverMap, v_of_inclusion, v_of_quiver
 
 
@@ -200,11 +200,6 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
     morphism with no further check; it is onto mod radicals iff dim B/J(B)
     vertex images are nonzero.
     """
-    return _universal_map(t, target, idem_images, arrow_images)[0]
-
-
-def _universal_map(t, target, idem_images, arrow_images):
-    """`universal_map`, and the morphism's columns as sparse vectors."""
     f = t.field
     if target.field != f:
         raise QuivkitError("BAD_FIELD", "target over a different field")
@@ -250,7 +245,7 @@ def _universal_map(t, target, idem_images, arrow_images):
         else:
             prefix = cols[t.index[(p.start, p.arrows[:-1])]]
             cols.append(_mul_raw(f, sc, xs[p.arrows[-1]], prefix))
-    return AlgMorphism(t.carrier, target, Mat.from_sparse_cols(f, cols, target.dim)), cols
+    return AlgMorphism(t.carrier, target, cols)
 
 
 def vqmap_generator_images(rho: VQuiverMap, n: int, idems, arrow_bases):

@@ -20,6 +20,9 @@ was before it read the products off the table rows: u b_j and b_j u by
 as they were before they read the products of basis vectors off the table,
 each product by `_mul_raw`; `quotient_table` is A/I's table as it was
 before kept terms were relabelled, every entry combined over proj's columns.
+`matvec`, `matmul`, `rank` and `check_sim_n` are the dense operations an
+`AlgMorphism` ran on its matrix before it held sparse columns: products by
+dense dot products, and the congruence test on the dense difference.
 """
 
 import quivkit.exactlin as el
@@ -123,6 +126,41 @@ def kernel(m):
             v[fc] = f.one
             basis.append(v)
     return basis
+
+
+def matvec(m, v):
+    """m v, one dense dot product per row."""
+    f = m.field
+    out = []
+    for row in m.data:
+        acc = f.zero
+        for a, b in zip(row, v):
+            if a and b:
+                acc = f.add(acc, f.mul(a, b))
+        out.append(acc)
+    return out
+
+
+def matmul(m, n):
+    """m n, one `matvec` per column of n."""
+    return el.Mat.from_cols(m.field, [matvec(m, c) for c in n.columns()], rows=m.rows)
+
+
+def rank(m):
+    return len(rref(m)[1])
+
+
+def check_sim_n(alpha, beta, n):
+    """(alpha - beta)(J^m(A)) in J^(m+1)(B) for every m <= n, on the dense
+    difference of the matrices."""
+    diff = alpha.matrix.sub(beta.matrix)
+    src, tgt = alpha.source, alpha.target
+    for m in range(min(n + 1, src.truncation_level)):
+        images = diff.columns() if m == 0 else \
+            [matvec(diff, v) for v in src.radical_power(m).basis]
+        if not all(tgt.radical_power(m + 1).contains(x) for x in images):
+            return False
+    return True
 
 
 def echelon(field, n, vectors):

@@ -195,7 +195,8 @@ def test_generator_check_raises_exactly_when_the_full_scan_does(field):
         for m in (matrix, _perturbed(rng, matrix, unit_cols),
                   _perturbed(rng, matrix, unit_cols)):
             pair = _full_scan_pair(source, target, m)
-            first = _first_unmultiplied(source, target, m.columns(), source.generators())
+            first = _first_unmultiplied(source, target, [el.sparse(c) for c in m.columns()],
+                                        source.generators())
             assert (pair is None) == (first is None)
             if pair is None:
                 passing += 1

@@ -1,9 +1,13 @@
 """Gabriel quiver functor, congruences, pointed-set variant."""
 
+from pathlib import Path
+
 import pytest
 
 import quivkit as qk
 import quivkit.exactlin as el
+import quivkit.gabriel as gabriel
+from quivkit.cli import main
 from quivkit.errors import QuivkitError
 from quivkit.gabriel import (
     identity_class_is_conjugation_group,
@@ -85,6 +89,27 @@ def test_gq_and_counit_refuse_a_splitting_of_another_algebra():
             call()
         assert exc.value.code == "BAD_ARGUMENT"
     assert set(qk.gq(a, qk.make_splitting(a)).vquiver.spaces) == {("1", "2"), ("2", "1")}
+
+
+def test_gq_is_built_once_per_algebra(monkeypatch):
+    splits, built = [], []
+    real_split, real_result = gabriel.make_splitting, gabriel.GabrielQuiverResult
+    monkeypatch.setattr(gabriel, "make_splitting",
+                        lambda a: splits.append(a) or real_split(a))
+    monkeypatch.setattr(gabriel, "GabrielQuiverResult",
+                        lambda a, *rest: built.append(a) or real_result(a, *rest))
+    a = triangle_algebra().carrier
+    g = qk.gq(a)
+    assert qk.counit(a).gq_result is g and qk.gq(a) is g
+    assert (splits, built) == ([a], [a])
+    # an explicit splitting bypasses the cache
+    split2 = real_split(a)
+    assert qk.counit(a, splitting=split2).gq_result.splitting is split2
+    assert qk.gq(a) is g and len(built) == 2
+    # the demo's gq_dims, counit and adjunction checks share each algebra's
+    built.clear()
+    assert main(["check", str(Path(__file__).parent.parent / "demo" / "triangle.quiv")]) == 0
+    assert len(built) == len(set(map(id, built))) == 3
 
 
 def test_gq_on_identity_morphism():

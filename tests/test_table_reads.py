@@ -6,21 +6,24 @@ constants, and fall back to the products for any other input.  Each test
 here compares one of them with the product path it replaced, kept in
 `dense_oracle`, on corpus inputs and on inputs mutated to fail, in Q, F2,
 F5 and F101.  Raw sparse tables are refused when malformed and stored in
-the canonical form, and the counit at the size bound finishes in bounded
-CPU time.
+the canonical form, with every value read through the field, and the
+counit, `check_sim_n` and `factor_delta` at the size bound finish in
+bounded CPU time.
 """
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 import quivkit as qk
 import quivkit.algebra as alg
 import quivkit.exactlin as el
-from quivkit.adjunction import psi
+from quivkit.adjunction import factor_delta, psi
 from quivkit.algebra import _orthogonal, _quotient_table, _verify_presentation, table_algebra
 from quivkit.errors import QuivkitError
+from quivkit.generators import random_identity_class_automorphism
 from quivkit.vquiver import identity_vqmap
 
 import dense_oracle as dense
@@ -219,9 +222,11 @@ def test_quotient_table_matches_the_combined_table(field):
                 cases.append((f"{name}_{k}", a, ideal))
     several = 0
     for name, a, ideal in cases:
-        got = _quotient_table(field, a.structconst, ideal.space)
-        assert got == dense.quotient_table(field, a.structconst, ideal.space), name
-        several += any(len(c) > 1 for c in got[3])
+        idx, table, cols = _quotient_table(field, a.structconst, ideal.space)
+        ref_idx, ref_table, _proj, ref_cols = dense.quotient_table(field, a.structconst,
+                                                                   ideal.space)
+        assert (idx, table, cols) == (ref_idx, ref_table, ref_cols), name
+        several += any(len(c) > 1 for c in cols)
     assert len(cases) >= 40 and several >= 5
 
 
@@ -259,6 +264,34 @@ def test_counit_at_the_size_bound_finishes_in_bounded_cpu_time():
     cu = qk.counit(a)
     assert time.process_time() - start < 0.1
     assert a.dim == 254 and cu.morphism.surjective
+
+
+def _size_bound_automorphism():
+    t = qk.build_kvq(F5, two_vq(), 7)
+    return t, random_identity_class_automorphism(random.Random("size-bound"), t)
+
+
+def test_sim1_at_the_size_bound_finishes_in_bounded_cpu_time():
+    # 0.004 s of CPU time (medians of 5 runs in 3 processes) on a 2-core
+    # x86-64 VM, so 3x the median is under the 0.1 s floor; the dense
+    # difference took 0.53 s
+    t, aut = _size_bound_automorphism()
+    ident = qk.identity_morphism(t.carrier)
+    start = time.process_time()
+    congruent = qk.check_sim_n(aut, ident, 1)
+    assert time.process_time() - start < 0.1
+    assert congruent and t.dim == 254
+
+
+def test_factor_delta_at_the_size_bound_finishes_in_bounded_cpu_time():
+    # 0.137-0.142 s of CPU time (medians of 5 runs in 3 processes) on a
+    # 2-core x86-64 VM, so the deadline is 3x that; dense products took 2.4 s
+    t, aut = _size_bound_automorphism()
+    ident = qk.identity_morphism(t.carrier)
+    start = time.process_time()
+    delta = factor_delta(t, aut, ident)
+    assert time.process_time() - start < 0.42
+    assert delta == aut
 
 
 # -- malformed raw tables --------------------------------------------------------
@@ -306,3 +339,54 @@ def test_tables_are_stored_canonically():
     assert any(c == 0 for row in sc for terms in row for _m, c in terms)
     b = table_algebra(F5, labels, sc, canon.unit)
     assert b.same_as(canon) and b.structconst == canon.structconst
+
+
+def test_table_values_are_read_through_the_field():
+    # over F5, 6 and -4 are 1 and a coefficient 5 is no term at all
+    a, sc = _one_arrow_table()
+    lifted = [[tuple((m, c + 5 if k % 2 else c - 5) for m, c in terms) for terms in row]
+              for k, row in enumerate(sc)]
+    lifted[0][1] += ((2, 5),)
+    b = table_algebra(F5, a.basis_labels, lifted, [c + 5 for c in a.unit])
+    assert any(c == 6 for row in lifted for terms in row for _m, c in terms)
+    assert any(c == -4 for row in lifted for terms in row for _m, c in terms)
+    assert b.same_as(a) and b.structconst == a.structconst and b.unit == a.unit
+    dense_table = [[el.dense(F5, a.dim, dict(terms)) for terms in row] for row in sc]
+    assert qk.validate_algebra(F5, a.basis_labels, dense_table, a.unit).same_as(a)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("sparse", "entry (0, 1) at index 2 is Fraction(1, 5), not a value of F5"),
+    ("dense", "entry (0, 1) at index 2 is Fraction(1, 5), not a value of F5"),
+    ("unit", "unit entry 1 is Fraction(1, 5), not a value of F5"),
+    ("text", "entry (0, 1) at index 2 is 'x', not a value of F5"),
+])
+def test_values_outside_the_field_are_bad_argument(case, message):
+    a, sc = _one_arrow_table()
+    bad = "x" if case == "text" else Fraction(1, 5)
+    unit = list(a.unit)
+    if case == "unit":
+        unit[1] = bad
+    else:
+        sc[0][1] = ((2, bad),)
+    with pytest.raises(QuivkitError) as exc:
+        if case == "dense":
+            dense_table = [[el.dense(F5, a.dim, dict(terms)) for terms in row] for row in sc]
+            qk.validate_algebra(F5, a.basis_labels, dense_table, unit)
+        else:
+            table_algebra(F5, a.basis_labels, sc, unit)
+    assert (exc.value.code, exc.value.message) == ("BAD_ARGUMENT", message)
+
+
+def test_morphism_matrices_are_read_through_the_field():
+    a = _one_arrow_table()[0]
+    ident = qk.identity_morphism(a)
+    m = el.Mat.identity(F5, a.dim)
+    m.data[1][1], m.data[0][2] = 6, 5
+    f = qk.validate_morphism(a, a, m)
+    assert f == ident and f.is_identity() and f.matrix == ident.matrix
+    m.data[2][0] = Fraction(1, 5)
+    with pytest.raises(QuivkitError) as exc:
+        qk.validate_morphism(a, a, m)
+    assert (exc.value.code, exc.value.message) == (
+        "BAD_ARGUMENT", "matrix entry (2, 0) is Fraction(1, 5), not a value of F5")
