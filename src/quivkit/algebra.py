@@ -27,7 +27,6 @@ from .exactlin import (
     Echelon,
     Mat,
     Subspace,
-    _complement_rows,
     add_scaled,
     dense,
     invert,
@@ -436,15 +435,24 @@ def _quotient_table(field, sc, sub: Subspace):
     `table` is its table in the stored sparse form and `cols[j]` is the
     class of b_j in that basis, sparse: the projection's columns.
     """
-    # the kept rows complement sub in k^n, so they are basis vectors b_i and
-    # their products are table rows, each projected over its terms only; the
-    # echelon ends with every index a pivot, tagged with its class
-    reps, tags = _complement_rows(Subspace.full(field, len(sc)), sub, tagged=True)
-    idx = list(reps)
-    cols = [tags[j] for j in range(len(sc))]
-    # b_idx[k] projects to the k-th class, and idx ascends: a nonzero entry
-    # whose terms are all kept is relabelled in order, any other is combined
+    # sub's echelon with the columns reversed pivots on the last column of
+    # each row: b_j at such a column j is minus the rest of its row mod sub,
+    # and the rest lies on the other columns, whose b_i are a basis of A/sub
+    n = len(sc)
+    ech = Echelon(field)
+    for row in sub.rows.values():
+        ech.insert({n - 1 - m: c for m, c in row.items()})
+    last = {n - 1 - p: row for p, row in ech.rows.items()}
+    idx = [i for i in range(n) if i not in last]
     kept = {i: k for k, i in enumerate(idx)}
+    one, neg = field.one, field.neg
+    cols = [{kept[j]: one} if j in kept else
+            {kept[n - 1 - m]: neg(c) for m, c in last[j].items() if n - 1 - m != j}
+            for j in range(n)]
+    # the products of the kept b_i are table rows, each projected over its
+    # terms only; b_idx[k] projects to the k-th class, and idx ascends: a
+    # nonzero entry whose terms are all kept is relabelled in order, any
+    # other is combined
     table = []
     for i in idx:
         qrow = [()] * len(idx)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import QuivkitError
 from .algebra import AlgMorphism, FinAlgebra, _combine
-from .exactlin import Mat, add_scaled, invert, vec_is_zero, vec_unit
+from .exactlin import Echelon, Mat, add_scaled, dense, sparse, vec_is_zero
 from .splittings import Splitting, conjugating_element, make_splitting
 from .vquiver import POINT, VQuiver, VQuiverMap
 
@@ -29,14 +29,14 @@ class GabrielQuiverResult:
     """
 
     __slots__ = ("algebra", "vquiver", "arrow_bases", "splitting",
-                 "_coord_map")
+                 "_coord_cols")
 
     def __init__(self, algebra, vquiver, arrow_bases, splitting):
         self.algebra = algebra
         self.vquiver = vquiver
         self.arrow_bases = arrow_bases
         self.splitting = splitting
-        self._coord_map = None
+        self._coord_cols = None
 
     @property
     def vertex_names(self):
@@ -47,31 +47,52 @@ class GabrielQuiverResult:
         return (dict(zip(self.vertex_names, self.splitting.idems.elements)),
                 self.arrow_bases)
 
-    def coordinate_map(self) -> Mat:
-        """Inverse of the adapted basis, built on first use."""
-        if self._coord_map is None:
+    def _coordinate_cols(self):
+        """Sparse columns of the coordinate map, built on first use.
+
+        The adapted basis goes into one echelon, its k-th element tagged
+        e_k.  The basis spans A, so the echelon's rows end as the unit
+        vectors and row p's tag holds the coordinates of b_p.
+        """
+        if self._coord_cols is None:
             a = self.algebra
-            cols = list(self.splitting.idems.elements)
+            f = a.field
+            ech = Echelon(f, tagged=True)
+            adapted = list(self.splitting.idems.elements)
             for pair in self.vquiver.spaces:
-                cols.extend(self.arrow_bases[pair])
-            cols.extend(a.radical_power(2).basis)
-            self._coord_map = invert(Mat.from_cols(a.field, cols, rows=a.dim))
-        return self._coord_map
+                adapted.extend(self.arrow_bases[pair])
+            adapted.extend(a.radical_power(2).basis)
+            for k, x in enumerate(adapted):
+                ech.insert(sparse(x), {k: f.one})
+            if len(ech.rows) != a.dim:
+                raise QuivkitError("SINGULAR", "the adapted basis is not a basis")
+            self._coord_cols = [ech.tags[p] for p in range(a.dim)]
+        return self._coord_cols
+
+    def _coords(self, v):
+        """Sparse coordinates of the dense vector v in the adapted basis."""
+        return _combine(self.algebra.field, self._coordinate_cols(), sparse(v).items())
+
+    def coordinate_map(self) -> Mat:
+        """Inverse of the adapted basis (idempotents, arrow bases in
+        `vquiver.spaces` order, a basis of J^2), as a dense matrix."""
+        a = self.algebra
+        return Mat.from_cols(a.field, [dense(a.field, a.dim, c) for c in self._coordinate_cols()],
+                             rows=a.dim)
 
     def vertex_of_idempotent(self, idem):
         """Orbit vertex of a primitive idempotent (None if in no orbit): the
         vertex whose splitting idempotent has the same class mod J."""
         r = len(self.vertex_names)
-        head = self.coordinate_map().matvec(idem)[:r]
-        for pos, name in enumerate(self.vertex_names):
-            if head == vec_unit(self.algebra.field, r, pos):
-                return name
+        head = [(k, c) for k, c in self._coords(idem).items() if k < r]
+        if len(head) == 1 and head[0][1] == self.algebra.field.one:
+            return self.vertex_names[head[0][0]]
         return None
 
     def arrow_class_coords(self, src, tgt, radical_vec):
         """Coordinates of the class of a radical element in a block basis;
         None when the class does not lie in the requested block."""
-        coords = self.coordinate_map().matvec(radical_vec)
+        coords = self._coords(radical_vec)
         lo = len(self.vertex_names)
         for pair, labs in self.vquiver.spaces.items():
             if pair == (src, tgt):
@@ -79,9 +100,9 @@ class GabrielQuiverResult:
             lo += len(labs)
         hi = lo + self.vquiver.dim(src, tgt)
         j2 = len(self.vertex_names) + self.vquiver.total_arrow_dim()
-        if vec_is_zero(self.algebra.field, coords[:lo] + coords[hi:j2]):
-            return coords[lo:hi]
-        return None
+        if any(not lo <= k < hi for k in coords if k < j2):
+            return None
+        return [coords.get(k, self.algebra.field.zero) for k in range(lo, hi)]
 
     def read_map(self, alpha: AlgMorphism, vq: VQuiver, idems, arrows,
                  ) -> VQuiverMap:

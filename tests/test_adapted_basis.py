@@ -6,7 +6,8 @@ universal_map from generator images.  The references below are the earlier
 readers and builders, kept as oracles: the per-block solve against
 [block | J^2], the radical membership loop, the decomposition solve of the
 right adjoint, the class coordinates of the semisimple correspondence, and
-the column-by-column conjugations.
+the column-by-column conjugations.  The sparse class reads are also held
+to the dense read, `invert` of the adapted basis and `Mat.matvec`.
 """
 
 import random
@@ -16,8 +17,8 @@ import pytest
 import quivkit as qk
 from quivkit.adjunction import conjugation_automorphism
 from quivkit.algebra import identity_morphism, validate_morphism
-from quivkit.exactlin import (Mat, solve, solve_multi, vec_add, vec_combination,
-                              vec_is_zero, vec_sub, vec_zero)
+from quivkit.exactlin import (Mat, invert, solve, solve_multi, vec_add, vec_combination,
+                              vec_is_zero, vec_sub, vec_unit, vec_zero)
 from quivkit.gabriel import gq0, pointed_set
 from quivkit.generators import (random_identity_class_automorphism,
                                 random_padm_morphism, random_radical_element,
@@ -30,6 +31,7 @@ from quivkit.vquiver import VQuiverMap, identity_vqmap
 from corpus import (
     F2,
     F3,
+    F5,
     QQ,
     algebra_corpus,
     semisimple,
@@ -37,6 +39,8 @@ from corpus import (
     truncated_power_series,
     vq_corpus,
 )
+
+F101 = qk.GF(101)
 
 # ---------------------------------------------------------------------------
 # the earlier readers and builders, as oracles
@@ -61,6 +65,42 @@ def ref_vertex_of_idempotent(g, idem):
     for pos, e in enumerate(g.splitting.idems.elements):
         if a.radical.contains(vec_sub(a.field, e, idem)):
             return g.vertex_names[pos]
+    return None
+
+
+def dense_coordinate_map(g):
+    """Inverse of the adapted basis by a dense `invert`."""
+    a = g.algebra
+    cols = list(g.splitting.idems.elements)
+    for pair in g.vquiver.spaces:
+        cols.extend(g.arrow_bases[pair])
+    cols.extend(a.radical_power(2).basis)
+    return invert(Mat.from_cols(a.field, cols, rows=a.dim))
+
+
+def dense_vertex_of_idempotent(g, inverse, idem):
+    """The vertex whose unit vector heads the dense coordinates of idem."""
+    r = len(g.vertex_names)
+    head = inverse.matvec(idem)[:r]
+    for pos, name in enumerate(g.vertex_names):
+        if head == vec_unit(g.algebra.field, r, pos):
+            return name
+    return None
+
+
+def dense_arrow_class_coords(g, inverse, src, tgt, radical_vec):
+    """The dense coordinates of the requested block; None when any other
+    coordinate below J^2 is nonzero."""
+    coords = inverse.matvec(radical_vec)
+    lo = len(g.vertex_names)
+    for pair, labs in g.vquiver.spaces.items():
+        if pair == (src, tgt):
+            break
+        lo += len(labs)
+    hi = lo + g.vquiver.dim(src, tgt)
+    j2 = len(g.vertex_names) + g.vquiver.total_arrow_dim()
+    if vec_is_zero(g.algebra.field, coords[:lo] + coords[hi:j2]):
+        return coords[lo:hi]
     return None
 
 
@@ -246,6 +286,39 @@ def test_vertex_of_idempotent_matches_the_radical_loop():
             checked += 1
             matched += want is not None
     assert checked > 300 and 0 < matched < checked
+
+
+@pytest.mark.parametrize("tag", ["Q", "F2", "F5", "F101"])
+def test_sparse_class_reads_match_the_dense_coordinate_map(tag):
+    rng = random.Random(f"class-reads-{tag}")
+    field = {"Q": QQ, "F2": F2, "F5": F5, "F101": F101}[tag]
+    corpus = algebra_corpus() if field is QQ else _finite_corpus(field)
+    checked = nones = 0
+    for name, a in corpus:
+        for g in _gq_results(a, rng):
+            inverse = dense_coordinate_map(g)
+            assert g.coordinate_map() == inverse, name
+            j2 = a.radical_power(2).basis
+            idems = g.splitting.idems.elements
+            vecs = [vec_zero(field, a.dim), a.unit,
+                    _random_vector(rng, a, [a.basis_vector(i) for i in range(a.dim)]),
+                    _random_vector(rng, a, a.radical.basis)]
+            for e in idems:
+                vecs.append(vec_add(field, e, _random_vector(rng, a, a.radical.basis)))
+            # block elements plus J^2: in the requested block or out of it
+            for block in g.arrow_bases.values():
+                vecs.append(vec_add(field, _random_vector(rng, a, block),
+                                    _random_vector(rng, a, j2)))
+            for x in vecs:
+                want = dense_vertex_of_idempotent(g, inverse, x)
+                assert g.vertex_of_idempotent(x) == want, name
+                for src in g.vertex_names:
+                    for tgt in g.vertex_names:
+                        want = dense_arrow_class_coords(g, inverse, src, tgt, x)
+                        assert g.arrow_class_coords(src, tgt, x) == want, (name, src, tgt)
+                        checked += 1
+                        nones += want is None
+    assert checked > 300 and 0 < nones < checked
 
 
 def test_right_adjoint_matches_the_decomposition_solve():
