@@ -13,6 +13,7 @@ from .algebra import FinAlgebra, _mul_raw, orthogonal_idempotents
 from .exactlin import (
     Echelon,
     Mat,
+    add_scaled,
     dense,
     solve,
     sparse,
@@ -125,17 +126,17 @@ def conjugating_element(a: FinAlgebra, pairs):
     (1+w) q (1+w)^{-1} = p exactly when w q - p w = p - q.  The equations of
     all pairs are stacked and solved once over a basis of J (pivot-minimal
     solution), so a solution conjugates every pair with no further check.
+    Column j stacks w q - p w for w the j-th row of J, in its basis order.
     """
-    f = a.field
+    f, sc, n, rad = a.field, a.structconst, a.dim, a.radical
     pairs = list(pairs)
-    jbasis = a.radical.basis
-    cols = [[x for p, q in pairs for x in vec_sub(f, a.mul(jb, q), a.mul(p, jb))]
-            for jb in jbasis]
+    terms, minus_one = [(sparse(p), sparse(q)) for p, q in pairs], f.neg(f.one)
+    cols = [{k * n + i: c for k, (pt, qt) in enumerate(terms) for i, c in
+             add_scaled(f, _mul_raw(f, sc, jb, qt), minus_one, _mul_raw(f, sc, pt, jb)).items()}
+            for jb in map(rad.rows.get, rad.pivots)]
     rhs = [x for p, q in pairs for x in vec_sub(f, p, q)]
-    sol = solve(Mat.from_cols(f, cols, rows=len(rhs)), rhs)
-    if sol is None:
-        return None
-    return vec_combination(f, a.dim, sol, jbasis)
+    sol = solve(Mat.from_sparse_cols(f, cols, len(rhs)), rhs)
+    return None if sol is None else vec_combination(f, n, sol, rad.basis)
 
 
 def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitting:

@@ -22,7 +22,13 @@ each product by `_mul_raw`; `quotient_table` is A/I's table as it was
 before kept terms were relabelled, every entry combined over proj's columns.
 `matvec`, `matmul`, `rank` and `check_sim_n` are the dense operations an
 `AlgMorphism` ran on its matrix before it held sparse columns: products by
-dense dot products, and the congruence test on the dense difference.
+dense dot products, and the congruence test on the dense difference, level
+by level over a basis of each J^m.  `image_of_radical_check` compares the
+image of every radical layer, as it did before it was decided at n = 1.
+`conjugating_element` stacks dense products over a basis of J, and
+`inner_conjugation_witness` solves it over the pairs (delta(b), b) for
+every basis vector b, as both did before they took sparse products and
+the generators.
 """
 
 import quivkit.exactlin as el
@@ -161,6 +167,38 @@ def check_sim_n(alpha, beta, n):
         if not all(tgt.radical_power(m + 1).contains(x) for x in images):
             return False
     return True
+
+
+def image_of_radical_check(alpha):
+    """alpha(J^n(A)) == J^n(B) for every n up to the larger truncation
+    level, each image spanned by dense products."""
+    src, tgt = alpha.source, alpha.target
+    for n in range(max(src.truncation_level, tgt.truncation_level) + 1):
+        image = el.Subspace.span(tgt.field, tgt.dim, [matvec(alpha.matrix, v)
+                                                      for v in src.radical_power(n).basis])
+        if image != tgt.radical_power(n):
+            return False
+    return True
+
+
+def conjugating_element(a, pairs):
+    """w in J with w q - p w = p - q for every (p, q) in pairs, or None: the
+    stacked system over a basis of J, solved by the dense `rref`."""
+    f = a.field
+    pairs = list(pairs)
+    jbasis = a.radical.basis
+    cols = [[x for p, q in pairs for x in el.vec_sub(f, a.mul(jb, q), a.mul(p, jb))]
+            for jb in jbasis]
+    rhs = [x for p, q in pairs for x in el.vec_sub(f, p, q)]
+    sol = solve_multi(el.Mat.from_cols(f, cols, rows=len(rhs)), [rhs])[0]
+    return None if sol is None else el.vec_combination(f, a.dim, sol, jbasis)
+
+
+def inner_conjugation_witness(delta):
+    """`conjugating_element` of the pairs (delta(b), b) over the basis."""
+    a = delta.source
+    return conjugating_element(a, [(delta.apply(a.basis_vector(i)), a.basis_vector(i))
+                                   for i in range(a.dim)])
 
 
 def echelon(field, n, vectors):

@@ -22,7 +22,7 @@ from quivkit.algebra import induced_on_quotient
 from quivkit.generators import random_identity_class_automorphism, random_vqmap_to_gq
 
 import dense_oracle as dense
-from corpus import two_vq, vq_corpus
+from corpus import lower_triangular, semisimple, two_vq, vq_corpus
 from test_table_reads import _block_sums
 
 QQ, F2, F5, F101 = el.QQ, el.GF(2), el.GF(5), el.GF(101)
@@ -108,7 +108,7 @@ def test_pairs_of_morphisms_match_the_dense_matrices(field):
     """Each morphism g is composed with the first few f out of its target and
     compared with the first few f of its own hom-set."""
     corpus = _corpus(field)
-    composed = congruent = differ = 0
+    composed = congruent = differ = only_sim0 = not_sim0 = 0
     for name_g, g, _kind in corpus:
         after = [(n, f) for n, f, _k in corpus if g.target.same_as(f.source)]
         for name_f, f in after[:PARTNERS]:
@@ -119,11 +119,31 @@ def test_pairs_of_morphisms_match_the_dense_matrices(field):
         for name_f, f in parallel[:PARTNERS]:
             assert (f == g) == (f.matrix == g.matrix), (name_f, name_g)
             differ += f != g
-            for n in range(3):
+            sims = []
+            for n in range(-1, g.source.truncation_level + 2):
                 got = qk.check_sim_n(f, g, n)
                 assert got == dense.check_sim_n(f, g, n), (name_f, name_g, n)
-                congruent += got
+                sims.append(got)
+            congruent += sims[2]
+            only_sim0 += sims[1] and not sims[2]
+            not_sim0 += not sims[1]
     with pytest.raises(qk.QuivkitError) as exc:
         corpus[0][1].compose(corpus[-1][1])
     assert exc.value.code == "NOT_COMPOSABLE"
     assert composed >= 200 and differ >= 50 and congruent >= 50
+    assert only_sim0 >= 5 and not_sim0 >= 5
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_image_of_radical_check_matches_the_layer_loop(field):
+    """Decided at n = 1, against the image of every radical layer; the
+    inclusion of k^2 into the lower triangular matrices is onto mod radicals
+    but not onto (its raw table is admitted where char k is 0 or above 3)."""
+    maps = [m for _name, m, _kind in _corpus(field)]
+    if field != F2:
+        k2, lt = semisimple(field, 2), lower_triangular(field)
+        cols = [lt.element("E11"), lt.element("E22")]
+        maps.append(qk.validate_morphism(k2, lt, el.Mat.from_cols(field, cols, rows=3)))
+    outcomes = [qk.image_of_radical_check(m) for m in maps]
+    assert outcomes == [dense.image_of_radical_check(m) for m in maps]
+    assert outcomes.count(False) >= 5 and outcomes.count(True) >= 100

@@ -33,6 +33,7 @@ from corpus import (
     truncated_power_series,
     upper_triangular,
 )
+import dense_oracle as dense
 from dense_oracle import peirce_complements
 from test_algebra import _dense_table
 
@@ -282,6 +283,32 @@ def test_every_conjugation_witness_conjugates_its_pairs():
                 assert _conjugates(a, w, [(delta.apply(x), x) for x in basis]), name
                 witnesses += 1
     assert witnesses >= 80
+
+
+def test_witnesses_match_the_dense_basis_systems():
+    """conjugating_element's sparse products and inner_conjugation_witness's
+    generator pairs give the w of the dense system over the basis pairs."""
+    found = none = 0
+    for seed, (name, a) in enumerate(algebra_corpus()):
+        conj = conjugation(a, _seeded_radical_element(a, seed + 200))
+        basis = [a.basis_vector(i) for i in range(a.dim)]
+        idems = a.ss_classes
+        for pairs in ([(conj(x), x) for x in basis], [(conj(e), e) for e in idems],
+                      [(idems[-1], idems[0])]):
+            w = conjugating_element(a, pairs)
+            assert w == dense.conjugating_element(a, pairs), name
+            found += w is not None
+            none += w is None
+    for name, t in presented_corpus():
+        a = t.carrier
+        deltas = [conjugation_automorphism(t, _seeded_radical_element(a, name))]
+        deltas += [random_identity_class_automorphism(seeded_rng(k), t) for k in range(4)]
+        for delta in deltas:
+            w = inner_conjugation_witness(delta)
+            assert w == dense.inner_conjugation_witness(delta), name
+            found += w is not None
+            none += w is None
+    assert found >= 40 and none >= 10
 
 
 def _shuffled_table(a, rng):

@@ -7,8 +7,9 @@ here compares one of them with the product path it replaced, kept in
 `dense_oracle`, on corpus inputs and on inputs mutated to fail, in Q, F2,
 F5 and F101.  Raw sparse tables are refused when malformed and stored in
 the canonical form, with every value read through the field, and the
-counit, `check_sim_n` and `factor_delta` at the size bound finish in
-bounded CPU time.
+counit, `check_sim_n` and `factor_delta` at the size bound and `check
+adjunction` at dim 126 finish in bounded CPU time; `check_sim_n` makes
+one membership test per generator at every level.
 """
 
 import random
@@ -19,6 +20,8 @@ import pytest
 
 import quivkit as qk
 import quivkit.algebra as alg
+import quivkit.cli as cli
+import quivkit.dsl as dsl
 import quivkit.exactlin as el
 from quivkit.adjunction import factor_delta, psi
 from quivkit.algebra import _orthogonal, _quotient_table, _verify_presentation, table_algebra
@@ -281,6 +284,37 @@ def test_sim1_at_the_size_bound_finishes_in_bounded_cpu_time():
     congruent = qk.check_sim_n(aut, ident, 1)
     assert time.process_time() - start < 0.1
     assert congruent and t.dim == 254
+
+
+def test_sim_n_makes_one_membership_test_per_generator(monkeypatch):
+    # ~n is decided on the 2 idempotents and 4 arrows at every level
+    t, aut = _size_bound_automorphism()
+    ident = qk.identity_morphism(t.carrier)
+    calls, contains = [], el.Subspace.contains
+
+    def counted(self, v):
+        calls.append(v)
+        return contains(self, v)
+
+    monkeypatch.setattr(el.Subspace, "contains", counted)
+    for n in (0, 1, 2, 6, 10 ** 8):
+        calls.clear()
+        assert qk.check_sim_n(aut, ident, n)
+        assert len(calls) == len(t.carrier.generators()) == 6, n
+
+
+def test_adjunction_at_dim_126_finishes_in_bounded_cpu_time():
+    # 0.18-0.21 s of CPU time (medians of 5 to 7 runs in 4 processes) on a
+    # 2-core x86-64 VM, so the deadline is 3x that
+    doc = dsl.parse("field F5;\n"
+                    "vquiver TWO { vertices: 1, 2; space 1 -> 1 = [x];\n"
+                    "  space 1 -> 2 = [a, b]; space 2 -> 1 = [c]; }\n"
+                    "algebra A = kvq(TWO, level=6);\ncheck adjunction(TWO, A);\n")
+    start = time.process_time()
+    result = cli._run_check(doc, doc.checks[0], random.Random("adjunction-126"))
+    assert time.process_time() - start < 0.6
+    assert doc.algebras["A"].algebra.dim == 126
+    assert result["pass"] and result["psi_phi_samples"] == 25
 
 
 def test_factor_delta_at_the_size_bound_finishes_in_bounded_cpu_time():
