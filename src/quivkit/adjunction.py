@@ -16,6 +16,7 @@ from .algebra import (
     AlgMorphism,
     FinAlgebra,
     IdealSubspace,
+    _combine,
     identity_morphism,
     ideal_subspace,
     induced_on_quotient,
@@ -23,16 +24,7 @@ from .algebra import (
     quotient_algebra,
     validate_morphism,
 )
-from .exactlin import (
-    Mat,
-    solve,
-    vec_add,
-    vec_combination,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    vec_zero,
-)
+from .exactlin import Mat, _solve_cols, add_scaled
 from .gabriel import (GabrielQuiverResult, check_sim, gq, gq0, gq_on_morphism,
                       pointed_set)
 from .pathalg import (
@@ -81,7 +73,7 @@ def psi(t: TruncatedTensorAlgebra, rho: VQuiverMap,
         raise QuivkitError("TARGET_MISMATCH", "map source is not the path algebra's Vquiver")
     if rho.target != gq_a.vquiver:
         raise QuivkitError("TARGET_MISMATCH", "map target is not gq(A)")
-    images = vqmap_generator_images(rho, a.dim, *gq_a.generators())
+    images = vqmap_generator_images(rho, *gq_a.generators())
     return universal_map(t, a, *images)
 
 
@@ -233,15 +225,15 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
         raise QuivkitError("BAD_ARGUMENT",
                            "k2_target is not the level-2 path algebra of the map's target")
     b = k2_target.carrier
-    idem_images, arrow_images = vqmap_generator_images(
-        rho, b.dim, *k2_target.generators())
-    # images of the adapted basis: idempotents, arrow bases, then J^2 (killed)
+    idem_images, arrow_images = vqmap_generator_images(rho, *k2_target.generators())
+    # images of the adapted basis: idempotents, arrow bases, then J^2 (killed);
+    # b_j goes to its coordinates' combination of them
     images = [idem_images[name] for name in gq_a.vertex_names]
     for labs in gq_a.vquiver.spaces.values():
         images.extend(arrow_images[lab] for lab in labs)
-    images.extend(vec_zero(f, b.dim) for _ in range(a.dim - len(images)))
-    m = Mat.from_cols(f, images, rows=b.dim).matmul(gq_a.coordinate_map())
-    return validate_morphism(a, b, m)
+    images.extend({} for _ in range(a.dim - len(images)))
+    cols = [_combine(f, images, c.items()) for c in gq_a.coordinate_cols()]
+    return validate_morphism(a, b, Mat.from_sparse_cols(f, cols, b.dim))
 
 
 def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
@@ -274,11 +266,10 @@ def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
         vm = {}
         for name, e in gq_a.generators()[0].items():
             img = alpha.apply(e)
-            if vec_is_zero(f, img):
+            if not img:
                 vm[name] = POINT
                 continue
-            hits = [v for v in pset.vertices
-                    if img[target_t.vertex_idem[v]] != f.zero]
+            hits = [v for v in pset.vertices if target_t.vertex_idem[v] in img]
             if len(hits) != 1:
                 raise QuivkitError("INTERNAL",
                                    "idempotent image is not primitive or zero")
@@ -340,36 +331,36 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
     if w is None:
         raise QuivkitError("INTERNAL", "vertex conjugation failed")
 
-    # step 2: lift w through beta (beta maps J onto J(A))
-    jt_basis = t.carrier.radical.basis
-    lift_cols = [beta.apply(jb) for jb in jt_basis]
-    lift_sol = solve(Mat.from_cols(f, lift_cols, rows=a.dim), w)
-    if lift_sol is None:
+    # step 2: lift w through beta (beta maps J onto J(A)), over J's rows in
+    # pivot order
+    rad = t.carrier.radical
+    lift = _solve_cols(f, [beta.apply(rad.rows[p]) for p in rad.pivots], [dict(w)])[0]
+    if lift is None:
         raise QuivkitError("INTERNAL", "radical lift through beta failed")
-    v_lift = vec_combination(f, t.dim, lift_sol, jt_basis)
+    v_lift = _combine(f, rad.rows, ((rad.pivots[j], c) for j, c in lift.items()))
     delta1 = conjugation_automorphism(t, v_lift)
     beta1 = beta.compose(delta1)
 
-    # step 3: arrow corrections through a blockwise section of beta1 on J^2
-    j2a = a.radical_power(2)
+    # step 3: arrow corrections through a blockwise section of beta1 on J^2:
+    # arrow k's defect alpha(b_k) - beta1(b_k) is solved over the columns of
+    # beta1 at the longer paths of its block
+    j2a, minus_one = a.radical_power(2), f.neg(f.one)
     arrow_images = {}
     for (src, tgt), labs in t.vq.spaces.items():
-        block_vecs = [t.carrier.basis_vector(i) for i in t.deeper_paths(src, tgt)]
-        block_cols = [beta1.apply(v) for v in block_vecs]
-        block_sys = Mat.from_cols(f, block_cols, rows=a.dim)
+        block = t.deeper_paths(src, tgt)
+        block_cols = [beta1.cols[i] for i in block]
         for lab in labs:
-            avec = t.arrow_element(lab)
-            defect = vec_sub(f, alpha.apply(avec), beta1.apply(avec))
-            if vec_is_zero(f, defect):
-                arrow_images[lab] = avec
+            k = t.arrow_index[lab]
+            defect = add_scaled(f, dict(alpha.cols[k]), minus_one, beta1.cols[k])
+            if not defect:
+                arrow_images[lab] = {k: f.one}
                 continue
             if not j2a.contains(defect):
                 raise QuivkitError("INTERNAL", "arrow defect escapes J^2")
-            corr = solve(block_sys, defect)
+            corr = _solve_cols(f, block_cols, [defect])[0]
             if corr is None:
                 raise QuivkitError("INTERNAL", "arrow defect has no blockwise lift")
-            arrow_images[lab] = vec_add(
-                f, avec, vec_combination(f, t.dim, corr, block_vecs))
+            arrow_images[lab] = {k: f.one, **{block[j]: c for j, c in corr.items()}}
     delta2 = universal_map(t, t.carrier, idem_images, arrow_images)
     return delta1.compose(delta2)
 
@@ -485,25 +476,23 @@ def same_ideal_orbit(t: TruncatedTensorAlgebra, ideal_a: IdealSubspace,
 
     # conjugations by single scaled arrows
     for lab in t.vq.arrow_labels():
-        base = t.arrow_element(lab)
         for c in coeffs:
             if tried >= budget:
                 return None
             tried += 1
-            delta = conjugation_automorphism(t, vec_scale(f, c, base))
+            delta = conjugation_automorphism(t, {t.arrow_index[lab]: c})
             if check(delta):
                 return delta
     # single-arrow perturbations a -> a + c * (longer path in the same block)
     for lab in t.vq.arrow_labels():
         src, tgt, _ = t.vq.arrow_location(lab)
         for i in t.deeper_paths(src, tgt):
-            zvec = a.basis_vector(i)
             for c in coeffs:
                 if tried >= budget:
                     return None
                 tried += 1
                 idems, arrow_images = t.identity_images()
-                arrow_images[lab] = vec_add(f, arrow_images[lab], vec_scale(f, c, zvec))
+                arrow_images[lab][i] = c   # i is a longer path, not the arrow
                 delta = universal_map(t, a, idems, arrow_images)
                 if check(delta):
                     return delta

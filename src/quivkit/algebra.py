@@ -27,15 +27,15 @@ from .exactlin import (
     Echelon,
     Mat,
     Subspace,
+    _as_sparse,
+    _field_value,
+    _inverse_cols,
+    _reduce,
+    _span,
     add_scaled,
     dense,
-    invert,
     kernel,
-    sparse,
-    vec_scale,
-    vec_sub,
     vec_unit,
-    vec_zero,
 )
 from .poly import roots_if_split
 
@@ -51,6 +51,12 @@ class FinAlgebra:
     primitive orthogonal idempotents summing to 1, one for each copy of k in
     A/J; each of the `arrows` lies in one Peirce block of theirs, and the
     words in the arrows span J.
+
+    An element is a sparse vector {index: nonzero value}.  `unit`,
+    `ss_classes`, `arrows` and every element quivkit stores, passes or
+    returns have that form and are never changed once made; a caller that
+    edits one copies it first.  `basis_vector`, `element` and `mul` are the
+    dense views, lists of dim values; `mul` takes its factors in either form.
     """
 
     __slots__ = ("field", "dim", "basis_labels", "structconst", "unit",
@@ -80,8 +86,8 @@ class FinAlgebra:
         return self.basis_vector(self._label_index[label])
 
     def mul(self, x, y):
-        return dense(self.field, self.dim,
-                     _mul_raw(self.field, self.structconst, sparse(x), sparse(y)))
+        f, n = self.field, self.dim
+        return dense(f, n, _mul_raw(f, self.structconst, _as_sparse(f, n, x), _as_sparse(f, n, y)))
 
     def generators(self):
         """G: the idempotents and the arrows."""
@@ -104,9 +110,10 @@ class FinAlgebra:
 
     def peirce_block(self, left_idem, right_idem, space: Subspace) -> Subspace:
         """Subspace  left_idem * space * right_idem."""
-        f, sc, left, right = self.field, self.structconst, sparse(left_idem), sparse(right_idem)
-        return Subspace.span(f, self.dim, [_mul_raw(f, sc, left, _mul_raw(f, sc, v, right))
-                                           for v in space.rows.values()])
+        f, sc = self.field, self.structconst
+        left, right = _as_sparse(f, self.dim, left_idem), _as_sparse(f, self.dim, right_idem)
+        return _span(f, self.dim, [_mul_raw(f, sc, left, _mul_raw(f, sc, v, right))
+                                   for v in space.rows.values()])
 
     def same_as(self, other: "FinAlgebra") -> bool:
         if self is other:
@@ -176,17 +183,19 @@ class AlgMorphism:
     @property
     def surjective(self) -> bool:
         t = self.target
-        return Subspace.span(t.field, t.dim, self.cols).dim == t.dim
+        return _span(t.field, t.dim, self.cols).dim == t.dim
 
     def apply(self, v):
-        t = self.target
-        return dense(t.field, t.dim, _combine(t.field, self.cols, sparse(v).items()))
+        """The image of the element v of the source, dense or sparse, as a
+        sparse element."""
+        f = self.target.field
+        return _combine(f, self.cols, _as_sparse(f, self.source.dim, v).items())
 
     def image_of(self, space: Subspace) -> Subspace:
         """The image of a subspace of the source."""
         f = self.target.field
-        return Subspace.span(f, self.target.dim, [_combine(f, self.cols, row.items())
-                                                  for row in space.rows.values()])
+        return _span(f, self.target.dim, [_combine(f, self.cols, row.items())
+                                          for row in space.rows.values()])
 
     def kernel(self) -> Subspace:
         """The kernel, by one tagged echelon: column k goes in tagged e_k, and
@@ -198,7 +207,7 @@ class AlgMorphism:
             tag = {k: f.one}
             if not ech.insert(dict(col), tag):
                 ker.append(tag)
-        return Subspace.span(f, self.source.dim, ker)
+        return _span(f, self.source.dim, ker)
 
     def compose(self, other: "AlgMorphism") -> "AlgMorphism":
         """self ∘ other (apply `other` first)."""
@@ -209,8 +218,12 @@ class AlgMorphism:
                            [_combine(f, self.cols, col.items()) for col in other.cols])
 
     def inverse(self) -> "AlgMorphism":
-        return AlgMorphism(self.target, self.source,
-                           [sparse(c) for c in invert(self.matrix).columns()])
+        if self.source.dim != self.target.dim:
+            raise QuivkitError("BAD_SHAPE", "inverse of non-square matrix")
+        cols = _inverse_cols(self.source.field, self.cols)
+        if cols is None:
+            raise QuivkitError("SINGULAR", "matrix is not invertible")
+        return AlgMorphism(self.target, self.source, cols)
 
     def is_identity(self) -> bool:
         one = self.source.field.one
@@ -276,7 +289,7 @@ def _check_unit(field, dim, sc, unit):
     no arithmetic; any other sum is added up.
     """
     one = field.one
-    supp = [i for i, c in enumerate(unit) if c]
+    supp = sorted(unit)
     ones = all(unit[i] == one for i in supp)
     lefts = zip(*(sc[i] for i in supp)) if supp else [()] * dim
     for j, left in enumerate(lefts):
@@ -349,12 +362,11 @@ def _closed_under(field, sc, gens, space: Subspace) -> bool:
 
     When the gens generate A, that is when S is a two-sided ideal.
     """
-    gens = list(map(sparse, gens))
-    for v in space.rows.values():
+    rows = space.rows
+    for v in rows.values():
         for g in gens:
-            if not space.contains(_mul_raw(field, sc, g, v)):
-                return False
-            if not space.contains(_mul_raw(field, sc, v, g)):
+            if _reduce(field, rows, _mul_raw(field, sc, g, v)) or \
+                    _reduce(field, rows, _mul_raw(field, sc, v, g)):
                 return False
     return True
 
@@ -409,11 +421,11 @@ def _echelon_filtration(field, dim, sc, arrows):
     That costs |arrows| * dim J products.  One echelon takes the rows of the
     W_n from the last one up, and J^n is its state after W_n.
     """
-    layers = [Subspace.span(field, dim, arrows)]
+    layers = [_span(field, dim, arrows)]
     while layers[-1].dim:
         cur = layers[-1]
-        nxt = Subspace.span(field, dim, [_mul_raw(field, sc, y, x)
-                                         for y in cur.rows.values() for x in arrows])
+        nxt = _span(field, dim, [_mul_raw(field, sc, y, x)
+                                 for y in cur.rows.values() for x in arrows])
         if nxt.dim and (nxt == cur or len(layers) >= dim):
             raise QuivkitError("RADICAL_NOT_NILPOTENT",
                                "radical powers do not descend to zero")
@@ -475,8 +487,8 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
     the idempotents prod_{s != r} (y - s u) / (r - s), on each of which x
     acts as the scalar r (Friedl and Rónyai 1985; Eberly and Giesbrecht
     2000).  Once every x acts as a scalar, each block is one-dimensional.
-    Returns class representatives (vectors in A), sorted by their
-    coordinates mod J.
+    Returns class representatives (sparse elements of A), sorted by their
+    dense coordinates mod J: that order names gq's vertices.
     """
     idx, qsc, cols = _quotient_table(field, sc, j_space)
     qdim = len(idx)
@@ -485,26 +497,23 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
         for j in range(i):
             if qsc[i][j] != qsc[j][i]:
                 raise QuivkitError("NOT_POINTED", "A/J is not commutative")
-
-    def qmul(u, v):
-        return dense(field, qdim, _mul_raw(field, qsc, sparse(u), sparse(v)))
-
-    idems = [dense(field, qdim, _combine(field, cols, sparse(unit).items()))]
+    one, zero, mul = field.one, field.zero, field.mul
+    idems = [_combine(field, cols, unit.items())]
     for x in range(qdim):
         new_idems = []
         for u in idems:
-            y = qmul(u, vec_unit(field, qdim, x))
+            y = _mul_raw(field, qsc, u, {x: one})
             # the first power y^d dependent on u, ..., y^(d-1) reduces to zero,
             # its tag to the monic minimal polynomial's coefficients
             ech = Echelon(field, tagged=True)
-            ech.insert(sparse(u), {0: field.one})
+            ech.insert(dict(u), {0: one})
             power, d = y, 1
-            while ech.insert(sparse(power), minpoly := {d: field.one}):
-                power, d = qmul(power, y), d + 1
+            while ech.insert(dict(power), minpoly := {d: one}):
+                power, d = _mul_raw(field, qsc, power, y), d + 1
             if d == 1:  # y is a multiple of u: x is a scalar here
                 new_idems.append(u)
                 continue
-            roots = roots_if_split(field, dense(field, d + 1, minpoly))
+            roots = roots_if_split(field, [minpoly.get(k, zero) for k in range(d + 1)])
             if roots is None:
                 raise QuivkitError("NOT_POINTED",
                                    "A/J has a simple factor larger than k")
@@ -514,22 +523,17 @@ def _semisimple_pointed_classes(field, dim, sc, unit, j_space):
                 piece = u
                 for other in roots:
                     if other != r_val:
-                        shifted = vec_sub(field, y, vec_scale(field, other, u))
-                        piece = vec_scale(field, field.inv(field.sub(r_val, other)),
-                                          qmul(piece, shifted))
+                        shifted = add_scaled(field, dict(y), field.neg(other), u)
+                        c = field.inv(field.sub(r_val, other))
+                        piece = {k: mul(c, v)
+                                 for k, v in _mul_raw(field, qsc, piece, shifted).items()}
                 new_idems.append(piece)
         idems = new_idems
-    idems.sort(key=tuple)
-    classes = []
-    for u in idems:
-        c = vec_zero(field, dim)
-        for i, ui in zip(idx, u):
-            c[i] = ui
-        classes.append(c)
-    return classes
+    idems.sort(key=lambda u: tuple([u.get(k, zero) for k in range(qdim)]))
+    return [{idx[k]: c for k, c in u.items()} for u in idems]
 
 
-def _lift_classes(field, dim, sc, unit, classes, steps):
+def _lift_classes(field, sc, unit, classes, steps):
     """Exact orthogonal idempotents with the classes mod J of `classes`.
 
     Each class is framed away from the idempotents lifted before it, then
@@ -539,9 +543,9 @@ def _lift_classes(field, dim, sc, unit, classes, steps):
     """
     three, minus_two, minus_one = field.of(3), field.of(-2), field.of(-1)
     lifted = []
-    frame = sparse(unit)   # 1 minus the idempotents lifted so far
+    frame = dict(unit)   # 1 minus the idempotents lifted so far
     for c in classes:
-        x = _mul_raw(field, sc, frame, _mul_raw(field, sc, sparse(c), frame))
+        x = _mul_raw(field, sc, frame, _mul_raw(field, sc, c, frame))
         for _ in range(steps):
             sq = _mul_raw(field, sc, x, x)
             if sq == x:
@@ -550,7 +554,7 @@ def _lift_classes(field, dim, sc, unit, classes, steps):
                            minus_two, _mul_raw(field, sc, sq, x))
         lifted.append(x)
         add_scaled(field, frame, minus_one, x)
-    return [dense(field, dim, x) for x in lifted]
+    return lifted
 
 
 def _peirce_blocks(field, dim, sc, elements, space: Subspace):
@@ -558,22 +562,14 @@ def _peirce_blocks(field, dim, sc, elements, space: Subspace):
     basis vector v split once: r products v e_i, then e_j (v e_i).  Every
     factor is scanned for its terms once."""
     r = len(elements)
-    e_terms = [sparse(e) for e in elements]
     parts = {(i, j): [] for i in range(r) for j in range(r)}
     for v in space.rows.values():
-        for i, ei in enumerate(e_terms):
+        for i, ei in enumerate(elements):
             ve = _mul_raw(field, sc, v, ei)
             if ve:
-                for j, ej in enumerate(e_terms):
+                for j, ej in enumerate(elements):
                     parts[(i, j)].append(_mul_raw(field, sc, ej, ve))
-    return {key: Subspace.span(field, dim, vecs) for key, vecs in parts.items()}
-
-
-def orthogonal_idempotents(field, sc, unit, elems, code, names):
-    """Raise `code` unless `elems` (named `names`) are orthogonal idempotents
-    summing to `unit`; return how many are nonzero.  In a pointed algebra that
-    is at most dim A/J, with equality iff each one is primitive."""
-    return _orthogonal(field, sc, sparse(unit), [sparse(e) for e in elems], code, names)
+    return {key: _span(field, dim, vecs) for key, vecs in parts.items()}
 
 
 def _basis_indices(one, terms):
@@ -587,8 +583,11 @@ def _basis_indices(one, terms):
     return ks
 
 
-def _orthogonal(field, sc, unit_terms, terms, code, names):
-    """`orthogonal_idempotents` on the sparse unit and elements.
+def orthogonal_idempotents(field, sc, unit, terms, code, names):
+    """Raise `code` unless the elements `terms` (named `names`) are
+    orthogonal idempotents summing to `unit`; return how many are nonzero.
+    In a pointed algebra that is at most dim A/J, with equality iff each one
+    is primitive.
 
     When every element is a basis vector b_k (`_basis_indices`), b_k b_l is
     the table entry sc[k][l]: b_k b_k is b_k when that entry is ((k, 1),),
@@ -609,22 +608,22 @@ def _orthogonal(field, sc, unit_terms, terms, code, names):
                     _mul_raw(field, sc, et, terms[j]) or _mul_raw(field, sc, terms[j], et)):
                 raise QuivkitError(code, f"{names[j]} and {names[i]} are not orthogonal")
         add_scaled(field, total, one, et)
-    if total != unit_terms:
+    if total != unit:
         raise QuivkitError(code, "the idempotents do not sum to 1")
     return sum(1 for et in terms if et)
 
 
-def _verify_presentation(field, sc, unit_terms, idem_terms, arrows):
+def _verify_presentation(field, sc, unit, idem_terms, arrows):
     """Check that the idempotents are orthogonal, sum to 1 and that each
-    arrow lies in exactly one Peirce block e_t A e_s of theirs, all sparse;
-    return how many idempotents are nonzero.
+    arrow lies in exactly one Peirce block e_t A e_s of theirs; return how
+    many idempotents are nonzero.
 
     For basis-vector idempotents b_t and a one-term arrow c b_m, b_t x is
     nonzero iff the entry sc[t][m] has a nonzero coefficient, and x b_t iff
     sc[m][t] does; any other arrow or idempotents are multiplied out.
     """
-    count = _orthogonal(field, sc, unit_terms, idem_terms, "NOT_POINTED",
-                        [f"class {i}" for i in range(len(idem_terms))])
+    count = orthogonal_idempotents(field, sc, unit, idem_terms, "NOT_POINTED",
+                                   [f"class {i}" for i in range(len(idem_terms))])
     ks = _basis_indices(field.one, idem_terms)
     for k, xt in enumerate(arrows):
         # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
@@ -647,8 +646,8 @@ def _basis_certificate(field, dim, sc, radical, classes):
     in the arrows: checked over the basis, it must be a two-sided ideal,
     nilpotent, and hold none of the dim A - dim J orthogonal idempotents
     `classes`."""
-    basis = [vec_unit(field, dim, i) for i in range(dim)]
-    if not _closed_under(field, sc, basis, radical):
+    one = field.one
+    if not _closed_under(field, sc, [{i: one} for i in range(dim)], radical):
         raise QuivkitError("RADICAL_NOT_NILPOTENT", "radical is not a two-sided ideal")
     _radical_filtration(field, dim, sc, list(radical.rows.values()))
     r = dim - radical.dim
@@ -672,10 +671,8 @@ def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebr
     basis checks.
     """
     dim = len(basis_labels)
-    arrow_terms = [sparse(x) for x in arrows]
-    count = _verify_presentation(field, sc, sparse(unit), [sparse(e) for e in classes],
-                                 arrow_terms)
-    filtration = _radical_filtration(field, dim, sc, arrow_terms)
+    count = _verify_presentation(field, sc, unit, classes, arrows)
+    filtration = _radical_filtration(field, dim, sc, arrows)
     if filtration[1] != radical:
         _basis_certificate(field, dim, sc, radical, classes)
         raise QuivkitError("BAD_ARGUMENT",
@@ -705,16 +702,6 @@ def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
             row.append([(m, c) for m, c in enumerate(vec) if c])
         sc.append(row)
     return table_algebra(field, basis_labels, sc, unit)
-
-
-def _field_value(field, x, where, *pos):
-    """x read through `field.of`; BAD_ARGUMENT naming the entry `where % pos`
-    when it is not a value of the field."""
-    try:
-        return field.of(x)
-    except (ArithmeticError, TypeError, ValueError):
-        raise QuivkitError("BAD_ARGUMENT", f"{where % pos} is {x!r}, "
-                                           f"not a value of {field.name}") from None
 
 
 def _canonical_table(field, dim, sc):
@@ -751,7 +738,8 @@ def table_algebra(field, basis_labels, sc, unit) -> FinAlgebra:
     """Validate a raw table in the stored sparse form and build a FinAlgebra.
 
     `sc[i][j]` is b_i b_j as a sequence of `(m, c)` pairs, each index m
-    once, and `unit` a dense vector; every value is read through the field.
+    once, and `unit` an element, dense or sparse; every value is read
+    through the field.
     Every check runs: shape, unit, associativity, the trace-form radical and
     the idempotent classes it splits off.  The entries are stored in the
     canonical form of `FinAlgebra.structconst`.  The classes are lifted to
@@ -763,18 +751,16 @@ def table_algebra(field, basis_labels, sc, unit) -> FinAlgebra:
         raise QuivkitError("BAD_SHAPE", "algebras must have positive dimension")
     if len(set(basis_labels)) != dim:
         raise QuivkitError("BAD_SHAPE", "basis labels must be unique")
-    if len(unit) != dim:
-        raise QuivkitError("BAD_SHAPE", "unit vector length")
     sc = _canonical_table(field, dim, sc)
-    unit = [_field_value(field, c, "unit entry %d", i) for i, c in enumerate(unit)]
+    unit = _as_sparse(field, dim, unit, "unit")
     _check_unit(field, dim, sc, unit)
     _verify_associative(field, dim, sc)
     j_space = trace_form_radical((field, dim, sc))
     classes = _semisimple_pointed_classes(field, dim, sc, unit, j_space)
     # the nilpotency index is at most dim J + 1
-    idems = _lift_classes(field, dim, sc, unit, classes, (j_space.dim + 1).bit_length() + 2)
+    idems = _lift_classes(field, sc, unit, classes, (j_space.dim + 1).bit_length() + 2)
     blocks = _peirce_blocks(field, dim, sc, idems, j_space)
-    arrows = [v for block in blocks.values() for v in block.basis]
+    arrows = [block.rows[p] for block in blocks.values() for p in block.pivots]
     return _admit(field, basis_labels, sc, unit, j_space, idems, arrows)
 
 
@@ -783,9 +769,9 @@ def presented_algebra(field, basis_labels, terms, unit, radical, classes,
     """Admit an algebra that a construction writes in the stored form.
 
     `terms[i][j]` is b_i b_j as the sparse tuple of `FinAlgebra.structconst`,
-    and associativity is the construction's guarantee.  `classes` are the
-    vertex idempotents and `arrows` the arrow elements, each in one Peirce
-    block, whose words span the radical.  The unit and the radical are
+    and associativity is the construction's guarantee.  The unit, the
+    `classes`, which are the vertex idempotents, and the `arrows`, each in
+    one Peirce block, whose words span the radical, are sparse elements.  The unit and the radical are
     re-verified (see `_admit`), so a construction can never smuggle in a
     wrong one.
     """
@@ -809,7 +795,7 @@ def _first_unmultiplied(source, target, cols, gens):
     """(g, j) for the first g in `gens` and basis vector b_j with
     f(g b_j) != f(g) f(b_j), where f has the sparse columns `cols`; or None."""
     f, sc, one, tsc = source.field, source.structconst, source.field.one, target.structconst
-    for gi, gt in enumerate(map(sparse, gens)):
+    for gi, gt in enumerate(gens):
         if len(gt) == 1 and one in gt.values():
             row = sc[next(iter(gt))]
         else:
@@ -846,11 +832,11 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
                 x = _field_value(f, x, "matrix entry (%d, %d)", i, j)
                 if x:
                     cols[j][i] = x
-    if _combine(f, cols, sparse(source.unit).items()) != sparse(target.unit):
+    if _combine(f, cols, source.unit.items()) != target.unit:
         raise QuivkitError("NOT_UNITAL", "matrix does not send 1 to 1")
     if _first_unmultiplied(source, target, cols, source.generators()):
         # some basis pair fails too; name the first, as the full scan does
-        basis = [source.basis_vector(i) for i in range(source.dim)]
+        basis = [{i: f.one} for i in range(source.dim)]
         i, j = _first_unmultiplied(source, target, cols, basis)
         raise QuivkitError(
             "NOT_MULTIPLICATIVE",
@@ -860,7 +846,7 @@ def validate_morphism(source: FinAlgebra, target: FinAlgebra, matrix: Mat,
     # idempotents are orthogonal idempotents summing to 1, so their classes
     # span B/J(B) = k^r iff r of them are nonzero
     r = target.dim - target.radical.dim
-    if sum(1 for e in source.ss_classes if _combine(f, cols, sparse(e).items())) != r:
+    if sum(1 for e in source.ss_classes if _combine(f, cols, e.items())) != r:
         raise QuivkitError("RADICAL_QUOTIENT_NOT_SURJECTIVE",
                            "induced map A/J(A) -> B/J(B) is not onto")
     return AlgMorphism(source, target, cols)
@@ -888,14 +874,15 @@ def ideal_subspace(a: FinAlgebra, space: Subspace) -> IdealSubspace:
 
 def ideal_generated_by(a: FinAlgebra, vectors) -> IdealSubspace:
     """Two-sided ideal closure of a list of elements: the least subspace
-    holding them that is closed under the generators on both sides.
+    holding them that is closed under the generators on both sides.  The
+    elements may be dense or sparse.
 
     One echelon grows from the elements' span; each vector that enlarges it
     is multiplied by the generators on both sides once, and the products of
     the vectors that do not are combinations of those.
     """
     f, sc = a.field, a.structconst
-    gens = list(map(sparse, a.generators()))
+    gens = a.generators()
     start = Subspace.span(f, a.dim, vectors)
     ech = Echelon(f, start)
     todo = list(start.rows.values())
@@ -948,15 +935,13 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
         raise QuivkitError("BAD_ARGUMENT", "quotient by the whole algebra")
 
     def image(v):
-        return _combine(f, cols, sparse(v).items())
+        return _combine(f, cols, v.items())
 
     labels = [a.basis_labels[i] for i in idx]
-    j_img = Subspace.span(f, qdim, [_combine(f, cols, v.items())
-                                    for v in a.radical.rows.values()])
-    class_imgs = [dense(f, qdim, img) for img in map(image, a.ss_classes) if img]
-    arrows = [dense(f, qdim, img) for img in map(image, a.arrows) if img]
-    q = presented_algebra(f, labels, sc, dense(f, qdim, image(a.unit)), j_img, class_imgs,
-                          arrows)
+    j_img = _span(f, qdim, map(image, a.radical.rows.values()))
+    class_imgs = [img for img in map(image, a.ss_classes) if img]
+    arrows = [img for img in map(image, a.arrows) if img]
+    q = presented_algebra(f, labels, sc, image(a.unit), j_img, class_imgs, arrows)
     # q's table is defined through the projection, so it is a morphism; it is
     # the coordinate map of k^n = span(kept rows) + I, so its kernel is I
     return q, AlgMorphism(a, q, cols)

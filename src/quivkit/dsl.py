@@ -40,12 +40,13 @@ from fractions import Fraction
 from .errors import QuivkitError
 from .algebra import (
     FinAlgebra,
+    _mul_raw,
     ideal_generated_by,
     induced_on_quotient,
     quotient_algebra,
     table_algebra,
 )
-from .exactlin import MAX_CHAR_DIGITS, field_by_name, QQ, vec_combination
+from .exactlin import MAX_CHAR_DIGITS, field_by_name, QQ, add_scaled
 from .pathalg import MAX_KVQ_DIM, build_kvq, cpa, universal_map
 from .vquiver import Quiver, VQuiver
 
@@ -510,25 +511,22 @@ def _coeff(field, term: Node):
 
 
 def eval_expr(expr: Node, algebra: FinAlgebra):
-    """Evaluate a linear combination of label words inside an algebra."""
-    f = algebra.field
-    coeffs = []
-    pieces = []
+    """Evaluate a linear combination of label words inside an algebra, as a
+    sparse element."""
+    f, sc = algebra.field, algebra.structconst
+    out = {}
     for term in expr.terms:
-        coeffs.append(_coeff(f, term))
-        if not term.word:
-            piece = list(algebra.unit)
-        else:
-            piece = None
-            for label in term.word:
-                if label not in algebra.basis_labels:
-                    _err("UNKNOWN_NAME",
-                         f"{label!r} is not a basis label of the algebra",
-                         term.line, term.col)
-                vec = algebra.element(label)
-                piece = vec if piece is None else algebra.mul(piece, vec)
-        pieces.append(piece)
-    return vec_combination(f, algebra.dim, coeffs, pieces)
+        c = _coeff(f, term)
+        piece = algebra.unit
+        for k, label in enumerate(term.word):
+            i = algebra._label_index.get(label)
+            if i is None:
+                _err("UNKNOWN_NAME",
+                     f"{label!r} is not a basis label of the algebra",
+                     term.line, term.col)
+            piece = {i: f.one} if k == 0 else _mul_raw(f, sc, piece, {i: f.one})
+        add_scaled(f, out, c, piece)
+    return out
 
 
 def elaborate(ast: Node) -> Document:
@@ -623,10 +621,7 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
                  val.terms[0].line, val.terms[0].col)
         given.add((left, right))
         sc[index[left]][index[right]] = expr_terms(val)
-    unit = [f.zero] * dim
-    for m, c in expr_terms(stmt.unit):
-        unit[m] = c
-    return AlgebraEntry(_at(stmt, table_algebra, f, basis, sc, unit))
+    return AlgebraEntry(_at(stmt, table_algebra, f, basis, sc, dict(expr_terms(stmt.unit))))
 
 
 def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
@@ -670,7 +665,7 @@ def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
     if src_entry.relations is None:
         return MorphismEntry(lifted, stmt.source, stmt.target)
     # descend through the quotient: killing its relations kills its ideal
-    if any(any(lifted.apply(r)) for r in src_entry.relations):
+    if any(lifted.apply(r) for r in src_entry.relations):
         _err("SEMANTIC_ERROR", "images do not kill the presentation ideal",
              stmt.line, stmt.col)
     descended = induced_on_quotient(src_entry.projection, lifted)

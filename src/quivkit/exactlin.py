@@ -247,10 +247,6 @@ def field_by_name(name: str):
 # vectors (plain lists of field values)
 # ---------------------------------------------------------------------------
 
-def vec_zero(field, n):
-    return [field.zero] * n
-
-
 def vec_unit(field, n, i):
     v = [field.zero] * n
     v[i] = field.one
@@ -267,18 +263,6 @@ def vec_sub(field, u, v):
 
 def vec_scale(field, c, u):
     return [field.mul(c, a) for a in u]
-
-
-def vec_combination(field, n, coeffs, vecs):
-    """The length-n vector sum of c * v over zip(coeffs, vecs)."""
-    add, mul = field.add, field.mul
-    out = [field.zero] * n
-    for c, v in zip(coeffs, vecs):
-        if c:
-            for k, x in enumerate(v):
-                if x:
-                    out[k] = add(out[k], mul(c, x))
-    return out
 
 
 def vec_is_zero(field, u):
@@ -435,13 +419,13 @@ class Mat:
 def rref(m: Mat):
     """Reduced row-echelon form and pivot column list (unique, canonical):
     the dense view of the span of m's rows, padded with zero rows."""
-    span = Subspace.span(m.field, m.cols, m.data)
+    span = _span(m.field, m.cols, map(sparse, m.data))
     zeros = [[m.field.zero] * m.cols for _ in range(m.rows - span.dim)]
     return Mat(m.field, m.rows, m.cols, span.basis + zeros), span.pivots
 
 
 def rank(m: Mat) -> int:
-    return Subspace.span(m.field, m.cols, m.data).dim
+    return _span(m.field, m.cols, map(sparse, m.data)).dim
 
 
 def solve(m: Mat, b):
@@ -450,39 +434,21 @@ def solve(m: Mat, b):
 
 
 def solve_multi(m: Mat, bs):
-    """Solve m x = b for each b in bs; list of solutions (None where inconsistent).
-
-    m's columns go in order into one echelon, column j tagged e_j.  Only a
-    column independent of those before it, an RREF pivot column, is kept,
-    so the tags combine pivot columns only.  A consistent b reduces to zero,
-    and minus its reduced tag is then the solution with free variables 0.
-    """
+    """Solve m x = b for each b in bs; list of solutions (None where inconsistent)."""
     f = m.field
-    ech = Echelon(f, tagged=True)
-    for j, col in enumerate(zip(*m.data)):
-        ech.insert(sparse(col), {j: f.one})
-    sols = []
-    for b in bs:
-        tag = {}
-        if _reduce(f, ech.rows, _as_sparse(b, m.rows), ech.tags, tag):
-            sols.append(None)
-        else:
-            sols.append(dense(f, m.cols, {j: f.neg(c) for j, c in tag.items()}))
-    return sols
+    sols = _solve_cols(f, [sparse(col) for col in zip(*m.data)],
+                       [_as_sparse(f, m.rows, b) for b in bs])
+    return [None if x is None else dense(f, m.cols, x) for x in sols]
 
 
 def invert(m: Mat) -> Mat:
-    """Inverse of a square matrix; SINGULAR if some m x = e_i has no solution.
-
-    The columns are exact solutions of m x = e_i, so m times the result is
-    the identity with no product to check.
-    """
+    """Inverse of a square matrix; SINGULAR if its columns are dependent."""
     if m.rows != m.cols:
         raise QuivkitError("BAD_SHAPE", "inverse of non-square matrix")
-    cols = solve_multi(m, [vec_unit(m.field, m.rows, i) for i in range(m.rows)])
-    if any(c is None for c in cols):
+    cols = _inverse_cols(m.field, [sparse(col) for col in zip(*m.data)])
+    if cols is None:
         raise QuivkitError("SINGULAR", "matrix is not invertible")
-    return Mat.from_cols(m.field, cols, rows=m.rows)
+    return Mat.from_sparse_cols(m.field, cols, m.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +539,85 @@ class Echelon:
         return Subspace(self.field, ambient_dim, dict(self.rows))
 
 
-def _as_sparse(v, ambient_dim):
-    """A fresh sparse copy of v, a dict or a dense vector of length ambient_dim."""
-    if type(v) is dict:
-        return dict(v)
-    if len(v) != ambient_dim:
-        raise QuivkitError("BAD_SHAPE", "vector length != ambient_dim")
-    return sparse(v)
+def _span(field, ambient_dim, vectors) -> "Subspace":
+    """The span of canonical sparse vectors (each copied), unchecked."""
+    ech = Echelon(field)
+    for v in vectors:
+        ech.insert(dict(v))
+    return Subspace(field, ambient_dim, ech.rows)
+
+
+def _solve_cols(field, cols, bs):
+    """Solve sum_j x_j cols[j] = b for each b in bs (consumed), all sparse:
+    the sparse solutions with free variables 0, None where inconsistent.
+
+    The columns go in order into one echelon, column j tagged e_j.  Only a
+    column independent of those before it, an RREF pivot column, is kept,
+    so the tags combine pivot columns only.  A consistent b reduces to zero,
+    and minus its reduced tag is then the solution.
+    """
+    ech = Echelon(field, tagged=True)
+    for j, col in enumerate(cols):
+        ech.insert(dict(col), {j: field.one})
+    neg, sols = field.neg, []
+    for b in bs:
+        tag = {}
+        sols.append(None if _reduce(field, ech.rows, b, ech.tags, tag)
+                    else {j: neg(c) for j, c in tag.items()})
+    return sols
+
+
+def _inverse_cols(field, cols):
+    """The sparse columns of the inverse of the square matrix whose columns
+    are the sparse `cols`, or None when they are dependent.
+
+    Column k goes into one echelon tagged e_k.  When the columns are a
+    basis, the rows end as the unit vectors, and row p's tag holds the
+    coordinates of e_p: column p of the inverse.
+    """
+    ech = Echelon(field, tagged=True)
+    for k, col in enumerate(cols):
+        ech.insert(dict(col), {k: field.one})
+    if len(ech.rows) != len(cols):
+        return None
+    return [ech.tags[p] for p in range(len(cols))]
+
+
+def _field_value(field, x, where, *pos):
+    """x read through `field.of`; BAD_ARGUMENT naming the entry `where % pos`
+    when it is not a value of the field."""
+    try:
+        return field.of(x)
+    except (ArithmeticError, TypeError, ValueError):
+        raise QuivkitError("BAD_ARGUMENT", f"{where % pos} is {x!r}, "
+                                           f"not a value of {field.name}") from None
+
+
+def _as_sparse(field, n, v, name="vector"):
+    """The element v of k^n, dense (n values) or sparse ({index: value}), as
+    a fresh canonical sparse vector: each value read through the field and
+    the zeros dropped.  BAD_SHAPE for a wrong length or an index outside
+    0..n-1, BAD_ARGUMENT for a value that is not in the field; the messages
+    call v `name`."""
+    if isinstance(v, dict):
+        bad = [k for k in v if type(k) is not int or not 0 <= k < n]
+        if bad:
+            raise QuivkitError("BAD_SHAPE", f"{name} names index {bad[0]!r}, "
+                                            f"outside 0..{n - 1}")
+        items = v.items()
+    else:
+        try:
+            size, items = len(v), enumerate(v)
+        except TypeError:
+            raise QuivkitError("BAD_ARGUMENT", f"{name} {v!r} is not a vector") from None
+        if size != n:
+            raise QuivkitError("BAD_SHAPE", f"{name} has length {size}, expected {n}")
+    out = {}
+    for k, x in items:
+        x = _field_value(field, x, f"{name} entry %d", k)
+        if x:
+            out[k] = x
+    return out
 
 
 class Subspace:
@@ -588,7 +626,7 @@ class Subspace:
     `rows` maps each pivot to its row (see above) and `pivots` lists the
     pivots in ascending order.  `basis` is the dense view, the rows as
     vectors of length n in pivot order, built on first use.  Methods take
-    vectors dense or sparse ({column: nonzero value}).
+    vectors dense or sparse ({column: value}), read once by `_as_sparse`.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis")
@@ -604,7 +642,7 @@ class Subspace:
     def span(cls, field, ambient_dim, vectors):
         ech = Echelon(field)
         for v in vectors:
-            ech.insert(_as_sparse(v, ambient_dim))
+            ech.insert(_as_sparse(field, ambient_dim, v))
         return cls(field, ambient_dim, ech.rows)
 
     @classmethod
@@ -630,14 +668,14 @@ class Subspace:
     def reduce(self, v):
         """Remainder of v after elimination against the rows, dense or sparse
         as v is."""
-        rem = _reduce(self.field, self.rows, _as_sparse(v, self.ambient_dim))
+        rem = _reduce(self.field, self.rows, _as_sparse(self.field, self.ambient_dim, v))
         return rem if type(v) is dict else dense(self.field, self.ambient_dim, rem)
 
     def contains(self, v) -> bool:
-        return not _reduce(self.field, self.rows, _as_sparse(v, self.ambient_dim))
+        return not _reduce(self.field, self.rows, _as_sparse(self.field, self.ambient_dim, v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows.values())
+        return not any(_reduce(self.field, self.rows, dict(r)) for r in other.rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         big, small = (self, other) if self.dim >= other.dim else (other, self)
@@ -663,18 +701,18 @@ def kernel(m: Mat) -> Subspace:
     of m's rows, the vector that is 1 at k and minus row p's entry at k at
     each pivot p."""
     f = m.field
-    rows = Subspace.span(f, m.cols, m.data).rows
+    rows = _span(f, m.cols, map(sparse, m.data)).rows
     basis = {k: {k: f.one} for k in range(m.cols) if k not in rows}
     for p, row in rows.items():
         for k, x in row.items():
             if k != p:
                 basis[k][p] = f.neg(x)
-    return Subspace.span(f, m.cols, basis.values())
+    return _span(f, m.cols, basis.values())
 
 
 def image(m: Mat) -> Subspace:
     """Column space of m (the image of the linear map v -> m v)."""
-    return Subspace.span(m.field, m.rows, m.columns())
+    return _span(m.field, m.rows, map(sparse, zip(*m.data)))
 
 
 def _complement_rows(ambient: Subspace, sub: Subspace, tagged=False):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import QuivkitError
 from .algebra import AlgMorphism, FinAlgebra, _combine
-from .exactlin import Echelon, Mat, add_scaled, dense, sparse, vec_is_zero
+from .exactlin import Mat, _as_sparse, _inverse_cols, add_scaled
 from .splittings import Splitting, conjugating_element, make_splitting
 from .vquiver import POINT, VQuiver, VQuiverMap
 
@@ -21,8 +21,8 @@ class GabrielQuiverResult:
     """Gabriel quiver of an algebra plus the witnessing splitting.
 
     `vquiver` has vertices "1".."r" in the canonical idempotent order;
-    `arrow_bases[(src, tgt)]` lists radical elements of the algebra whose
-    classes mod J^2 form a basis of the corresponding arrow space.  The
+    `arrow_bases[(src, tgt)]` lists sparse radical elements of the algebra
+    whose classes mod J^2 form a basis of the corresponding arrow space.  The
     splitting idempotents, the arrow bases in `vquiver.spaces` order and a
     basis of J^2 form the adapted basis of A = s(A/J) + t(J/J^2) + J^2;
     every class in A/J and J/J^2 is read off its coordinate map.
@@ -47,38 +47,32 @@ class GabrielQuiverResult:
         return (dict(zip(self.vertex_names, self.splitting.idems.elements)),
                 self.arrow_bases)
 
-    def _coordinate_cols(self):
-        """Sparse columns of the coordinate map, built on first use.
-
-        The adapted basis goes into one echelon, its k-th element tagged
-        e_k.  The basis spans A, so the echelon's rows end as the unit
-        vectors and row p's tag holds the coordinates of b_p.
-        """
+    def coordinate_cols(self):
+        """Sparse columns of the coordinate map, the inverse of the adapted
+        basis, built on first use; shared, so no caller changes them."""
         if self._coord_cols is None:
             a = self.algebra
-            f = a.field
-            ech = Echelon(f, tagged=True)
+            j2 = a.radical_power(2)
             adapted = list(self.splitting.idems.elements)
             for pair in self.vquiver.spaces:
                 adapted.extend(self.arrow_bases[pair])
-            adapted.extend(a.radical_power(2).basis)
-            for k, x in enumerate(adapted):
-                ech.insert(sparse(x), {k: f.one})
-            if len(ech.rows) != a.dim:
+            adapted.extend(j2.rows[p] for p in j2.pivots)
+            cols = _inverse_cols(a.field, adapted) if len(adapted) == a.dim else None
+            if cols is None:
                 raise QuivkitError("SINGULAR", "the adapted basis is not a basis")
-            self._coord_cols = [ech.tags[p] for p in range(a.dim)]
+            self._coord_cols = cols
         return self._coord_cols
 
     def _coords(self, v):
-        """Sparse coordinates of the dense vector v in the adapted basis."""
-        return _combine(self.algebra.field, self._coordinate_cols(), sparse(v).items())
+        """Sparse coordinates of the element v, dense or sparse, in the
+        adapted basis."""
+        a = self.algebra
+        return _combine(a.field, self.coordinate_cols(), _as_sparse(a.field, a.dim, v).items())
 
     def coordinate_map(self) -> Mat:
         """Inverse of the adapted basis (idempotents, arrow bases in
         `vquiver.spaces` order, a basis of J^2), as a dense matrix."""
-        a = self.algebra
-        return Mat.from_cols(a.field, [dense(a.field, a.dim, c) for c in self._coordinate_cols()],
-                             rows=a.dim)
+        return Mat.from_sparse_cols(self.algebra.field, self.coordinate_cols(), self.algebra.dim)
 
     def vertex_of_idempotent(self, idem):
         """Orbit vertex of a primitive idempotent (None if in no orbit): the
@@ -118,7 +112,7 @@ class GabrielQuiverResult:
         vertex_map = {}
         for v in vq.vertices:
             img = alpha.apply(idems[v])
-            if vec_is_zero(f, img):
+            if not img:
                 vertex_map[v] = POINT
                 continue
             name = self.vertex_of_idempotent(img)
@@ -164,7 +158,7 @@ def gq(a: FinAlgebra, splitting: Splitting = None) -> GabrielQuiverResult:
         src, tgt = names[i], names[j]
         labels = [f"a_{src}_{tgt}_{k}" for k in range(len(vecs))]
         spaces[(src, tgt)] = labels
-        arrow_bases[(src, tgt)] = [list(v) for v in vecs]
+        arrow_bases[(src, tgt)] = list(vecs)
     return GabrielQuiverResult(a, VQuiver(names, spaces), arrow_bases, splitting)
 
 
@@ -198,9 +192,8 @@ def check_sim_n(alpha: AlgMorphism, beta: AlgMorphism, n: int) -> bool:
     src, tgt, f = alpha.source, alpha.target, alpha.target.field
 
     def diff(g):
-        terms = sparse(g).items()
-        return add_scaled(f, _combine(f, alpha.cols, terms), f.neg(f.one),
-                          _combine(f, beta.cols, terms))
+        return add_scaled(f, _combine(f, alpha.cols, g.items()), f.neg(f.one),
+                          _combine(f, beta.cols, g.items()))
 
     j_arrows = tgt.radical_power(1 if n == 0 else 2)
     return (all(tgt.radical.contains(diff(e)) for e in src.ss_classes)

@@ -11,9 +11,9 @@ import random
 from fractions import Fraction
 
 from .errors import QuivkitError
-from .algebra import AlgMorphism, IdealSubspace, ideal_generated_by
+from .algebra import AlgMorphism, IdealSubspace, _combine, ideal_generated_by
 from .adjunction import conjugated_images
-from .exactlin import Mat, vec_combination, vec_zero
+from .exactlin import Mat
 from .gabriel import GabrielQuiverResult
 from .pathalg import TruncatedTensorAlgebra, universal_map, vqmap_generator_images
 from .vquiver import POINT, VQuiver, VQuiverMap
@@ -58,12 +58,13 @@ def random_vquiver(rng: random.Random, *, max_vertices=4, max_total_arrows=4,
 
 
 def random_radical_element(rng, t: TruncatedTensorAlgebra, *, min_length=1):
+    """A sparse element on the paths of length >= min_length."""
     f = t.field
-    out = vec_zero(f, t.dim)
+    out = {}
     for layer in t.grading[min_length:]:
         for i in layer:
-            if rng.random() < 0.4:
-                out[i] = random_scalar(rng, f)
+            if rng.random() < 0.4 and (c := random_scalar(rng, f)):
+                out[i] = c
     return out
 
 
@@ -87,8 +88,9 @@ def random_identity_class_automorphism(rng, t: TruncatedTensorAlgebra,
         for lab, img in arrow_images.items():
             src, tgt, _ = t.vq.arrow_location(lab)
             for i in t.deeper_paths(src, tgt):
-                if rng.random() < 0.3:
-                    img[i] = random_scalar(rng, f)
+                # i is a longer path, not img's arrow: a zero draw stores nothing
+                if rng.random() < 0.3 and (c := random_scalar(rng, f)):
+                    img[i] = c
     if w is not None:
         idem_images, arrow_images = conjugated_images(t.carrier, w, idem_images,
                                                       arrow_images)
@@ -133,9 +135,9 @@ def random_padm_morphism(rng, t: TruncatedTensorAlgebra, gq_a, *,
     rho = random_vqmap_to_gq(rng, t.vq, gq_a, f)
     if rho is None:
         return None
-    images = vqmap_generator_images(rho, a.dim, *gq_a.generators())
+    images = vqmap_generator_images(rho, *gq_a.generators())
     if conjugate and a.radical.dim > 0 and rng.random() < 0.7:
-        coeffs = [random_scalar(rng, f) for _ in a.radical.basis]
-        w = vec_combination(f, a.dim, coeffs, a.radical.basis)
+        rad = a.radical
+        w = _combine(f, rad.rows, [(p, random_scalar(rng, f)) for p in rad.pivots])
         images = conjugated_images(a, w, *images)
     return universal_map(t, a, *images)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from .errors import QuivkitError
-from .algebra import FinAlgebra, validate_morphism
-from .exactlin import Mat, Subspace, vec_add, vec_combination, vec_is_zero, vec_zero
+from .algebra import FinAlgebra, _combine, _mul_raw, validate_morphism
+from .exactlin import Mat, Subspace, add_scaled
 from .gabriel import check_sim
 from .pathalg import TruncatedTensorAlgebra
 from .vquiver import POINT, VQuiver, VQuiverMap
@@ -29,17 +29,17 @@ def all_vectors(field, n):
 
 
 def all_subspace_elements(field, space: Subspace):
+    """Every element of the subspace, sparse, by coordinates on its rows in
+    pivot order."""
     for coords in all_vectors(field, space.dim):
-        yield vec_combination(field, space.ambient_dim, coords, space.basis)
+        yield _combine(field, space.rows, zip(space.pivots, coords))
 
 
 def all_idempotents(a: FinAlgebra):
-    _require_finite(a.field)
-    out = []
-    for v in all_vectors(a.field, a.dim):
-        if a.mul(v, v) == v:
-            out.append(v)
-    return out
+    f, sc = a.field, a.structconst
+    _require_finite(f)
+    return [v for v in all_subspace_elements(f, Subspace.full(f, a.dim))
+            if _mul_raw(f, sc, v, v) == v]
 
 
 def enumerate_vquiver_maps(field, src: VQuiver, tgt: VQuiver):
@@ -88,7 +88,7 @@ def enumerate_path_algebra_morphisms(t: TruncatedTensorAlgebra, a: FinAlgebra):
     the radical part), and every candidate is admitted or rejected by the
     standard validator, so no structure theory is assumed.
     """
-    f = t.field
+    f, sc = t.field, a.structconst
     _require_finite(f)
     if a.truncation_level > t.level:
         raise QuivkitError("TRUNCATION_INCOMPATIBLE",
@@ -103,16 +103,11 @@ def enumerate_path_algebra_morphisms(t: TruncatedTensorAlgebra, a: FinAlgebra):
                 assignments.append(dict(zip(verts, partial)))
             return
         for e in idems:
-            ok = True
-            for prev in partial:
-                if not vec_is_zero(f, a.mul(e, prev)) or \
-                        not vec_is_zero(f, a.mul(prev, e)):
-                    ok = False
-                    break
-            if ok:
-                extend(partial + [e], vec_add(f, total, e))
+            if not any(_mul_raw(f, sc, e, prev) or _mul_raw(f, sc, prev, e)
+                       for prev in partial):
+                extend(partial + [e], add_scaled(f, dict(total), f.one, e))
 
-    extend([], vec_zero(f, a.dim))
+    extend([], {})
     full = Subspace.full(f, a.dim)
     out = []
     labels = t.vq.arrow_labels()
@@ -130,9 +125,9 @@ def enumerate_path_algebra_morphisms(t: TruncatedTensorAlgebra, a: FinAlgebra):
                     continue
                 acc = choice[labels.index(p.arrows[0])]
                 for lab in p.arrows[1:]:
-                    acc = a.mul(choice[labels.index(lab)], acc)
+                    acc = _mul_raw(f, sc, choice[labels.index(lab)], acc)
                 cols.append(acc)
-            m = Mat.from_cols(f, cols, rows=a.dim)
+            m = Mat.from_sparse_cols(f, cols, a.dim)
             try:
                 out.append(validate_morphism(t.carrier, a, m))
             except QuivkitError:

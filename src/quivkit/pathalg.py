@@ -11,8 +11,9 @@ m-th radical power is the span of paths of length >= m.
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import AlgMorphism, FinAlgebra, _mul_raw, orthogonal_idempotents, presented_algebra
-from .exactlin import Subspace, sparse, vec_combination, vec_unit, vec_zero
+from .algebra import (AlgMorphism, FinAlgebra, _combine, _mul_raw, orthogonal_idempotents,
+                      presented_algebra)
+from .exactlin import Subspace, _as_sparse, _reduce
 from .vquiver import POINT, Quiver, QuiverMap, VQuiver, VQuiverMap, v_of_inclusion, v_of_quiver
 
 
@@ -66,10 +67,12 @@ class TruncatedTensorAlgebra:
         return self.carrier.dim
 
     def idempotent(self, vertex):
-        return self.carrier.basis_vector(self.vertex_idem[vertex])
+        """The vertex idempotent, a fresh sparse element."""
+        return {self.vertex_idem[vertex]: self.field.one}
 
     def arrow_element(self, label):
-        return self.carrier.basis_vector(self.arrow_index[label])
+        """The arrow, a fresh sparse element."""
+        return {self.arrow_index[label]: self.field.one}
 
     def generators(self):
         """Vertex idempotents by vertex and arrow elements by arrow pair."""
@@ -173,10 +176,10 @@ def build_kvq(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
             q = paths[i]
             row[i] = ((index[(q.start, q.arrows + p.arrows)], one),)
         sc.append(row)
-    idems = [vec_unit(field, dim, i) for i in range(nv)]
-    unit = [one] * nv + [field.zero] * (dim - nv)
+    idems = [{i: one} for i in range(nv)]
+    unit = {i: one for i in range(nv)}
     radical = Subspace(field, dim, {i: {i: one} for i in range(nv, dim)})
-    arrows = [vec_unit(field, dim, i) for layer in grading[1:2] for i in layer]
+    arrows = [{i: one} for layer in grading[1:2] for i in layer]
     carrier = presented_algebra(field, labels, sc, unit, radical, idems, arrows)
     vertex_idem = {v: index[(v, ())] for v in vq.vertices}
     arrow_index = {}
@@ -194,8 +197,9 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
     `idem_images` maps each vertex to an element of the target (orthogonal
     idempotents summing to 1, zeros allowed); `arrow_images` maps each arrow
     label to an element of the target, forced to live in the matching Peirce
-    block and inside the target radical.  Paths map to the products of their
-    arrow images, each built from its prefix's column.  Those checks and
+    block and inside the target radical.  Each image may be dense or
+    sparse.  Paths map to the products of their arrow images, each built
+    from its prefix's column.  Those checks and
     J^level = 0 in the target are the universal property, so the map is a
     morphism with no further check; it is onto mod radicals iff dim B/J(B)
     vertex images are nonzero.
@@ -207,28 +211,27 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
         raise QuivkitError(
             "TRUNCATION_INCOMPATIBLE",
             f"target needs J^{target.truncation_level} = 0 but level is {t.level}")
-    u = {}
+    us = {}
     for v in t.vq.vertices:
         if v not in idem_images:
             raise QuivkitError("BIMODULE_CONDITION_FAIL", f"no image for vertex {v}")
-        u[v] = list(idem_images[v])
+        us[v] = _as_sparse(f, target.dim, idem_images[v], f"image of vertex {v}")
     verts = t.vq.vertices
     nonzero = orthogonal_idempotents(f, target.structconst, target.unit,
-                                     [u[v] for v in verts], "BIMODULE_CONDITION_FAIL",
+                                     [us[v] for v in verts], "BIMODULE_CONDITION_FAIL",
                                      [f"image of vertex {v}" for v in verts])
     jt, sc = target.radical, target.structconst
-    us = {v: sparse(u[v]) for v in verts}
     xs = {}
     for (src, tgt), labs in t.vq.spaces.items():
         for lab in labs:
             if lab not in arrow_images:
                 raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                    f"no image for arrow {lab}")
-            xa = sparse(arrow_images[lab])
+            xa = _as_sparse(f, target.dim, arrow_images[lab], f"image of arrow {lab}")
             if _mul_raw(f, sc, us[tgt], _mul_raw(f, sc, xa, us[src])) != xa:
                 raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                    f"image of arrow {lab} escapes its block")
-            if not jt.contains(xa):
+            if _reduce(f, jt.rows, dict(xa)):
                 raise QuivkitError("TRUNCATION_INCOMPATIBLE",
                                    f"image of arrow {lab} is not in the radical")
             xs[lab] = xa
@@ -248,19 +251,19 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
     return AlgMorphism(t.carrier, target, cols)
 
 
-def vqmap_generator_images(rho: VQuiverMap, n: int, idems, arrow_bases):
+def vqmap_generator_images(rho: VQuiverMap, idems, arrow_bases):
     """Images of the generators of rho's source, given those of its target.
 
-    Vertex w of rho's target stands for the length-n element `idems[w]` and
+    Vertex w of rho's target stands for the sparse element `idems[w]` and
     its (w, w') arrows for the list `arrow_bases[(w, w')]`.  A source vertex
     goes to the element of its image (0 at the point); a source arrow goes
     to the combination of the image arrows with the coefficients of its
     column in rho's block.  Returns ({vertex: element}, {arrow: element}),
-    ready for universal_map.
+    sparse and ready for universal_map.
     """
     f = rho.field
     vm = rho.vertex_map
-    idem_images = {v: vec_zero(f, n) if vm[v] == POINT else idems[vm[v]]
+    idem_images = {v: {} if vm[v] == POINT else idems[vm[v]]
                    for v in rho.source.vertices}
     arrow_images = {}
     for (src, tgt), labs in rho.source.spaces.items():
@@ -268,11 +271,8 @@ def vqmap_generator_images(rho: VQuiverMap, n: int, idems, arrow_bases):
         killed = rho.target.dim(ws, wt) == 0
         block = None if killed else rho.block(src, tgt)
         for j, lab in enumerate(labs):
-            if killed:
-                arrow_images[lab] = vec_zero(f, n)
-            else:
-                arrow_images[lab] = vec_combination(f, n, block.col(j),
-                                                    arrow_bases[(ws, wt)])
+            arrow_images[lab] = {} if killed else \
+                _combine(f, arrow_bases[(ws, wt)], enumerate(block.col(j)))
     return idem_images, arrow_images
 
 
@@ -287,7 +287,7 @@ def kvq_on_map(rho: VQuiverMap, level: int, *, src: TruncatedTensorAlgebra = Non
     if src.vq != rho.source or tgt.vq != rho.target or src.level != level \
             or tgt.level != level:
         raise QuivkitError("BAD_ARGUMENT", "prebuilt algebras do not match the map")
-    images = vqmap_generator_images(rho, tgt.dim, *tgt.generators())
+    images = vqmap_generator_images(rho, *tgt.generators())
     return universal_map(src, tgt.carrier, *images)
 
 

@@ -9,32 +9,20 @@ and, blockwise, of J -> J/J^2, and conjugators between two such splittings.
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .algebra import FinAlgebra, _mul_raw, orthogonal_idempotents
-from .exactlin import (
-    Echelon,
-    Mat,
-    add_scaled,
-    dense,
-    solve,
-    sparse,
-    vec_add,
-    vec_combination,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    vec_zero,
-)
+from .algebra import FinAlgebra, _combine, _mul_raw, orthogonal_idempotents
+from .exactlin import Echelon, _as_sparse, _solve_cols, add_scaled, dense
 
 
 class IdempotentSet:
-    """A complete set of primitive orthogonal idempotents of an algebra;
-    their number, dim A/J, certifies primitivity."""
+    """A complete set of primitive orthogonal idempotents of an algebra, as
+    sparse elements (given dense or sparse); their number, dim A/J,
+    certifies primitivity."""
 
     __slots__ = ("parent", "elements")
 
     def __init__(self, parent: FinAlgebra, elements):
         self.parent = parent
-        self.elements = [list(e) for e in elements]
+        self.elements = [_as_sparse(parent.field, parent.dim, e) for e in elements]
         self.verify()
 
     def verify(self):
@@ -59,7 +47,7 @@ def lift_idempotents(a: FinAlgebra) -> IdempotentSet:
     A/J: the algebra's own, lifted and certified at admission, so they are
     read as they are and not verified again."""
     idems = object.__new__(IdempotentSet)
-    idems.parent, idems.elements = a, [list(e) for e in a.ss_classes]
+    idems.parent, idems.elements = a, list(a.ss_classes)
     return idems
 
 
@@ -68,9 +56,10 @@ class Splitting:
     J -> J/J^2, presented through concrete data.
 
     `idems` lists the lifted primitive idempotents f_i; `blocks[(i, j)]` is a
-    list of radical elements spanning a complement of f_j J^2 f_i inside
-    f_j J f_i (so their classes are a basis of the (i -> j) arrow space of the
-    Gabriel quiver, and mapping classes to these vectors is the section t).
+    list of sparse radical elements spanning a complement of f_j J^2 f_i
+    inside f_j J f_i (so their classes are a basis of the (i -> j) arrow
+    space of the Gabriel quiver, and mapping classes to these vectors is the
+    section t).
     """
 
     __slots__ = ("parent", "idems", "blocks")
@@ -85,9 +74,9 @@ class Splitting:
         return len(self.idems)
 
     def s_apply(self, coords):
-        """Section A/J -> A on canonical coordinates (one per idempotent)."""
-        return vec_combination(self.parent.field, self.parent.dim, coords,
-                               self.idems.elements)
+        """Section A/J -> A on canonical coordinates (one per idempotent), a
+        sparse element."""
+        return _combine(self.parent.field, self.idems.elements, enumerate(coords))
 
     def total_block_dim(self):
         return sum(len(v) for v in self.blocks.values())
@@ -97,26 +86,27 @@ class Splitting:
 
 
 def conjugation(a: FinAlgebra, w):
-    """The map x -> (1+w) x (1+w)^{-1} for w in the radical; the inverse is
-    the exact geometric series, summed once."""
-    f = a.field
-    one_plus = vec_add(f, a.unit, w)
-    inv = a.unit
-    term = a.unit
+    """The map x -> (1+w) x (1+w)^{-1} on sparse elements, for w in the
+    radical, dense or sparse; the inverse is the exact geometric series,
+    summed once."""
+    f, sc, unit = a.field, a.structconst, a.unit
+    w = _as_sparse(f, a.dim, w)
+    one_plus = add_scaled(f, dict(unit), f.one, w)
+    inv, term, neg = dict(unit), unit, f.neg
     for _ in range(a.truncation_level + 1):
-        term = vec_scale(f, f.neg(f.one), a.mul(term, w))
-        if vec_is_zero(f, term):
+        term = {k: neg(c) for k, c in _mul_raw(f, sc, term, w).items()}
+        if not term:
             break
-        inv = vec_add(f, inv, term)
-    if a.mul(one_plus, inv) != a.unit:
+        add_scaled(f, inv, f.one, term)
+    if _mul_raw(f, sc, one_plus, inv) != unit:
         raise QuivkitError("NOT_VALIDATED", "1+w is not invertible (w outside J?)")
-    sc, left, right = a.structconst, sparse(one_plus), sparse(inv)
-    return lambda x: dense(f, a.dim, _mul_raw(f, sc, left, _mul_raw(f, sc, sparse(x), right)))
+    return lambda x: _mul_raw(f, sc, one_plus, _mul_raw(f, sc, x, inv))
 
 
 def conjugate_element(a: FinAlgebra, w, x):
-    """(1+w) x (1+w)^{-1} for w in the radical."""
-    return conjugation(a, w)(x)
+    """(1+w) x (1+w)^{-1} for w in the radical: the dense view, taking w and
+    x dense or sparse."""
+    return dense(a.field, a.dim, conjugation(a, w)(_as_sparse(a.field, a.dim, x)))
 
 
 def conjugating_element(a: FinAlgebra, pairs):
@@ -126,17 +116,24 @@ def conjugating_element(a: FinAlgebra, pairs):
     (1+w) q (1+w)^{-1} = p exactly when w q - p w = p - q.  The equations of
     all pairs are stacked and solved once over a basis of J (pivot-minimal
     solution), so a solution conjugates every pair with no further check.
-    Column j stacks w q - p w for w the j-th row of J, in its basis order.
+    Column j stacks w q - p w for w the j-th row of J in pivot order.  The
+    pairs may be dense or sparse; w is sparse.
     """
     f, sc, n, rad = a.field, a.structconst, a.dim, a.radical
-    pairs = list(pairs)
-    terms, minus_one = [(sparse(p), sparse(q)) for p, q in pairs], f.neg(f.one)
-    cols = [{k * n + i: c for k, (pt, qt) in enumerate(terms) for i, c in
-             add_scaled(f, _mul_raw(f, sc, jb, qt), minus_one, _mul_raw(f, sc, pt, jb)).items()}
+    terms = [(_as_sparse(f, n, p), _as_sparse(f, n, q)) for p, q in pairs]
+    minus_one = f.neg(f.one)
+
+    def stacked(parts):
+        """The k-th of the vectors `parts` at rows k*n .. k*n + n-1."""
+        return {k * n + i: c for k, part in enumerate(parts) for i, c in part.items()}
+
+    cols = [stacked([add_scaled(f, _mul_raw(f, sc, jb, qt), minus_one, _mul_raw(f, sc, pt, jb))
+                     for pt, qt in terms])
             for jb in map(rad.rows.get, rad.pivots)]
-    rhs = [x for p, q in pairs for x in vec_sub(f, p, q)]
-    sol = solve(Mat.from_sparse_cols(f, cols, len(rhs)), rhs)
-    return None if sol is None else vec_combination(f, n, sol, rad.basis)
+    rhs = stacked([add_scaled(f, dict(pt), minus_one, qt) for pt, qt in terms])
+    sol = _solve_cols(f, cols, [rhs])[0]
+    return None if sol is None else _combine(f, rad.rows, ((rad.pivots[j], c)
+                                                           for j, c in sol.items()))
 
 
 def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitting:
@@ -145,10 +142,11 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
     The section of J -> J/J^2 is read off the admitted arrows: each lies in
     one Peirce block e_j A e_i, keyed (i, j), and their words span J, so the
     arrows independent of J^2 and of those kept before them are a blockwise
-    basis of J/J^2.  `conjugate_by` (an element of J) conjugates idempotents
-    and arrows under 1+w, and `t_shift` perturbs the section by adding
-    elements of the J^2 block; both knobs produce a different but equally
-    valid splitting, which downstream independence checks use.
+    basis of J/J^2.  `conjugate_by` (an element of J, dense or sparse)
+    conjugates idempotents and arrows under 1+w, and `t_shift` perturbs the
+    section by adding elements of the J^2 block; both knobs produce a
+    different but equally valid splitting, which downstream independence
+    checks use.
     """
     idems = lift_idempotents(a)
     elements, arrows = idems.elements, a.arrows
@@ -159,14 +157,12 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
         elements, arrows = list(map(conj, elements)), list(map(conj, arrows))
         idems = IdempotentSet(a, elements)
     f, sc, j2 = a.field, a.structconst, a.radical_power(2)
-    e_terms = [sparse(e) for e in elements]
     ech, kept = Echelon(f, j2), {}
     for x in arrows:
-        xt = sparse(x)
-        if ech.insert(dict(xt)):
-            key = (next(i for i, e in enumerate(e_terms) if _mul_raw(f, sc, xt, e)),
-                   next(j for j, e in enumerate(e_terms) if _mul_raw(f, sc, e, xt)))
-            kept.setdefault(key, []).append(list(x))
+        if ech.insert(dict(x)):
+            key = (next(i for i, e in enumerate(elements) if _mul_raw(f, sc, x, e)),
+                   next(j for j, e in enumerate(elements) if _mul_raw(f, sc, e, x)))
+            kept.setdefault(key, []).append(x)
     blocks = dict(sorted(kept.items()))
     if t_shift is not None:
         for (i, j), vecs in blocks.items():
@@ -174,9 +170,10 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
             for k, v in enumerate(vecs):
                 extra = t_shift(i, j, k, sub)
                 if extra is not None:
+                    extra = _as_sparse(f, a.dim, extra)
                     if not sub.contains(extra):
                         raise QuivkitError("BAD_ARGUMENT", "t shift must land in the J^2 block")
-                    vecs[k] = vec_add(f, v, extra)
+                    vecs[k] = add_scaled(f, dict(v), f.one, extra)
     return Splitting(a, idems, blocks)
 
 
@@ -200,15 +197,15 @@ def same_orbit(a: FinAlgebra, e, f_idem):
     """Decide whether two primitive idempotents are conjugate under 1+J.
 
     Returns (bool, witness): the membership test is e - f in J, and when it
-    holds a witness w with (1+w) e (1+w)^{-1} = f is produced by solving the
-    linear conjugation system.
+    holds a sparse witness w with (1+w) e (1+w)^{-1} = f is produced by
+    solving the linear conjugation system.  e and f may be dense or sparse.
     """
     f = a.field
-    diff = vec_sub(f, e, f_idem)
-    if not a.radical.contains(diff):
+    e, f_idem = _as_sparse(f, a.dim, e), _as_sparse(f, a.dim, f_idem)
+    if not a.radical.contains(add_scaled(f, dict(e), f.neg(f.one), f_idem)):
         return False, None
     if e == f_idem:
-        return True, vec_zero(f, a.dim)
+        return True, {}
     w = conjugating_element(a, [(f_idem, e)])
     if w is None:
         raise QuivkitError("NO_CONJUGATOR",

@@ -118,7 +118,7 @@ def in_changed_basis(a):
                               for k in range(n)] for i in range(n)], cols=n)
     to_c, cols = el.invert(p), p.columns()
     table = [[to_c.matvec(a.mul(ck, cl)) for cl in cols] for ck in cols]
-    return [f"c{k}" for k in range(n)], table, to_c.matvec(a.unit)
+    return [f"c{k}" for k in range(n)], table, to_c.matvec(el.dense(f, n, a.unit))
 
 
 def triangle_algebra(field=QQ, level=3):

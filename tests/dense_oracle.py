@@ -28,7 +28,13 @@ image of every radical layer, as it did before it was decided at n = 1.
 `conjugating_element` stacks dense products over a basis of J, and
 `inner_conjugation_witness` solves it over the pairs (delta(b), b) for
 every basis vector b, as both did before they took sparse products and
-the generators.
+the generators.  `vec_zero` and `vec_combination` are the dense vector
+helpers no code in the package calls any more, and `as_dense` writes an
+element, dense or sparse, as a dense list.  `table_generators`,
+`vqmap_generator_images`, `conjugation` and `eval_expr` make the dense
+elements quivkit made before it held every element as a sparse dict: a
+raw table's classes, lifted idempotents and Peirce arrows, psi's generator
+images, conjugates and DSL expressions.
 """
 
 import quivkit.exactlin as el
@@ -37,6 +43,7 @@ from quivkit.algebra import (
     _combine,
     _mul_raw,
     _peirce_blocks,
+    _quotient_table,
     identity_morphism,
     quotient_algebra,
     validate_morphism,
@@ -44,6 +51,24 @@ from quivkit.algebra import (
 from quivkit.errors import QuivkitError
 from quivkit.exactlin import sparse
 from quivkit.pathalg import kvq_on_map
+from quivkit.poly import roots_if_split
+from quivkit.vquiver import POINT
+
+
+def vec_zero(field, n):
+    return [field.zero] * n
+
+
+def vec_combination(field, n, coeffs, vecs):
+    """The length-n vector sum of c * v over zip(coeffs, vecs)."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * n
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] = add(out[k], mul(c, x))
+    return out
 
 
 def rref(m):
@@ -100,7 +125,7 @@ def solve_multi(m, bs):
         if any(row[col] for row in rest):
             sols.append(None)
             continue
-        x = el.vec_zero(f, m.cols)
+        x = vec_zero(f, m.cols)
         for r_i, pc in enumerate(main_piv):
             x[pc] = red.data[r_i][col]
         sols.append(x)
@@ -126,7 +151,7 @@ def kernel(m):
     basis = []
     for fc in range(m.cols):
         if fc not in pivset:
-            v = el.vec_zero(f, m.cols)
+            v = vec_zero(f, m.cols)
             for r_i, pc in enumerate(piv):
                 v[pc] = f.neg(red.data[r_i][fc])
             v[fc] = f.one
@@ -181,23 +206,29 @@ def image_of_radical_check(alpha):
     return True
 
 
+def as_dense(a, x):
+    """The element x of the algebra a as a dense list, x dense or sparse."""
+    return el.dense(a.field, a.dim, x) if isinstance(x, dict) else list(x)
+
+
 def conjugating_element(a, pairs):
     """w in J with w q - p w = p - q for every (p, q) in pairs, or None: the
-    stacked system over a basis of J, solved by the dense `rref`."""
+    stacked system over a basis of J, solved by the dense `rref`; the pairs
+    dense or sparse, w dense."""
     f = a.field
-    pairs = list(pairs)
+    pairs = [(as_dense(a, p), as_dense(a, q)) for p, q in pairs]
     jbasis = a.radical.basis
     cols = [[x for p, q in pairs for x in el.vec_sub(f, a.mul(jb, q), a.mul(p, jb))]
             for jb in jbasis]
     rhs = [x for p, q in pairs for x in el.vec_sub(f, p, q)]
     sol = solve_multi(el.Mat.from_cols(f, cols, rows=len(rhs)), [rhs])[0]
-    return None if sol is None else el.vec_combination(f, a.dim, sol, jbasis)
+    return None if sol is None else vec_combination(f, a.dim, sol, jbasis)
 
 
 def inner_conjugation_witness(delta):
     """`conjugating_element` of the pairs (delta(b), b) over the basis."""
     a = delta.source
-    return conjugating_element(a, [(delta.apply(a.basis_vector(i)), a.basis_vector(i))
+    return conjugating_element(a, [(matvec(delta.matrix, a.basis_vector(i)), a.basis_vector(i))
                                    for i in range(a.dim)])
 
 
@@ -257,7 +288,7 @@ def intersect(u, w):
     [w|0] for w in W; the rows of their echelon form that vanish on the left
     block span U ∩ W on the right."""
     f, n = u.field, u.ambient_dim
-    rows = [r + r for r in u.basis] + [r + el.vec_zero(f, n) for r in w.basis]
+    rows = [r + r for r in u.basis] + [r + vec_zero(f, n) for r in w.basis]
     if not rows:
         return el.Subspace.zero(f, n)
     red, piv = rref(el.Mat.from_rows(f, rows, cols=2 * n))
@@ -329,7 +360,7 @@ def induced_on_quotient(pi, h):
     Each basis class of pi's target goes to the image under h of its
     section preimage.
     """
-    cols = [h.apply(pre) for pre in quotient_section(pi)]
+    cols = [matvec(h.matrix, pre) for pre in quotient_section(pi)]
     m = el.Mat.from_cols(h.target.field, cols, rows=h.target.dim)
     return validate_morphism(pi.target, h.target, m)
 
@@ -427,3 +458,107 @@ def quotient_table(field, sc, sub):
     table = [[tuple(sorted(_combine(field, cols, sc[i][j]).items())) for j in idx]
              for i in idx]
     return idx, table, proj, cols
+
+
+# -- elements as they were before quivkit held them sparse ----------------------
+
+def table_generators(field, dim, sc, unit, j_space):
+    """(classes, idempotents, arrows) of a raw table with the dense `unit`,
+    as `table_algebra` made them: the splitter on dense vectors of A/J, the
+    cubic lift on dense products, and the dense bases of the Peirce blocks
+    of J in key order."""
+    idx, qsc, cols = _quotient_table(field, sc, j_space)
+    qdim = len(idx)
+
+    def qmul(u, v):
+        return dense_mul(field, qsc, u, v)
+
+    idems = [el.dense(field, qdim, _combine(field, cols, sparse(unit).items()))]
+    for x in range(qdim):
+        new_idems = []
+        for u in idems:
+            y = qmul(u, el.vec_unit(field, qdim, x))
+            powers = [u, y]
+            while el.Subspace.span(field, qdim, powers).dim == len(powers):
+                powers.append(qmul(powers[-1], y))
+            d = len(powers) - 1
+            if d == 1:
+                new_idems.append(u)
+                continue
+            # the monic minimal polynomial: y^d minus its combination of the
+            # lower powers
+            sol = el.solve(el.Mat.from_cols(field, powers[:-1], rows=qdim), powers[-1])
+            roots = roots_if_split(field, [field.neg(c) for c in sol] + [field.one])
+            for r_val in roots:
+                piece = u
+                for other in roots:
+                    if other != r_val:
+                        shifted = el.vec_sub(field, y, el.vec_scale(field, other, u))
+                        piece = el.vec_scale(field, field.inv(field.sub(r_val, other)),
+                                             qmul(piece, shifted))
+                new_idems.append(piece)
+        idems = new_idems
+    idems.sort(key=tuple)
+    classes = []
+    for u in idems:
+        c = vec_zero(field, dim)
+        for i, ui in zip(idx, u):
+            c[i] = ui
+        classes.append(c)
+    three, two = field.of(3), field.of(2)
+    lifted, frame = [], list(unit)
+    for c in classes:
+        x = dense_mul(field, sc, frame, dense_mul(field, sc, c, frame))
+        for _ in range((j_space.dim + 1).bit_length() + 2):
+            sq = dense_mul(field, sc, x, x)
+            if sq == x:
+                break
+            x = el.vec_sub(field, el.vec_scale(field, three, sq),
+                           el.vec_scale(field, two, dense_mul(field, sc, sq, x)))
+        lifted.append(x)
+        frame = el.vec_sub(field, frame, x)
+    blocks = _peirce_blocks(field, dim, sc, [sparse(e) for e in lifted], j_space)
+    return classes, lifted, [v for block in blocks.values() for v in block.basis]
+
+
+def vqmap_generator_images(rho, n, idems, arrow_bases):
+    """The generator images of rho's source as length-n vectors, from the
+    dense `idems` and `arrow_bases` of its target."""
+    f, vm = rho.field, rho.vertex_map
+    idem_images = {v: vec_zero(f, n) if vm[v] == POINT else idems[vm[v]]
+                   for v in rho.source.vertices}
+    arrow_images = {}
+    for (src, tgt), labs in rho.source.spaces.items():
+        ws, wt = vm[src], vm[tgt]
+        killed = rho.target.dim(ws, wt) == 0
+        for j, lab in enumerate(labs):
+            arrow_images[lab] = vec_zero(f, n) if killed else \
+                vec_combination(f, n, rho.block(src, tgt).col(j), arrow_bases[(ws, wt)])
+    return idem_images, arrow_images
+
+
+def conjugation(a, w):
+    """x -> (1+w) x (1+w)^{-1} on dense vectors, by dense products, with the
+    inverse summed as the geometric series."""
+    f, unit = a.field, as_dense(a, a.unit)
+    one_plus, inv, term = el.vec_add(f, unit, w), unit, unit
+    for _ in range(a.truncation_level + 1):
+        term = el.vec_scale(f, f.neg(f.one), a.mul(term, w))
+        if el.vec_is_zero(f, term):
+            break
+        inv = el.vec_add(f, inv, term)
+    return lambda x: a.mul(one_plus, a.mul(x, inv))
+
+
+def eval_expr(expr, algebra):
+    """A DSL expression as a dense vector: each word a product of basis
+    vectors, the unit for the empty word."""
+    f = algebra.field
+    pieces = []
+    for term in expr.terms:
+        piece = as_dense(algebra, algebra.unit)
+        for k, label in enumerate(term.word):
+            vec = algebra.element(label)
+            piece = vec if k == 0 else algebra.mul(piece, vec)
+        pieces.append(piece)
+    return vec_combination(f, algebra.dim, [f.of(t.coeff) for t in expr.terms], pieces)

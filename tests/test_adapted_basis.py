@@ -17,8 +17,8 @@ import pytest
 import quivkit as qk
 from quivkit.adjunction import conjugation_automorphism
 from quivkit.algebra import identity_morphism, validate_morphism
-from quivkit.exactlin import (Mat, invert, solve, solve_multi, vec_add, vec_combination,
-                              vec_is_zero, vec_sub, vec_unit, vec_zero)
+from quivkit.exactlin import (Mat, invert, solve, solve_multi, vec_add,
+                              vec_is_zero, vec_sub, vec_unit)
 from quivkit.gabriel import gq0, pointed_set
 from quivkit.generators import (random_identity_class_automorphism,
                                 random_padm_morphism, random_radical_element,
@@ -39,6 +39,7 @@ from corpus import (
     truncated_power_series,
     vq_corpus,
 )
+from dense_oracle import as_dense, vec_combination, vec_zero
 
 F101 = qk.GF(101)
 
@@ -52,7 +53,7 @@ def ref_arrow_class_coords(g, src, tgt, radical_vec):
     a = g.algebra
     f = a.field
     vecs = g.arrow_bases.get((src, tgt), [])
-    cols = [list(v) for v in vecs] + [list(v) for v in a.radical_power(2).basis]
+    cols = [as_dense(a, v) for v in vecs] + [list(v) for v in a.radical_power(2).basis]
     if not cols:
         return [] if vec_is_zero(f, radical_vec) else None
     sol = solve(Mat.from_cols(f, cols, rows=a.dim), list(radical_vec))
@@ -63,7 +64,7 @@ def ref_vertex_of_idempotent(g, idem):
     """The first vertex whose splitting idempotent differs from idem by J."""
     a = g.algebra
     for pos, e in enumerate(g.splitting.idems.elements):
-        if a.radical.contains(vec_sub(a.field, e, idem)):
+        if a.radical.contains(vec_sub(a.field, as_dense(a, e), idem)):
             return g.vertex_names[pos]
     return None
 
@@ -74,7 +75,7 @@ def dense_coordinate_map(g):
     cols = list(g.splitting.idems.elements)
     for pair in g.vquiver.spaces:
         cols.extend(g.arrow_bases[pair])
-    cols.extend(a.radical_power(2).basis)
+    cols = [as_dense(a, x) for x in cols] + a.radical_power(2).basis
     return invert(Mat.from_cols(a.field, cols, rows=a.dim))
 
 
@@ -110,12 +111,13 @@ def ref_right_adjoint_matrix(rho, g, k2):
     a = g.algebra
     f = a.field
     b = k2.carrier
-    idem_images, arrow_images = vqmap_generator_images(rho, b.dim, *k2.generators())
+    idem_images, arrow_images = vqmap_generator_images(rho, *k2.generators())
     cols = list(g.splitting.idems.elements)
     images = [idem_images[name] for name in g.vertex_names]
     for (src, tgt), vecs in sorted(g.arrow_bases.items()):
         cols.extend(vecs)
         images.extend(arrow_images[lab] for lab in g.vquiver.spaces[(src, tgt)])
+    cols, images = [as_dense(a, x) for x in cols], [as_dense(b, x) for x in images]
     j2 = a.radical_power(2)
     cols.extend(j2.basis)
     images.extend(vec_zero(f, b.dim) for _ in j2.basis)
@@ -128,7 +130,7 @@ def ref_right_adjoint_matrix(rho, g, k2):
 
 def ref_class_coordinates(a):
     """Coordinates of each basis vector mod J in the canonical basis of A/J."""
-    cols = [list(c) for c in a.ss_classes] + [list(v) for v in a.radical.basis]
+    cols = [as_dense(a, c) for c in a.ss_classes] + [list(v) for v in a.radical.basis]
     system = Mat.from_cols(a.field, cols, rows=a.dim)
     sols = solve_multi(system, [a.basis_vector(i) for i in range(a.dim)])
     assert all(sol is not None for sol in sols)
@@ -140,7 +142,7 @@ def ref_semisimple_to_alg_matrix(a, sigma, pset):
     target_t = build_kvq(f, pset, 2)
     n = target_t.dim
     images = [vec_zero(f, n) if sigma.vertex_map[name] == qk.POINT
-              else target_t.idempotent(sigma.vertex_map[name])
+              else as_dense(target_t.carrier, target_t.idempotent(sigma.vertex_map[name]))
               for name in qk.gq(a).vertex_names]
     cols = [vec_combination(f, n, coords, images)
             for coords in ref_class_coordinates(a)]
@@ -214,7 +216,7 @@ def _algebras():
 def _random_vector(rng, a, vecs):
     f = a.field
     coeffs = [f.of(random_scalar(rng, f)) for _ in vecs]
-    return vec_combination(f, a.dim, coeffs, vecs)
+    return vec_combination(f, a.dim, coeffs, [as_dense(a, v) for v in vecs])
 
 
 def _shift(i, j, k, sub):
@@ -272,14 +274,14 @@ def test_vertex_of_idempotent_matches_the_radical_loop():
     for case, rng, g in _cases():
         a = g.algebra
         f = a.field
-        idems = g.splitting.idems.elements
-        vecs = [vec_zero(f, a.dim), a.unit]
+        idems = [as_dense(a, e) for e in g.splitting.idems.elements]
+        vecs = [vec_zero(f, a.dim), as_dense(a, a.unit)]
         for e in idems:
             vecs.append(e)
             vecs.append(vec_add(f, e, _random_vector(rng, a, a.radical.basis)))
             vecs.append(vec_add(f, e, _random_vector(rng, a, idems)))
         # idempotents of another splitting of the same algebra
-        vecs.extend(qk.gq(a).splitting.idems.elements)
+        vecs.extend(as_dense(a, e) for e in qk.gq(a).splitting.idems.elements)
         for x in vecs:
             want = ref_vertex_of_idempotent(g, x)
             assert g.vertex_of_idempotent(x) == want, case
@@ -299,8 +301,8 @@ def test_sparse_class_reads_match_the_dense_coordinate_map(tag):
             inverse = dense_coordinate_map(g)
             assert g.coordinate_map() == inverse, name
             j2 = a.radical_power(2).basis
-            idems = g.splitting.idems.elements
-            vecs = [vec_zero(field, a.dim), a.unit,
+            idems = [as_dense(a, e) for e in g.splitting.idems.elements]
+            vecs = [vec_zero(field, a.dim), as_dense(a, a.unit),
                     _random_vector(rng, a, [a.basis_vector(i) for i in range(a.dim)]),
                     _random_vector(rng, a, a.radical.basis)]
             for e in idems:

@@ -30,6 +30,7 @@ from corpus import (
     upper_triangular,
 )
 from test_algebra import _charpoly_classes, _dense_table, _presented_oracle_cases
+from dense_oracle import as_dense, vec_combination, vec_zero
 
 F101 = qk.GF(101)
 F257 = qk.GF(257)
@@ -43,9 +44,9 @@ def _lift_by_mul(a, seeds):
     from the idempotents lifted before it, then x <- 3x^2 - 2x^3."""
     f = a.field
     three, two = f.of(3), f.of(2)
-    lifted, prev_sum = [], el.vec_zero(f, a.dim)
+    lifted, prev_sum = [], vec_zero(f, a.dim)
     for seed in seeds:
-        frame = el.vec_sub(f, a.unit, prev_sum)
+        frame = el.vec_sub(f, as_dense(a, a.unit), prev_sum)
         x = a.mul(frame, a.mul(seed, frame))
         for _ in range(a.truncation_level.bit_length() + 2):
             sq = a.mul(x, x)
@@ -70,7 +71,7 @@ def _rebased(a, rng):
     p_inv, cols = el.invert(p), p.columns()
     table = [[p_inv.matvec(a.mul(x, y)) for y in cols] for x in cols]
     return qk.validate_algebra(f, [f"b{i}" for i in range(a.dim)], table,
-                               p_inv.matvec(a.unit))
+                               p_inv.matvec(as_dense(a, a.unit)))
 
 
 def _raw_tables():
@@ -95,7 +96,7 @@ def test_raw_tables_hold_lifted_idempotents_and_peirce_arrows():
     for name, a in cases:
         f = a.field
         seeds = _semisimple_pointed_classes(f, a.dim, a.structconst, a.unit, a.radical)
-        assert a.ss_classes == _lift_by_mul(a, seeds), name
+        assert a.ss_classes == [el.sparse(x) for x in _lift_by_mul(a, seeds)], name
         lifted_away += a.ss_classes != seeds
         assert qk.lift_idempotents(a).elements == a.ss_classes, name
         assert len(a.arrows) == a.radical.dim, name
@@ -105,7 +106,7 @@ def test_raw_tables_hold_lifted_idempotents_and_peirce_arrows():
                       for j, ej in enumerate(a.ss_classes) if any(a.mul(ej, a.mul(x, ei)))]
             assert len(pieces) == 1, name
             i, j = pieces[0]
-            assert a.mul(a.ss_classes[j], a.mul(x, a.ss_classes[i])) == x, name
+            assert el.sparse(a.mul(a.ss_classes[j], a.mul(x, a.ss_classes[i]))) == x, name
     assert lifted_away >= 4
 
 
@@ -128,7 +129,8 @@ def test_minimal_polynomial_splitter_matches_the_charpoly_oracle():
         cases += [(f"k{n}_{field!r}", _k_power(field, n)) for n in (1, 2, 7, 16)]
     for name, a in cases:
         args = (a.field, a.dim, a.structconst, a.unit, a.radical)
-        assert _semisimple_pointed_classes(*args) == _charpoly_classes(*args), name
+        assert _semisimple_pointed_classes(*args) == \
+            [el.sparse(c) for c in _charpoly_classes(*args)], name
 
 
 _MATRIX_UNITS = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -148,7 +150,7 @@ def test_both_splitters_refuse_alike(field, dense, unit, message):
     dim = len(unit)
     sc = [[tuple((m, field.of(c)) for m, c in enumerate(v) if c) for v in row]
           for row in dense]
-    args = (field, dim, sc, [field.of(c) for c in unit], el.Subspace.zero(field, dim))
+    args = (field, dim, sc, el.sparse([field.of(c) for c in unit]), el.Subspace.zero(field, dim))
     for split in (_semisimple_pointed_classes, _charpoly_classes):
         with pytest.raises(QuivkitError) as exc:
             split(*args)
@@ -193,20 +195,21 @@ def _through_semisimple(rng, a, b, phi):
     1 + w for a random w in J(B).  A morphism; onto mod radicals iff phi is
     injective."""
     f = a.field
-    system = el.Mat.from_cols(f, list(a.ss_classes) + list(a.radical.basis), rows=a.dim)
+    system = el.Mat.from_cols(f, [as_dense(a, e) for e in a.ss_classes] + a.radical.basis,
+                              rows=a.dim)
     coords = el.solve_multi(system, [a.basis_vector(i) for i in range(a.dim)])
     images = []
     for i in range(len(a.ss_classes)):
-        img = el.vec_zero(f, b.dim)
+        img = vec_zero(f, b.dim)
         for t, e in enumerate(b.ss_classes):
             if phi[t] == i:
-                img = el.vec_add(f, img, e)
+                img = el.vec_add(f, img, as_dense(b, e))
         images.append(img)
-    w = el.vec_combination(f, b.dim, [f.of(rng.randrange(-2, 3)) for _ in b.radical.basis],
+    w = vec_combination(f, b.dim, [f.of(rng.randrange(-2, 3)) for _ in b.radical.basis],
                            b.radical.basis)
     conj = conjugation(b, w)
-    cols = [conj(el.vec_combination(f, b.dim, c[:len(images)], images)) for c in coords]
-    return el.Mat.from_cols(f, cols, rows=b.dim)
+    cols = [conj(el.sparse(vec_combination(f, b.dim, c[:len(images)], images))) for c in coords]
+    return el.Mat.from_sparse_cols(f, cols, b.dim)
 
 
 def _morphism_cases(field, rng):
@@ -214,8 +217,8 @@ def _morphism_cases(field, rng):
     lt = lower_triangular(field)
     k1, k2 = semisimple(field, 1), semisimple(field, 2)
     out = [
-        ("diagonal k -> k x k", k1, k2, el.Mat.from_cols(field, [k2.unit], rows=2)),
-        ("k -> lower triangular", k1, lt, el.Mat.from_cols(field, [lt.unit], rows=3)),
+        ("diagonal k -> k x k", k1, k2, el.Mat.from_sparse_cols(field, [k2.unit], 2)),
+        ("k -> lower triangular", k1, lt, el.Mat.from_sparse_cols(field, [lt.unit], 3)),
         ("k x k -> lower triangular", k2, lt,
          el.Mat.from_cols(field, [lt.element("E11"), lt.element("E22")], rows=3)),
     ]

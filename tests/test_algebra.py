@@ -26,6 +26,7 @@ from dense_oracle import (
     quotient_section,
     rref as dense_rref,
 )
+from dense_oracle import vec_combination, vec_zero
 from corpus import (
     QQ,
     F2,
@@ -107,19 +108,19 @@ def test_unit_check_matches_the_product_oracle():
     sides = set()
     for name, a in tables:
         f, sc = a.field, a.structconst
-        for u in _unit_mutants(f, a.unit):
+        for u in _unit_mutants(f, el.dense(f, a.dim, a.unit)):
             try:
                 multiplied_check_unit(f, a.dim, sc, u)
             except QuivkitError as ref:
                 with pytest.raises(QuivkitError) as exc:
-                    _check_unit(f, a.dim, sc, u)
+                    _check_unit(f, a.dim, sc, el.sparse(u))
                 assert (exc.value.code, str(exc.value)) == ("UNIT_FAIL", str(ref)), name
                 # which side fails at the first failing basis vector
                 j = int(str(ref).rsplit(" ", 1)[1])
                 bj, ut = {j: f.one}, el.sparse(u)
                 sides.add((_mul_raw(f, sc, ut, bj) != bj, _mul_raw(f, sc, bj, ut) != bj))
             else:
-                _check_unit(f, a.dim, sc, u)
+                _check_unit(f, a.dim, sc, el.sparse(u))
     assert sides == {(True, False), (False, True), (True, True)}
 
 
@@ -201,7 +202,7 @@ def test_diagonal_into_lower_triangular_valid():
 
 def test_not_multiplicative_rejected():
     a = truncated_power_series(QQ, 2).carrier
-    bad = el.Mat.from_cols(QQ, [a.unit, a.unit], rows=2)
+    bad = el.Mat.from_sparse_cols(QQ, [a.unit, a.unit], 2)
     with pytest.raises(QuivkitError) as exc:
         qk.validate_morphism(a, a, bad)
     assert exc.value.code == "NOT_MULTIPLICATIVE"
@@ -320,7 +321,7 @@ def _dense_table(a):
         for terms in row:
             assert [m for m, _ in terms] == sorted({m for m, _ in terms})
             assert all(c for _, c in terms)
-            v = el.vec_zero(f, a.dim)
+            v = vec_zero(f, a.dim)
             for m, c in terms:
                 v[m] = c
             dense_row.append(v)
@@ -329,7 +330,7 @@ def _dense_table(a):
 
 
 def _reference_mul(f, dim, sc, x, y):
-    out = el.vec_zero(f, dim)
+    out = vec_zero(f, dim)
     for i, xi in enumerate(x):
         if xi == f.zero:
             continue
@@ -422,8 +423,8 @@ def _raw_upper_triangular(field):
     index = {lab: k for k, lab in enumerate(labels)}
     terms = [[((index[f"E{x[1]}{y[2]}"], field.one),) if x[2] == y[1] else ()
               for y in labels] for x in labels]
-    unit = [field.one if lab[1] == lab[2] else field.zero for lab in labels]
-    vec = {lab: el.vec_unit(field, 6, k) for lab, k in index.items()}
+    unit = {k: field.one for k, lab in enumerate(labels) if lab[1] == lab[2]}
+    vec = {lab: {k: field.one} for lab, k in index.items()}
     radical = el.Subspace.span(field, 6, [vec["E12"], vec["E13"], vec["E23"]])
     return presented_algebra(field, labels, terms, unit, radical,
                              [vec["E11"], vec["E22"], vec["E33"]], [vec["E12"], vec["E23"]])
@@ -530,12 +531,14 @@ def _charpoly_classes(field, dim, sc, unit, j_space):
     """The splitter A/J had before it read minimal polynomials on its own
     table, kept as the oracle: multiply in A/J by lifting to A and projecting
     back, and split each block by the roots of the characteristic polynomial
-    of a multiplication matrix, after a diagonalisability probe."""
+    of a multiplication matrix, after a diagonalisability probe.  The unit
+    is sparse; the classes are dense."""
     reps, proj = el.quotient_basis(el.Subspace.full(field, dim), j_space)
+    unit = el.dense(field, dim, unit)
     qdim = len(reps)
 
     def lift(u):
-        return el.vec_combination(field, dim, u, reps)
+        return vec_combination(field, dim, u, reps)
 
     def qmul(u, v):
         prod = _mul_raw(field, sc, el.sparse(lift(u)), el.sparse(lift(v)))
@@ -577,7 +580,7 @@ def _charpoly_classes(field, dim, sc, unit, j_space):
                     if other != r_val:
                         piece = el.vec_scale(field, field.inv(field.sub(r_val, other)),
                                              m.sub(ident.scale(other)).matvec(piece))
-                new_idems.append(el.vec_combination(field, qdim, piece, block.basis))
+                new_idems.append(vec_combination(field, qdim, piece, block.basis))
         idems = [u for u in new_idems if any(u)]
     assert len(idems) == qdim
     idems.sort(key=tuple)
@@ -781,7 +784,7 @@ def test_presented_algebra_refuses_wrong_classes():
         presented_algebra(*args)
     assert exc.value.code == "NOT_POINTED"
     a, args = _triangle_presentation()
-    args[5] = [el.vec_scale(QQ, 2, a.ss_classes[0])] + a.ss_classes[1:]
+    args[5] = [{k: 2 * c for k, c in a.ss_classes[0].items()}] + a.ss_classes[1:]
     with pytest.raises(QuivkitError) as exc:
         presented_algebra(*args)
     assert exc.value.code == "NOT_POINTED"
@@ -790,7 +793,7 @@ def test_presented_algebra_refuses_wrong_classes():
 
 def test_presented_algebra_refuses_a_wrong_unit():
     a, args = _triangle_presentation()
-    args[3] = el.vec_add(QQ, a.element("e1"), a.element("e2"))
+    args[3] = el.sparse(el.vec_add(QQ, a.element("e1"), a.element("e2")))
     with pytest.raises(QuivkitError) as exc:
         presented_algebra(*args)
     assert exc.value.code == "UNIT_FAIL"

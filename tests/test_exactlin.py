@@ -13,6 +13,7 @@ from quivkit.generators import random_identity_class_automorphism, seeded_rng
 
 from corpus import algebra_corpus, presented_corpus
 from dense_oracle import intersect, rref as dense_rref
+from dense_oracle import vec_combination, vec_zero
 
 QQ = el.QQ
 F2 = el.GF(2)
@@ -136,9 +137,9 @@ def _corpus_matrices():
     out = []
     for name, a in algebra_corpus():
         f = a.field
-        w = el.vec_combination(f, a.dim, [f.of(rng.randrange(-3, 4)) for _ in a.radical.basis],
+        w = vec_combination(f, a.dim, [f.of(rng.randrange(-3, 4)) for _ in a.radical.basis],
                                a.radical.basis)
-        one_w = el.vec_add(f, a.unit, w)
+        one_w = el.vec_add(f, el.dense(f, a.dim, a.unit), w)
         out += [(f"L(1+w) on {name}", _mult_matrix(a, one_w)),
                 (f"R(1+w) on {name}", _mult_matrix(a, one_w, left=False)),
                 (f"L(w) on {name}", _mult_matrix(a, w))]
@@ -327,7 +328,7 @@ def _solve_reference(m, b):
     red, piv = dense_rref(aug)
     if piv and piv[-1] == m.cols:
         return None
-    x = el.vec_zero(m.field, m.cols)
+    x = vec_zero(m.field, m.cols)
     for r_i, pc in enumerate(piv):
         x[pc] = red.data[r_i][m.cols]
     return x
@@ -368,7 +369,7 @@ def test_vec_combination_matches_scaled_sum(m, data):
     entry = st.integers(-4, 4) if f.char == 0 else st.integers(0, f.char - 1)
     coeffs = [f.of(x) for x in data.draw(
         st.lists(entry, min_size=m.rows, max_size=m.rows))]
-    expected = el.vec_zero(f, m.cols)
+    expected = vec_zero(f, m.cols)
     for c, v in zip(coeffs, m.data):
         expected = el.vec_add(f, expected, el.vec_scale(f, c, v))
-    assert el.vec_combination(f, m.cols, coeffs, m.data) == expected
+    assert vec_combination(f, m.cols, coeffs, m.data) == expected

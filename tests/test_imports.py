@@ -1,7 +1,8 @@
 """No module of the package keeps a module-level import that nothing uses,
 and no function, class or method that nothing names; every name that the
-benchmark's tracer wraps still resolves; and README's Errors section names
-every error code the package raises."""
+benchmark's tracer wraps still resolves; README's Errors section names
+every error code the package raises; and outside `exactlin` an element is
+converted between its sparse and dense forms only in the dense views."""
 
 import ast
 import importlib
@@ -111,6 +112,69 @@ def test_every_name_the_tracer_wraps_resolves():
     for module, path in names:
         assert callable(tracer["_original"](module, path)), (module, path)
     assert names
+
+
+# The dense views: the only places outside exactlin where an element may be
+# converted (`sparse(`, `dense(`), added up densely (`vec_*(`), made or read
+# through a dense view (`basis_vector(`, `element(`, `conjugate_element(`),
+# or a subspace read as its dense `.basis`.  `FinAlgebra.mul` is a view too,
+# but its name is also every field's product, so calls of it are not told
+# apart here.
+DENSE_VIEWS = {
+    "algebra": {"FinAlgebra.basis_vector", "FinAlgebra.element", "FinAlgebra.mul",
+                "AlgMorphism.matrix", "validate_algebra", "table_algebra"},
+    "gabriel": {"GabrielQuiverResult.coordinate_map"},
+    "splittings": {"conjugate_element"},
+}
+
+
+def conversions(text, allowed=()):
+    """(line, what, enclosing definition) of each call of `sparse`, `dense`,
+    a `vec_*` helper or a dense view, and each read of `.basis`, outside the
+    definitions named in `allowed`.  A DSL statement's `stmt.basis`, its
+    list of basis labels, is no subspace and is not counted."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            what = None
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("sparse", "dense", "basis_vector", "element",
+                            "conjugate_element") or (name or "").startswith("vec_"):
+                    what = f"{name}("
+            elif isinstance(child, ast.Attribute) and child.attr == "basis" and \
+                    isinstance(child.ctx, ast.Load) and \
+                    not (isinstance(child.value, ast.Name) and child.value.id == "stmt"):
+                what = ".basis"
+            if what and scope not in allowed:
+                found.append((child.lineno, what, scope))
+            visit(child, inner)
+
+    visit(ast.parse(text), "")
+    return found
+
+
+def test_the_check_finds_a_conversion():
+    text = ("class A:\n    def view(self, v):\n        return dense(self.f, 2, v)\n"
+            "    def inner(self, v):\n        return el.sparse(v), self.space.basis\n"
+            "def read(stmt, a):\n    return stmt.basis, a.element('x'), vec_add(f, u, v)\n")
+    assert conversions(text) == [(3, "dense(", "A.view"), (5, "sparse(", "A.inner"),
+                                 (5, ".basis", "A.inner"), (7, "element(", "read"),
+                                 (7, "vec_add(", "read")]
+    assert conversions(text, {"A.view", "read"}) == [(5, "sparse(", "A.inner"),
+                                                     (5, ".basis", "A.inner")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "exactlin.py"],
+                         ids=lambda p: p.name)
+def test_elements_are_converted_only_in_the_dense_views(path):
+    allowed = DENSE_VIEWS.get(path.stem, set())
+    assert conversions(path.read_text(encoding="utf-8"), allowed) == []
 
 
 def error_codes(text):

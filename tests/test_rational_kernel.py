@@ -171,7 +171,7 @@ def _constructions(field, vq, level, seed):
     maps into gq of the quotient."""
     rng = random.Random(seed)
     t = qk.build_kvq(field, vq, level)
-    rel = el.vec_zero(field, t.dim)
+    rel = dense_oracle.vec_zero(field, t.dim)
     for i in (i for layer in t.grading[2:] for i in layer):
         rel[i] = random_scalar(rng, field, nonzero=True)
     ideal = qk.ideal_generated_by(t.carrier, [rel])

@@ -24,7 +24,7 @@ import quivkit.cli as cli
 import quivkit.dsl as dsl
 import quivkit.exactlin as el
 from quivkit.adjunction import factor_delta, psi
-from quivkit.algebra import _orthogonal, _quotient_table, _verify_presentation, table_algebra
+from quivkit.algebra import _quotient_table, _verify_presentation, orthogonal_idempotents, table_algebra
 from quivkit.errors import QuivkitError
 from quivkit.generators import random_identity_class_automorphism
 from quivkit.vquiver import identity_vqmap
@@ -57,10 +57,10 @@ def _canonical(vec):
 
 def _rebased(a, cols):
     """a's table in the basis `cols` (dense elements of a), canonical, and
-    the map from a's dense coordinates to the new sparse ones."""
+    the map from a's sparse elements to their new sparse coordinates."""
     to_new = el.invert(el.Mat.from_cols(a.field, cols, rows=a.dim))
     table = [[_canonical(to_new.matvec(a.mul(x, y))) for y in cols] for x in cols]
-    return table, lambda v: el.sparse(to_new.matvec(v))
+    return table, lambda v: el.sparse(to_new.matvec(el.dense(a.field, a.dim, v)))
 
 
 def _shifted_basis(a, k, m):
@@ -80,8 +80,7 @@ def _unitriangular_basis(a):
 # -- presentations: (name, table, unit, idempotents, arrows), all sparse ------
 
 def _as_is(name, a):
-    return (name, a.structconst, el.sparse(a.unit), [el.sparse(e) for e in a.ss_classes],
-            [el.sparse(x) for x in a.arrows])
+    return (name, a.structconst, a.unit, list(a.ss_classes), list(a.arrows))
 
 
 def _in_basis(name, a, cols, idems=None, arrows=None):
@@ -161,7 +160,7 @@ def test_presentation_checks_match_the_product_oracle(field):
         for kind, es, xs in _mutants(field, idems, arrows):
             names = [f"class {i}" for i in range(len(es))]
             ref = _outcome(dense.orthogonal, field, sc, unit, es, "NOT_POINTED", names)
-            assert _outcome(_orthogonal, field, sc, unit, es, "NOT_POINTED", names) == ref, \
+            assert _outcome(orthogonal_idempotents, field, sc, unit, es, "NOT_POINTED", names) == ref, \
                 (name, kind)
             ref = _outcome(dense.verify_presentation, field, sc, unit, es, xs)
             assert _outcome(_verify_presentation, field, sc, unit, es, xs) == ref, (name, kind)
@@ -381,7 +380,7 @@ def test_table_values_are_read_through_the_field():
     lifted = [[tuple((m, c + 5 if k % 2 else c - 5) for m, c in terms) for terms in row]
               for k, row in enumerate(sc)]
     lifted[0][1] += ((2, 5),)
-    b = table_algebra(F5, a.basis_labels, lifted, [c + 5 for c in a.unit])
+    b = table_algebra(F5, a.basis_labels, lifted, [c + 5 for c in el.dense(F5, a.dim, a.unit)])
     assert any(c == 6 for row in lifted for terms in row for _m, c in terms)
     assert any(c == -4 for row in lifted for terms in row for _m, c in terms)
     assert b.same_as(a) and b.structconst == a.structconst and b.unit == a.unit
@@ -398,7 +397,7 @@ def test_table_values_are_read_through_the_field():
 def test_values_outside_the_field_are_bad_argument(case, message):
     a, sc = _one_arrow_table()
     bad = "x" if case == "text" else Fraction(1, 5)
-    unit = list(a.unit)
+    unit = el.dense(F5, a.dim, a.unit)
     if case == "unit":
         unit[1] = bad
     else:
