@@ -28,13 +28,13 @@ from .exactlin import (
     Mat,
     Subspace,
     _as_sparse,
+    _column_echelon,
     _field_value,
     _inverse_cols,
     _reduce,
     _span,
     add_scaled,
     dense,
-    kernel,
     vec_unit,
 )
 from .poly import roots_if_split
@@ -198,16 +198,9 @@ class AlgMorphism:
                                           for row in space.rows.values()])
 
     def kernel(self) -> Subspace:
-        """The kernel, by one tagged echelon: column k goes in tagged e_k, and
-        a column dependent on those before it reduces to zero with its tag
-        reduced to a kernel vector."""
+        """The kernel, spanned by the tags of the dependent columns."""
         f = self.source.field
-        ech, ker = Echelon(f, tagged=True), []
-        for k, col in enumerate(self.cols):
-            tag = {k: f.one}
-            if not ech.insert(dict(col), tag):
-                ker.append(tag)
-        return _span(f, self.source.dim, ker)
+        return _span(f, self.source.dim, _column_echelon(f, self.cols)[1])
 
     def compose(self, other: "AlgMorphism") -> "AlgMorphism":
         """self ∘ other (apply `other` first)."""
@@ -224,11 +217,6 @@ class AlgMorphism:
         if cols is None:
             raise QuivkitError("SINGULAR", "matrix is not invertible")
         return AlgMorphism(self.target, self.source, cols)
-
-    def is_identity(self) -> bool:
-        one = self.source.field.one
-        return (self.source is self.target
-                and all(col == {j: one} for j, col in enumerate(self.cols)))
 
     def __eq__(self, other):
         return (isinstance(other, AlgMorphism)
@@ -279,28 +267,20 @@ def _combine(field, cols, terms):
     return out
 
 
-def _check_unit(field, dim, sc, unit):
-    """UNIT_FAIL at the first j with u b_j != b_j or b_j u != b_j.
+def _first_unfixed(field, sc, unit, elements):
+    """The index of the first sparse x in `elements` with u x != x or
+    x u != x, for u = `unit`; or None."""
+    for k, x in enumerate(elements):
+        if _mul_raw(field, sc, unit, x) != x or _mul_raw(field, sc, x, unit) != x:
+            return k
+    return None
 
-    Both products are read off the table rows of the unit's support S:
-    u b_j sums u_i sc[i][j] and b_j u sums u_i sc[j][i] over i in S.  When
-    u is 1 on S, as a sum of vertex idempotents is, and the one nonzero
-    entry of such a sum is the single term (j, 1), the product is b_j with
-    no arithmetic; any other sum is added up.
-    """
-    one = field.one
-    supp = sorted(unit)
-    ones = all(unit[i] == one for i in supp)
-    lefts = zip(*(sc[i] for i in supp)) if supp else [()] * dim
-    for j, left in enumerate(lefts):
-        row, bj = sc[j], ((j, one),)
-        for col in (left, [row[i] for i in supp]):
-            if not (ones and bj in col and col.count(()) == len(supp) - 1):
-                out = {}
-                for i, terms in zip(supp, col):
-                    add_scaled(field, out, unit[i], dict(terms))
-                if out != {j: one}:
-                    raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")
+
+def _check_unit(field, dim, sc, unit):
+    """UNIT_FAIL at the first j with u b_j != b_j or b_j u != b_j."""
+    j = _first_unfixed(field, sc, unit, [{j: field.one} for j in range(dim)])
+    if j is not None:
+        raise QuivkitError("UNIT_FAIL", f"unit fails on basis element {j}")
 
 
 def _verify_associative(field, dim, sc):
@@ -345,16 +325,16 @@ def trace_form_radical(a_or_data) -> Subspace:
                 if k == l:
                     acc = field.add(acc, c)
         tr.append(acc)
-    rows = []
+    # the form's sparse columns: column j holds tr(L_{b_i b_j}) at i
+    cols = [{} for _ in range(dim)]
     for i in range(dim):
-        row = []
         for j in range(dim):
             acc = field.zero
             for m, cm in sc[i][j]:
                 acc = field.add(acc, field.mul(cm, tr[m]))
-            row.append(acc)
-        rows.append(row)
-    return kernel(Mat.from_rows(field, rows, cols=dim))
+            if acc:
+                cols[j][i] = acc
+    return _span(field, dim, _column_echelon(field, cols)[1])
 
 
 def _closed_under(field, sc, gens, space: Subspace) -> bool:
@@ -384,6 +364,7 @@ def _radical_filtration(field, dim, sc, arrows):
     hands the call to `_echelon_filtration`.  RADICAL_NOT_NILPOTENT if the
     W_n do not reach 0 within dim steps.
     """
+    # kept for speed: spans of products make a dim-254 counit about 3x slower
     if any(len(x) != 1 for x in arrows):
         return _echelon_filtration(field, dim, sc, arrows)
     heads = [next(iter(x)) for x in arrows]
@@ -461,19 +442,13 @@ def _quotient_table(field, sc, sub: Subspace):
     cols = [{kept[j]: one} if j in kept else
             {kept[n - 1 - m]: neg(c) for m, c in last[j].items() if n - 1 - m != j}
             for j in range(n)]
-    # the products of the kept b_i are table rows, each projected over its
-    # terms only; b_idx[k] projects to the k-th class, and idx ascends: a
-    # nonzero entry whose terms are all kept is relabelled in order, any
-    # other is combined
+    # the products of the kept b_i, each projected over its terms only
     table = []
     for i in idx:
         qrow = [()] * len(idx)
-        nonzero = [(kept[j], terms) for j, terms in enumerate(sc[i]) if terms and j in kept]
-        for k, terms in nonzero:
-            if all(m in kept for m, _c in terms):
-                qrow[k] = tuple([(kept[m], c) for m, c in terms])
-            else:
-                qrow[k] = tuple(sorted(_combine(field, cols, terms).items()))
+        for j, terms in enumerate(sc[i]):
+            if terms and j in kept:
+                qrow[kept[j]] = tuple(sorted(_combine(field, cols, terms).items()))
         table.append(qrow)
     return idx, table, cols
 
@@ -572,31 +547,22 @@ def _peirce_blocks(field, dim, sc, elements, space: Subspace):
     return {key: _span(field, dim, vecs) for key, vecs in parts.items()}
 
 
-def _basis_indices(one, terms):
-    """[k, ...] when each sparse element is one basis vector b_k with
-    coefficient 1, as vertex idempotents are; otherwise None."""
-    ks = []
-    for et in terms:
-        if len(et) != 1 or one not in et.values():
-            return None
-        ks.append(next(iter(et)))
-    return ks
-
-
 def orthogonal_idempotents(field, sc, unit, terms, code, names):
     """Raise `code` unless the elements `terms` (named `names`) are
     orthogonal idempotents summing to `unit`; return how many are nonzero.
     In a pointed algebra that is at most dim A/J, with equality iff each one
     is primitive.
 
-    When every element is a basis vector b_k (`_basis_indices`), b_k b_l is
-    the table entry sc[k][l]: b_k b_k is b_k when that entry is ((k, 1),),
-    and an empty entry is a zero product.  Only the other products are
-    multiplied out, so the checks and their first failure are those of the
-    products.
+    When every element is a basis vector b_k with coefficient 1, as vertex
+    idempotents are, b_k b_l is the table entry sc[k][l]: b_k b_k is b_k
+    when that entry is ((k, 1),), and an empty entry is a zero product.
+    Only the other products are multiplied out, so the checks and their
+    first failure are those of the products.
     """
     one = field.one
-    ks = _basis_indices(one, terms)
+    # kept for speed: multiplying out k^128's 16k idempotent pairs costs 30%
+    ks = [next(iter(et)) for et in terms] \
+        if all(len(et) == 1 and one in et.values() for et in terms) else None
     total = {}
     for i, et in enumerate(terms):
         k = ks[i] if ks else None
@@ -616,25 +582,14 @@ def orthogonal_idempotents(field, sc, unit, terms, code, names):
 def _verify_presentation(field, sc, unit, idem_terms, arrows):
     """Check that the idempotents are orthogonal, sum to 1 and that each
     arrow lies in exactly one Peirce block e_t A e_s of theirs; return how
-    many idempotents are nonzero.
-
-    For basis-vector idempotents b_t and a one-term arrow c b_m, b_t x is
-    nonzero iff the entry sc[t][m] has a nonzero coefficient, and x b_t iff
-    sc[m][t] does; any other arrow or idempotents are multiplied out.
-    """
+    many idempotents are nonzero."""
     count = orthogonal_idempotents(field, sc, unit, idem_terms, "NOT_POINTED",
                                    [f"class {i}" for i in range(len(idem_terms))])
-    ks = _basis_indices(field.one, idem_terms)
     for k, xt in enumerate(arrows):
         # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
         # x = e_t x = x e_s = e_t x e_s
-        if ks is not None and len(xt) == 1:
-            m = next(iter(xt))
-            left = sum(1 for t in ks if any(c for _i, c in sc[t][m]))
-            right = sum(1 for t in ks if any(c for _i, c in sc[m][t]))
-        else:
-            left = sum(1 for et in idem_terms if _mul_raw(field, sc, et, xt))
-            right = sum(1 for et in idem_terms if _mul_raw(field, sc, xt, et))
+        left = sum(1 for et in idem_terms if _mul_raw(field, sc, et, xt))
+        right = sum(1 for et in idem_terms if _mul_raw(field, sc, xt, et))
         if left != 1 or right != 1:
             raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                f"arrow {k} does not lie in one Peirce block")
@@ -771,11 +726,19 @@ def presented_algebra(field, basis_labels, terms, unit, radical, classes,
     `terms[i][j]` is b_i b_j as the sparse tuple of `FinAlgebra.structconst`,
     and associativity is the construction's guarantee.  The unit, the
     `classes`, which are the vertex idempotents, and the `arrows`, each in
-    one Peirce block, whose words span the radical, are sparse elements.  The unit and the radical are
-    re-verified (see `_admit`), so a construction can never smuggle in a
-    wrong one.
+    one Peirce block, whose words span the radical, are sparse elements.  The
+    unit and the radical are re-verified, so a construction can never smuggle
+    in a wrong one.
+
+    The unit is checked on the generators G only: u g = g = g u for each g
+    in G.  That is enough.  `_verify_presentation` checks that the classes
+    sum to u, and a u that fixes each generator fixes every word in G on
+    both sides.  `_admit` then proves that the words in G span A, so u is
+    the unit.  Only when u fails on G is the basis scanned, to name the
+    first b_j it fails on, as `table_algebra` does.
     """
-    _check_unit(field, len(basis_labels), terms, unit)
+    if _first_unfixed(field, terms, unit, classes + arrows) is not None:
+        _check_unit(field, len(basis_labels), terms, unit)
     return _admit(field, basis_labels, terms, unit, radical, classes, arrows)
 
 
@@ -796,13 +759,10 @@ def _first_unmultiplied(source, target, cols, gens):
     f(g b_j) != f(g) f(b_j), where f has the sparse columns `cols`; or None."""
     f, sc, one, tsc = source.field, source.structconst, source.field.one, target.structconst
     for gi, gt in enumerate(gens):
-        if len(gt) == 1 and one in gt.values():
-            row = sc[next(iter(gt))]
-        else:
-            row = [_mul_raw(f, sc, gt, {j: one}).items() for j in range(source.dim)]
         image = _combine(f, cols, gt.items())
         for j in range(source.dim):
-            if _combine(f, cols, row[j]) != _mul_raw(f, tsc, image, cols[j]):
+            if _combine(f, cols, _mul_raw(f, sc, gt, {j: one}).items()) != \
+                    _mul_raw(f, tsc, image, cols[j]):
                 return gi, j
     return None
 

@@ -6,8 +6,9 @@ otherwise; prime-field scalars are ints in [0, p).
 Subspaces are stored as sparse rows in reduced row-echelon form, so two
 subspaces are equal as sets exactly when their stored rows are identical.
 There is one elimination, the incremental sparse `Echelon`: subspaces grow
-in it, and `rank`, `solve_multi`, `invert` and `kernel` of a dense `Mat` run
-on it too.  `rref` is the dense view of the span of a matrix's rows.
+in it, and `rank` of a dense `Mat` runs on it too.  Kernels, solves and
+inverses share one tagged column echelon, `_column_echelon`.  `rref` is the
+dense view of the span of a matrix's rows.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ class RationalField:
     """The field Q.  An integral value is a plain int, any other a Fraction
     (lowest terms, positive denominator).  The two mix exactly under +, -
     and *, compare and hash equal and print alike, so integral matrices are
-    reduced at int speed; `of`, `parse` and `inv` return ints for integral
-    results."""
+    reduced at int speed; every operation returns an int for an integral
+    result."""
 
     char = 0
     zero = 0
@@ -118,13 +119,16 @@ class RationalField:
         return x.numerator if x.denominator == 1 else x
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
@@ -168,11 +172,12 @@ class PrimeField:
 
     def of(self, x):
         p = self.char
-        if isinstance(x, Fraction):
-            if x.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
-            return x.numerator * pow(x.denominator, -1, p) % p
-        return int(x) % p
+        if type(x) is int:
+            return x % p
+        x = Fraction(x)
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def add(self, a, b):
         return (a + b) % self.char
@@ -547,18 +552,27 @@ def _span(field, ambient_dim, vectors) -> "Subspace":
     return Subspace(field, ambient_dim, ech.rows)
 
 
+def _column_echelon(field, cols):
+    """One echelon of the sparse `cols`, column j inserted tagged e_j, and
+    the reduced tags of the columns dependent on those before them: each is
+    a kernel vector, and together they are a basis of the kernel.  A row's
+    tag combines pivot columns only."""
+    ech, dependent = Echelon(field, tagged=True), []
+    for j, col in enumerate(cols):
+        tag = {j: field.one}
+        if not ech.insert(dict(col), tag):
+            dependent.append(tag)
+    return ech, dependent
+
+
 def _solve_cols(field, cols, bs):
     """Solve sum_j x_j cols[j] = b for each b in bs (consumed), all sparse:
     the sparse solutions with free variables 0, None where inconsistent.
 
-    The columns go in order into one echelon, column j tagged e_j.  Only a
-    column independent of those before it, an RREF pivot column, is kept,
-    so the tags combine pivot columns only.  A consistent b reduces to zero,
-    and minus its reduced tag is then the solution.
+    A consistent b reduces to zero against the column echelon, and minus its
+    reduced tag is then the solution.
     """
-    ech = Echelon(field, tagged=True)
-    for j, col in enumerate(cols):
-        ech.insert(dict(col), {j: field.one})
+    ech = _column_echelon(field, cols)[0]
     neg, sols = field.neg, []
     for b in bs:
         tag = {}
@@ -571,14 +585,12 @@ def _inverse_cols(field, cols):
     """The sparse columns of the inverse of the square matrix whose columns
     are the sparse `cols`, or None when they are dependent.
 
-    Column k goes into one echelon tagged e_k.  When the columns are a
-    basis, the rows end as the unit vectors, and row p's tag holds the
-    coordinates of e_p: column p of the inverse.
+    When the columns are a basis, the rows of their column echelon end as
+    the unit vectors, and row p's tag holds the coordinates of e_p: column p
+    of the inverse.
     """
-    ech = Echelon(field, tagged=True)
-    for k, col in enumerate(cols):
-        ech.insert(dict(col), {k: field.one})
-    if len(ech.rows) != len(cols):
+    ech, dependent = _column_echelon(field, cols)
+    if dependent:
         return None
     return [ech.tags[p] for p in range(len(cols))]
 
@@ -697,17 +709,10 @@ class Subspace:
 
 
 def kernel(m: Mat) -> Subspace:
-    """Solution space of m x = 0: for each non-pivot column k of the RREF
-    of m's rows, the vector that is 1 at k and minus row p's entry at k at
-    each pivot p."""
+    """Solution space of m x = 0, spanned by the tags of the dependent
+    columns of m's column echelon."""
     f = m.field
-    rows = _span(f, m.cols, map(sparse, m.data)).rows
-    basis = {k: {k: f.one} for k in range(m.cols) if k not in rows}
-    for p, row in rows.items():
-        for k, x in row.items():
-            if k != p:
-                basis[k][p] = f.neg(x)
-    return _span(f, m.cols, basis.values())
+    return _span(f, m.cols, _column_echelon(f, [sparse(m.col(j)) for j in range(m.cols)])[1])
 
 
 def image(m: Mat) -> Subspace:

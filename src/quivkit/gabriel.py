@@ -263,28 +263,3 @@ def inner_conjugation_witness(delta: AlgMorphism):
     if not delta.target.same_as(a):
         raise QuivkitError("BAD_ARGUMENT", "need an endomorphism")
     return conjugating_element(a, [(delta.apply(g), g) for g in a.generators()])
-
-
-def identity_class_is_conjugation_group(vq: VQuiver, level: int) -> bool:
-    """Predicate: no vertex pair admits both an arrow and a longer path.
-
-    True exactly when there is no pair (x, y) with an arrow space of positive
-    dimension from x to y and also a composable arrow word of length in
-    [2, level) from x to y.  Tested empirically against
-    inner_conjugation_witness on generated members of the identity class.
-    """
-    edges = {(s, t) for (s, t) in vq.arrow_pairs()}
-    reach = {pair: {1} for pair in edges}
-    frontier = set(edges)
-    for length in range(2, level):
-        cur = set()
-        for (s, mid) in frontier:
-            for (m2, t) in edges:
-                if m2 == mid:
-                    cur.add((s, t))
-                    reach.setdefault((s, t), set()).add(length)
-        frontier = cur
-    for (s, t), lens in reach.items():
-        if (s, t) in edges and any(l >= 2 for l in lens):
-            return False
-    return True

@@ -92,12 +92,6 @@ class TruncatedTensorAlgebra:
         return [i for i, p in enumerate(self.paths)
                 if p.start == src and p.end == tgt and p.length >= 2]
 
-    def paths_of_length_at_least(self, m: int) -> Subspace:
-        # coordinate rows are their own reduced echelon form
-        one = self.field.one
-        return Subspace(self.field, self.dim,
-                        {i: {i: one} for layer in self.grading[m:] for i in layer})
-
     def __repr__(self):
         return f"TruncatedTensorAlgebra(level={self.level}, dim={self.dim})"
 

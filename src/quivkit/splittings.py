@@ -73,11 +73,6 @@ class Splitting:
     def rank(self):
         return len(self.idems)
 
-    def s_apply(self, coords):
-        """Section A/J -> A on canonical coordinates (one per idempotent), a
-        sparse element."""
-        return _combine(self.parent.field, self.idems.elements, enumerate(coords))
-
     def total_block_dim(self):
         return sum(len(v) for v in self.blocks.values())
 

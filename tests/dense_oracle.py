@@ -13,13 +13,13 @@ the admitted arrows.  `quotient_section`, `induced_on_quotient` and
 `kinfty_on_map` are morphisms out of a quotient as they were built before
 they were read off the labels of the lift: a solved section of the
 projection, the result admitted again by `validate_morphism`, and k∞ maps
-through `gamma` on four quotients.  `check_unit` is the unit check as it
-was before it read the products off the table rows: u b_j and b_j u by
-`_mul_raw` for each basis vector b_j.  `orthogonal` and
-`verify_presentation` are admission's idempotent and Peirce-block checks
-as they were before they read the products of basis vectors off the table,
-each product by `_mul_raw`; `quotient_table` is A/I's table as it was
-before kept terms were relabelled, every entry combined over proj's columns.
+through `gamma` on four quotients.  `check_unit` is the unit check on the
+basis: u b_j and b_j u by `_mul_raw` for each basis vector b_j, which a
+construction's unit, checked on its generators, must fail alike.
+`orthogonal` and `verify_presentation` are admission's idempotent and
+Peirce-block checks with every product by `_mul_raw`, and no table read;
+`quotient_table` is A/I's table with every entry combined over the
+columns of the projection `quotient_basis` solves.
 `matvec`, `matmul`, `rank` and `check_sim_n` are the dense operations an
 `AlgMorphism` ran on its matrix before it held sparse columns: products by
 dense dot products, and the congruence test on the dense difference, level

@@ -41,6 +41,7 @@ from corpus import (
     two_vq,
     vq_corpus,
 )
+from test_certificates import _presented_cases
 from test_sparse_echelon import _changed_basis_cases, _filtration_cases
 
 
@@ -122,6 +123,27 @@ def test_unit_check_matches_the_product_oracle():
             else:
                 _check_unit(f, a.dim, sc, el.sparse(u))
     assert sides == {(True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("field", (QQ, F2, F5, el.GF(101)), ids=repr)
+def test_presented_unit_check_matches_the_product_oracle(field):
+    # presented_algebra checks the unit on the generators and names the
+    # first basis vector it fails on, as the basis scan does
+    failed = 0
+    for name, a, j, _how in _presented_cases(field):
+        sc = a.structconst
+        for u in _unit_mutants(field, el.dense(field, a.dim, a.unit)):
+            args = (field, a.basis_labels, sc, el.sparse(u), j, a.ss_classes, a.arrows)
+            try:
+                multiplied_check_unit(field, a.dim, sc, u)
+            except QuivkitError as ref:
+                with pytest.raises(QuivkitError) as exc:
+                    presented_algebra(*args)
+                assert (exc.value.code, str(exc.value)) == ("UNIT_FAIL", str(ref)), name
+                failed += 1
+            else:
+                assert presented_algebra(*args).same_as(a), name
+    assert failed >= 100
 
 
 def test_field_extension_not_pointed():

@@ -36,6 +36,7 @@ from corpus import (
     vq_corpus,
 )
 from dense_oracle import as_dense, vec_combination, vec_zero
+from support import paths_of_length_at_least
 
 F101 = qk.GF(101)
 FIELDS = (QQ, F2, F3, F5, F101)
@@ -114,7 +115,7 @@ def _presented_cases(field):
     cases = []
     for name, vq in vq_corpus() + [("double_loop", double_loop_vq()), ("TWO", TWO)]:
         t = qk.build_kvq(field, vq, 4 if name in ("loop", "TWO") else 3)
-        a, j = t.carrier, t.paths_of_length_at_least(1)
+        a, j = t.carrier, paths_of_length_at_least(t, 1)
         cases.append((name, a, j, None))
         if len(t.grading) < 3:
             continue
@@ -149,7 +150,7 @@ def test_path_algebra_radical_powers_are_path_lengths():
     for field in FIELDS:
         t = qk.build_kvq(field, TWO, 5)
         for n in range(t.level + 1):
-            assert t.carrier.radical_power(n) == t.paths_of_length_at_least(n)
+            assert t.carrier.radical_power(n) == paths_of_length_at_least(t, n)
 
 
 # -- morphisms ---------------------------------------------------------------

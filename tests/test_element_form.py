@@ -26,8 +26,8 @@ from quivkit.pathalg import vqmap_generator_images
 from quivkit.splittings import conjugating_element, conjugation
 
 import dense_oracle as dense
-from corpus import (algebra_corpus, in_changed_basis, lower_triangular, perfbench_workloads,
-                    semisimple)
+from corpus import (algebra_corpus, in_changed_basis, line_vq, lower_triangular,
+                    perfbench_workloads, semisimple)
 from test_certificates import _presented_cases
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -237,6 +237,36 @@ def test_a_fraction_is_read_through_the_field():
     assert a.radical.contains([0, 0, Fraction(1, 2)])
     assert _refused(lambda: a.radical.contains([Fraction(1, 5), 0, 0])) == (
         "BAD_ARGUMENT", "vector entry 0 is Fraction(1, 5), not a value of F5")
+
+
+def test_a_float_is_read_as_its_exact_fraction():
+    # 0.5 and 2.5 are 1/2 and 5/2, that is 3 and 0 over F5, as QQ reads 1/2
+    assert (F5.of(0.5), F5.of(2.5), QQ.of(0.5)) == (3, 0, Fraction(1, 2))
+    assert F5.of(-7) == 3 and F5.of(Fraction(-1, 2)) == 2
+    assert el._as_sparse(F5, 3, [0.5, 2.5, 1]) == {0: 3, 2: 1}
+    assert el.Subspace.span(F5, 2, [[0.5, 0]]).dim == 1
+    assert _refused(lambda: el._as_sparse(F2, 1, [0.5])) == (
+        "BAD_ARGUMENT", "vector entry 0 is 0.5, not a value of F2")
+    assert _refused(lambda: el._as_sparse(F5, 1, ["x"])) == (
+        "BAD_ARGUMENT", "vector entry 0 is 'x', not a value of F5")
+
+
+def test_rational_sums_and_products_are_ints_where_integral():
+    half = Fraction(1, 2)
+    for x in (QQ.add(half, half), QQ.sub(Fraction(3, 2), half), QQ.mul(2, half),
+              QQ.mul(Fraction(-2, 3), Fraction(3, 2))):
+        assert type(x) is int and x in (1, -1)
+    assert QQ.add(half, 1) == Fraction(3, 2) and type(QQ.mul(half, 3)) is Fraction
+    # line's path algebra as a table in a changed basis: its arrows and
+    # radical rows are made from Fractions, and held integral Fractions
+    a = qk.build_kvq(QQ, line_vq(), 3).carrier
+    b = qk.validate_algebra(QQ, *in_changed_basis(a))
+    table = [c for row in b.structconst for terms in row for _m, c in terms]
+    stored = [c for x in [b.unit] + b.ss_classes + b.arrows for c in x.values()]
+    stored += [c for s in b.radical_filtration for r in s.rows.values() for c in r.values()]
+    assert all(type(c) is int for c in table)
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in stored)
+    assert any(type(c) is Fraction for c in stored)
 
 
 def test_a_value_outside_the_field_is_bad_argument():

@@ -10,7 +10,6 @@ import quivkit.gabriel as gabriel
 from quivkit.cli import main
 from quivkit.errors import QuivkitError
 from quivkit.gabriel import (
-    identity_class_is_conjugation_group,
     inner_conjugation_witness,
     pointed_set,
 )
@@ -36,6 +35,7 @@ from corpus import (
     triangle_vq,
     truncated_power_series,
 )
+from support import identity_class_is_conjugation_group
 
 
 def test_gq_of_base_field():

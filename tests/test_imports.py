@@ -1,5 +1,6 @@
 """No module of the package keeps a module-level import that nothing uses,
-and no function, class or method that nothing names; every name that the
+and no function, class or method that nothing in the package or the
+benchmark names, apart from an allowlist of public names; every name that the
 benchmark's tracer wraps still resolves; README's Errors section names
 every error code the package raises; and outside `exactlin` an element is
 converted between its sparse and dense forms only in the dense views."""
@@ -93,14 +94,34 @@ def test_the_check_finds_a_dead_definition():
         ("lib", 4, "dead"), ("lib", 12, "rec")]
 
 
+# Definitions that nothing in the package or the benchmark names, kept on
+# purpose, by module and name, each with its reason.  A reference from the
+# tests alone does not keep a definition in the package.
+KEPT = {
+    "exactlin.invert": "public: README documents it",
+    "gabriel.coordinate_map": "public: README documents it",
+    "gabriel.inner_conjugation_witness": "public: README documents it",
+    "exactlin.copy": "Mat.copy, a public method of the exported Mat",
+    "exactlin.from_rows": "Mat.from_rows, a public method of the exported Mat",
+    **{f"homsets.{name}": "public: one of README's brute-force helpers"
+       for name in ("enumerate_vquiver_maps", "enumerate_path_algebra_morphisms",
+                    "enumerate_linear_morphisms", "congruence_classes")},
+    **{f"generators.{name}": "public: one of README's brute-force helpers"
+       for name in ("random_vquiver", "random_relation_ideal",
+                    "random_identity_class_automorphism")},
+}
+
+
 def test_no_dead_definitions():
     def texts(root, pattern):
         return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
                 for p in sorted(root.glob(pattern))}
 
-    defining = texts(SRC, "*.py")
-    others = {**texts(ROOT / "tests", "*.py"), **texts(ROOT / "perfbench", "*.py")}
-    assert dead_definitions(defining, others) == []
+    dead = dead_definitions(texts(SRC, "*.py"), texts(ROOT / "perfbench", "*.py"))
+    found = {f"{Path(label).stem}.{name}" for label, _line, name in dead}
+    assert sorted(found - set(KEPT)) == []
+    # an entry whose definition is gone or is named again leaves the list
+    assert sorted(set(KEPT) - found) == []
 
 
 def test_every_name_the_tracer_wraps_resolves():

@@ -32,6 +32,7 @@ from corpus import (
     two_point_vq,
 )
 from dense_oracle import vec_zero
+from support import paths_of_length_at_least
 
 
 def test_no_arrow_vquiver_gives_product_of_fields():
@@ -79,7 +80,7 @@ def test_radical_layers_are_path_length_layers():
     for vq, level in [(triangle_vq(), 3), (loop_vq(), 4), (double_loop_vq(), 3)]:
         t = build_kvq(QQ, vq, level)
         for m in range(level + 1):
-            assert t.carrier.radical_power(m) == t.paths_of_length_at_least(m)
+            assert t.carrier.radical_power(m) == paths_of_length_at_least(t, m)
 
 
 def test_dimension_matches_walk_count():
@@ -393,7 +394,7 @@ def test_acyclic_level_stops_at_the_longest_path():
     small = build_kvq(QQ, triangle_vq(), 3)
     assert t.carrier.same_as(small.carrier)
     assert t.carrier.radical_filtration == small.carrier.radical_filtration
-    assert t.paths_of_length_at_least(2) == small.paths_of_length_at_least(2)
+    assert paths_of_length_at_least(t, 2) == paths_of_length_at_least(small, 2)
 
 
 def test_build_kvq_allocates_no_dense_table():

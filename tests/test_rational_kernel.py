@@ -32,6 +32,15 @@ class FractionQ(RationalField):
     def of(self, x):
         return Fraction(x)
 
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")

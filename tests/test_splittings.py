@@ -35,6 +35,7 @@ from corpus import (
 )
 import dense_oracle as dense
 from dense_oracle import peirce_complements
+from support import s_apply
 from test_algebra import _dense_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,7 +103,7 @@ def test_splitting_is_section():
             coords = [QQ.of(0)] * split.rank if a.field.char == 0 else \
                 [a.field.zero] * split.rank
             coords[pos] = a.field.one
-            assert split.s_apply(coords) == e
+            assert s_apply(split, coords) == e
         # t lands in J and complements J^2 blockwise
         j1, j2 = a.radical, a.radical_power(2)
         total = 0

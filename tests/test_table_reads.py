@@ -1,15 +1,16 @@
-"""Products of basis vectors read off the table, against the products.
+"""Admission's checks on the products, against the product oracles.
 
-Admission's idempotent and Peirce-block checks, the quotient table and the
-counit read the products of one-term generators straight off the structure
-constants, and fall back to the products for any other input.  Each test
-here compares one of them with the product path it replaced, kept in
-`dense_oracle`, on corpus inputs and on inputs mutated to fail, in Q, F2,
-F5 and F101.  Raw sparse tables are refused when malformed and stored in
-the canonical form, with every value read through the field, and the
-counit, `check_sim_n` and `factor_delta` at the size bound and `check
-adjunction` at dim 126 finish in bounded CPU time; `check_sim_n` makes
-one membership test per generator at every level.
+Admission's idempotent and Peirce-block checks multiply out every product,
+apart from one read: when each idempotent is a basis vector, as vertex
+idempotents are, `orthogonal_idempotents` reads their products off the
+structure constants.  The quotient table combines every entry over the
+projection's columns.  Each test here compares one of them with the product
+path kept in `dense_oracle`, on corpus inputs and on inputs mutated to fail,
+in Q, F2, F5 and F101.  Raw sparse tables are refused when malformed and
+stored in the canonical form, with every value read through the field, and
+the counit, `check_sim_n` and `factor_delta` at the size bound and `check
+adjunction` at dim 126 finish in bounded CPU time; `check_sim_n` makes one
+membership test per generator at every level.
 """
 
 import random
@@ -37,6 +38,7 @@ from corpus import (
     two_vq,
     upper_triangular,
 )
+from support import is_identity
 from test_certificates import _presented_cases
 from test_sparse_echelon import _changed_basis_cases, _corpus_path_algebras, _top_layer_quotients
 
@@ -164,37 +166,14 @@ def test_presentation_checks_match_the_product_oracle(field):
                 (name, kind)
             ref = _outcome(dense.verify_presentation, field, sc, unit, es, xs)
             assert _outcome(_verify_presentation, field, sc, unit, es, xs) == ref, (name, kind)
-            one_term = alg._basis_indices(field.one, es) is not None
             what = ref[0] if ref[0] == "ok" else ref[1].split(" ", 2)[-1]
             if what.endswith("are not orthogonal"):
                 what = _sides(field, sc, es, ref[1])
-            seen.add((one_term, what))
-    # every check failed first on the table read and on the products, and
-    # two one-term idempotents met on the left only and on the right only
-    for one_term in (True, False):
-        assert {(one_term, w) for w in ("ok", "is not idempotent", "do not sum to 1",
-                                        "does not lie in one Peirce block")} <= seen
-    assert {(True, (True, False)), (True, (False, True))} <= seen
-
-
-def test_path_algebras_are_admitted_with_no_product(monkeypatch):
-    def mul_raw(*args):
-        raise AssertionError("a table read multiplied")
-
-    for field in FIELDS:
-        with monkeypatch.context() as m:
-            m.setattr(alg, "_mul_raw", mul_raw)
-            paths = _corpus_path_algebras(field)
-        # closing and dividing by an ideal multiply; the quotient's
-        # presentation check reads the table
-        quotients = [(f"{name}_mod_{kind}", q) for name, t in paths
-                     for kind, q in _top_layer_quotients(t)]
-        assert len(quotients) >= 10
-        with monkeypatch.context() as m:
-            m.setattr(alg, "_mul_raw", mul_raw)
-            for name, q in quotients:
-                _name, sc, unit, idems, arrows = _as_is(name, q)
-                assert _verify_presentation(field, sc, unit, idems, arrows) == len(idems), name
+            seen.add(what)
+    # every check failed first, and two idempotents met on the left only and
+    # on the right only
+    assert {"ok", "is not idempotent", "do not sum to 1", "does not lie in one Peirce block",
+            (True, False), (False, True)} <= seen
 
 
 # -- quotient tables -------------------------------------------------------------
@@ -417,7 +396,7 @@ def test_morphism_matrices_are_read_through_the_field():
     m = el.Mat.identity(F5, a.dim)
     m.data[1][1], m.data[0][2] = 6, 5
     f = qk.validate_morphism(a, a, m)
-    assert f == ident and f.is_identity() and f.matrix == ident.matrix
+    assert f == ident and is_identity(f) and f.matrix == ident.matrix
     m.data[2][0] = Fraction(1, 5)
     with pytest.raises(QuivkitError) as exc:
         qk.validate_morphism(a, a, m)
