@@ -14,6 +14,7 @@ from quivkit.algebra import (
     ideal_subspace,
     induced_on_quotient,
     presented_algebra,
+    table_algebra,
 )
 from quivkit.dsl import parse
 from quivkit.errors import QuivkitError
@@ -144,6 +145,21 @@ def test_presented_unit_check_matches_the_product_oracle(field):
             else:
                 assert presented_algebra(*args).same_as(a), name
     assert failed >= 100
+
+
+def test_a_unit_fixing_generators_that_do_not_span_fails_their_certificate():
+    # k^2 presented by the one class e1, with unit e1: the unit fixes every
+    # generator, so the failure is the certificate's; the raw table that
+    # scans the basis fails the unit on b1
+    sc = [[((0, 1),), ()], [(), ((1, 1),)]]
+    with pytest.raises(QuivkitError) as exc:
+        presented_algebra(QQ, ["e1", "e2"], sc, {0: 1}, el.Subspace.span(QQ, 2, []),
+                          [{0: 1}], [])
+    assert (exc.value.code, exc.value.message) == (
+        "NOT_POINTED", "1 of 1 classes are nonzero, dim A/J is 2")
+    with pytest.raises(QuivkitError) as exc:
+        table_algebra(QQ, ["e1", "e2"], sc, {0: 1})
+    assert (exc.value.code, exc.value.message) == ("UNIT_FAIL", "unit fails on basis element 1")
 
 
 def test_field_extension_not_pointed():

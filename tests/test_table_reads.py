@@ -166,14 +166,18 @@ def test_presentation_checks_match_the_product_oracle(field):
                 (name, kind)
             ref = _outcome(dense.verify_presentation, field, sc, unit, es, xs)
             assert _outcome(_verify_presentation, field, sc, unit, es, xs) == ref, (name, kind)
+            one_term = all(len(e) == 1 and field.one in e.values() for e in es)
             what = ref[0] if ref[0] == "ok" else ref[1].split(" ", 2)[-1]
             if what.endswith("are not orthogonal"):
                 what = _sides(field, sc, es, ref[1])
-            seen.add(what)
-    # every check failed first, and two idempotents met on the left only and
-    # on the right only
-    assert {"ok", "is not idempotent", "do not sum to 1", "does not lie in one Peirce block",
-            (True, False), (False, True)} <= seen
+            seen.add((one_term, what))
+    # each idempotent check failed first on the table read and on the
+    # products, the Peirce-block check failed first, and two one-term
+    # idempotents met on the left only and on the right only
+    for one_term in (True, False):
+        assert {(one_term, w) for w in ("ok", "is not idempotent", "do not sum to 1")} <= seen
+    assert any(w == "does not lie in one Peirce block" for _t, w in seen)
+    assert {(True, (True, False)), (True, (False, True))} <= seen
 
 
 # -- quotient tables -------------------------------------------------------------
