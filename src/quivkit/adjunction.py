@@ -17,8 +17,8 @@ from .algebra import (
     FinAlgebra,
     IdealSubspace,
     _combine,
+    _ideal,
     identity_morphism,
-    ideal_subspace,
     induced_on_quotient,
     is_relation_ideal,
     quotient_algebra,
@@ -162,7 +162,7 @@ def counit(a: FinAlgebra, *, level: int = None,
     arrows = {lab: x for pair, labs in gq_a.vquiver.spaces.items()
               for lab, x in zip(labs, bases[pair])}
     eps = universal_map(t, a, idems, arrows)
-    return CounitResult(eps, IdealSubspace(t.carrier, eps.kernel()), t, gq_a)
+    return CounitResult(eps, _ideal(t.carrier, eps.kernel()), t, gq_a)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
 
 def apply_to_ideal(delta: AlgMorphism, ideal: IdealSubspace) -> IdealSubspace:
     """Image of an ideal under an automorphism."""
-    return ideal_subspace(delta.target, delta.image_of(ideal.space))
+    return IdealSubspace(delta.target, delta.image_of(ideal.space))
 
 
 def gamma(delta: AlgMorphism, pi_i: AlgMorphism, pi_iprime: AlgMorphism,

@@ -50,7 +50,8 @@ class FinAlgebra:
     `truncation_level` is the least n with J^n = 0.  `ss_classes` are
     primitive orthogonal idempotents summing to 1, one for each copy of k in
     A/J; each of the `arrows` lies in one Peirce block of theirs, and the
-    words in the arrows span J.
+    words in the arrows span J.  `arrow_blocks[k]` is the block (s, t) that
+    admission found arrow k in, x = e_t x e_s for e = `ss_classes`.
 
     An element is a sparse vector {index: nonzero value}.  `unit`,
     `ss_classes`, `arrows` and every element quivkit stores, passes or
@@ -61,10 +62,10 @@ class FinAlgebra:
 
     __slots__ = ("field", "dim", "basis_labels", "structconst", "unit",
                  "radical_filtration", "truncation_level", "ss_classes",
-                 "arrows", "_label_index", "_gq_cache")
+                 "arrows", "arrow_blocks", "_label_index", "_gq_cache")
 
     def __init__(self, field, basis_labels, structconst, unit,
-                 radical_filtration, ss_classes, arrows):
+                 radical_filtration, ss_classes, arrows, arrow_blocks):
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
@@ -74,6 +75,7 @@ class FinAlgebra:
         self.truncation_level = len(radical_filtration) - 1
         self.ss_classes = ss_classes
         self.arrows = arrows
+        self.arrow_blocks = arrow_blocks
         self._label_index = {lab: i for i, lab in enumerate(basis_labels)}
         self._gq_cache = None
 
@@ -128,11 +130,22 @@ class FinAlgebra:
 
 
 class IdealSubspace:
-    """A two-sided ideal of a FinAlgebra, held as a Subspace."""
+    """A two-sided ideal of a FinAlgebra, held as a Subspace.
+
+    Every IdealSubspace is an ideal.  The constructor admits a subspace:
+    BAD_SHAPE for a wrong ambient dimension, NOT_AN_IDEAL unless it is
+    closed under the generators on both sides.  A construction whose result
+    is an ideal by how it is made (`ideal_generated_by`, the counit's
+    kernel) builds one with `_ideal`, unchecked.
+    """
 
     __slots__ = ("parent", "space")
 
     def __init__(self, parent: FinAlgebra, space: Subspace):
+        if space.ambient_dim != parent.dim:
+            raise QuivkitError("BAD_SHAPE", "ideal ambient dimension mismatch")
+        if not _closed_under(parent.field, parent.structconst, parent.generators(), space):
+            raise QuivkitError("NOT_AN_IDEAL", "subspace is not a two-sided ideal")
         self.parent = parent
         self.space = space
 
@@ -150,6 +163,13 @@ class IdealSubspace:
 
     def __repr__(self):
         return f"IdealSubspace(dim={self.dim})"
+
+
+def _ideal(parent: FinAlgebra, space: Subspace) -> IdealSubspace:
+    """The IdealSubspace of a subspace that is an ideal by construction."""
+    ideal = object.__new__(IdealSubspace)
+    ideal.parent, ideal.space = parent, space
+    return ideal
 
 
 class AlgMorphism:
@@ -580,20 +600,29 @@ def orthogonal_idempotents(field, sc, unit, terms, code, names):
 
 
 def _verify_presentation(field, sc, unit, idem_terms, arrows):
-    """Check that the idempotents are orthogonal, sum to 1 and that each
-    arrow lies in exactly one Peirce block e_t A e_s of theirs; return how
-    many idempotents are nonzero."""
+    """Check that the idempotents are orthogonal, sum to u = `unit` and that
+    each arrow x lies in exactly one Peirce block e_t A e_s of theirs, with
+    e_t x = x = x e_s; return how many idempotents are nonzero and the block
+    (s, t) of each arrow.
+
+    The sum over t of e_t x is u x, so the last check says u x = x = x u;
+    u e = e = e u holds for orthogonal idempotents e summing to u.  It is
+    UNIT_FAIL, which `presented_algebra` names on the basis, and cannot fail
+    once u is known to be the unit."""
     count = orthogonal_idempotents(field, sc, unit, idem_terms, "NOT_POINTED",
                                    [f"class {i}" for i in range(len(idem_terms))])
+    blocks = []
     for k, xt in enumerate(arrows):
-        # with sum e_t = 1, one nonzero e_t x and one nonzero x e_s give
-        # x = e_t x = x e_s = e_t x e_s
-        left = sum(1 for et in idem_terms if _mul_raw(field, sc, et, xt))
-        right = sum(1 for et in idem_terms if _mul_raw(field, sc, xt, et))
-        if left != 1 or right != 1:
+        left = [(t, p) for t, et in enumerate(idem_terms) if (p := _mul_raw(field, sc, et, xt))]
+        right = [(s, p) for s, es in enumerate(idem_terms) if (p := _mul_raw(field, sc, xt, es))]
+        if len(left) != 1 or len(right) != 1:
             raise QuivkitError("BIMODULE_CONDITION_FAIL",
                                f"arrow {k} does not lie in one Peirce block")
-    return count
+        (t, tx), (s, xs) = left[0], right[0]
+        if tx != xt or xs != xt:
+            raise QuivkitError("UNIT_FAIL", f"unit fails on arrow {k}")
+        blocks.append((s, t))
+    return count, blocks
 
 
 def _basis_certificate(field, dim, sc, radical, classes):
@@ -626,7 +655,7 @@ def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebr
     basis checks.
     """
     dim = len(basis_labels)
-    count = _verify_presentation(field, sc, unit, classes, arrows)
+    count, blocks = _verify_presentation(field, sc, unit, classes, arrows)
     filtration = _radical_filtration(field, dim, sc, arrows)
     if filtration[1] != radical:
         _basis_certificate(field, dim, sc, radical, classes)
@@ -636,7 +665,7 @@ def _admit(field, basis_labels, sc, unit, radical, classes, arrows) -> FinAlgebr
     if not count == len(classes) == dim - radical.dim:
         raise QuivkitError("NOT_POINTED", f"{count} of {len(classes)} classes are "
                                           f"nonzero, dim A/J is {dim - radical.dim}")
-    return FinAlgebra(field, basis_labels, sc, unit, filtration, classes, arrows)
+    return FinAlgebra(field, basis_labels, sc, unit, filtration, classes, arrows, blocks)
 
 
 def validate_algebra(field, basis_labels, structconst, unit) -> FinAlgebra:
@@ -730,17 +759,21 @@ def presented_algebra(field, basis_labels, terms, unit, radical, classes,
     unit and the radical are re-verified, so a construction can never smuggle
     in a wrong one.
 
-    The unit is checked on the generators G only: u g = g = g u for each g
-    in G.  That is enough.  `_verify_presentation` checks that the classes
-    sum to u, and a u that fixes each generator fixes every word in G on
-    both sides.  `_admit` then proves that the words in G span A, so u is
-    the unit.  Only when u fails on G is the basis scanned, to name the
-    first b_j it fails on, as `table_algebra` does.
+    The unit is read off the products `_verify_presentation` makes: the
+    classes are orthogonal idempotents summing to u, so u fixes each class,
+    and e_t x = x = x e_s for each arrow x in its block e_t A e_s says that
+    u fixes x.  A u that fixes each generator in G fixes every word in G on
+    both sides, and `_admit` proves that the words in G span A, so u is the
+    unit.  Only when admission fails is u tested on G, and when it fails
+    there the basis is scanned to name the first b_j it fails on, as
+    `table_algebra` does, so a unit failure comes before every other.
     """
-    # kept for speed: scanning the basis slows build_kvq of TWO at dim 254 by 28%
-    if _first_unfixed(field, terms, unit, classes + arrows) is not None:
-        _check_unit(field, len(basis_labels), terms, unit)
-    return _admit(field, basis_labels, terms, unit, radical, classes, arrows)
+    try:
+        return _admit(field, basis_labels, terms, unit, radical, classes, arrows)
+    except QuivkitError:
+        if _first_unfixed(field, terms, unit, classes + arrows) is not None:
+            _check_unit(field, len(basis_labels), terms, unit)
+        raise
 
 
 def radical(a: FinAlgebra) -> Subspace:
@@ -824,15 +857,6 @@ def image_of_radical_check(alpha: AlgMorphism) -> bool:
 # ideals and quotients
 # ---------------------------------------------------------------------------
 
-def ideal_subspace(a: FinAlgebra, space: Subspace) -> IdealSubspace:
-    """Admit a subspace as a two-sided ideal (error NOT_AN_IDEAL otherwise)."""
-    if space.ambient_dim != a.dim:
-        raise QuivkitError("BAD_SHAPE", "ideal ambient dimension mismatch")
-    if not _closed_under(a.field, a.structconst, a.generators(), space):
-        raise QuivkitError("NOT_AN_IDEAL", "subspace is not a two-sided ideal")
-    return IdealSubspace(a, space)
-
-
 def ideal_generated_by(a: FinAlgebra, vectors) -> IdealSubspace:
     """Two-sided ideal closure of a list of elements: the least subspace
     holding them that is closed under the generators on both sides.  The
@@ -853,7 +877,7 @@ def ideal_generated_by(a: FinAlgebra, vectors) -> IdealSubspace:
             for prod in (_mul_raw(f, sc, g, v), _mul_raw(f, sc, v, g)):
                 if ech.insert(dict(prod)):
                     todo.append(prod)
-    return IdealSubspace(a, ech.subspace(a.dim))
+    return _ideal(a, ech.subspace(a.dim))
 
 
 def induced_on_quotient(pi: AlgMorphism, h: AlgMorphism) -> AlgMorphism:
@@ -888,8 +912,6 @@ def quotient_algebra(a: FinAlgebra, ideal: IdealSubspace):
     if not a.same_as(ideal.parent):
         raise QuivkitError("BAD_ARGUMENT", "ideal belongs to a different algebra")
     f = a.field
-    if not _closed_under(f, a.structconst, a.generators(), ideal.space):
-        raise QuivkitError("NOT_AN_IDEAL", "quotient by a non-ideal")
     idx, sc, cols = _quotient_table(f, a.structconst, ideal.space)
     qdim = len(idx)
     if qdim == 0:

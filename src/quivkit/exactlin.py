@@ -258,18 +258,6 @@ def vec_unit(field, n, i):
     return v
 
 
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(field, c, u):
-    return [field.mul(c, a) for a in u]
-
-
 def vec_is_zero(field, u):
     return not any(u)
 
@@ -387,20 +375,6 @@ class Mat:
         ocols = other.transpose().data
         data = [[dot(f, row, c) for c in ocols] for row in self.data]
         return Mat(f, self.rows, other.cols, data)
-
-    def add(self, other: "Mat") -> "Mat":
-        f = self.field
-        return Mat(f, self.rows, self.cols,
-                   [vec_add(f, r1, r2) for r1, r2 in zip(self.data, other.data)])
-
-    def sub(self, other: "Mat") -> "Mat":
-        f = self.field
-        return Mat(f, self.rows, self.cols,
-                   [vec_sub(f, r1, r2) for r1, r2 in zip(self.data, other.data)])
-
-    def scale(self, c) -> "Mat":
-        f = self.field
-        return Mat(f, self.rows, self.cols, [vec_scale(f, c, r) for r in self.data])
 
     def transpose(self) -> "Mat":
         return Mat(self.field, self.cols, self.rows,
@@ -626,6 +600,8 @@ def _as_sparse(field, n, v, name="vector"):
             raise QuivkitError("BAD_SHAPE", f"{name} has length {size}, expected {n}")
     out = {}
     for k, x in items:
+        if type(x) is int and not x:  # the int 0 is every field's zero
+            continue
         x = _field_value(field, x, f"{name} entry %d", k)
         if x:
             out[k] = x

@@ -135,9 +135,10 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
     """Build a splitting; deterministic given the algebra.
 
     The section of J -> J/J^2 is read off the admitted arrows: each lies in
-    one Peirce block e_j A e_i, keyed (i, j), and their words span J, so the
-    arrows independent of J^2 and of those kept before them are a blockwise
-    basis of J/J^2.  `conjugate_by` (an element of J, dense or sparse)
+    one Peirce block e_j A e_i, keyed (i, j) as `a.arrow_blocks` holds it
+    (conjugation keeps it), and their words span J, so the arrows
+    independent of J^2 and of those kept before them are a blockwise basis
+    of J/J^2.  `conjugate_by` (an element of J, dense or sparse)
     conjugates idempotents and arrows under 1+w, and `t_shift` perturbs the
     section by adding elements of the J^2 block; both knobs produce a
     different but equally valid splitting, which downstream independence
@@ -151,12 +152,10 @@ def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitti
         conj = conjugation(a, conjugate_by)
         elements, arrows = list(map(conj, elements)), list(map(conj, arrows))
         idems = IdempotentSet(a, elements)
-    f, sc, j2 = a.field, a.structconst, a.radical_power(2)
+    f, j2 = a.field, a.radical_power(2)
     ech, kept = Echelon(f, j2), {}
-    for x in arrows:
+    for x, key in zip(arrows, a.arrow_blocks):
         if ech.insert(dict(x)):
-            key = (next(i for i, e in enumerate(elements) if _mul_raw(f, sc, x, e)),
-                   next(j for j, e in enumerate(elements) if _mul_raw(f, sc, e, x)))
             kept.setdefault(key, []).append(x)
     blocks = dict(sorted(kept.items()))
     if t_shift is not None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.vquiver import VQuiver
+from dense_oracle import vec_add, vec_sub
 
 QQ = qk.QQ
 F2 = qk.GF(2)
@@ -185,7 +186,7 @@ def remark_pair(field=QQ):
     a = t_tgt.carrier
     e1, e2, x = a.element("e1"), a.element("e2"), a.element("x")
     col_a = [e1, e2]
-    col_b = [el.vec_add(field, e1, x), el.vec_sub(field, e2, x)]
+    col_b = [vec_add(field, e1, x), vec_sub(field, e2, x)]
     alpha = qk.validate_morphism(t_src.carrier, a,
                                  el.Mat.from_cols(field, col_a, rows=3))
     beta = qk.validate_morphism(t_src.carrier, a,

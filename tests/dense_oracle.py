@@ -18,7 +18,13 @@ basis: u b_j and b_j u by `_mul_raw` for each basis vector b_j, which a
 construction's unit, checked on its generators, must fail alike.
 `orthogonal` and `verify_presentation` are admission's idempotent and
 Peirce-block checks with every product by `_mul_raw`, and no table read;
-`quotient_table` is A/I's table with every entry combined over the
+`arrow_blocks` finds each arrow's Peirce block by multiplying, as
+`make_splitting` did before admission stored the blocks, and
+`presented_algebra` checks a construction's unit on its own products,
+generators first, as it did before it read the check off the
+presentation's.  `is_ideal` tests closure under every basis vector, and
+`as_sparse` reads every value of a vector through the field, the int 0
+too.  `quotient_table` is A/I's table with every entry combined over the
 columns of the projection `quotient_basis` solves.
 `matvec`, `matmul`, `rank` and `check_sim_n` are the dense operations an
 `AlgMorphism` ran on its matrix before it held sparse columns: products by
@@ -28,8 +34,9 @@ image of every radical layer, as it did before it was decided at n = 1.
 `conjugating_element` stacks dense products over a basis of J, and
 `inner_conjugation_witness` solves it over the pairs (delta(b), b) for
 every basis vector b, as both did before they took sparse products and
-the generators.  `vec_zero` and `vec_combination` are the dense vector
-helpers no code in the package calls any more, and `as_dense` writes an
+the generators.  `vec_zero`, `vec_add`, `vec_sub`, `vec_scale`,
+`vec_combination`, `mat_sub` and `mat_scale` are the dense vector and
+matrix helpers no code in the package calls any more, and `as_dense` writes an
 element, dense or sparse, as a dense list.  `table_generators`,
 `vqmap_generator_images`, `conjugation` and `eval_expr` make the dense
 elements quivkit made before it held every element as a sparse dict: a
@@ -40,6 +47,7 @@ images, conjugates and DSL expressions.
 import quivkit.exactlin as el
 from quivkit.adjunction import apply_to_ideal, gamma
 from quivkit.algebra import (
+    _admit,
     _combine,
     _mul_raw,
     _peirce_blocks,
@@ -57,6 +65,29 @@ from quivkit.vquiver import POINT
 
 def vec_zero(field, n):
     return [field.zero] * n
+
+
+def vec_add(field, u, v):
+    return [field.add(a, b) for a, b in zip(u, v)]
+
+
+def vec_sub(field, u, v):
+    return [field.sub(a, b) for a, b in zip(u, v)]
+
+
+def vec_scale(field, c, u):
+    return [field.mul(c, a) for a in u]
+
+
+def mat_sub(m, n):
+    """The dense matrix m - n."""
+    return el.Mat(m.field, m.rows, m.cols,
+                  [vec_sub(m.field, r1, r2) for r1, r2 in zip(m.data, n.data)])
+
+
+def mat_scale(m, c):
+    """The dense matrix c m."""
+    return el.Mat(m.field, m.rows, m.cols, [vec_scale(m.field, c, r) for r in m.data])
 
 
 def vec_combination(field, n, coeffs, vecs):
@@ -184,7 +215,7 @@ def rank(m):
 def check_sim_n(alpha, beta, n):
     """(alpha - beta)(J^m(A)) in J^(m+1)(B) for every m <= n, on the dense
     difference of the matrices."""
-    diff = alpha.matrix.sub(beta.matrix)
+    diff = mat_sub(alpha.matrix, beta.matrix)
     src, tgt = alpha.source, alpha.target
     for m in range(min(n + 1, src.truncation_level)):
         images = diff.columns() if m == 0 else \
@@ -218,9 +249,9 @@ def conjugating_element(a, pairs):
     f = a.field
     pairs = [(as_dense(a, p), as_dense(a, q)) for p, q in pairs]
     jbasis = a.radical.basis
-    cols = [[x for p, q in pairs for x in el.vec_sub(f, a.mul(jb, q), a.mul(p, jb))]
+    cols = [[x for p, q in pairs for x in vec_sub(f, a.mul(jb, q), a.mul(p, jb))]
             for jb in jbasis]
-    rhs = [x for p, q in pairs for x in el.vec_sub(f, p, q)]
+    rhs = [x for p, q in pairs for x in vec_sub(f, p, q)]
     sol = solve_multi(el.Mat.from_cols(f, cols, rows=len(rhs)), [rhs])[0]
     return None if sol is None else vec_combination(f, a.dim, sol, jbasis)
 
@@ -267,7 +298,7 @@ def complement(field, n, ambient, sub):
         pc = next((k for k, x in enumerate(rem) if x), None)
         if pc is not None:
             added.append(row)
-            rows.append(el.vec_scale(field, field.inv(rem[pc]), rem))
+            rows.append(vec_scale(field, field.inv(rem[pc]), rem))
             pivots.append(pc)
     return echelon(field, n, added)
 
@@ -441,6 +472,54 @@ def verify_presentation(field, sc, unit_terms, idem_terms, arrows):
     return count
 
 
+def arrow_blocks(field, sc, idem_terms, arrows):
+    """The block (s, t) of each arrow x, as `make_splitting` found it by
+    multiplying: the first s with x e_s != 0 and the first t with e_t x != 0."""
+    return [(next(s for s, e in enumerate(idem_terms) if _mul_raw(field, sc, x, e)),
+             next(t for t, e in enumerate(idem_terms) if _mul_raw(field, sc, e, x)))
+            for x in arrows]
+
+
+def presented_algebra(field, labels, sc, unit, radical, classes, arrows):
+    """`presented_algebra` with the unit checked first on its own products:
+    u g = g = g u for each generator g, the basis scanned after a failure to
+    name the first b_j, then `_admit`."""
+    if any(_mul_raw(field, sc, unit, g) != g or _mul_raw(field, sc, g, unit) != g
+           for g in classes + arrows):
+        check_unit(field, len(labels), sc, el.dense(field, len(labels), unit))
+    return _admit(field, labels, sc, unit, radical, classes, arrows)
+
+
+def is_ideal(a, space):
+    """Closure of `space` under every basis vector on both sides."""
+    return all(space.contains(a.mul(a.basis_vector(i), v))
+               and space.contains(a.mul(v, a.basis_vector(i)))
+               for v in space.basis for i in range(a.dim))
+
+
+def as_sparse(field, n, v, name="vector"):
+    """`exactlin._as_sparse` with every value read through the field."""
+    if isinstance(v, dict):
+        bad = [k for k in v if type(k) is not int or not 0 <= k < n]
+        if bad:
+            raise QuivkitError("BAD_SHAPE", f"{name} names index {bad[0]!r}, "
+                                            f"outside 0..{n - 1}")
+        items = v.items()
+    else:
+        try:
+            size, items = len(v), enumerate(v)
+        except TypeError:
+            raise QuivkitError("BAD_ARGUMENT", f"{name} {v!r} is not a vector") from None
+        if size != n:
+            raise QuivkitError("BAD_SHAPE", f"{name} has length {size}, expected {n}")
+    out = {}
+    for k, x in items:
+        x = el._field_value(field, x, f"{name} entry %d", k)
+        if x:
+            out[k] = x
+    return out
+
+
 def quotient_table(field, sc, sub):
     """A/sub, for a subspace `sub` of A with table `sc`, as
     (idx, table, proj, cols).
@@ -493,9 +572,9 @@ def table_generators(field, dim, sc, unit, j_space):
                 piece = u
                 for other in roots:
                     if other != r_val:
-                        shifted = el.vec_sub(field, y, el.vec_scale(field, other, u))
-                        piece = el.vec_scale(field, field.inv(field.sub(r_val, other)),
-                                             qmul(piece, shifted))
+                        shifted = vec_sub(field, y, vec_scale(field, other, u))
+                        piece = vec_scale(field, field.inv(field.sub(r_val, other)),
+                                          qmul(piece, shifted))
                 new_idems.append(piece)
         idems = new_idems
     idems.sort(key=tuple)
@@ -513,10 +592,10 @@ def table_generators(field, dim, sc, unit, j_space):
             sq = dense_mul(field, sc, x, x)
             if sq == x:
                 break
-            x = el.vec_sub(field, el.vec_scale(field, three, sq),
-                           el.vec_scale(field, two, dense_mul(field, sc, sq, x)))
+            x = vec_sub(field, vec_scale(field, three, sq),
+                        vec_scale(field, two, dense_mul(field, sc, sq, x)))
         lifted.append(x)
-        frame = el.vec_sub(field, frame, x)
+        frame = vec_sub(field, frame, x)
     blocks = _peirce_blocks(field, dim, sc, [sparse(e) for e in lifted], j_space)
     return classes, lifted, [v for block in blocks.values() for v in block.basis]
 
@@ -541,12 +620,12 @@ def conjugation(a, w):
     """x -> (1+w) x (1+w)^{-1} on dense vectors, by dense products, with the
     inverse summed as the geometric series."""
     f, unit = a.field, as_dense(a, a.unit)
-    one_plus, inv, term = el.vec_add(f, unit, w), unit, unit
+    one_plus, inv, term = vec_add(f, unit, w), unit, unit
     for _ in range(a.truncation_level + 1):
-        term = el.vec_scale(f, f.neg(f.one), a.mul(term, w))
+        term = vec_scale(f, f.neg(f.one), a.mul(term, w))
         if el.vec_is_zero(f, term):
             break
-        inv = el.vec_add(f, inv, term)
+        inv = vec_add(f, inv, term)
     return lambda x: a.mul(one_plus, a.mul(x, inv))
 
 

@@ -31,6 +31,7 @@ from quivkit.homsets import (
 from quivkit.pathalg import build_kvq, universal_map
 from quivkit.vquiver import POINT, VQuiver, VQuiverMap
 
+from dense_oracle import vec_add
 from corpus import (
     QQ,
     F2,
@@ -60,7 +61,7 @@ def test_criterion_1_triangle_fixture():
     t = qk.build_kvq(QQ, triangle_vq(), 3)
     a = t.carrier
     idem = {v: t.idempotent(v) for v in t.vq.vertices}
-    arrows = {"a": el.vec_add(QQ, a.element("a"), a.element("cb")),
+    arrows = {"a": vec_add(QQ, a.element("a"), a.element("cb")),
               "b": a.element("b"), "c": a.element("c")}
     aut = universal_map(t, a, idem, arrows)
     assert qk.check_sim(aut, qk.identity_morphism(a), 1)

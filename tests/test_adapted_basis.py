@@ -17,8 +17,7 @@ import pytest
 import quivkit as qk
 from quivkit.adjunction import conjugation_automorphism
 from quivkit.algebra import identity_morphism, validate_morphism
-from quivkit.exactlin import (Mat, invert, solve, solve_multi, vec_add,
-                              vec_is_zero, vec_sub, vec_unit)
+from quivkit.exactlin import Mat, invert, solve, solve_multi, vec_is_zero, vec_unit
 from quivkit.gabriel import gq0, pointed_set
 from quivkit.generators import (random_identity_class_automorphism,
                                 random_padm_morphism, random_radical_element,
@@ -39,7 +38,7 @@ from corpus import (
     truncated_power_series,
     vq_corpus,
 )
-from dense_oracle import as_dense, vec_combination, vec_zero
+from dense_oracle import as_dense, vec_add, vec_combination, vec_sub, vec_zero
 
 F101 = qk.GF(101)
 

@@ -20,6 +20,7 @@ from quivkit.pathalg import build_kvq, kvq_on_map, universal_map
 from quivkit.vquiver import POINT, VQuiver, VQuiverMap, compose_vq, identity_vqmap
 
 import dense_oracle
+from dense_oracle import vec_add, vec_scale
 from corpus import (
     QQ,
     F3,
@@ -41,7 +42,7 @@ from support import is_identity
 def _triangle_aut(t):
     a = t.carrier
     idem = {v: t.idempotent(v) for v in t.vq.vertices}
-    arrows = {"a": el.vec_add(QQ, a.element("a"), a.element("cb")),
+    arrows = {"a": vec_add(QQ, a.element("a"), a.element("cb")),
               "b": a.element("b"), "c": a.element("c")}
     return universal_map(t, a, idem, arrows)
 
@@ -375,8 +376,8 @@ def test_factor_delta_recovers_automorphism():
     composite = [i for i, p in enumerate(src.paths)
                  if p.length == 2 and p.start == "1" and p.end == "2"]
     assert len(composite) == 1
-    shift_vec = el.vec_add(QQ, el.dense(QQ, src.dim, src.arrow_element(arrow_12)),
-                           src.carrier.basis_vector(composite[0]))
+    shift_vec = vec_add(QQ, el.dense(QQ, src.dim, src.arrow_element(arrow_12)),
+                        src.carrier.basis_vector(composite[0]))
     arrows = {lab: src.arrow_element(lab) for lab in src.vq.arrow_labels()}
     arrows[arrow_12] = shift_vec
     idem = {v: src.idempotent(v) for v in src.vq.vertices}
@@ -414,7 +415,7 @@ def test_factor_delta_refuses_non_congruent():
     idem = {"1": a.unit}
     f1 = universal_map(t, a, idem, {"x": a.element("x")})
     f2 = universal_map(t, a, idem,
-                       {"x": el.vec_add(QQ, a.element("x"), a.element("x"))})
+                       {"x": vec_add(QQ, a.element("x"), a.element("x"))})
     with pytest.raises(QuivkitError) as exc:
         qk.factor_delta(t, f1, f2)
     assert exc.value.code == "NOT_SIM1"
@@ -605,8 +606,8 @@ def _kinfty_cases():
     zero_two = qk.IdealOrbitClass(two, qk.ideal_generated_by(b2, []))
     idems, arrows = two.identity_images()
     shift = universal_map(two, b2, idems,
-                          dict(arrows, b=el.vec_add(QQ, el.dense(QQ, b2.dim, arrows["b"]),
-                                                    b2.element("ax"))))
+                          dict(arrows, b=vec_add(QQ, el.dense(QQ, b2.dim, arrows["b"]),
+                                                 b2.element("ax"))))
     moved_bc = apply_to_ideal(shift, bc.representative)
     assert moved_bc != bc.representative
     ident_two = identity_vqmap(two.vq, QQ)
@@ -639,8 +640,8 @@ def test_kinfty_refuses_a_witness_outside_the_identity_class():
     a = t.carrier
     cls = qk.IdealOrbitClass(t, qk.ideal_generated_by(a, [a.element("cb")]))
     idems, arrows = t.identity_images()
-    scale = universal_map(t, a, idems, dict(arrows, a=el.vec_scale(QQ, QQ.of(2),
-                                                                   el.dense(QQ, a.dim, arrows["a"]))))
+    scale = universal_map(t, a, idems, dict(arrows, a=vec_scale(QQ, QQ.of(2),
+                                                                el.dense(QQ, a.dim, arrows["a"]))))
     assert apply_to_ideal(scale, cls.representative) == cls.representative
     for side in ("witness_src", "witness_tgt"):
         witnesses = {side: (cls.representative, scale)}
@@ -653,8 +654,8 @@ def test_kinfty_refuses_a_witness_outside_the_identity_class():
 def test_same_ideal_orbit_finds_conjugated_ideal():
     t = triangle_algebra()
     a = t.carrier
-    ideal = qk.ideal_generated_by(a, [el.vec_add(QQ, a.element("a"),
-                                                 a.element("cb"))])
+    ideal = qk.ideal_generated_by(a, [vec_add(QQ, a.element("a"),
+                                              a.element("cb"))])
     base = qk.ideal_generated_by(a, [a.element("a")])
     delta = qk.same_ideal_orbit(t, base, ideal, budget=500)
     assert delta is not None

@@ -30,7 +30,7 @@ from corpus import (
     upper_triangular,
 )
 from test_algebra import _charpoly_classes, _dense_table, _presented_oracle_cases
-from dense_oracle import as_dense, vec_combination, vec_zero
+from dense_oracle import as_dense, vec_add, vec_combination, vec_scale, vec_sub, vec_zero
 
 F101 = qk.GF(101)
 F257 = qk.GF(257)
@@ -46,16 +46,16 @@ def _lift_by_mul(a, seeds):
     three, two = f.of(3), f.of(2)
     lifted, prev_sum = [], vec_zero(f, a.dim)
     for seed in seeds:
-        frame = el.vec_sub(f, as_dense(a, a.unit), prev_sum)
+        frame = vec_sub(f, as_dense(a, a.unit), prev_sum)
         x = a.mul(frame, a.mul(seed, frame))
         for _ in range(a.truncation_level.bit_length() + 2):
             sq = a.mul(x, x)
             if sq == x:
                 break
-            x = el.vec_sub(f, el.vec_scale(f, three, sq), el.vec_scale(f, two, a.mul(sq, x)))
+            x = vec_sub(f, vec_scale(f, three, sq), vec_scale(f, two, a.mul(sq, x)))
         assert a.mul(x, x) == x
         lifted.append(x)
-        prev_sum = el.vec_add(f, prev_sum, x)
+        prev_sum = vec_add(f, prev_sum, x)
     return lifted
 
 
@@ -203,7 +203,7 @@ def _through_semisimple(rng, a, b, phi):
         img = vec_zero(f, b.dim)
         for t, e in enumerate(b.ss_classes):
             if phi[t] == i:
-                img = el.vec_add(f, img, as_dense(b, e))
+                img = vec_add(f, img, as_dense(b, e))
         images.append(img)
     w = vec_combination(f, b.dim, [f.of(rng.randrange(-2, 3)) for _ in b.radical.basis],
                            b.radical.basis)

@@ -11,7 +11,6 @@ from quivkit.algebra import (
     _check_unit,
     _mul_raw,
     _semisimple_pointed_classes,
-    ideal_subspace,
     induced_on_quotient,
     presented_algebra,
     table_algebra,
@@ -27,7 +26,7 @@ from dense_oracle import (
     quotient_section,
     rref as dense_rref,
 )
-from dense_oracle import vec_combination, vec_zero
+from dense_oracle import mat_scale, mat_sub, vec_add, vec_combination, vec_scale, vec_sub, vec_zero
 from corpus import (
     QQ,
     F2,
@@ -404,8 +403,8 @@ def _loop_parallel_algebra(field):
 
 def _loop_parallel_quotient(field):
     a = _loop_parallel_algebra(field).carrier
-    rel = el.vec_sub(field, a.mul(a.element("x"), a.element("x")),
-                     a.mul(a.element("c"), a.element("a")))
+    rel = vec_sub(field, a.mul(a.element("x"), a.element("x")),
+                  a.mul(a.element("c"), a.element("a")))
     q, _pi = qk.quotient_algebra(a, qk.ideal_generated_by(a, [rel]))
     return q
 
@@ -475,7 +474,7 @@ def _quotient_cases():
     for name, a in algebra_corpus():
         for key, space in (("J2", a.radical_power(2)), ("J", a.radical)):
             if space.dim:
-                cases.append((f"{name}/{key}", a, ideal_subspace(a, space)))
+                cases.append((f"{name}/{key}", a, qk.IdealSubspace(a, space)))
     for field in (QQ, F2, F5):
         for name, a, gen in (("triangle/(a)", triangle_algebra(field).carrier, "a"),
                              ("TWO/(x)", qk.build_kvq(field, two_vq(), 3).carrier, "x"),
@@ -520,7 +519,7 @@ def test_induced_on_quotient_refuses_what_is_not_a_projection():
     a = t.carrier
     q, pi = qk.quotient_algebra(a, qk.ideal_generated_by(a, [a.element("a")]))
     # same labels, but the class of a is sent to a + cb
-    shifted = dict(t.identity_images()[1], a=el.vec_add(QQ, a.element("a"), a.element("cb")))
+    shifted = dict(t.identity_images()[1], a=vec_add(QQ, a.element("a"), a.element("cb")))
     aut = universal_map(t, a, t.identity_images()[0], shifted)
     # the table's labels are not labels of its counit's source
     cu = qk.counit(_raw_upper_triangular(QQ))
@@ -606,7 +605,7 @@ def _charpoly_classes(field, dim, sc, unit, j_space):
             ident = el.Mat.identity(field, block.dim)
             probe = ident
             for r_val in roots:
-                probe = probe.matmul(m.sub(ident.scale(r_val)))
+                probe = probe.matmul(mat_sub(m, mat_scale(ident, r_val)))
             if not probe.is_zero():
                 raise QuivkitError("NOT_POINTED", "A/J is not semisimple over k")
             if len(roots) == 1:
@@ -616,8 +615,8 @@ def _charpoly_classes(field, dim, sc, unit, j_space):
                 piece = _block_coords(block, u)
                 for other in roots:
                     if other != r_val:
-                        piece = el.vec_scale(field, field.inv(field.sub(r_val, other)),
-                                             m.sub(ident.scale(other)).matvec(piece))
+                        piece = vec_scale(field, field.inv(field.sub(r_val, other)),
+                                          mat_sub(m, mat_scale(ident, other)).matvec(piece))
                 new_idems.append(vec_combination(field, qdim, piece, block.basis))
         idems = [u for u in new_idems if any(u)]
     assert len(idems) == qdim
@@ -831,7 +830,7 @@ def test_presented_algebra_refuses_wrong_classes():
 
 def test_presented_algebra_refuses_a_wrong_unit():
     a, args = _triangle_presentation()
-    args[3] = el.sparse(el.vec_add(QQ, a.element("e1"), a.element("e2")))
+    args[3] = el.sparse(vec_add(QQ, a.element("e1"), a.element("e2")))
     with pytest.raises(QuivkitError) as exc:
         presented_algebra(*args)
     assert exc.value.code == "UNIT_FAIL"

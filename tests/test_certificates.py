@@ -35,7 +35,7 @@ from corpus import (
     two_vq,
     vq_corpus,
 )
-from dense_oracle import as_dense, vec_combination, vec_zero
+from dense_oracle import as_dense, is_ideal, vec_add, vec_combination, vec_scale, vec_zero
 from support import paths_of_length_at_least
 
 F101 = qk.GF(101)
@@ -56,12 +56,6 @@ def _basis_pair_filtration(a, j_space):
         filtration.append(nxt)
         cur = nxt
     return filtration
-
-
-def _is_ideal_over_basis(a, space):
-    return all(space.contains(a.mul(a.basis_vector(i), v))
-               and space.contains(a.mul(v, a.basis_vector(i)))
-               for v in space.basis for i in range(a.dim))
 
 
 def _basis_closure(a, vectors):
@@ -142,7 +136,7 @@ def test_certified_filtration_matches_basis_pairs(field):
     assert len(cases) >= 15
     for name, a, j, _how in cases:
         assert a.arrows is not None, name
-        assert _is_ideal_over_basis(a, j), name
+        assert is_ideal(a, j), name
         assert a.radical_filtration == _basis_pair_filtration(a, j), name
 
 
@@ -240,14 +234,14 @@ def test_generators_missing_an_arrow_are_refused():
 def test_an_arrow_outside_its_peirce_block_is_refused():
     a, args = _triangle_args()
     # a: 1 -> 2 and b: 1 -> 3, so a + b has two target vertices
-    args[6][0] = el.sparse(el.vec_add(QQ, a.element("a"), a.element("b")))
+    args[6][0] = el.sparse(vec_add(QQ, a.element("a"), a.element("b")))
     assert _refusal(args).code == "BIMODULE_CONDITION_FAIL"
 
 
 def test_non_orthogonal_idempotents_are_refused():
     a, args = _triangle_args()
     # e1 + a is idempotent and orthogonal to e2 modulo J, but e2 (e1 + a) = a
-    args[5][0] = el.sparse(el.vec_add(QQ, a.element("e1"), a.element("a")))
+    args[5][0] = el.sparse(vec_add(QQ, a.element("e1"), a.element("a")))
     err = _refusal(args)
     assert err.code == "NOT_POINTED" and "not orthogonal" in err.message
 
@@ -292,22 +286,34 @@ def test_ideal_generated_by_matches_the_basis_closure(field):
                     for _ in range(count)]
             ideal = qk.ideal_generated_by(a, vecs)
             assert ideal.space == _basis_closure(a, vecs)
-            assert _is_ideal_over_basis(a, ideal.space)
+            assert is_ideal(a, ideal.space)
 
 
 def test_ideal_tests_over_generators_match_the_basis_test():
-    rng = random.Random("ideal-test")
-    for _n, a, _j, _how in _presented_cases(QQ):
-        spans = [el.Subspace.span(QQ, a.dim, [[QQ.of(rng.choice((0, 0, 1, -1)))
-                                               for _ in range(a.dim)]])
-                 for _ in range(3)]
-        for space in spans + [a.radical, a.radical_power(2)]:
-            if _is_ideal_over_basis(a, space):
-                assert qk.algebra.ideal_subspace(a, space).space == space
-            else:
-                with pytest.raises(QuivkitError) as exc:
-                    qk.algebra.ideal_subspace(a, space)
-                assert exc.value.code == "NOT_AN_IDEAL"
+    # IdealSubspace refuses exactly the subspaces the basis test refuses;
+    # ideal_generated_by and the counit build theirs unchecked, and each
+    # passes the basis test
+    refused = 0
+    for field in (QQ, F2, F5, F101):
+        rng = random.Random(f"ideal-test-{field!r}")
+        for name, a, _j, _how in _presented_cases(field):
+            spans = [el.Subspace.span(field, a.dim, [[field.of(rng.choice((0, 0, 1, -1)))
+                                                      for _ in range(a.dim)]])
+                     for _ in range(3)]
+            for space in spans + [a.radical, a.radical_power(2)]:
+                if is_ideal(a, space):
+                    assert qk.IdealSubspace(a, space).space == space
+                else:
+                    with pytest.raises(QuivkitError) as exc:
+                        qk.IdealSubspace(a, space)
+                    assert (exc.value.code, exc.value.message) == (
+                        "NOT_AN_IDEAL", "subspace is not a two-sided ideal")
+                    refused += 1
+            generated = qk.ideal_generated_by(a, [s.basis[0] for s in spans if s.dim])
+            assert is_ideal(a, generated.space), name
+            cu = qk.counit(a)
+            assert is_ideal(cu.source_algebra.carrier, cu.kernel_ideal.space), name
+    assert refused >= 40
 
 
 def test_complement_matches_the_respanning_loop():
@@ -448,9 +454,9 @@ def test_bad_images_keep_their_codes(case, code):
     if case == "no vertex image":
         del idems["2"]
     elif case == "not idempotent":
-        idems["1"] = el.vec_scale(QQ, 2, e1)
+        idems["1"] = vec_scale(QQ, 2, e1)
     elif case == "not orthogonal":
-        idems["1"] = el.vec_add(QQ, e1, x)
+        idems["1"] = vec_add(QQ, e1, x)
     elif case == "not summing to 1":
         idems["2"] = zero
     else:

@@ -306,3 +306,24 @@ def test_public_functions_take_elements_dense_or_sparse():
     assert qk.universal_map(t, a, {"1": {0: 1}, "2": {1: 1}}, {"a": {2: 6}}) == sparse_map
     assert _refused(lambda: qk.universal_map(t, a, {"1": {0: 1}, "2": {1: 1}},
                                              {"a": {3: 1}}))[0] == "BAD_SHAPE"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_zero_entries_are_read_as_the_field_reads_them(field):
+    # the int 0 is skipped unread; every other zero-like value is read
+    # through the field as before, so the result and each refusal are the
+    # reader's that reads every value
+    def outcome(reader, v):
+        try:
+            return "ok", sorted((k, type(c), c) for k, c in reader(field, 4, v).items())
+        except QuivkitError as exc:
+            return exc.code, exc.message
+
+    values = (0, False, 0.0, Fraction(0), "0", None, "", 0j, float("nan"), 1, True, 2.5)
+    checked = 0
+    for x in values:
+        for y in values:
+            for v in ([x, y, 0, 3], [0, x, 1, y], {0: x, 2: y}, {1: 0, 3: x}):
+                assert outcome(el._as_sparse, v) == outcome(dense.as_sparse, v), (x, y, v)
+                checked += 1
+    assert checked == 4 * len(values) ** 2

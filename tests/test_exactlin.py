@@ -13,7 +13,7 @@ from quivkit.generators import random_identity_class_automorphism, seeded_rng
 
 from corpus import algebra_corpus, presented_corpus
 from dense_oracle import intersect, rref as dense_rref
-from dense_oracle import vec_combination, vec_zero
+from dense_oracle import vec_add, vec_combination, vec_scale, vec_zero
 
 QQ = el.QQ
 F2 = el.GF(2)
@@ -139,7 +139,7 @@ def _corpus_matrices():
         f = a.field
         w = vec_combination(f, a.dim, [f.of(rng.randrange(-3, 4)) for _ in a.radical.basis],
                                a.radical.basis)
-        one_w = el.vec_add(f, el.dense(f, a.dim, a.unit), w)
+        one_w = vec_add(f, el.dense(f, a.dim, a.unit), w)
         out += [(f"L(1+w) on {name}", _mult_matrix(a, one_w)),
                 (f"R(1+w) on {name}", _mult_matrix(a, one_w, left=False)),
                 (f"L(w) on {name}", _mult_matrix(a, w))]
@@ -371,5 +371,5 @@ def test_vec_combination_matches_scaled_sum(m, data):
         st.lists(entry, min_size=m.rows, max_size=m.rows))]
     expected = vec_zero(f, m.cols)
     for c, v in zip(coeffs, m.data):
-        expected = el.vec_add(f, expected, el.vec_scale(f, c, v))
+        expected = vec_add(f, expected, vec_scale(f, c, v))
     assert vec_combination(f, m.cols, coeffs, m.data) == expected

@@ -31,7 +31,7 @@ from corpus import (
     triangle_vq,
     two_point_vq,
 )
-from dense_oracle import vec_zero
+from dense_oracle import vec_add, vec_zero
 from support import paths_of_length_at_least
 
 
@@ -123,12 +123,12 @@ def test_universal_map_automorphism():
     t = build_kvq(QQ, triangle_vq(), 3)
     a = t.carrier
     idem = {v: t.idempotent(v) for v in t.vq.vertices}
-    arrows = {"a": el.vec_add(QQ, a.element("a"), a.element("cb")),
+    arrows = {"a": vec_add(QQ, a.element("a"), a.element("cb")),
               "b": t.arrow_element("b"), "c": t.arrow_element("c")}
     aut = universal_map(t, a, idem, arrows)
     assert aut.surjective
-    assert aut.apply(a.element("a")) == el.sparse(el.vec_add(QQ, a.element("a"),
-                                                             a.element("cb")))
+    assert aut.apply(a.element("a")) == el.sparse(vec_add(QQ, a.element("a"),
+                                                          a.element("cb")))
     # uniqueness: a valid morphism with the same generator values is equal
     again = universal_map(t, a, idem, arrows)
     assert again.matrix == aut.matrix

@@ -23,6 +23,7 @@ from quivkit.algebra import _echelon_filtration, _radical_filtration, table_alge
 from quivkit.vquiver import Quiver
 
 import dense_oracle as dense
+from dense_oracle import vec_add, vec_scale
 from corpus import (
     algebra_corpus,
     double_loop_vq,
@@ -156,7 +157,7 @@ def matrices(draw):
     data = draw(st.lists(_vector(field, cols), min_size=rows, max_size=rows))
     if data and draw(st.booleans()):
         u, w = draw(st.sampled_from(data)), draw(st.sampled_from(data))
-        row = el.vec_add(field, u, el.vec_scale(field, draw(_scalars(field)), w))
+        row = vec_add(field, u, vec_scale(field, draw(_scalars(field)), w))
         data.insert(draw(st.integers(0, len(data))), row)
     return field, el.Mat(field, len(data), cols, data)
 

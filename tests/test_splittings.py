@@ -34,7 +34,7 @@ from corpus import (
     upper_triangular,
 )
 import dense_oracle as dense
-from dense_oracle import peirce_complements
+from dense_oracle import peirce_complements, vec_add
 from support import s_apply
 from test_algebra import _dense_table
 
@@ -156,7 +156,7 @@ def test_same_orbit_reflexive():
 def test_same_orbit_shifted_idempotent():
     a = lower_triangular(QQ)
     e = a.element("E11")
-    f = el.vec_add(QQ, e, a.element("E21"))
+    f = vec_add(QQ, e, a.element("E21"))
     ok, w = qk.same_orbit(a, e, f)
     assert ok
     assert conjugate_element(a, w, e) == f and conjugation(a, w)(el.sparse(e)) == el.sparse(f)

@@ -3,10 +3,13 @@
 Admission's idempotent and Peirce-block checks multiply out every product,
 apart from one read: when each idempotent is a basis vector, as vertex
 idempotents are, `orthogonal_idempotents` reads their products off the
-structure constants.  The quotient table combines every entry over the
-projection's columns.  Each test here compares one of them with the product
-path kept in `dense_oracle`, on corpus inputs and on inputs mutated to fail,
-in Q, F2, F5 and F101.  Raw sparse tables are refused when malformed and
+structure constants.  Their products also serve a construction's unit
+check and give each arrow's Peirce block, which the splitting reads.  The
+quotient table combines every entry over the projection's columns.  Each
+test here compares one of them with the product path kept in
+`dense_oracle`, on corpus inputs and on inputs mutated to fail, in Q, F2,
+F5 and F101, and one counts the products a construction op makes.  Raw
+sparse tables are refused when malformed and
 stored in the canonical form, with every value read through the field, and
 the counit, `check_sim_n` and `factor_delta` at the size bound and `check
 adjunction` at dim 126 finish in bounded CPU time; `check_sim_n` makes one
@@ -14,6 +17,7 @@ membership test per generator at every level.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -31,6 +35,7 @@ from quivkit.generators import random_identity_class_automorphism
 from quivkit.vquiver import identity_vqmap
 
 import dense_oracle as dense
+from dense_oracle import vec_add
 from corpus import (
     algebra_corpus,
     in_changed_basis,
@@ -39,8 +44,10 @@ from corpus import (
     upper_triangular,
 )
 from support import is_identity
+from test_algebra import _unit_mutants
 from test_certificates import _presented_cases
-from test_sparse_echelon import _changed_basis_cases, _corpus_path_algebras, _top_layer_quotients
+from test_sparse_echelon import (_changed_basis_cases, _corpus_path_algebras, _monomial_cases,
+                                 _top_layer_quotients)
 
 QQ, F2, F5, F101 = el.QQ, el.GF(2), el.GF(5), el.GF(101)
 FIELDS = (QQ, F2, F5, F101)
@@ -68,7 +75,7 @@ def _rebased(a, cols):
 def _shifted_basis(a, k, m):
     """The basis of a with b_k replaced by b_k + b_m."""
     cols = [a.basis_vector(i) for i in range(a.dim)]
-    cols[k] = el.vec_add(a.field, cols[k], cols[m])
+    cols[k] = vec_add(a.field, cols[k], cols[m])
     return cols
 
 
@@ -79,18 +86,19 @@ def _unitriangular_basis(a):
              for i in range(a.dim)] for k in range(a.dim)]
 
 
-# -- presentations: (name, table, unit, idempotents, arrows), all sparse ------
+# -- presentations: (name, table, unit, idempotents, arrows, radical), sparse ---
 
 def _as_is(name, a):
-    return (name, a.structconst, a.unit, list(a.ss_classes), list(a.arrows))
+    return (name, a.structconst, a.unit, list(a.ss_classes), list(a.arrows), a.radical)
 
 
 def _in_basis(name, a, cols, idems=None, arrows=None):
     """a's presentation in the basis `cols`; `idems` and `arrows`, sparse in
     the new basis, replace a's generators when given."""
     sc, to_new = _rebased(a, cols)
+    radical = el.Subspace.span(a.field, a.dim, [to_new(r) for r in a.radical.rows.values()])
     return (name, sc, to_new(a.unit), idems or [to_new(e) for e in a.ss_classes],
-            arrows or [to_new(x) for x in a.arrows])
+            arrows or [to_new(x) for x in a.arrows], radical)
 
 
 def _presentations(field):
@@ -158,14 +166,19 @@ def _sides(field, sc, idems, message):
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_presentation_checks_match_the_product_oracle(field):
     seen = set()
-    for name, sc, unit, idems, arrows in _presentations(field):
+    for name, sc, unit, idems, arrows, _j in _presentations(field):
         for kind, es, xs in _mutants(field, idems, arrows):
             names = [f"class {i}" for i in range(len(es))]
             ref = _outcome(dense.orthogonal, field, sc, unit, es, "NOT_POINTED", names)
             assert _outcome(orthogonal_idempotents, field, sc, unit, es, "NOT_POINTED", names) == ref, \
                 (name, kind)
+            # the count against the product oracle, the blocks against theirs
             ref = _outcome(dense.verify_presentation, field, sc, unit, es, xs)
-            assert _outcome(_verify_presentation, field, sc, unit, es, xs) == ref, (name, kind)
+            got = _outcome(_verify_presentation, field, sc, unit, es, xs)
+            if ref[0] == "ok":
+                assert got == ("ok", (ref[1], dense.arrow_blocks(field, sc, es, xs))), (name, kind)
+            else:
+                assert got == ref, (name, kind)
             one_term = all(len(e) == 1 and field.one in e.values() for e in es)
             what = ref[0] if ref[0] == "ok" else ref[1].split(" ", 2)[-1]
             if what.endswith("are not orthogonal"):
@@ -178,6 +191,131 @@ def test_presentation_checks_match_the_product_oracle(field):
         assert {(one_term, w) for w in ("ok", "is not idempotent", "do not sum to 1")} <= seen
     assert any(w == "does not lie in one Peirce block" for _t, w in seen)
     assert {(True, (True, False)), (True, (False, True))} <= seen
+
+
+def _null_summand(field, sc, unit, radical, idems, arrows):
+    """The presentation on A + k n, where n n = 0 and n kills A on both
+    sides, with the arrow x + n added for the first arrow x: each class and
+    each arrow passes the idempotent and Peirce-block counts and the words
+    span the radical, but u (x + n) = x."""
+    n = len(sc)
+    table = [list(row) + [()] for row in sc] + [[()] * (n + 1)]
+    radical = el.Subspace.span(field, n + 1, list(radical.rows.values()) + [{n: field.one}])
+    return table, unit, radical, idems, arrows + [{**arrows[0], n: field.one}]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_presented_unit_check_matches_the_generator_first_oracle(field):
+    # presented_algebra reads "u fixes G" off the presentation checks and
+    # names a unit failure before any other, as checking u on G first did;
+    # the cases: each unit mutant, each generator mutant with the unit and
+    # with the sum of its idempotents as unit, and a null summand
+    seen, null = set(), 0
+    for name, sc, unit, idems, arrows, j in _presentations(field):
+        if field == QQ and name.endswith("TWO_unitriangular"):
+            continue  # 0.3 s an admission, for its growing fractions; F_p runs it
+        dim = len(sc)
+        cases = [(f"unit {k}", sc, el.sparse(u), j, idems, arrows)
+                 for k, u in enumerate(_unit_mutants(field, el.dense(field, dim, unit)))]
+        for kind, es, xs in _mutants(field, idems, arrows):
+            total = {}
+            for e in es:
+                el.add_scaled(field, total, field.one, e)
+            cases += [(kind, sc, unit, j, es, xs), (f"{kind}, their sum as unit", sc, total, j, es, xs)]
+        if arrows:
+            cases.append(("null summand", *_null_summand(field, sc, unit, j, idems, arrows)))
+        done = []
+        for kind, table, *args in cases:
+            if (table, args) in done:
+                continue
+            done.append((table, args))
+            labels = [f"b{i}" for i in range(len(table))]
+            ref = _outcome(dense.presented_algebra, field, labels, table, *args)
+            got = _outcome(alg.presented_algebra, field, labels, table, *args)
+            if ref[0] == "ok":
+                assert got[0] == "ok" and got[1].same_as(ref[1]), (name, kind)
+                assert got[1].arrow_blocks == ref[1].arrow_blocks, (name, kind)
+            else:
+                assert got == ref, (name, kind)
+            seen.add(ref[0])
+            null += kind == "null summand" and ref[0] == "UNIT_FAIL"
+    assert {"ok", "UNIT_FAIL", "NOT_POINTED", "BIMODULE_CONDITION_FAIL"} <= seen
+    assert null >= 20
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_arrow_blocks_are_the_blocks_the_products_find(field):
+    # on corpus path algebras and quotients and on raw tables in a changed
+    # basis; conjugation by 1 + w keeps each block, so a conjugated
+    # splitting reads them too
+    rng = random.Random(f"arrow-blocks-{field!r}")
+    cases = [(name, a) for name, a, _j, _how in _presented_cases(field)] + _monomial_cases(field)
+    cases += [(name, b) for name, _a, b in _changed_basis_cases() if b.field == field]
+    conjugated = 0
+    for name, a in cases:
+        f, sc = a.field, a.structconst
+        assert a.arrow_blocks == dense.arrow_blocks(f, sc, a.ss_classes, a.arrows), name
+        w = {}
+        for row in a.radical.rows.values():
+            el.add_scaled(f, w, f.of(rng.randint(0, 2)), row)
+        conj = qk.splittings.conjugation(a, w)
+        es = list(map(conj, a.ss_classes))
+        assert dense.arrow_blocks(f, sc, es, list(map(conj, a.arrows))) == a.arrow_blocks, name
+        blocks = qk.make_splitting(a, conjugate_by=w).blocks
+        assert all(alg._mul_raw(f, sc, es[j], alg._mul_raw(f, sc, x, es[i])) == x
+                   for (i, j), xs in blocks.items() for x in xs), name
+        conjugated += bool(w) and es != a.ss_classes
+    assert len(cases) >= 40 and conjugated >= 10
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of the `quivkit.algebra` functions `names` from every
+    quivkit module that holds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(alg, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("quivkit") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_each_generator_fact_is_proved_once(monkeypatch):
+    # TWO at level 3 over F5 (dim 14) modulo two top-layer relations, as a
+    # construction op runs it.  Admission's products serve the unit check,
+    # the arrows' Peirce blocks that the splitting reads, and the quotient
+    # takes its ideal as closed: 16 products to build, none for gq, 16 to
+    # admit the quotient and no closure scan
+    counts = _count_calls(monkeypatch, "_mul_raw", "_closed_under")
+
+    def run():
+        steps = {}
+
+        def step(label, call, *args):
+            counts.update(dict.fromkeys(counts, 0))
+            out = call(*args)
+            steps[label] = (counts["_mul_raw"], counts["_closed_under"])
+            return out
+
+        a = step("build", qk.build_kvq, F5, two_vq(), 3).carrier
+        step("gq", qk.gq, a)
+        rels = [el.dense(F5, a.dim, {a._label_index["ax"]: 1}),
+                el.dense(F5, a.dim, {a._label_index["ca"]: 2, a._label_index["cb"]: 3})]
+        ideal = step("ideal", qk.ideal_generated_by, a, rels)
+        q = step("quotient", qk.quotient_algebra, a, ideal)[0]
+        step("gq of the quotient", qk.gq, q)
+        step("counit", qk.counit, q)
+        return steps
+
+    run()  # the counit's source algebra is then in its memo, as in a run
+    steps = run()
+    assert steps == {"build": (16, 0), "gq": (0, 0), "ideal": (24, 0), "quotient": (16, 0),
+                     "gq of the quotient": (0, 0), "counit": (16, 0)}
 
 
 # -- quotient tables -------------------------------------------------------------
