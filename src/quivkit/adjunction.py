@@ -9,8 +9,6 @@ close to the identity, and the ideal-orbit machinery all live here.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from .errors import QuivkitError
 from .algebra import (
     AlgMorphism,
@@ -28,7 +26,6 @@ from .exactlin import Mat, _solve_cols, add_scaled
 from .gabriel import (GabrielQuiverResult, check_sim, gq, gq0, gq_on_morphism,
                       pointed_set)
 from .pathalg import (
-    MAX_KVQ_DIM,
     TruncatedTensorAlgebra,
     build_kvq,
     kvq_on_map,
@@ -73,6 +70,8 @@ def psi(t: TruncatedTensorAlgebra, rho: VQuiverMap,
         raise QuivkitError("TARGET_MISMATCH", "map source is not the path algebra's Vquiver")
     if rho.target != gq_a.vquiver:
         raise QuivkitError("TARGET_MISMATCH", "map target is not gq(A)")
+    if rho.field != a.field:
+        raise QuivkitError("BAD_FIELD", "map and algebra over different fields")
     images = vqmap_generator_images(rho, *gq_a.generators())
     return universal_map(t, a, *images)
 
@@ -109,32 +108,6 @@ class CounitResult:
         self.gq_result = gq_result
 
 
-# Counit sources by (type(field), field, gq Vquiver, level), least recently
-# used first.  gq names its Vquiver canonically, so every algebra with one
-# Gabriel quiver has one counit source.  The field's type is in the key
-# because fields of different types may compare equal and still write their
-# values differently.  Least recently used entries go while the dims sum past
-# four path algebras of the largest admitted size: about 4 MB at worst.
-_COUNIT_SOURCES = OrderedDict()
-_COUNIT_SOURCES_MAX_DIM = 4 * MAX_KVQ_DIM
-
-
-def _counit_source(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
-    """build_kvq(field, vq, level), from the memo when it holds the key."""
-    key = (type(field), field, tuple(vq.vertices),
-           tuple(sorted((pair, tuple(labs)) for pair, labs in vq.spaces.items())),
-           level)
-    t = _COUNIT_SOURCES.get(key)
-    if t is not None:
-        _COUNIT_SOURCES.move_to_end(key)
-        return t
-    t = _COUNIT_SOURCES[key] = build_kvq(field, vq, level)
-    total = sum(s.dim for s in _COUNIT_SOURCES.values())
-    while total > _COUNIT_SOURCES_MAX_DIM:
-        total -= _COUNIT_SOURCES.popitem(last=False)[1].dim
-    return t
-
-
 def counit(a: FinAlgebra, *, level: int = None,
            splitting=None) -> CounitResult:
     """Counit representative k[[gq(A)]] -> A with its kernel.
@@ -146,18 +119,11 @@ def counit(a: FinAlgebra, *, level: int = None,
     on A unless a splitting is given.  The representative is onto with
     kernel in J^2 (the paper's counit theorem); neither is checked here:
     `morphism.surjective` and `is_relation_ideal(kernel_ideal)` decide them.
-
-    The source path algebra comes from a memo keyed by the field's type, the
-    field, gq(A)'s Vquiver (its vertices and its sorted arrow spaces) and the
-    level, so algebras with one Gabriel quiver share one `source_algebra`.
-    The memo drops its least recently used entries while their dims sum to
-    more than 4 * MAX_KVQ_DIM (1024), about 4 MB at worst.  Entries are
-    shared between callers, and no caller may change them.
     """
     gq_a = gq(a, splitting)
     if level is None:
         level = max(2, a.truncation_level)
-    t = _counit_source(a.field, gq_a.vquiver, level)
+    t = build_kvq(a.field, gq_a.vquiver, level)
     idems, bases = gq_a.generators()
     arrows = {lab: x for pair, labs in gq_a.vquiver.spaces.items()
               for lab, x in zip(labs, bases[pair])}
@@ -218,6 +184,8 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
     if rho.source != gq_a.vquiver:
         raise QuivkitError("SOURCE_MISMATCH", "map source is not gq(A)")
     f = a.field
+    if rho.field != f:
+        raise QuivkitError("BAD_FIELD", "map and algebra over different fields")
     if k2_target is None:
         k2_target = build_kvq(f, rho.target, 2)
     elif k2_target.vq != rho.target or k2_target.level != 2 \

@@ -10,6 +10,8 @@ m-th radical power is the span of paths of length >= m.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .errors import QuivkitError
 from .algebra import (AlgMorphism, FinAlgebra, _combine, _mul_raw, orthogonal_idempotents,
                       presented_algebra)
@@ -100,9 +102,9 @@ class TruncatedTensorAlgebra:
 # term or none, so memory is no limit; time is.  The radical is re-verified by
 # the generator certificate, one table lookup per path of J and arrow: at dim
 # 254, the level-7 algebra of the 2-vertex quiver with a loop, two arrows
-# 1 -> 2 and one arrow 2 -> 1, build_kvq takes 2-5 ms, and build_kvq, gq and
-# counit together 0.008-0.018 s of CPU time, over F5 and over Q alike, on a
-# 2-core x86-64 VM.
+# 1 -> 2 and one arrow 2 -> 1, a cold build_kvq takes 2-5 ms, and build_kvq,
+# gq and counit together 0.008-0.018 s of CPU time, over F5 and over Q alike,
+# on a 2-core x86-64 VM.
 MAX_KVQ_DIM = 256
 
 
@@ -122,8 +124,28 @@ def _path_count(vq: VQuiver, level: int) -> int:
     return total
 
 
+# Path algebras by (type(field), field, vertices with their types, arrow
+# spaces with their label order, level), least recently used first.  Types
+# are in the key because fields and vertex labels of different types may
+# compare equal and still print differently.
+_KVQ_MEMO = OrderedDict()
+_KVQ_MEMO_MAX_DIM = 4 * MAX_KVQ_DIM
+
+
 def build_kvq(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
-    """Path algebra of a Vquiver truncated at `level` (level >= 2)."""
+    """Path algebra of a Vquiver truncated at `level` (level >= 2).
+
+    Memoized: a repeated (field, Vquiver, level) returns the same admitted
+    algebra, whose cached gq every caller then shares; no caller may change
+    it.  The memo keeps entries whose dims sum to at most 4 * MAX_KVQ_DIM
+    (1024), dropping the least recently used, and stores no failed build.
+    """
+    key = (type(field), field, tuple((type(v), v) for v in vq.vertices),
+           tuple((pair, tuple(labs)) for pair, labs in vq.spaces.items()), level)
+    t = _KVQ_MEMO.get(key)
+    if t is not None:
+        _KVQ_MEMO.move_to_end(key)
+        return t
     if level < 2:
         raise QuivkitError("LEVEL_TOO_SMALL", "truncation level must be at least 2")
     if not vq.vertices:
@@ -180,8 +202,12 @@ def build_kvq(field, vq: VQuiver, level: int) -> TruncatedTensorAlgebra:
     for (src, tgt), labs in vq.spaces.items():
         for lab in labs:
             arrow_index[lab] = index[(src, (lab,))]
-    return TruncatedTensorAlgebra(vq, level, field, carrier, paths, index,
-                                  grading, vertex_idem, arrow_index)
+    t = _KVQ_MEMO[key] = TruncatedTensorAlgebra(vq, level, field, carrier, paths, index,
+                                                grading, vertex_idem, arrow_index)
+    total = sum(s.dim for s in _KVQ_MEMO.values())
+    while total > _KVQ_MEMO_MAX_DIM:
+        total -= _KVQ_MEMO.popitem(last=False)[1].dim
+    return t
 
 
 def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
@@ -279,7 +305,7 @@ def kvq_on_map(rho: VQuiverMap, level: int, *, src: TruncatedTensorAlgebra = Non
     if tgt is None:
         tgt = build_kvq(field, rho.target, level)
     if src.vq != rho.source or tgt.vq != rho.target or src.level != level \
-            or tgt.level != level:
+            or tgt.level != level or src.field != field or tgt.field != field:
         raise QuivkitError("BAD_ARGUMENT", "prebuilt algebras do not match the map")
     images = vqmap_generator_images(rho, *tgt.generators())
     return universal_map(src, tgt.carrier, *images)

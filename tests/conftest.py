@@ -2,10 +2,10 @@
 
 import pytest
 
-from quivkit import adjunction
+from quivkit import pathalg
 
 
 @pytest.fixture(autouse=True)
-def _cold_counit_sources():
-    adjunction._COUNIT_SOURCES.clear()
+def _cold_kvq_memo():
+    pathalg._KVQ_MEMO.clear()
     yield

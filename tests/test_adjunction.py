@@ -1,5 +1,7 @@
 """The hom-set bijections, unit/counit, factorization, ideal orbits."""
 
+from fractions import Fraction
+
 import pytest
 
 import quivkit as qk
@@ -24,8 +26,10 @@ from dense_oracle import vec_add, vec_scale
 from corpus import (
     QQ,
     F3,
+    F5,
     algebra_corpus,
     line_vq,
+    one_arrow_vq,
     presented_corpus,
     remark_pair,
     semisimple,
@@ -109,6 +113,23 @@ def test_psi_target_mismatch():
     with pytest.raises(QuivkitError) as exc:
         qk.psi(t, eta, g)
     assert exc.value.code == "TARGET_MISMATCH"
+
+
+def _half_on_the_arrow(source, target):
+    """The map of one-arrow Vquivers over Q sending the arrow to half the
+    other, which F5 would read as 3."""
+    (pair,) = target.spaces
+    vm = dict(zip(source.vertices, target.vertices))
+    return VQuiverMap(QQ, source, target, vm,
+                      {pair: el.Mat(QQ, 1, 1, [[QQ.of(Fraction(1, 2))]])})
+
+
+def test_psi_refuses_a_map_over_another_field():
+    t = build_kvq(F5, one_arrow_vq(), 2)
+    g = qk.gq(t.carrier)
+    with pytest.raises(QuivkitError) as exc:
+        qk.psi(t, _half_on_the_arrow(t.vq, g.vquiver), g)
+    assert exc.value.code == "BAD_FIELD"
 
 
 def test_psi_independent_of_splitting():
@@ -354,6 +375,13 @@ def test_right_adjoint_refuses_a_wrong_k2_target():
     right = build_kvq(QQ, g.vquiver, 2)
     assert qk.right_adjoint_phi(rho, g, k2_target=right) == \
         qk.right_adjoint_phi(rho, g)
+
+
+def test_right_adjoint_refuses_a_map_over_another_field():
+    g = qk.gq(build_kvq(F5, one_arrow_vq(), 2).carrier)
+    with pytest.raises(QuivkitError) as exc:
+        qk.right_adjoint_phi(_half_on_the_arrow(g.vquiver, one_arrow_vq()), g)
+    assert exc.value.code == "BAD_FIELD"
 
 
 def test_factor_delta_trivial_pair():

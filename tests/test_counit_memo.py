@@ -1,28 +1,36 @@
-"""The counit's memo of source path algebras.
+"""build_kvq's memo of path algebras, which counit sources come from.
 
-`counit` takes k[[gq(A)]] from a memo keyed by the field's type, the field,
-gq(A)'s Vquiver and the level.  A counit read from a warm memo must equal one
-built cold, algebras with one Gabriel quiver must share one source, and the
-memo must stay inside its dimension bound.  The autouse fixture of conftest
-empties the memo before each test, so each test starts cold.
+`build_kvq` keeps each admitted k[[VQ]] by the field's type, the field,
+the Vquiver (vertices and arrow spaces in label order) and the level.  A
+warm build must equal a cold one and be the same object, other keys must
+give other entries, a failed build must leave nothing behind, algebras with
+one Gabriel quiver must share one counit source, and the memo must stay
+inside its dimension bound.  The autouse fixture of conftest empties the
+memo before each test, so each test starts cold.
 """
 
 import gc
 import time
 
+import pytest
+
 import quivkit as qk
 import quivkit.exactlin as el
-from quivkit import adjunction
+from quivkit import pathalg
+from quivkit.errors import QuivkitError
 from quivkit.pathalg import MAX_KVQ_DIM
+from quivkit.vquiver import VQuiver
 
-from corpus import F2, F5, QQ, algebra_corpus, in_changed_basis, loop_vq, two_vq, vq_corpus
+from corpus import (F2, F5, QQ, algebra_corpus, double_loop_vq, in_changed_basis, loop_vq,
+                    two_vq, vq_corpus)
 from test_rational_kernel import FQ
 
 F101 = qk.GF(101)
+FIELDS = ((QQ, "Q"), (F2, "F2"), (F5, "F5"), (F101, "F101"), (FQ, "FQ"))
 
 
 def _memo_dim():
-    return sum(t.dim for t in adjunction._COUNIT_SOURCES.values())
+    return sum(t.dim for t in pathalg._KVQ_MEMO.values())
 
 
 def _top_quotient(t, paths):
@@ -37,12 +45,78 @@ def _raw(a):
     return qk.validate_algebra(a.field, labels, table, unit)
 
 
+def _kvq_data(t):
+    """Everything a path algebra holds, the field's type included."""
+    a = t.carrier
+    return (type(t.field), type(a.field), a.basis_labels, a.structconst, a.unit,
+            [s.rows for s in a.radical_filtration], a.ss_classes, a.arrows, a.arrow_blocks,
+            [(p.start, p.arrows, p.end) for p in t.paths], t.index, t.grading,
+            t.vertex_idem, t.arrow_index)
+
+
+def test_a_warm_build_is_the_cold_one_unchanged():
+    # each algebra is used as callers use it (gq, counit, a quotient)
+    # before the warm build, which must still equal a build from scratch
+    seen = 0
+    for field, tag in FIELDS:
+        for name, vq in vq_corpus():
+            for level in (2, 3, 4):
+                t = qk.build_kvq(field, vq, level)
+                qk.counit(t.carrier)
+                if len(t.grading) > 2:
+                    _top_quotient(t, t.grading[-1][:1])
+                warm = qk.build_kvq(field, VQuiver(list(vq.vertices), vq.spaces), level)
+                assert warm is t, (tag, name, level)
+                pathalg._KVQ_MEMO.clear()
+                cold = qk.build_kvq(field, vq, level)
+                assert cold is not warm
+                assert _kvq_data(warm) == _kvq_data(cold), (tag, name, level)
+                seen += 1
+    assert seen == 5 * 6 * 3
+
+
+def test_other_keys_are_other_entries():
+    t = qk.build_kvq(QQ, two_vq(), 3)
+    assert qk.build_kvq(QQ, two_vq(), 3) is t
+    # fields that compare equal but write their values differently
+    assert FQ == QQ
+    assert qk.build_kvq(FQ, two_vq(), 3) is not t
+    assert qk.build_kvq(QQ, two_vq(), 4) is not t
+    # arrow labels in another order are another arrow basis of their space
+    swapped = VQuiver(["1", "2"], {("1", "1"): ["x"], ("1", "2"): ["b", "a"],
+                                   ("2", "1"): ["c"]})
+    u = qk.build_kvq(QQ, swapped, 3)
+    assert u is not t and u.vq == swapped != t.vq
+    assert u.generators()[1] != t.generators()[1]
+    # vertex labels that compare equal but print otherwise
+    ints = qk.build_kvq(QQ, VQuiver([1, 2], {(1, 2): ["a"]}), 2)
+    floats = qk.build_kvq(QQ, VQuiver([1.0, 2.0], {(1.0, 2.0): ["a"]}), 2)
+    assert ints.carrier.basis_labels == ["e1", "e2", "a"]
+    assert floats.carrier.basis_labels == ["e1.0", "e2.0", "a"]
+    assert len(pathalg._KVQ_MEMO) == 6
+
+
+@pytest.mark.parametrize("vq, level, code", [
+    (two_vq(), 1, "LEVEL_TOO_SMALL"),
+    (VQuiver([], {}), 2, "BAD_SHAPE"),
+    (double_loop_vq(), 9, "TOO_LARGE"),
+], ids=["level", "empty", "size"])
+def test_a_failed_build_fails_every_time_and_stores_nothing(vq, level, code):
+    qk.build_kvq(F5, loop_vq(), 3)
+    before = list(pathalg._KVQ_MEMO.items())
+    for _ in range(2):
+        with pytest.raises(QuivkitError) as exc:
+            qk.build_kvq(F5, vq, level)
+        assert exc.value.code == code
+        assert list(pathalg._KVQ_MEMO.items()) == before
+
+
 def _memo_cases():
     """Path algebras and their quotients over Q, F2, F5, F101 and the
     all-Fraction Q, and raw tables where the characteristic admits them,
     with repeated Gabriel quivers."""
     cases = [(f"Q:{name}", a) for name, a in algebra_corpus()]
-    for field, tag in ((QQ, "Q"), (F2, "F2"), (F5, "F5"), (F101, "F101"), (FQ, "FQ")):
+    for field, tag in FIELDS:
         for name, vq in vq_corpus():
             t = qk.build_kvq(field, vq, 3)
             cases.append((f"{tag}:{name}", t.carrier))
@@ -62,10 +136,11 @@ def _counit_data(cu):
 
 def test_a_warm_memo_gives_the_cold_counit():
     cases = _memo_cases()
+    pathalg._KVQ_MEMO.clear()
     warm = [_counit_data(qk.counit(a)) for _name, a in cases]
-    hits = len(cases) - len(adjunction._COUNIT_SOURCES)
+    hits = len(cases) - len(pathalg._KVQ_MEMO)
     for (name, a), got in zip(cases, warm):
-        adjunction._COUNIT_SOURCES.clear()
+        pathalg._KVQ_MEMO.clear()
         assert got == _counit_data(qk.counit(a)), name
     # a quarter of the warm counits read their source from the memo; the
     # FractionQ cases come after the equal QQ ones and must not read theirs
@@ -88,22 +163,24 @@ def test_quotients_with_one_gabriel_quiver_share_the_source():
 
 def test_eviction_keeps_the_memo_inside_its_bound():
     bound = 4 * MAX_KVQ_DIM
-    assert adjunction._COUNIT_SOURCES_MAX_DIM == bound == 1024
-    # k[x]/x^n has Gabriel quiver one loop and counit source k[x]/x^n
-    sources = []
+    assert pathalg._KVQ_MEMO_MAX_DIM == bound == 1024
+    # k[x]/x^n is the path algebra of one loop at level n
+    built = []
     for n in range(2, 80):
-        sources.append(qk.counit(qk.build_kvq(F5, loop_vq(), n).carrier).source_algebra)
+        built.append(qk.build_kvq(F5, loop_vq(), n))
         assert _memo_dim() <= bound
-        assert next(reversed(adjunction._COUNIT_SOURCES.values())) is sources[-1]
-    assert sum(t.dim for t in sources) > 2 * bound
-    # what is left is the most recent sources, the least recent evicted
-    kept = list(adjunction._COUNIT_SOURCES.values())
-    assert kept == sources[-len(kept):]
-    assert _memo_dim() + sources[-len(kept) - 1].dim > bound
+        assert next(reversed(pathalg._KVQ_MEMO.values())) is built[-1]
+    assert sum(t.dim for t in built) > 2 * bound
+    # what is left is the most recent builds, the least recent evicted
+    kept = list(pathalg._KVQ_MEMO.values())
+    assert kept == built[-len(kept):]
+    assert _memo_dim() + built[-len(kept) - 1].dim > bound
     # a hit makes its entry the most recent one
     oldest = kept[0]
-    assert qk.counit(qk.build_kvq(F5, loop_vq(), oldest.level).carrier).source_algebra is oldest
-    assert next(reversed(adjunction._COUNIT_SOURCES.values())) is oldest
+    assert qk.build_kvq(F5, loop_vq(), oldest.level) is oldest
+    assert next(reversed(pathalg._KVQ_MEMO.values())) is oldest
+    # an evicted key is built anew
+    assert qk.build_kvq(F5, loop_vq(), 2) is not built[0]
 
 
 def test_counits_of_quotients_at_the_size_bound_finish_in_bounded_cpu_time():
@@ -114,6 +191,7 @@ def test_counits_of_quotients_at_the_size_bound_finish_in_bounded_cpu_time():
     # a 2-core x86-64 VM, so the deadline is 3x the median
     t = qk.build_kvq(F5, two_vq(), 7)
     quotients = [_top_quotient(t, [i]) for i in t.grading[6][:10]]
+    pathalg._KVQ_MEMO.clear()
     gc.collect()
     start = time.process_time()
     counits = [qk.counit(q) for q in quotients]

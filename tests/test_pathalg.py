@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from corpus import (
     kronecker_vq,
     line_vq,
     loop_vq,
+    one_arrow_vq,
     triangle_vq,
     two_point_vq,
 )
@@ -225,6 +227,17 @@ def test_universal_property_uniqueness():
               for lab in vr.arrow_labels()}
     again = universal_map(src, tgt.carrier, idem, arrows)
     assert again.matrix == m.matrix
+
+
+def test_kvq_on_map_refuses_prebuilt_algebras_over_another_field():
+    vq = one_arrow_vq()
+    rho = VQuiverMap(QQ, vq, vq, {"1": "1", "2": "2"},
+                     {("1", "2"): el.Mat(QQ, 1, 1, [[QQ.of(Fraction(1, 2))]])})
+    t = build_kvq(F5, vq, 2)
+    with pytest.raises(QuivkitError) as exc:
+        kvq_on_map(rho, 2, src=t, tgt=t)
+    assert exc.value.code == "BAD_ARGUMENT"
+    assert str(exc.value) == "BAD_ARGUMENT: prebuilt algebras do not match the map"
 
 
 def test_kvq_on_surjective_map_is_surjective():

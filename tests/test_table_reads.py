@@ -290,7 +290,9 @@ def test_each_generator_fact_is_proved_once(monkeypatch):
     # construction op runs it.  Admission's products serve the unit check,
     # the arrows' Peirce blocks that the splitting reads, and the quotient
     # takes its ideal as closed: 16 products to build, none for gq, 16 to
-    # admit the quotient and no closure scan
+    # admit the quotient and no closure scan.  A cold run also builds the
+    # counit's source (16 more); a warm one reads both path algebras from
+    # build_kvq's memo
     counts = _count_calls(monkeypatch, "_mul_raw", "_closed_under")
 
     def run():
@@ -312,9 +314,9 @@ def test_each_generator_fact_is_proved_once(monkeypatch):
         step("counit", qk.counit, q)
         return steps
 
-    run()  # the counit's source algebra is then in its memo, as in a run
-    steps = run()
-    assert steps == {"build": (16, 0), "gq": (0, 0), "ideal": (24, 0), "quotient": (16, 0),
+    assert run() == {"build": (16, 0), "gq": (0, 0), "ideal": (24, 0), "quotient": (16, 0),
+                     "gq of the quotient": (0, 0), "counit": (32, 0)}
+    assert run() == {"build": (0, 0), "gq": (0, 0), "ideal": (24, 0), "quotient": (16, 0),
                      "gq of the quotient": (0, 0), "counit": (16, 0)}
 
 
@@ -425,11 +427,13 @@ def test_sim_n_makes_one_membership_test_per_generator(monkeypatch):
 
 def test_adjunction_at_dim_126_finishes_in_bounded_cpu_time():
     # 0.18-0.21 s of CPU time (medians of 5 to 7 runs in 4 processes) on a
-    # 2-core x86-64 VM, so the deadline is 3x that
+    # 2-core x86-64 VM, so the deadline is 3x that; the check's k[[TWO]] is
+    # built cold, not read from the memo entry that parsing A left
     doc = dsl.parse("field F5;\n"
                     "vquiver TWO { vertices: 1, 2; space 1 -> 1 = [x];\n"
                     "  space 1 -> 2 = [a, b]; space 2 -> 1 = [c]; }\n"
                     "algebra A = kvq(TWO, level=6);\ncheck adjunction(TWO, A);\n")
+    qk.pathalg._KVQ_MEMO.clear()
     start = time.process_time()
     result = cli._run_check(doc, doc.checks[0], random.Random("adjunction-126"))
     assert time.process_time() - start < 0.6
