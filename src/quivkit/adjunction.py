@@ -124,10 +124,7 @@ def counit(a: FinAlgebra, *, level: int = None,
     if level is None:
         level = max(2, a.truncation_level)
     t = build_kvq(a.field, gq_a.vquiver, level)
-    idems, bases = gq_a.generators()
-    arrows = {lab: x for pair, labs in gq_a.vquiver.spaces.items()
-              for lab, x in zip(labs, bases[pair])}
-    eps = universal_map(t, a, idems, arrows)
+    eps = universal_map(t, a, *gq_a.generators())
     return CounitResult(eps, _ideal(t.carrier, eps.kernel()), t, gq_a)
 
 
@@ -149,16 +146,13 @@ def naturality_check_second_var(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
 
 
 def naturality_check_first_var(rho: VQuiverMap, gq_a: GabrielQuiverResult,
-                               level: int, sigmas, *, t_src=None,
-                               t_tgt=None) -> bool:
+                               level: int, sigmas) -> bool:
     """psi(sigma . rho) ~1 psi(sigma) . k[[rho]] for each sampled sigma.
 
-    Here rho: VR -> VQ and sigma: VQ -> gq(A)."""
-    if t_src is None:
-        t_src = build_kvq(rho.field, rho.source, level)
-    if t_tgt is None:
-        t_tgt = build_kvq(rho.field, rho.target, level)
-    krho = kvq_on_map(rho, level, src=t_src, tgt=t_tgt)
+    Here rho: VR -> VQ and sigma: VQ -> gq(A); k[[VR]], k[[VQ]] are build_kvq's."""
+    t_src = build_kvq(rho.field, rho.source, level)
+    t_tgt = build_kvq(rho.field, rho.target, level)
+    krho = kvq_on_map(rho, level)
     for sigma in sigmas:
         lhs = psi(t_src, compose_vq(sigma, rho), gq_a)
         rhs = psi(t_tgt, sigma, gq_a).compose(krho)
@@ -171,14 +165,14 @@ def naturality_check_first_var(rho: VQuiverMap, gq_a: GabrielQuiverResult,
 # the right adjoint on the level-2 side
 # ---------------------------------------------------------------------------
 
-def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
-                      k2_target: TruncatedTensorAlgebra = None) -> AlgMorphism:
+def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult) -> AlgMorphism:
     """Morphism A -> k2[[VQ]] attached to a Vquiver map gq(A) -> VQ.
 
     Reads A in the adapted basis of gq_a (splitting idempotents, arrow
-    sections, J^2), sends the idempotents through the vertex map, the arrow
-    sections through the arrow matrices, and kills J^2.  Multiplicativity is
-    checked at validation rather than assumed.
+    sections by label, J^2), sends the idempotents through the vertex map,
+    the arrow sections through the arrow matrices into build_kvq's k2[[VQ]],
+    and kills J^2.  Multiplicativity is checked at validation rather than
+    assumed.
     """
     a = gq_a.algebra
     if rho.source != gq_a.vquiver:
@@ -186,19 +180,13 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult, *,
     f = a.field
     if rho.field != f:
         raise QuivkitError("BAD_FIELD", "map and algebra over different fields")
-    if k2_target is None:
-        k2_target = build_kvq(f, rho.target, 2)
-    elif k2_target.vq != rho.target or k2_target.level != 2 \
-            or k2_target.field != f:
-        raise QuivkitError("BAD_ARGUMENT",
-                           "k2_target is not the level-2 path algebra of the map's target")
-    b = k2_target.carrier
-    idem_images, arrow_images = vqmap_generator_images(rho, *k2_target.generators())
+    k2 = build_kvq(f, rho.target, 2)
+    b = k2.carrier
+    idem_images, arrow_images = vqmap_generator_images(rho, *k2.generators())
     # images of the adapted basis: idempotents, arrow bases, then J^2 (killed);
     # b_j goes to its coordinates' combination of them
     images = [idem_images[name] for name in gq_a.vertex_names]
-    for labs in gq_a.vquiver.spaces.values():
-        images.extend(arrow_images[lab] for lab in labs)
+    images.extend(arrow_images[lab] for lab in gq_a.vquiver.arrow_labels())
     images.extend({} for _ in range(a.dim - len(images)))
     cols = [_combine(f, images, c.items()) for c in gq_a.coordinate_cols()]
     return validate_morphism(a, b, Mat.from_sparse_cols(f, cols, b.dim))
@@ -226,7 +214,7 @@ def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
         if sigma.source != gq0(a, gq_a) or sigma.target != pset:
             raise QuivkitError("BAD_ARGUMENT", "pointed map has wrong endpoints")
         rho = VQuiverMap(f, gq_a.vquiver, pset, sigma.vertex_map, {})
-        return right_adjoint_phi(rho, gq_a, k2_target=target_t)
+        return right_adjoint_phi(rho, gq_a)
 
     def to_pset(alpha: AlgMorphism) -> VQuiverMap:
         if not alpha.source.same_as(a) or not alpha.target.same_as(target):
@@ -264,7 +252,7 @@ def conjugation_automorphism(t: TruncatedTensorAlgebra, v) -> AlgMorphism:
     a = t.carrier
     if not a.radical.contains(v):
         raise QuivkitError("BAD_ARGUMENT", "conjugation element must lie in J")
-    return universal_map(t, a, *conjugated_images(a, v, *t.identity_images()))
+    return universal_map(t, a, *conjugated_images(a, v, *t.generators()))
 
 
 def factor_delta(t: TruncatedTensorAlgebra, alpha: AlgMorphism,
@@ -386,12 +374,14 @@ def kinfty_on_map(rho: VQuiverMap, src_cls: IdealOrbitClass,
 
     `witness_src` is (I', delta_I) with delta_I(I) = I', and likewise for the
     target; defaults take the representatives themselves with the identity.
-    Requires rho surjective, k[[rho]](I') in K' (WITNESS_INVALID otherwise)
-    and each delta in the identity class (DELTA_INVALID).  The map is read
-    off its lift pi_K . delta_K^-1 . k[[rho]] . delta_I, which kills I.
+    Requires rho between the classes' Vquivers over their field (BAD_ARGUMENT),
+    rho surjective, k[[rho]](I') in K' (WITNESS_INVALID otherwise) and each
+    delta in the identity class (DELTA_INVALID).  The map is read off its
+    lift pi_K . delta_K^-1 . k[[rho]] . delta_I, which kills I.
     """
     t_src, t_tgt = src_cls.parent, tgt_cls.parent
-    if rho.source != t_src.vq or rho.target != t_tgt.vq:
+    if rho.source != t_src.vq or rho.target != t_tgt.vq \
+            or rho.field != t_src.field or rho.field != t_tgt.field:
         raise QuivkitError("BAD_ARGUMENT", "map endpoints do not match the classes")
     if not rho.is_surjective():
         raise QuivkitError("NOT_SURJECTIVE",
@@ -408,7 +398,7 @@ def kinfty_on_map(rho: VQuiverMap, src_cls: IdealOrbitClass,
         raise QuivkitError("WITNESS_INVALID", "source witness does not map I to I'")
     if apply_to_ideal(delta_k, k_rep) != kprime:
         raise QuivkitError("WITNESS_INVALID", "target witness does not map K to K'")
-    krho = kvq_on_map(rho, t_src.level, src=t_src, tgt=t_tgt)
+    krho = kvq_on_map(rho, t_src.level)
     if not kprime.space.contains_subspace(krho.image_of(iprime.space)):
         raise QuivkitError("WITNESS_INVALID", "k[[rho]] does not take I' into K'")
     if not (check_sim(delta_i, ident_src, 1) and check_sim(delta_k, ident_tgt, 1)):
@@ -459,7 +449,7 @@ def same_ideal_orbit(t: TruncatedTensorAlgebra, ideal_a: IdealSubspace,
                 if tried >= budget:
                     return None
                 tried += 1
-                idems, arrow_images = t.identity_images()
+                idems, arrow_images = t.generators()
                 arrow_images[lab][i] = c   # i is a longer path, not the arrow
                 delta = universal_map(t, a, idems, arrow_images)
                 if check(delta):

@@ -43,9 +43,11 @@ class GabrielQuiverResult:
         return self.vquiver.vertices
 
     def generators(self):
-        """Splitting idempotents by vertex and arrow bases by arrow pair."""
+        """Splitting idempotents by vertex and arrow basis elements by arrow
+        label, the form universal_map takes."""
         return (dict(zip(self.vertex_names, self.splitting.idems.elements)),
-                self.arrow_bases)
+                {lab: x for pair, labs in self.vquiver.spaces.items()
+                 for lab, x in zip(labs, self.arrow_bases[pair])})
 
     def coordinate_cols(self):
         """Sparse columns of the coordinate map, the inverse of the adapted
@@ -102,8 +104,8 @@ class GabrielQuiverResult:
                  ) -> VQuiverMap:
         """Vquiver map vq -> gq(A) read off a morphism alpha into A.
 
-        `idems[v]` and `arrows[(v, w)]` are the elements of alpha's source
-        that stand for vq's vertices and arrow blocks.  A vertex goes to the
+        `idems[v]` and `arrows[b]` are the elements of alpha's source that
+        stand for vq's vertex v and its arrow labelled b.  A vertex goes to the
         orbit of its image idempotent (the point when the image vanishes);
         an arrow block to the classes mod J^2 of its images, in the block
         bases.  The inverse of pathalg.vqmap_generator_images.
@@ -120,14 +122,14 @@ class GabrielQuiverResult:
                 raise QuivkitError("INTERNAL", "vertex image matches no orbit")
             vertex_map[v] = name
         mats = {}
-        for (src, tgt), elems in arrows.items():
+        for (src, tgt), labs in vq.spaces.items():
             ws, wt = vertex_map[src], vertex_map[tgt]
             d = self.vquiver.dim(ws, wt)
             if d == 0:
                 continue
             cols = []
-            for x in elems:
-                coords = self.arrow_class_coords(ws, wt, alpha.apply(x))
+            for lab in labs:
+                coords = self.arrow_class_coords(ws, wt, alpha.apply(arrows[lab]))
                 if coords is None:
                     raise QuivkitError("INTERNAL",
                                        "arrow image class escapes its block")

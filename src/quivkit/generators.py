@@ -83,7 +83,7 @@ def random_identity_class_automorphism(rng, t: TruncatedTensorAlgebra,
     w = None
     if rng.random() < 0.8 and t.carrier.radical.dim > 0:
         w = random_radical_element(rng, t, min_length=1)
-    idem_images, arrow_images = t.identity_images()
+    idem_images, arrow_images = t.generators()
     if rng.random() < 0.8:
         for lab, img in arrow_images.items():
             src, tgt, _ = t.vq.arrow_location(lab)

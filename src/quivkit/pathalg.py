@@ -77,15 +77,8 @@ class TruncatedTensorAlgebra:
         return {self.arrow_index[label]: self.field.one}
 
     def generators(self):
-        """Vertex idempotents by vertex and arrow elements by arrow pair."""
-        idems = {v: self.idempotent(v) for v in self.vq.vertices}
-        arrows = {pair: [self.arrow_element(lab) for lab in labs]
-                  for pair, labs in self.vq.spaces.items()}
-        return idems, arrows
-
-    def identity_images(self):
-        """Vertex idempotents by vertex and arrow elements by label: the
-        identity's generator images, in the form universal_map takes."""
+        """Vertex idempotents by vertex and arrow elements by arrow label:
+        the identity's generator images, in the form universal_map takes."""
         return ({v: self.idempotent(v) for v in self.vq.vertices},
                 {lab: self.arrow_element(lab) for lab in self.vq.arrow_labels()})
 
@@ -271,14 +264,14 @@ def universal_map(t: TruncatedTensorAlgebra, target: FinAlgebra,
     return AlgMorphism(t.carrier, target, cols)
 
 
-def vqmap_generator_images(rho: VQuiverMap, idems, arrow_bases):
+def vqmap_generator_images(rho: VQuiverMap, idems, arrows):
     """Images of the generators of rho's source, given those of its target.
 
     Vertex w of rho's target stands for the sparse element `idems[w]` and
-    its (w, w') arrows for the list `arrow_bases[(w, w')]`.  A source vertex
-    goes to the element of its image (0 at the point); a source arrow goes
-    to the combination of the image arrows with the coefficients of its
-    column in rho's block.  Returns ({vertex: element}, {arrow: element}),
+    its arrow labelled b for `arrows[b]`.  A source vertex goes to the
+    element of its image (0 at the point); a source arrow goes to the
+    combination of the image arrows with the coefficients of its column in
+    rho's block.  Returns ({vertex: element}, {arrow label: element}),
     sparse and ready for universal_map.
     """
     f = rho.field
@@ -287,28 +280,19 @@ def vqmap_generator_images(rho: VQuiverMap, idems, arrow_bases):
                    for v in rho.source.vertices}
     arrow_images = {}
     for (src, tgt), labs in rho.source.spaces.items():
-        ws, wt = vm[src], vm[tgt]
-        killed = rho.target.dim(ws, wt) == 0
-        block = None if killed else rho.block(src, tgt)
+        image = [arrows[b] for b in rho.target.spaces.get((vm[src], vm[tgt]), ())]
+        block = rho.block(src, tgt)
         for j, lab in enumerate(labs):
-            arrow_images[lab] = {} if killed else \
-                _combine(f, arrow_bases[(ws, wt)], enumerate(block.col(j)))
+            arrow_images[lab] = _combine(f, image, enumerate(block.col(j)))
     return idem_images, arrow_images
 
 
-def kvq_on_map(rho: VQuiverMap, level: int, *, src: TruncatedTensorAlgebra = None,
-               tgt: TruncatedTensorAlgebra = None) -> AlgMorphism:
-    """Functorial morphism k[[source]] -> k[[target]] of a Vquiver map."""
-    field = rho.field
-    if src is None:
-        src = build_kvq(field, rho.source, level)
-    if tgt is None:
-        tgt = build_kvq(field, rho.target, level)
-    if src.vq != rho.source or tgt.vq != rho.target or src.level != level \
-            or tgt.level != level or src.field != field or tgt.field != field:
-        raise QuivkitError("BAD_ARGUMENT", "prebuilt algebras do not match the map")
-    images = vqmap_generator_images(rho, *tgt.generators())
-    return universal_map(src, tgt.carrier, *images)
+def kvq_on_map(rho: VQuiverMap, level: int) -> AlgMorphism:
+    """Functorial morphism k[[source]] -> k[[target]] of a Vquiver map, with
+    both ends built by build_kvq over rho's field at the level."""
+    src = build_kvq(rho.field, rho.source, level)
+    tgt = build_kvq(rho.field, rho.target, level)
+    return universal_map(src, tgt.carrier, *vqmap_generator_images(rho, *tgt.generators()))
 
 
 def cpa(field, q: Quiver, level: int) -> TruncatedTensorAlgebra:
@@ -316,13 +300,11 @@ def cpa(field, q: Quiver, level: int) -> TruncatedTensorAlgebra:
     return build_kvq(field, v_of_quiver(q), level)
 
 
-def cpa_on_inclusion(iota: QuiverMap, level: int, field, *,
-                     src: TruncatedTensorAlgebra = None,
-                     tgt: TruncatedTensorAlgebra = None) -> AlgMorphism:
+def cpa_on_inclusion(iota: QuiverMap, level: int, field) -> AlgMorphism:
     """CPA(R) -> CPA(Q) for an injective quiver map Q -> R: the Vquiver
     functor on v_of_inclusion, which kills every path not completely inside
     Q and sends the others to their preimages."""
-    return kvq_on_map(v_of_inclusion(iota, field), level, src=src, tgt=tgt)
+    return kvq_on_map(v_of_inclusion(iota, field), level)
 
 
 def k2vq(field, vq: VQuiver) -> TruncatedTensorAlgebra:

@@ -10,7 +10,7 @@ the target vertex set; each arrow space carries a matrix into the image block.
 from __future__ import annotations
 
 from .errors import QuivkitError
-from .exactlin import Mat, rank
+from .exactlin import Mat, _field_value, rank
 
 POINT = "*"
 _POINT_ALIASES = {"*", "✱"}
@@ -26,7 +26,8 @@ def _check_vertex_labels(vertices):
 
 
 class Quiver:
-    """Finite directed graph with labelled arrows."""
+    """Finite directed graph with labelled arrows, each a (label, source,
+    target) triple."""
 
     __slots__ = ("vertices", "arrows", "_arrow_index")
 
@@ -34,6 +35,11 @@ class Quiver:
         _check_vertex_labels(vertices)
         self.vertices = list(vertices)
         vset = set(self.vertices)
+        arrows = [tuple(a) if isinstance(a, (tuple, list)) else a for a in arrows]
+        for a in arrows:
+            if type(a) is not tuple or len(a) != 3:
+                raise QuivkitError("BAD_SHAPE", f"arrow {a!r} is not a "
+                                                f"(label, source, target) triple")
         labels = [a[0] for a in arrows]
         if len(set(labels)) != len(labels):
             raise QuivkitError("BAD_SHAPE", "duplicate arrow labels")
@@ -41,7 +47,7 @@ class Quiver:
             if src not in vset or tgt not in vset:
                 raise QuivkitError("BAD_SHAPE",
                                    f"arrow {label} references unknown vertex")
-        self.arrows = [tuple(a) for a in arrows]
+        self.arrows = arrows
         self._arrow_index = {a[0]: a for a in self.arrows}
 
     def arrow(self, label):
@@ -72,7 +78,12 @@ class QuiverMap:
         if len(set(imgs)) != len(imgs):
             raise QuivkitError("NOT_INJECTIVE", "vertex map is not injective")
         for label, src, tgt in source.arrows:
-            timg = target.arrow(arrow_map[label])
+            img = arrow_map[label]
+            try:
+                timg = target.arrow(img)
+            except (KeyError, TypeError):
+                raise QuivkitError("BAD_SHAPE", f"arrow {label} image {img!r} "
+                                                f"is not a target arrow") from None
             if timg[1] != vertex_map[src] or timg[2] != vertex_map[tgt]:
                 raise QuivkitError("BAD_SHAPE",
                                    f"arrow {label} image has wrong endpoints")
@@ -97,8 +108,8 @@ class QuiverMap:
 class VQuiver:
     """Vertices plus arrow-space dimensions with named arrow bases.
 
-    `spaces` maps (source, target) to the list of arrow basis labels; pairs
-    with no arrows are omitted.  The point vertex is implicit.
+    `spaces` maps (source, target) to the list of arrow basis labels, each a
+    string; pairs with no arrows are omitted.  The point vertex is implicit.
     """
 
     __slots__ = ("vertices", "spaces", "_arrow_location")
@@ -116,6 +127,9 @@ class VQuiver:
                 raise QuivkitError("BAD_SHAPE",
                                    f"arrow space ({src},{tgt}) off the vertex set")
             for lab in labels:
+                if not isinstance(lab, str):
+                    raise QuivkitError("BAD_SHAPE", f"arrow label {lab!r} on "
+                                                    f"({src},{tgt}) is not a string")
                 if lab in seen:
                     raise QuivkitError("BAD_SHAPE",
                                        f"duplicate arrow label {lab!r}")
@@ -177,6 +191,20 @@ def is_acyclic(vq: VQuiver) -> bool:
     return True
 
 
+def _read_block(field, pair, mat) -> Mat:
+    """A new Mat of mat's entries read through the field: BAD_SHAPE for a
+    block that is not a Mat, BAD_FIELD for one over another field,
+    BAD_ARGUMENT naming the entry that is not a value of the field."""
+    name = f"block ({pair[0]},{pair[1]})"
+    if not isinstance(mat, Mat):
+        raise QuivkitError("BAD_SHAPE", f"{name} is {mat!r}, not a Mat")
+    if mat.field != field:
+        raise QuivkitError("BAD_FIELD", f"{name} is over another field than the map")
+    return Mat(field, mat.rows, mat.cols,
+               [[_field_value(field, x, "%s entry (%d, %d)", name, i, j)
+                 for j, x in enumerate(row)] for i, row in enumerate(mat.data)])
+
+
 class VQuiverMap:
     """Map of Vquivers over a fixed field.
 
@@ -184,6 +212,8 @@ class VQuiverMap:
     every target vertex exactly once on the un-killed part.  `arrow_mats`
     holds one matrix per source pair whose endpoints survive and whose source
     and target blocks are both nonzero; all other blocks are forced zero.
+    Each given block is a Mat over the map's field, stored as a new Mat of
+    its entries read through the field.
     """
 
     __slots__ = ("field", "source", "target", "vertex_map", "arrow_mats")
@@ -204,6 +234,7 @@ class VQuiverMap:
         if stray:
             raise QuivkitError("BAD_SHAPE",
                                f"blocks {sorted(stray)} are not on source arrow pairs")
+        arrow_mats = {pair: _read_block(field, pair, mat) for pair, mat in arrow_mats.items()}
         self.field = field
         self.source = source
         self.target = target

@@ -401,7 +401,8 @@ def kinfty_on_map(rho, src_cls, tgt_cls, *, witness_src=None, witness_tgt=None):
     with mid induced on the primed quotients (the witnesses' checks and
     codes as in `quivkit.kinfty_on_map`)."""
     t_src, t_tgt = src_cls.parent, tgt_cls.parent
-    if rho.source != t_src.vq or rho.target != t_tgt.vq:
+    if rho.source != t_src.vq or rho.target != t_tgt.vq \
+            or rho.field != t_src.field or rho.field != t_tgt.field:
         raise QuivkitError("BAD_ARGUMENT", "map endpoints do not match the classes")
     if not rho.is_surjective():
         raise QuivkitError("NOT_SURJECTIVE",
@@ -418,7 +419,7 @@ def kinfty_on_map(rho, src_cls, tgt_cls, *, witness_src=None, witness_tgt=None):
         raise QuivkitError("WITNESS_INVALID", "source witness does not map I to I'")
     if apply_to_ideal(delta_k, k_rep) != kprime:
         raise QuivkitError("WITNESS_INVALID", "target witness does not map K to K'")
-    krho = kvq_on_map(rho, t_src.level, src=t_src, tgt=t_tgt)
+    krho = kvq_on_map(rho, t_src.level)
     if not kprime.space.contains_subspace(krho.image_of(iprime.space)):
         raise QuivkitError("WITNESS_INVALID", "k[[rho]] does not take I' into K'")
     _q_i, pi_i = quotient_algebra(t_src.carrier, i_rep)
@@ -600,9 +601,9 @@ def table_generators(field, dim, sc, unit, j_space):
     return classes, lifted, [v for block in blocks.values() for v in block.basis]
 
 
-def vqmap_generator_images(rho, n, idems, arrow_bases):
+def vqmap_generator_images(rho, n, idems, arrows):
     """The generator images of rho's source as length-n vectors, from the
-    dense `idems` and `arrow_bases` of its target."""
+    dense `idems` (by vertex) and `arrows` (by arrow label) of its target."""
     f, vm = rho.field, rho.vertex_map
     idem_images = {v: vec_zero(f, n) if vm[v] == POINT else idems[vm[v]]
                    for v in rho.source.vertices}
@@ -612,7 +613,8 @@ def vqmap_generator_images(rho, n, idems, arrow_bases):
         killed = rho.target.dim(ws, wt) == 0
         for j, lab in enumerate(labs):
             arrow_images[lab] = vec_zero(f, n) if killed else \
-                vec_combination(f, n, rho.block(src, tgt).col(j), arrow_bases[(ws, wt)])
+                vec_combination(f, n, rho.block(src, tgt).col(j),
+                                [arrows[b] for b in rho.target.spaces[(ws, wt)]])
     return idem_images, arrow_images
 
 

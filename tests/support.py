@@ -5,8 +5,11 @@ identity morphism by its columns, `paths_of_length_at_least` is the span
 of the long paths of a truncated path algebra, and
 `identity_class_is_conjugation_group` is the reachability predicate that
 `tests/test_gabriel.py` checks against `inner_conjugation_witness`.
+`warm_then_cold` runs a call on build_kvq's memo as the caller left it and
+again on an empty one.
 """
 
+from quivkit import pathalg
 from quivkit.algebra import _combine
 from quivkit.exactlin import Subspace
 
@@ -53,3 +56,12 @@ def identity_class_is_conjugation_group(vq, level):
         if (s, t) in edges and any(l >= 2 for l in lens):
             return False
     return True
+
+
+def warm_then_cold(call):
+    """(call(), call()): the first on build_kvq's memo as the caller left
+    it, which hands back the caller's own path algebras, the second after
+    emptying the memo, which builds them anew."""
+    warm = call()
+    pathalg._KVQ_MEMO.clear()
+    return warm, call()

@@ -297,7 +297,7 @@ def test_criterion_9_related_adjunctions_enumerated():
         assert len(classes) == len(vqmaps), (field.char, len(classes), len(vqmaps))
         # the explicit construction lands in the right class
         for rho in vqmaps:
-            alpha = qk.right_adjoint_phi(rho, g, k2_target=k2)
+            alpha = qk.right_adjoint_phi(rho, g)
             assert any(qk.check_sim(alpha, cls[0], 1) for cls in classes)
     # semisimple approximation: pointed maps against morphism classes at level 0
     from quivkit.gabriel import pointed_set

@@ -330,7 +330,7 @@ def test_right_adjoint_matches_the_decomposition_solve():
                 random_vqmap_to_gq(rng, g.vquiver, g, f)]
         for rho in rhos:
             k2 = build_kvq(f, rho.target, 2)
-            alpha = qk.right_adjoint_phi(rho, g, k2_target=k2)
+            alpha = qk.right_adjoint_phi(rho, g)
             assert alpha.matrix == ref_right_adjoint_matrix(rho, g, k2), case
             checked += 1
     assert checked > 100

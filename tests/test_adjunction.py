@@ -6,6 +6,7 @@ import pytest
 
 import quivkit as qk
 import quivkit.exactlin as el
+from quivkit import pathalg
 from quivkit.errors import QuivkitError
 from quivkit.adjunction import (
     apply_to_ideal,
@@ -40,7 +41,7 @@ from corpus import (
     two_vq,
     vq_corpus,
 )
-from support import is_identity
+from support import is_identity, warm_then_cold
 
 
 def _triangle_aut(t):
@@ -315,6 +316,52 @@ def test_naturality_first_variable():
     assert qk.naturality_check_first_var(rho, gq_t, 3, sigmas)
 
 
+def test_naturality_first_variable_builds_its_algebras_through_the_memo():
+    t = triangle_algebra()
+    gq_t = qk.gq(t.carrier)
+    vr = VQuiver(["1", "2", "3"], {("1", "2"): ["p", "p2"], ("1", "3"): ["q"],
+                                   ("3", "2"): ["r"]})
+    rho = VQuiverMap(QQ, vr, t.vq, {"1": "1", "2": "2", "3": "3"},
+                     {("1", "2"): el.Mat(QQ, 1, 2, [[1, 2]]),
+                      ("1", "3"): el.Mat.identity(QQ, 1),
+                      ("3", "2"): el.Mat.identity(QQ, 1)})
+    t_src = build_kvq(QQ, vr, 3)
+    rng = seeded_rng(19)
+    sigmas = [random_vqmap_to_gq(rng, t.vq, gq_t, QQ) for _ in range(5)]
+    assert warm_then_cold(lambda: qk.naturality_check_first_var(rho, gq_t, 3, sigmas)) \
+        == (True, True)
+    # a cold k[[rho]] composes with psi out of the caller's k[[VQ]]
+    pathalg._KVQ_MEMO.clear()
+    krho = kvq_on_map(rho, 3)
+    assert krho.source is not t_src.carrier and krho.target is not t.carrier
+    for sigma in sigmas:
+        assert qk.check_sim(qk.psi(t_src, compose_vq(sigma, rho), gq_t),
+                            qk.psi(t, sigma, gq_t).compose(krho), 1)
+
+
+def test_right_adjoint_builds_its_target_through_the_memo():
+    vq = triangle_vq()
+    t2 = qk.k2vq(QQ, vq)
+    g = qk.gq(t2.carrier)
+    names = g.vquiver.vertices
+    rho = VQuiverMap(QQ, g.vquiver, vq, {names[i]: vq.vertices[i] for i in range(3)},
+                     {pair: el.Mat.identity(QQ, len(labs))
+                      for pair, labs in g.vquiver.spaces.items()})
+    warm, cold = warm_then_cold(lambda: qk.right_adjoint_phi(rho, g))
+    assert warm.target is t2.carrier and cold.target is not t2.carrier
+    assert cold == warm
+    # composed with a morphism out of the caller's k2[[VQ]]
+    conj = conjugation_automorphism(t2, t2.arrow_element("a"))
+    assert conj.compose(cold) == conj.compose(warm)
+    # the semisimple bijection reads right_adjoint_phi's target against its own
+    a = semisimple(F3, 2)
+    pset = VQuiver(["w0", "w1"], {})
+    to_alg, to_pset = qk.semisimple_adjunction_bijection(a, pset)
+    pathalg._KVQ_MEMO.clear()
+    sigma = VQuiverMap(F3, qk.gq0(a), pset, {"1": "w1", "2": "w0"}, {})
+    assert to_pset(to_alg(sigma)) == sigma
+
+
 def test_right_adjoint_on_level_two_algebra():
     vq = triangle_vq()
     t2 = qk.k2vq(QQ, vq)
@@ -360,21 +407,6 @@ def test_right_adjoint_kills_j2():
     alpha = qk.right_adjoint_phi(rho, g)
     assert alpha.apply(a.element("cb")) == {}
     assert alpha.apply(a.element("a")) != {}
-
-
-def test_right_adjoint_refuses_a_wrong_k2_target():
-    g = qk.gq(triangle_algebra().carrier)
-    rho = identity_vqmap(g.vquiver, QQ)
-    wrong = [build_kvq(QQ, line_vq(), 2),  # another Vquiver
-             build_kvq(QQ, g.vquiver, 3),  # another level
-             build_kvq(F3, g.vquiver, 2)]  # another field
-    for k2 in wrong:
-        with pytest.raises(QuivkitError) as exc:
-            qk.right_adjoint_phi(rho, g, k2_target=k2)
-        assert exc.value.code == "BAD_ARGUMENT"
-    right = build_kvq(QQ, g.vquiver, 2)
-    assert qk.right_adjoint_phi(rho, g, k2_target=right) == \
-        qk.right_adjoint_phi(rho, g)
 
 
 def test_right_adjoint_refuses_a_map_over_another_field():
@@ -632,7 +664,7 @@ def _kinfty_cases():
     b2 = two.carrier
     bc = qk.IdealOrbitClass(two, qk.ideal_generated_by(b2, [b2.element("bc")]))
     zero_two = qk.IdealOrbitClass(two, qk.ideal_generated_by(b2, []))
-    idems, arrows = two.identity_images()
+    idems, arrows = two.generators()
     shift = universal_map(two, b2, idems,
                           dict(arrows, b=vec_add(QQ, el.dense(QQ, b2.dim, arrows["b"]),
                                                  b2.element("ax"))))
@@ -662,12 +694,33 @@ def test_kinfty_matches_the_gamma_oracle():
         assert m == dense_oracle.kinfty_on_map(rho, src, tgt, **witnesses), name
 
 
+def test_kinfty_builds_k_rho_through_the_memo():
+    # k[[rho]] built cold equals the classes' algebras by content, so it
+    # composes with the witnesses and projections out of them
+    for name, rho, src, tgt, witnesses in _kinfty_cases():
+        warm, cold = warm_then_cold(lambda: qk.kinfty_on_map(rho, src, tgt, **witnesses))
+        assert cold == warm, name
+        pi = qk.quotient_algebra(src.parent.carrier, src.representative)[1]
+        assert cold.compose(pi) == warm.compose(pi), name
+
+
+def test_kinfty_refuses_a_map_over_another_field():
+    t = triangle_algebra()
+    cls = qk.IdealOrbitClass(t, qk.ideal_generated_by(t.carrier, [t.carrier.element("cb")]))
+    for fn in (qk.kinfty_on_map, dense_oracle.kinfty_on_map):
+        pathalg._KVQ_MEMO.clear()
+        with pytest.raises(QuivkitError) as exc:
+            fn(identity_vqmap(t.vq, F5), cls, cls)
+        assert exc.value.code == "BAD_ARGUMENT"
+        assert not any(key[1] == F5 for key in pathalg._KVQ_MEMO)
+
+
 def test_kinfty_refuses_a_witness_outside_the_identity_class():
     # a -> 2a fixes (cb) but moves a out of a + J^2
     t = triangle_algebra()
     a = t.carrier
     cls = qk.IdealOrbitClass(t, qk.ideal_generated_by(a, [a.element("cb")]))
-    idems, arrows = t.identity_images()
+    idems, arrows = t.generators()
     scale = universal_map(t, a, idems, dict(arrows, a=vec_scale(QQ, QQ.of(2),
                                                                 el.dense(QQ, a.dim, arrows["a"]))))
     assert apply_to_ideal(scale, cls.representative) == cls.representative
@@ -718,7 +771,6 @@ def test_factorization_lemma():
             continue
         rho = qk.phi(t, gamma_m, g)
         # k[[rho]] : k[[VQ]] -> k[[gq(A)]] at the counit's level
-        krho = kvq_on_map(rho, cu.source_algebra.level, src=t,
-                          tgt=cu.source_algebra)
+        krho = kvq_on_map(rho, cu.source_algebra.level)
         recomposed = cu.morphism.compose(krho)
         assert qk.check_sim(recomposed, gamma_m, 1)

@@ -519,8 +519,8 @@ def test_induced_on_quotient_refuses_what_is_not_a_projection():
     a = t.carrier
     q, pi = qk.quotient_algebra(a, qk.ideal_generated_by(a, [a.element("a")]))
     # same labels, but the class of a is sent to a + cb
-    shifted = dict(t.identity_images()[1], a=vec_add(QQ, a.element("a"), a.element("cb")))
-    aut = universal_map(t, a, t.identity_images()[0], shifted)
+    shifted = dict(t.generators()[1], a=vec_add(QQ, a.element("a"), a.element("cb")))
+    aut = universal_map(t, a, t.generators()[0], shifted)
     # the table's labels are not labels of its counit's source
     cu = qk.counit(_raw_upper_triangular(QQ))
     # h must start where pi does

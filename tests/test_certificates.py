@@ -359,7 +359,7 @@ def _merged_images(t, v, w):
     """Identity images with e_v folded into e_w: e_v and the arrows at v go
     to 0, so the map is a morphism that is not onto mod radicals."""
     f = t.field
-    idems, arrows = t.identity_images()
+    idems, arrows = t.generators()
     idems[w] = el.add_scaled(f, dict(idems[w]), f.one, idems[v])
     idems[v] = {}
     for lab in arrows:
@@ -384,7 +384,7 @@ def _universal_map_inputs(field, rng):
     for name, vq in vq_corpus() + [("TWO", TWO)]:
         t = qk.build_kvq(field, vq, 4 if name in ("loop", "TWO") else 3)
         w = random_radical_element(rng, t)
-        out.append((t, t.carrier) + conjugated_images(t.carrier, w, *t.identity_images()))
+        out.append((t, t.carrier) + conjugated_images(t.carrier, w, *t.generators()))
         v, *rest = t.vq.vertices
         if rest:
             out.append((t, t.carrier) + _merged_images(t, v, rest[-1]))

@@ -115,8 +115,10 @@ def test_stored_generators_are_the_sparse_forms_of_the_dense_ones(field):
         g = qk.gq(a)
         idems, bases = g.generators()
         assert list(idems.values()) == a.ss_classes, name
+        assert list(bases) == g.vquiver.arrow_labels(), name
         for (i, j), vecs in split.blocks.items():
-            assert bases[(g.vertex_names[i], g.vertex_names[j])] == vecs, name
+            labs = g.vquiver.spaces[(g.vertex_names[i], g.vertex_names[j])]
+            assert [bases[lab] for lab in labs] == vecs, name
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -152,7 +154,7 @@ def test_returned_elements_are_the_sparse_forms_of_the_dense_ones(field):
         g = qk.gq(a)
         t = qk.build_kvq(field, g.vquiver, max(2, a.truncation_level))
         didems = {v: dense.as_dense(a, e) for v, e in g.generators()[0].items()}
-        dbases = {k: [dense.as_dense(a, x) for x in vs] for k, vs in g.generators()[1].items()}
+        dbases = {lab: dense.as_dense(a, x) for lab, x in g.generators()[1].items()}
         for _ in range(2):
             rho = random_vqmap_to_gq(rng, t.vq, g, field)
             got = vqmap_generator_images(rho, *g.generators())
@@ -168,16 +170,15 @@ def test_returned_elements_are_the_sparse_forms_of_the_dense_ones(field):
                 images += 1
         # the path algebra's own generators
         gi, ga = t.generators()
-        ii, ia = t.identity_images()
+        assert list(ga) == t.vq.arrow_labels(), name
         for v in t.vq.vertices:
             ref = el.vec_unit(field, t.dim, t.vertex_idem[v])
-            for x in (t.idempotent(v), gi[v], ii[v]):
+            for x in (t.idempotent(v), gi[v]):
                 assert_sparse_of(field, t.dim, x, ref, name)
-        for (src, tgt), labs in t.vq.spaces.items():
-            for lab, x in zip(labs, ga[(src, tgt)]):
-                ref = el.vec_unit(field, t.dim, t.arrow_index[lab])
-                for y in (t.arrow_element(lab), x, ia[lab]):
-                    assert_sparse_of(field, t.dim, y, ref, name)
+        for lab, x in ga.items():
+            ref = el.vec_unit(field, t.dim, t.arrow_index[lab])
+            for y in (t.arrow_element(lab), x):
+                assert_sparse_of(field, t.dim, y, ref, name)
     assert witnesses >= 10 and images >= 50
 
 
@@ -295,7 +296,7 @@ def test_a_wrong_length_is_bad_shape():
 def test_public_functions_take_elements_dense_or_sparse():
     a = _one_arrow()
     t = qk.build_kvq(F5, qk.VQuiver(["1", "2"], {("1", "2"): ["a"]}), 3)
-    idems, arrows = t.identity_images()
+    idems, arrows = t.generators()
     sparse_map = qk.universal_map(t, a, idems, arrows)
     dense_map = qk.universal_map(t, a, {v: el.dense(F5, 3, x) for v, x in idems.items()},
                                  {lab: el.dense(F5, 3, x) for lab, x in arrows.items()})

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import quivkit as qk
 import quivkit.exactlin as el
+from quivkit.adjunction import conjugation_automorphism
 from quivkit.errors import QuivkitError
 from quivkit.pathalg import (
     MAX_KVQ_DIM,
@@ -19,6 +20,7 @@ from quivkit.pathalg import (
     k2vq,
     kvq_on_map,
     universal_map,
+    vqmap_generator_images,
 )
 from quivkit.vquiver import POINT, Quiver, QuiverMap, VQuiver, VQuiverMap
 
@@ -34,7 +36,7 @@ from corpus import (
     two_point_vq,
 )
 from dense_oracle import vec_add, vec_zero
-from support import paths_of_length_at_least
+from support import paths_of_length_at_least, warm_then_cold
 
 
 def test_no_arrow_vquiver_gives_product_of_fields():
@@ -221,7 +223,7 @@ def test_universal_property_uniqueness():
                                            [QQ.of(0), QQ.of(2)]])})
     src = build_kvq(QQ, vr, 3)
     tgt = build_kvq(QQ, vq2, 3)
-    m = kvq_on_map(rho, 3, src=src, tgt=tgt)
+    m = kvq_on_map(rho, 3)
     idem = {v: m.apply(src.idempotent(v)) for v in vr.vertices}
     arrows = {lab: m.apply(src.arrow_element(lab))
               for lab in vr.arrow_labels()}
@@ -229,15 +231,40 @@ def test_universal_property_uniqueness():
     assert again.matrix == m.matrix
 
 
-def test_kvq_on_map_refuses_prebuilt_algebras_over_another_field():
-    vq = one_arrow_vq()
-    rho = VQuiverMap(QQ, vq, vq, {"1": "1", "2": "2"},
-                     {("1", "2"): el.Mat(QQ, 1, 1, [[QQ.of(Fraction(1, 2))]])})
-    t = build_kvq(F5, vq, 2)
-    with pytest.raises(QuivkitError) as exc:
-        kvq_on_map(rho, 2, src=t, tgt=t)
-    assert exc.value.code == "BAD_ARGUMENT"
-    assert str(exc.value) == "BAD_ARGUMENT: prebuilt algebras do not match the map"
+def _through_conjugations(m, src, tgt):
+    """m between conjugations of the path algebras src and tgt by their
+    first arrows: morphisms out of those two objects."""
+    return (conjugation_automorphism(tgt, tgt.arrow_element(tgt.vq.arrow_labels()[0]))
+            .compose(m)
+            .compose(conjugation_automorphism(src, src.arrow_element(src.vq.arrow_labels()[0]))))
+
+
+def test_kvq_on_map_builds_its_ends_through_the_memo():
+    # a cold call builds both ends anew; they equal the caller's by content,
+    # so the result equals the warm one and composes with the caller's maps
+    vr = line_vq()
+    vq2 = VQuiver(["4", "5"], {("4", "5"): ["s", "t"]})
+    rho = VQuiverMap(QQ, vr, vq2, {"1": "4", "2": "5", "3": POINT},
+                     {("1", "2"): el.Mat(QQ, 2, 2, [[1, 1], [0, 2]])})
+    src, tgt = build_kvq(QQ, vr, 3), build_kvq(QQ, vq2, 3)
+    warm, cold = warm_then_cold(lambda: kvq_on_map(rho, 3))
+    assert warm.source is src.carrier and warm.target is tgt.carrier
+    assert cold.source is not src.carrier and cold.target is not tgt.carrier
+    assert cold == warm == universal_map(src, tgt.carrier,
+                                         *vqmap_generator_images(rho, *tgt.generators()))
+    assert _through_conjugations(cold, src, tgt) == _through_conjugations(warm, src, tgt)
+
+
+def test_cpa_on_inclusion_builds_its_ends_through_the_memo():
+    iota = _inclusions()[0][1]
+    for field in (QQ, F5):
+        src, tgt = cpa(field, iota.target, 3), cpa(field, iota.source, 3)
+        warm, cold = warm_then_cold(lambda: cpa_on_inclusion(iota, 3, field))
+        assert warm.source is src.carrier and warm.target is tgt.carrier
+        assert cold.source is not src.carrier and cold.target is not tgt.carrier
+        assert cold == warm
+        assert cold.matrix == _path_killing_matrix(iota, src, tgt)
+        assert _through_conjugations(cold, src, tgt) == _through_conjugations(warm, src, tgt)
 
 
 def test_kvq_on_surjective_map_is_surjective():
@@ -316,7 +343,7 @@ def test_cpa_on_inclusion_equals_path_killing():
         for name, iota in _inclusions():
             for level in (2, 3, 4):
                 src, tgt = cpa(field, iota.target, level), cpa(field, iota.source, level)
-                m = cpa_on_inclusion(iota, level, field, src=src, tgt=tgt)
+                m = cpa_on_inclusion(iota, level, field)
                 assert m.matrix == _path_killing_matrix(iota, src, tgt), (field, name, level)
                 assert m.surjective, (field, name, level)
                 checked += 1

@@ -1,6 +1,7 @@
 """Quivers, Vquivers, the functor from injective quiver maps."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -203,3 +204,91 @@ def test_block_off_source_arrow_pairs_rejected(key):
     with pytest.raises(QuivkitError) as exc:
         VQuiverMap(QQ, tri, tri, vm, {key: el.Mat.identity(QQ, 1)})
     assert exc.value.code == "BAD_SHAPE"
+
+
+# ---------------------------------------------------------------------------
+# blocks read through the map's field; malformed quivers refused
+# ---------------------------------------------------------------------------
+
+F5 = qk.GF(5)
+ONE_ARROW = VQuiver(["1", "2"], {("1", "2"): ["a"]})
+
+
+def _refused(build):
+    with pytest.raises(QuivkitError) as exc:
+        build()
+    return exc.value.code, str(exc.value)
+
+
+def test_a_block_equal_to_zero_in_the_field_is_zero():
+    rho = VQuiverMap(F5, ONE_ARROW, ONE_ARROW, {"1": "1", "2": "2"},
+                     {("1", "2"): el.Mat(F5, 1, 1, [[5]])})
+    assert rho.block("1", "2").data == [[0]]
+    assert not rho.is_surjective() and not rho.is_isomorphism()
+
+
+def test_a_block_equal_to_zero_in_the_field_may_sit_on_a_killed_pair():
+    points = VQuiver(["1", "2"], {})
+    rho = VQuiverMap(F5, ONE_ARROW, points, {"1": "1", "2": "2"},
+                     {("1", "2"): el.Mat(F5, 1, 1, [[5]])})
+    assert rho.arrow_mats == {}
+    assert _refused(lambda: VQuiverMap(F5, ONE_ARROW, points, {"1": "1", "2": "2"},
+                                       {("1", "2"): el.Mat(F5, 1, 1, [[6]])})) == (
+        "BAD_SHAPE", "BAD_SHAPE: block (1,2) must be the zero map")
+
+
+def test_a_block_is_stored_as_field_values_and_phi_reads_it_back():
+    g = qk.gq(qk.build_kvq(F5, ONE_ARROW, 2).carrier)
+    (src, tgt), = g.vquiver.spaces
+    seven = el.Mat(F5, 1, 1, [[7]])
+    rho = VQuiverMap(F5, ONE_ARROW, g.vquiver, {"1": src, "2": tgt}, {("1", "2"): seven})
+    assert rho.block("1", "2").data == [[2]] and seven.data == [[7]]
+    t = qk.build_kvq(F5, ONE_ARROW, 2)
+    assert qk.phi(t, qk.psi(t, rho, g), g) == rho
+
+
+def test_block_entries_are_read_as_morphism_entries_are():
+    def one_by_one(field, x):
+        return VQuiverMap(field, ONE_ARROW, ONE_ARROW, {"1": "1", "2": "2"},
+                          {("1", "2"): el.Mat(field, 1, 1, [[x]])})
+
+    half = one_by_one(QQ, Fraction(1, 2))
+    assert one_by_one(QQ, 0.5) == half
+    assert qk.kvq_on_map(one_by_one(QQ, 0.5), 3) == qk.kvq_on_map(half, 3)
+    assert one_by_one(F5, Fraction(1, 2)) == one_by_one(F5, 3)
+    assert qk.kvq_on_map(one_by_one(F5, Fraction(1, 2)), 2).cols[2] == {2: 3}
+    assert _refused(lambda: one_by_one(QQ, "x")) == (
+        "BAD_ARGUMENT", "BAD_ARGUMENT: block (1,2) entry (0, 0) is 'x', not a value of Q")
+    assert _refused(lambda: one_by_one(F5, Fraction(1, 5))) == (
+        "BAD_ARGUMENT", "BAD_ARGUMENT: block (1,2) entry (0, 0) is Fraction(1, 5), "
+                        "not a value of F5")
+    assert _refused(lambda: VQuiverMap(QQ, ONE_ARROW, ONE_ARROW, {"1": "1", "2": "2"},
+                                       {("1", "2"): [[1]]})) == (
+        "BAD_SHAPE", "BAD_SHAPE: block (1,2) is [[1]], not a Mat")
+
+
+def test_a_block_over_another_field_is_refused():
+    assert _refused(lambda: VQuiverMap(QQ, ONE_ARROW, ONE_ARROW, {"1": "1", "2": "2"},
+                                       {("1", "2"): el.Mat(F5, 1, 1, [[3]])})) == (
+        "BAD_FIELD", "BAD_FIELD: block (1,2) is over another field than the map")
+
+
+def test_a_quiver_map_refuses_an_arrow_image_outside_the_target():
+    line = Quiver(["1", "2"], [("a", "1", "2")])
+    assert _refused(lambda: QuiverMap(line, line, {"1": "1", "2": "2"}, {"a": "z"})) == (
+        "BAD_SHAPE", "BAD_SHAPE: arrow a image 'z' is not a target arrow")
+    assert _refused(lambda: QuiverMap(line, line, {"1": "1", "2": "2"}, {"a": ["a"]}))[0] \
+        == "BAD_SHAPE"
+
+
+@pytest.mark.parametrize("arrow", [("a", "1"), ("a", "1", "2", "3"), "a12", 7])
+def test_a_quiver_refuses_an_arrow_that_is_not_a_triple(arrow):
+    assert _refused(lambda: Quiver(["1", "2"], [arrow])) == (
+        "BAD_SHAPE", f"BAD_SHAPE: arrow {arrow!r} is not a (label, source, target) triple")
+
+
+def test_a_vquiver_refuses_an_arrow_label_that_is_not_a_string():
+    assert _refused(lambda: VQuiver(["1", "2"], {("1", "2"): ["a", 1]})) == (
+        "BAD_SHAPE", "BAD_SHAPE: arrow label 1 on (1,2) is not a string")
+    # vertex labels keep their types
+    assert VQuiver([1, 2], {(1, 2): ["a"]}).vertices == [1, 2]
