@@ -12,8 +12,6 @@ from .algebra import (
     image_of_radical_check,
     is_relation_ideal,
     quotient_algebra,
-    radical,
-    radical_power,
     trace_form_radical,
     validate_algebra,
     validate_morphism,
@@ -27,7 +25,6 @@ from .vquiver import (
     compose_vq,
     identity_vqmap,
     is_acyclic,
-    is_surjective,
     v_of_inclusion,
     v_of_quiver,
 )
@@ -36,7 +33,6 @@ from .pathalg import (
     build_kvq,
     cpa,
     cpa_on_inclusion,
-    k2vq,
     kvq_on_map,
     universal_map,
 )

@@ -211,7 +211,7 @@ def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,
     target = target_t.carrier
 
     def to_alg(sigma: VQuiverMap) -> AlgMorphism:
-        if sigma.source != gq0(a, gq_a) or sigma.target != pset:
+        if sigma.source != gq0(a) or sigma.target != pset:
             raise QuivkitError("BAD_ARGUMENT", "pointed map has wrong endpoints")
         rho = VQuiverMap(f, gq_a.vquiver, pset, sigma.vertex_map, {})
         return right_adjoint_phi(rho, gq_a)

@@ -108,15 +108,6 @@ class FinAlgebra:
             return Subspace.zero(self.field, self.dim)
         return self.radical_filtration[n]
 
-    # -- subspace arithmetic -----------------------------------------------
-
-    def peirce_block(self, left_idem, right_idem, space: Subspace) -> Subspace:
-        """Subspace  left_idem * space * right_idem."""
-        f, sc = self.field, self.structconst
-        left, right = _as_sparse(f, self.dim, left_idem), _as_sparse(f, self.dim, right_idem)
-        return _span(f, self.dim, [_mul_raw(f, sc, left, _mul_raw(f, sc, v, right))
-                                   for v in space.rows.values()])
-
     def same_as(self, other: "FinAlgebra") -> bool:
         if self is other:
             return True
@@ -774,14 +765,6 @@ def presented_algebra(field, basis_labels, terms, unit, radical, classes,
         if _first_unfixed(field, terms, unit, classes + arrows) is not None:
             _check_unit(field, len(basis_labels), terms, unit)
         raise
-
-
-def radical(a: FinAlgebra) -> Subspace:
-    return a.radical
-
-
-def radical_power(a: FinAlgebra, n: int) -> Subspace:
-    return a.radical_power(n)
 
 
 # ---------------------------------------------------------------------------

@@ -233,11 +233,10 @@ def pointed_set(names) -> VQuiver:
     return VQuiver(list(names), {})
 
 
-def gq0(a: FinAlgebra, gq_a: GabrielQuiverResult = None) -> VQuiver:
-    """Orbit set of a complete set of primitive idempotents, as a pointed set."""
-    if gq_a is None:
-        gq_a = gq(a)
-    return pointed_set(gq_a.vertex_names)
+def gq0(a: FinAlgebra) -> VQuiver:
+    """Orbit set of a complete set of primitive idempotents, as a pointed set:
+    the vertices "1".."r" that gq names under every splitting."""
+    return pointed_set(gq(a).vertex_names)
 
 
 def gq0_on_morphism(alpha: AlgMorphism, gq_a: GabrielQuiverResult,

@@ -1,4 +1,4 @@
-"""Seeded random instance generation for property suites.
+"""Seeded random draws for the CLI's sampled checks.
 
 Everything takes an explicit `random.Random`; the CLI and the tests seed it
 from QUIVKIT_SEED (default 20240901) so runs are reproducible.
@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import QuivkitError
-from .algebra import AlgMorphism, IdealSubspace, _combine, ideal_generated_by
+from .algebra import AlgMorphism, _combine
 from .adjunction import conjugated_images
 from .exactlin import Mat
 from .gabriel import GabrielQuiverResult
@@ -42,59 +42,6 @@ def random_scalar(rng: random.Random, field, *, nonzero=False):
         v = rng.randrange(field.char)
         if not nonzero or v != 0:
             return v
-
-
-def random_vquiver(rng: random.Random, *, max_vertices=4, max_total_arrows=4,
-                   prefix="v") -> VQuiver:
-    n = rng.randint(1, max_vertices)
-    vertices = [f"{prefix}{i + 1}" for i in range(n)]
-    total = rng.randint(0, max_total_arrows)
-    spaces = {}
-    for k in range(total):
-        src = rng.choice(vertices)
-        tgt = rng.choice(vertices)
-        spaces.setdefault((src, tgt), []).append(f"{prefix}x{k}")
-    return VQuiver(vertices, spaces)
-
-
-def random_radical_element(rng, t: TruncatedTensorAlgebra, *, min_length=1):
-    """A sparse element on the paths of length >= min_length."""
-    f = t.field
-    out = {}
-    for layer in t.grading[min_length:]:
-        for i in layer:
-            if rng.random() < 0.4 and (c := random_scalar(rng, f)):
-                out[i] = c
-    return out
-
-
-def random_relation_ideal(rng, t: TruncatedTensorAlgebra) -> IdealSubspace:
-    """Ideal generated by a few random elements of J^2 (possibly zero)."""
-    k = rng.randint(0, 2)
-    gens = [random_radical_element(rng, t, min_length=2) for _ in range(k)]
-    return ideal_generated_by(t.carrier, gens)
-
-
-def random_identity_class_automorphism(rng, t: TruncatedTensorAlgebra,
-                                       ) -> AlgMorphism:
-    """Random member of the identity class: arrow shifts into longer paths,
-    then a conjugation, as generator images."""
-    f = t.field
-    w = None
-    if rng.random() < 0.8 and t.carrier.radical.dim > 0:
-        w = random_radical_element(rng, t, min_length=1)
-    idem_images, arrow_images = t.generators()
-    if rng.random() < 0.8:
-        for lab, img in arrow_images.items():
-            src, tgt, _ = t.vq.arrow_location(lab)
-            for i in t.deeper_paths(src, tgt):
-                # i is a longer path, not img's arrow: a zero draw stores nothing
-                if rng.random() < 0.3 and (c := random_scalar(rng, f)):
-                    img[i] = c
-    if w is not None:
-        idem_images, arrow_images = conjugated_images(t.carrier, w, idem_images,
-                                                      arrow_images)
-    return universal_map(t, t.carrier, idem_images, arrow_images)
 
 
 def random_vqmap_to_gq(rng, vq: VQuiver, gq_a: GabrielQuiverResult,

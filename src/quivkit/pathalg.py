@@ -305,8 +305,3 @@ def cpa_on_inclusion(iota: QuiverMap, level: int, field) -> AlgMorphism:
     functor on v_of_inclusion, which kills every path not completely inside
     Q and sends the others to their preimages."""
     return kvq_on_map(v_of_inclusion(iota, field), level)
-
-
-def k2vq(field, vq: VQuiver) -> TruncatedTensorAlgebra:
-    """The level-2 path algebra (vertices plus arrows, J^2 = 0)."""
-    return build_kvq(field, vq, 2)

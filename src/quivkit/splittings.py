@@ -60,14 +60,49 @@ class Splitting:
     inside f_j J f_i (so their classes are a basis of the (i -> j) arrow
     space of the Gabriel quiver, and mapping classes to these vectors is the
     section t).
+
+    The constructor checks that invariant before it stores anything:
+    `idems` is an IdempotentSet of `parent` (BAD_ARGUMENT otherwise), each
+    key is a pair (i, j) of its indices and each block a list (BAD_SHAPE),
+    each vector, dense or sparse, lies in J with f_j x f_i = x, and the
+    vectors are independent modulo J^2 and dim J - dim J^2 in number
+    (NOT_VALIDATED, naming the block and the vector).  The vectors are
+    stored sparse.
     """
 
     __slots__ = ("parent", "idems", "blocks")
 
     def __init__(self, parent: FinAlgebra, idems: IdempotentSet, blocks):
-        self.parent = parent
-        self.idems = idems
-        self.blocks = blocks
+        if not isinstance(idems, IdempotentSet) or not parent.same_as(idems.parent):
+            raise QuivkitError("BAD_ARGUMENT", f"{idems!r} is not an IdempotentSet of the algebra")
+        r = len(idems)
+        if not isinstance(blocks, dict):
+            raise QuivkitError("BAD_SHAPE", f"blocks {blocks!r} are not a mapping")
+        for key, vecs in blocks.items():
+            if type(key) is not tuple or len(key) != 2 or \
+                    any(type(i) is not int or not 0 <= i < r for i in key):
+                raise QuivkitError("BAD_SHAPE", f"block key {key!r} is not a pair of "
+                                                f"idempotent indices 0..{r - 1}")
+            if not isinstance(vecs, (list, tuple)):
+                raise QuivkitError("BAD_SHAPE", f"block {key} is {vecs!r}, not a list of vectors")
+        f, sc, es, rad = parent.field, parent.structconst, idems.elements, parent.radical
+        j2 = parent.radical_power(2)
+        ech, checked = Echelon(f, j2), {}
+        for (i, j), vecs in sorted(blocks.items()):
+            checked[(i, j)] = []
+            for k, v in enumerate(vecs):
+                name = f"block ({i}, {j}) vector {k}"
+                x = _as_sparse(f, parent.dim, v, name)
+                if not rad.contains(x) or _mul_raw(f, sc, es[j], _mul_raw(f, sc, x, es[i])) != x:
+                    raise QuivkitError("NOT_VALIDATED", f"{name} is not in f_{j} J f_{i}")
+                if not ech.insert(dict(x)):
+                    raise QuivkitError("NOT_VALIDATED", f"{name} is dependent modulo J^2 "
+                                                        f"on the vectors before it")
+                checked[(i, j)].append(x)
+        count, want = sum(map(len, checked.values())), rad.dim - j2.dim
+        if count != want:
+            raise QuivkitError("NOT_VALIDATED", f"{count} block vectors, dim J/J^2 is {want}")
+        self.parent, self.idems, self.blocks = parent, idems, checked
 
     @property
     def rank(self):
@@ -131,44 +166,23 @@ def conjugating_element(a: FinAlgebra, pairs):
                                                            for j, c in sol.items()))
 
 
-def make_splitting(a: FinAlgebra, *, conjugate_by=None, t_shift=None) -> Splitting:
-    """Build a splitting; deterministic given the algebra.
+def make_splitting(a: FinAlgebra) -> Splitting:
+    """The splitting of the admitted data; deterministic given the algebra.
 
-    The section of J -> J/J^2 is read off the admitted arrows: each lies in
-    one Peirce block e_j A e_i, keyed (i, j) as `a.arrow_blocks` holds it
-    (conjugation keeps it), and their words span J, so the arrows
-    independent of J^2 and of those kept before them are a blockwise basis
-    of J/J^2.  `conjugate_by` (an element of J, dense or sparse)
-    conjugates idempotents and arrows under 1+w, and `t_shift` perturbs the
-    section by adding elements of the J^2 block; both knobs produce a
-    different but equally valid splitting, which downstream independence
-    checks use.
+    The section of A -> A/J is the lifted idempotents.  The section of
+    J -> J/J^2 is read off the admitted arrows: each lies in one Peirce
+    block e_j A e_i, keyed (i, j) as `a.arrow_blocks` holds it, and their
+    words span J, so the arrows independent of J^2 and of those kept
+    before them are a blockwise basis of J/J^2.  A splitting by
+    construction, so it is built without the constructor's check.
     """
-    idems = lift_idempotents(a)
-    elements, arrows = idems.elements, a.arrows
-    if conjugate_by is not None:
-        if not a.radical.contains(conjugate_by):
-            raise QuivkitError("BAD_ARGUMENT", "conjugator must lie in J")
-        conj = conjugation(a, conjugate_by)
-        elements, arrows = list(map(conj, elements)), list(map(conj, arrows))
-        idems = IdempotentSet(a, elements)
-    f, j2 = a.field, a.radical_power(2)
-    ech, kept = Echelon(f, j2), {}
-    for x, key in zip(arrows, a.arrow_blocks):
+    ech, kept = Echelon(a.field, a.radical_power(2)), {}
+    for x, key in zip(a.arrows, a.arrow_blocks):
         if ech.insert(dict(x)):
             kept.setdefault(key, []).append(x)
-    blocks = dict(sorted(kept.items()))
-    if t_shift is not None:
-        for (i, j), vecs in blocks.items():
-            sub = a.peirce_block(elements[j], elements[i], j2)
-            for k, v in enumerate(vecs):
-                extra = t_shift(i, j, k, sub)
-                if extra is not None:
-                    extra = _as_sparse(f, a.dim, extra)
-                    if not sub.contains(extra):
-                        raise QuivkitError("BAD_ARGUMENT", "t shift must land in the J^2 block")
-                    vecs[k] = add_scaled(f, dict(v), f.one, extra)
-    return Splitting(a, idems, blocks)
+    split = object.__new__(Splitting)
+    split.parent, split.idems, split.blocks = a, lift_idempotents(a), dict(sorted(kept.items()))
+    return split
 
 
 def conjugator(s1: Splitting, s2: Splitting):

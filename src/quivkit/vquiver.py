@@ -16,7 +16,20 @@ POINT = "*"
 _POINT_ALIASES = {"*", "✱"}
 
 
+def _hashable(label):
+    try:
+        hash(label)
+    except TypeError:
+        return False
+    return True
+
+
 def _check_vertex_labels(vertices):
+    if isinstance(vertices, str):
+        raise QuivkitError("BAD_SHAPE", f"vertex labels {vertices!r} are a string, not a list")
+    for v in vertices:
+        if not _hashable(v):
+            raise QuivkitError("BAD_SHAPE", f"vertex label {v!r} is not hashable")
     if len(set(vertices)) != len(vertices):
         raise QuivkitError("BAD_SHAPE", "duplicate vertex labels")
     for v in vertices:
@@ -40,11 +53,13 @@ class Quiver:
             if type(a) is not tuple or len(a) != 3:
                 raise QuivkitError("BAD_SHAPE", f"arrow {a!r} is not a "
                                                 f"(label, source, target) triple")
+            if not _hashable(a[0]):
+                raise QuivkitError("BAD_SHAPE", f"arrow label {a[0]!r} is not hashable")
         labels = [a[0] for a in arrows]
         if len(set(labels)) != len(labels):
             raise QuivkitError("BAD_SHAPE", "duplicate arrow labels")
         for label, src, tgt in arrows:
-            if src not in vset or tgt not in vset:
+            if not (_hashable(src) and _hashable(tgt)) or src not in vset or tgt not in vset:
                 raise QuivkitError("BAD_SHAPE",
                                    f"arrow {label} references unknown vertex")
         self.arrows = arrows
@@ -73,8 +88,9 @@ class QuiverMap:
             raise QuivkitError("BAD_SHAPE", "arrow map domain mismatch")
         tgt_vs = set(target.vertices)
         imgs = [vertex_map[v] for v in source.vertices]
-        if any(i not in tgt_vs for i in imgs):
-            raise QuivkitError("BAD_SHAPE", "vertex image outside target")
+        for i in imgs:
+            if not _hashable(i) or i not in tgt_vs:
+                raise QuivkitError("BAD_SHAPE", f"vertex image {i!r} is outside the target")
         if len(set(imgs)) != len(imgs):
             raise QuivkitError("NOT_INJECTIVE", "vertex map is not injective")
         for label, src, tgt in source.arrows:
@@ -118,9 +134,18 @@ class VQuiver:
         _check_vertex_labels(vertices)
         self.vertices = list(vertices)
         vset = set(self.vertices)
+        if not isinstance(spaces, dict):
+            raise QuivkitError("BAD_SHAPE", f"arrow spaces {spaces!r} are not a mapping")
         clean = {}
         seen = set()
-        for (src, tgt), labels in spaces.items():
+        for key, labels in spaces.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise QuivkitError("BAD_SHAPE", f"arrow space key {key!r} is not a "
+                                                f"(source, target) pair")
+            src, tgt = key
+            if isinstance(labels, str):
+                raise QuivkitError("BAD_SHAPE", f"arrow labels {labels!r} on ({src},{tgt}) "
+                                                f"are a string, not a list")
             if not labels:
                 continue
             if src not in vset or tgt not in vset:
@@ -223,17 +248,18 @@ class VQuiverMap:
         if set(vertex_map) != set(source.vertices):
             raise QuivkitError("BAD_SHAPE", "vertex map domain mismatch")
         kept = [v for v in source.vertices if vertex_map[v] != POINT]
-        imgs = [vertex_map[v] for v in kept]
-        if any(i not in set(target.vertices) for i in imgs):
-            raise QuivkitError("BAD_SHAPE", "vertex image outside target")
-        if len(set(imgs)) != len(imgs) or set(imgs) != set(target.vertices):
+        imgs, tgt_vs = [vertex_map[v] for v in kept], set(target.vertices)
+        for i in imgs:
+            if not _hashable(i) or i not in tgt_vs:
+                raise QuivkitError("BAD_SHAPE", f"vertex image {i!r} is outside the target")
+        if len(set(imgs)) != len(imgs) or set(imgs) != tgt_vs:
             raise QuivkitError(
                 "BAD_SHAPE",
                 "un-killed vertices must biject onto the target vertex set")
         stray = set(arrow_mats) - set(source.arrow_pairs())
         if stray:
             raise QuivkitError("BAD_SHAPE",
-                               f"blocks {sorted(stray)} are not on source arrow pairs")
+                               f"blocks {sorted(stray, key=repr)} are not on source arrow pairs")
         arrow_mats = {pair: _read_block(field, pair, mat) for pair, mat in arrow_mats.items()}
         self.field = field
         self.source = source
@@ -317,10 +343,6 @@ def compose_vq(sigma: VQuiverMap, rho: VQuiverMap) -> VQuiverMap:
         second = sigma.block(mid_s, mid_t)
         mats[(src, tgt)] = second.matmul(first)
     return VQuiverMap(rho.field, rho.source, sigma.target, vm, mats)
-
-
-def is_surjective(rho: VQuiverMap) -> bool:
-    return rho.is_surjective()
 
 
 # ---------------------------------------------------------------------------

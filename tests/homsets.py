@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from .errors import QuivkitError
-from .algebra import FinAlgebra, _combine, _mul_raw, validate_morphism
-from .exactlin import Mat, Subspace, add_scaled
-from .gabriel import check_sim
-from .pathalg import TruncatedTensorAlgebra
-from .vquiver import POINT, VQuiver, VQuiverMap
+from quivkit.errors import QuivkitError
+from quivkit.algebra import FinAlgebra, _combine, _mul_raw, validate_morphism
+from quivkit.exactlin import Mat, Subspace, add_scaled
+from quivkit.gabriel import check_sim
+from quivkit.pathalg import TruncatedTensorAlgebra
+from quivkit.vquiver import POINT, VQuiver, VQuiverMap
+
+from support import peirce_block
 
 
 def _require_finite(field):
@@ -115,7 +117,7 @@ def enumerate_path_algebra_morphisms(t: TruncatedTensorAlgebra, a: FinAlgebra):
         blocks = []
         for lab in labels:
             src, tgt, _ = t.vq.arrow_location(lab)
-            block = a.peirce_block(assign[tgt], assign[src], full)
+            block = peirce_block(a, assign[tgt], assign[src], full)
             blocks.append(list(all_subspace_elements(f, block)))
         for choice in product(*blocks):
             cols = []

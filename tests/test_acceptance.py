@@ -13,25 +13,18 @@ import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.errors import QuivkitError
 from quivkit.adjunction import counit_factorization
-from quivkit.generators import (
-    random_identity_class_automorphism,
-    random_padm_morphism,
-    random_relation_ideal,
-    random_scalar,
-    random_vqmap_to_gq,
-    random_vquiver,
-    seeded_rng,
-)
-from quivkit.homsets import (
+from quivkit.generators import random_padm_morphism, random_scalar, random_vqmap_to_gq, seeded_rng
+from quivkit.pathalg import build_kvq, universal_map
+from quivkit.vquiver import POINT, VQuiver, VQuiverMap
+
+from dense_oracle import vec_add
+from homsets import (
     congruence_classes,
     enumerate_linear_morphisms,
     enumerate_path_algebra_morphisms,
     enumerate_vquiver_maps,
 )
-from quivkit.pathalg import build_kvq, universal_map
-from quivkit.vquiver import POINT, VQuiver, VQuiverMap
-
-from dense_oracle import vec_add
+from support import random_identity_class_automorphism, random_relation_ideal, random_vquiver
 from corpus import (
     QQ,
     F2,
@@ -289,7 +282,7 @@ def test_criterion_9_related_adjunctions_enumerated():
     ]
     for field, a, vq in cases:
         g = qk.gq(a)
-        k2 = qk.k2vq(field, vq)
+        k2 = build_kvq(field, vq, 2)
         morphisms = enumerate_linear_morphisms(a, k2.carrier)
         _assert_radicals_kept(morphisms)
         classes = congruence_classes(morphisms, 1)
@@ -311,7 +304,7 @@ def test_criterion_9_related_adjunctions_enumerated():
             morphisms = enumerate_linear_morphisms(a, k0)
             _assert_radicals_kept(morphisms)
             classes = congruence_classes(morphisms, 0)
-            pmaps = enumerate_vquiver_maps(field, qk.gq0(a, g), pset)
+            pmaps = enumerate_vquiver_maps(field, qk.gq0(a), pset)
             assert len(classes) == len(pmaps), (field.char, size)
             to_alg, to_pset = qk.semisimple_adjunction_bijection(a, pset, gq_a=g)
             for pm in pmaps:
@@ -329,3 +322,4 @@ def test_criterion_10_unit_isomorphism():
             assert eta.is_isomorphism(), (name, level)
             count += 1
     _report(10, f"unit map is a Vquiver isomorphism in all {count} cases")
+

@@ -19,12 +19,9 @@ from quivkit.adjunction import conjugation_automorphism
 from quivkit.algebra import identity_morphism, validate_morphism
 from quivkit.exactlin import Mat, invert, solve, solve_multi, vec_is_zero, vec_unit
 from quivkit.gabriel import gq0, pointed_set
-from quivkit.generators import (random_identity_class_automorphism,
-                                random_padm_morphism, random_radical_element,
-                                random_scalar, random_vqmap_to_gq)
-from quivkit.homsets import enumerate_vquiver_maps
+from quivkit.generators import random_padm_morphism, random_scalar, random_vqmap_to_gq
 from quivkit.pathalg import build_kvq, universal_map, vqmap_generator_images
-from quivkit.splittings import conjugate_element, make_splitting
+from quivkit.splittings import conjugate_element
 from quivkit.vquiver import VQuiverMap, identity_vqmap
 
 from corpus import (
@@ -39,6 +36,8 @@ from corpus import (
     vq_corpus,
 )
 from dense_oracle import as_dense, vec_add, vec_combination, vec_sub, vec_zero
+from homsets import enumerate_vquiver_maps
+from support import random_identity_class_automorphism, random_radical_element, splitting_variant
 
 F101 = qk.GF(101)
 
@@ -228,8 +227,8 @@ def _gq_results(a, rng):
     out = [qk.gq(a)]
     if a.radical.dim:
         w = _random_vector(rng, a, a.radical.basis)
-        out.append(qk.gq(a, make_splitting(a, conjugate_by=w)))
-        out.append(qk.gq(a, make_splitting(a, conjugate_by=w, t_shift=_shift)))
+        out.append(qk.gq(a, splitting_variant(a, w)))
+        out.append(qk.gq(a, splitting_variant(a, w, _shift)))
     return out
 
 
@@ -345,7 +344,7 @@ def test_semisimple_to_alg_matches_the_class_coordinates():
             pset = pointed_set([f"w{i}" for i in range(size)])
             to_alg, to_pset = qk.semisimple_adjunction_bijection(a, pset, gq_a=g)
             # the maps have no blocks, so F2's enumeration lists them all
-            for pm in enumerate_vquiver_maps(F2, gq0(a, g), pset):
+            for pm in enumerate_vquiver_maps(F2, gq0(a), pset):
                 sigma = VQuiverMap(f, pm.source, pset, pm.vertex_map, {})
                 alpha = to_alg(sigma)
                 assert alpha.matrix == ref_semisimple_to_alg_matrix(a, sigma, pset), case
@@ -403,3 +402,4 @@ def test_random_identity_class_automorphism_matches_the_parent_construction(fiel
         got = random_identity_class_automorphism(new_rng, t)
         assert got == ref_random_identity_class_automorphism(ref_rng, t)
         assert new_rng.getstate() == ref_rng.getstate()
+

@@ -13,12 +13,7 @@ from quivkit.adjunction import (
     conjugation_automorphism,
     counit_factorization,
 )
-from quivkit.generators import (
-    random_identity_class_automorphism,
-    random_padm_morphism,
-    random_vqmap_to_gq,
-    seeded_rng,
-)
+from quivkit.generators import random_padm_morphism, random_vqmap_to_gq, seeded_rng
 from quivkit.pathalg import build_kvq, kvq_on_map, universal_map
 from quivkit.vquiver import POINT, VQuiver, VQuiverMap, compose_vq, identity_vqmap
 
@@ -41,7 +36,12 @@ from corpus import (
     two_vq,
     vq_corpus,
 )
-from support import is_identity, warm_then_cold
+from support import (
+    is_identity,
+    random_identity_class_automorphism,
+    splitting_variant,
+    warm_then_cold,
+)
 
 
 def _triangle_aut(t):
@@ -141,8 +141,7 @@ def test_psi_independent_of_splitting():
     def shift(i, j, k, j2_block):
         return list(j2_block.basis[0]) if j2_block.dim else None
 
-    g2 = qk.gq(a, qk.make_splitting(a, conjugate_by=a.element("b"),
-                                    t_shift=shift))
+    g2 = qk.gq(a, splitting_variant(a, a.element("b"), shift))
     rng = seeded_rng(3)
     for _ in range(10):
         rho1 = random_vqmap_to_gq(rng, t.vq, g1, QQ)
@@ -341,7 +340,7 @@ def test_naturality_first_variable_builds_its_algebras_through_the_memo():
 
 def test_right_adjoint_builds_its_target_through_the_memo():
     vq = triangle_vq()
-    t2 = qk.k2vq(QQ, vq)
+    t2 = qk.build_kvq(QQ, vq, 2)
     g = qk.gq(t2.carrier)
     names = g.vquiver.vertices
     rho = VQuiverMap(QQ, g.vquiver, vq, {names[i]: vq.vertices[i] for i in range(3)},
@@ -364,7 +363,7 @@ def test_right_adjoint_builds_its_target_through_the_memo():
 
 def test_right_adjoint_on_level_two_algebra():
     vq = triangle_vq()
-    t2 = qk.k2vq(QQ, vq)
+    t2 = qk.build_kvq(QQ, vq, 2)
     g = qk.gq(t2.carrier)
     # relabel gq(A) onto vq through the canonical vertex order
     names = g.vquiver.vertices
@@ -386,7 +385,7 @@ def test_right_adjoint_semisimple_source():
     vm = {"1": "u", "2": "v"}
     rho = VQuiverMap(QQ, g.vquiver, vq, vm, {})
     alpha = qk.right_adjoint_phi(rho, g)
-    t2 = qk.k2vq(QQ, vq)
+    t2 = qk.build_kvq(QQ, vq, 2)
     assert alpha.target.dim == t2.carrier.dim
     # each idempotent goes to the idempotent of its image vertex
     for pos, name in enumerate(g.vertex_names):
@@ -551,7 +550,7 @@ def test_gq_infty_representative_independence():
     def shift(i, j, k, j2_block):
         return list(j2_block.basis[0]) if j2_block.dim else None
 
-    split2 = qk.make_splitting(a, conjugate_by=a.radical.basis[0], t_shift=shift)
+    split2 = splitting_variant(a, a.radical.basis[0], shift)
     cu2 = qk.counit(a, level=3, splitting=split2)
     src = cu1.source_algebra
     # counit sources agree as path algebras of the same Vquiver

@@ -17,11 +17,7 @@ import quivkit.pathalg as pathalg
 from quivkit.adjunction import conjugated_images
 from quivkit.algebra import _first_unmultiplied, _peirce_blocks, presented_algebra
 from quivkit.errors import QuivkitError
-from quivkit.generators import (
-    random_identity_class_automorphism,
-    random_radical_element,
-    random_vqmap_to_gq,
-)
+from quivkit.generators import random_vqmap_to_gq
 from quivkit.pathalg import universal_map, vqmap_generator_images
 
 from corpus import (
@@ -36,7 +32,13 @@ from corpus import (
     vq_corpus,
 )
 from dense_oracle import as_dense, is_ideal, vec_add, vec_combination, vec_scale, vec_zero
-from support import paths_of_length_at_least
+from support import (
+    paths_of_length_at_least,
+    peirce_block,
+    random_identity_class_automorphism,
+    random_radical_element,
+    splitting_variant,
+)
 
 F101 = qk.GF(101)
 FIELDS = (QQ, F2, F3, F5, F101)
@@ -472,8 +474,8 @@ def test_bad_images_keep_their_codes(case, code):
 
 def _is_primitive(a, e):
     """The basis-wide test the count replaced: e A e is local."""
-    eae = a.peirce_block(e, e, el.Subspace.full(a.field, a.dim))
-    eje = a.peirce_block(e, e, a.radical)
+    eae = peirce_block(a, e, e, el.Subspace.full(a.field, a.dim))
+    eje = peirce_block(a, e, e, a.radical)
     return eae.dim - eje.dim == 1
 
 
@@ -514,12 +516,12 @@ def test_split_once_blocks_equal_peirce_block():
         for a in algebras:
             w = vec_combination(field, a.dim, [field.of(rng.choice((0, 1, -1, 2)))
                                                   for _ in a.radical.basis], a.radical.basis)
-            elems = qk.make_splitting(a, conjugate_by=w).idems.elements
+            elems = splitting_variant(a, w).idems.elements
             for space in (el.Subspace.full(field, a.dim), a.radical, a.radical_power(2)):
                 blocks = _peirce_blocks(field, a.dim, a.structconst, elems, space)
                 assert len(blocks) == len(elems) ** 2
                 for (i, j), block in blocks.items():
-                    assert block == a.peirce_block(elems[j], elems[i], space)
+                    assert block == peirce_block(a, elems[j], elems[i], space)
                     checked += 1
     assert checked >= 300
 

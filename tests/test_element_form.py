@@ -21,13 +21,14 @@ import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.dsl import eval_expr, parse, parse_ast
 from quivkit.errors import QuivkitError
-from quivkit.generators import random_radical_element, random_vqmap_to_gq
+from quivkit.generators import random_vqmap_to_gq
 from quivkit.pathalg import vqmap_generator_images
 from quivkit.splittings import conjugating_element, conjugation
 
 import dense_oracle as dense
 from corpus import (algebra_corpus, in_changed_basis, line_vq, lower_triangular,
                     perfbench_workloads, semisimple)
+from support import random_radical_element, splitting_variant
 from test_certificates import _presented_cases
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,7 +142,7 @@ def test_returned_elements_are_the_sparse_forms_of_the_dense_ones(field):
         if got is not None:
             assert_sparse_of(field, n, got, ref, name)
             witnesses += 1
-        s1, s2 = qk.make_splitting(a), qk.make_splitting(a, conjugate_by=w)
+        s1, s2 = qk.make_splitting(a), splitting_variant(a, w)
         ref = dense.conjugating_element(a, zip(s1.idems.elements, s2.idems.elements))
         assert_sparse_of(field, n, qk.conjugator(s1, s2), ref, name)
         for e in a.ss_classes:
@@ -328,3 +329,4 @@ def test_zero_entries_are_read_as_the_field_reads_them(field):
                 assert outcome(el._as_sparse, v) == outcome(dense.as_sparse, v), (x, y, v)
                 checked += 1
     assert checked == 4 * len(values) ** 2
+

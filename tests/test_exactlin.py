@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import quivkit.exactlin as el
 from quivkit.errors import QuivkitError
-from quivkit.generators import random_identity_class_automorphism, seeded_rng
+from quivkit.generators import seeded_rng
 
 from corpus import algebra_corpus, presented_corpus
 from dense_oracle import intersect, rref as dense_rref
 from dense_oracle import vec_add, vec_combination, vec_scale, vec_zero
+from support import random_identity_class_automorphism
 
 QQ = el.QQ
 F2 = el.GF(2)
@@ -373,3 +374,4 @@ def test_vec_combination_matches_scaled_sum(m, data):
     for c, v in zip(coeffs, m.data):
         expected = vec_add(f, expected, vec_scale(f, c, v))
     assert vec_combination(f, m.cols, coeffs, m.data) == expected
+

@@ -14,11 +14,7 @@ from quivkit.gabriel import (
     inner_conjugation_witness,
     pointed_set,
 )
-from quivkit.generators import (
-    random_identity_class_automorphism,
-    random_padm_morphism,
-    seeded_rng,
-)
+from quivkit.generators import random_padm_morphism, seeded_rng
 from quivkit.pathalg import build_kvq, universal_map
 from quivkit.splittings import conjugate_element
 from quivkit.vquiver import VQuiver
@@ -37,7 +33,11 @@ from corpus import (
     triangle_vq,
     truncated_power_series,
 )
-from support import identity_class_is_conjugation_group
+from support import (
+    identity_class_is_conjugation_group,
+    random_identity_class_automorphism,
+    splitting_variant,
+)
 
 
 def test_gq_of_base_field():
@@ -75,7 +75,7 @@ def test_gq_splitting_independence():
     def shift(i, j, k, j2_block):
         return list(j2_block.basis[0]) if j2_block.dim else None
 
-    split2 = qk.make_splitting(a, conjugate_by=w, t_shift=shift)
+    split2 = splitting_variant(a, w, shift)
     g2 = qk.gq(a, split2)
     # identical Vquivers after the canonical orbit matching (same order here)
     assert g1.vquiver == g2.vquiver
@@ -325,7 +325,7 @@ def test_gq0_and_pointed_maps():
 
 
 def test_semisimple_adjunction_roundtrip_enumerated():
-    from quivkit.homsets import enumerate_vquiver_maps
+    from homsets import enumerate_vquiver_maps
 
     for field in (F2, F3):
         a = semisimple(field, 2)
@@ -333,7 +333,7 @@ def test_semisimple_adjunction_roundtrip_enumerated():
         for target_size in (1, 2):
             pset = pointed_set([f"w{i}" for i in range(target_size)])
             to_alg, to_pset = qk.semisimple_adjunction_bijection(a, pset, gq_a=g)
-            pmaps = enumerate_vquiver_maps(field, qk.gq0(a, g), pset)
+            pmaps = enumerate_vquiver_maps(field, qk.gq0(a), pset)
             seen = set()
             for pm in pmaps:
                 alg_m = to_alg(pm)
@@ -343,7 +343,7 @@ def test_semisimple_adjunction_roundtrip_enumerated():
 
 
 def test_gq0_homset_counts_for_triangle():
-    from quivkit.homsets import (
+    from homsets import (
         congruence_classes,
         enumerate_path_algebra_morphisms,
         enumerate_vquiver_maps,
@@ -356,7 +356,7 @@ def test_gq0_homset_counts_for_triangle():
     k0 = build_kvq(F2, pset, 2)
     morphisms = enumerate_path_algebra_morphisms(t, k0.carrier)
     classes = congruence_classes(morphisms, 0)
-    pmaps = enumerate_vquiver_maps(F2, qk.gq0(a, g), pset)
+    pmaps = enumerate_vquiver_maps(F2, qk.gq0(a), pset)
     assert len(classes) == len(pmaps) > 0
 
 

@@ -1,6 +1,7 @@
 """No module of the package keeps a module-level import that nothing uses,
 and no function, class or method that nothing in the package or the
-benchmark names, apart from an allowlist of public names; every name that the
+benchmark names, apart from an allowlist of public names; no public keyword
+option that an allowlist does not name; every name that the
 benchmark's tracer wraps still resolves; README's Errors section names
 every error code the package raises; and outside `exactlin` an element is
 converted between its sparse and dense forms only in the dense views."""
@@ -103,12 +104,6 @@ KEPT = {
     "gabriel.inner_conjugation_witness": "public: README documents it",
     "exactlin.copy": "Mat.copy, a public method of the exported Mat",
     "exactlin.from_rows": "Mat.from_rows, a public method of the exported Mat",
-    **{f"homsets.{name}": "public: one of README's brute-force helpers"
-       for name in ("enumerate_vquiver_maps", "enumerate_path_algebra_morphisms",
-                    "enumerate_linear_morphisms", "congruence_classes")},
-    **{f"generators.{name}": "public: one of README's brute-force helpers"
-       for name in ("random_vquiver", "random_relation_ideal",
-                    "random_identity_class_automorphism")},
 }
 
 
@@ -122,6 +117,79 @@ def test_no_dead_definitions():
     assert sorted(found - set(KEPT)) == []
     # an entry whose definition is gone or is named again leaves the list
     assert sorted(set(KEPT) - found) == []
+
+
+def public_options(text):
+    """`function.parameter` (`Class.method.parameter`) of each parameter with
+    a default or keyword-only on the public functions, methods and
+    constructors that `text` defines at module level."""
+    out = []
+
+    def options(node, owner):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        names = positional[len(positional) - len(args.defaults):] + args.kwonlyargs
+        out.extend(f"{owner}{node.name}.{arg.arg}" for arg in names)
+
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            options(node, "")
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and \
+                        (not method.name.startswith("_") or method.name == "__init__"):
+                    options(method, f"{node.name}.")
+    return out
+
+
+def test_the_check_finds_the_public_options():
+    text = ("def f(x, y=1, *, z):\n    pass\n\ndef _g(x=1):\n    pass\n\n"
+            "class C:\n    def __init__(self, a, b=None):\n        pass\n"
+            "    def m(self, *args, c=2, **kw):\n        pass\n"
+            "    def _h(self, d=3):\n        pass\n"
+            "    def __eq__(self, other=None):\n        pass\n")
+    assert public_options(text) == ["f.y", "f.z", "C.__init__.b", "C.m.c"]
+
+
+# Every public keyword option of the package, by module and definition,
+# each with its reason.  An option is a second way to call one function, so
+# a new one is listed here with why its callers need it.
+OPTIONS = {
+    "adjunction.counit.level": "the truncation level of the path algebra it maps from",
+    "adjunction.counit.splitting": "the counit through a chosen splitting, as the paper states it",
+    "adjunction.semisimple_adjunction_bijection.gq_a":
+        "the hom-set maps read through a chosen Gabriel quiver",
+    "adjunction.gq_infty.level": "the truncation level of the counit it reads",
+    "adjunction.kinfty_on_map.witness_src": "(I', delta_I) for a source ideal other than the "
+                                            "class representative",
+    "adjunction.kinfty_on_map.witness_tgt": "(K', delta_K) for a target ideal other than the "
+                                            "class representative",
+    "adjunction.same_ideal_orbit.budget": "the bound of an honest bounded search",
+    "cli.main.argv": "the arguments of an in-process run; sys.argv otherwise",
+    "dsl.Parser.expect.value": "a token's text, when its kind alone does not say enough",
+    "dsl.Parser.at_name.value": "a token's text, when its kind alone does not say enough",
+    "dsl.AlgebraEntry.__init__.tensor": "the path algebra of a presented algebra; none for a table",
+    "dsl.AlgebraEntry.__init__.relations": "the relation ideal of a presented algebra",
+    "dsl.AlgebraEntry.__init__.projection": "the projection of a presented algebra onto it",
+    "errors.QuivkitError.__init__.message": "the detail after the stable code",
+    "exactlin.Mat.from_rows.cols": "the width of a matrix with no rows",
+    "exactlin.Mat.from_cols.rows": "the height of a matrix with no columns",
+    "exactlin.Echelon.__init__.start": "a subspace to reduce against from the start",
+    "exactlin.Echelon.__init__.tagged": "to record each row's combination of the inserted vectors",
+    "exactlin.Echelon.insert.tag": "the combination an inserted vector stands for",
+    "gabriel.gq.splitting": "the Gabriel quiver through a chosen splitting",
+    "generators.seeded_rng.seed": "an explicit seed; QUIVKIT_SEED otherwise",
+    "generators.random_scalar.nonzero": "draws that must be units",
+    "generators.random_padm_morphism.conjugate": "draws left on the splitting's own generators",
+}
+
+
+def test_public_options_are_listed():
+    found = {f"{path.stem}.{name}" for path in MODULES
+             for name in public_options(path.read_text(encoding="utf-8"))}
+    assert sorted(found - set(OPTIONS)) == []
+    # an option that is gone leaves the list
+    assert sorted(set(OPTIONS) - found) == []
 
 
 def test_every_name_the_tracer_wraps_resolves():

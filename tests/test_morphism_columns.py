@@ -19,11 +19,11 @@ import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.adjunction import counit_factorization, factor_delta, psi
 from quivkit.algebra import induced_on_quotient
-from quivkit.generators import random_identity_class_automorphism, random_vqmap_to_gq
+from quivkit.generators import random_vqmap_to_gq
 
 import dense_oracle as dense
 from corpus import lower_triangular, semisimple, two_vq, vq_corpus
-from support import is_identity
+from support import is_identity, random_identity_class_automorphism
 from test_table_reads import _block_sums
 
 QQ, F2, F5, F101 = el.QQ, el.GF(2), el.GF(5), el.GF(101)

@@ -17,7 +17,6 @@ from quivkit.pathalg import (
     build_kvq,
     cpa,
     cpa_on_inclusion,
-    k2vq,
     kvq_on_map,
     universal_map,
     vqmap_generator_images,
@@ -354,10 +353,10 @@ def test_cpa_on_inclusion_equals_path_killing():
 
 
 def test_k2vq_dimensions():
-    assert k2vq(QQ, triangle_vq()).dim == 6
-    assert k2vq(QQ, two_point_vq()).dim == 2
-    assert k2vq(QQ, loop_vq()).dim == 2
-    t2 = k2vq(QQ, loop_vq())
+    assert build_kvq(QQ, triangle_vq(), 2).dim == 6
+    assert build_kvq(QQ, two_point_vq(), 2).dim == 2
+    assert build_kvq(QQ, loop_vq(), 2).dim == 2
+    t2 = build_kvq(QQ, loop_vq(), 2)
     x = t2.carrier.element("x")
     assert el.vec_is_zero(QQ, t2.carrier.mul(x, x))
 
@@ -372,7 +371,8 @@ def test_build_kvq_over_f5():
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_functoriality_on_random_composable_pairs(data):
-    from quivkit.generators import seeded_rng, random_vquiver
+    from quivkit.generators import seeded_rng
+    from support import random_vquiver
 
     rng = seeded_rng(data.draw(st.integers(0, 10 ** 6)))
     vq_mid = random_vquiver(rng, max_vertices=2, max_total_arrows=2, prefix="m")

@@ -3,20 +3,16 @@
 import random
 from pathlib import Path
 
+import pytest
+
 import quivkit as qk
 import quivkit.exactlin as el
 from quivkit.adjunction import conjugation_automorphism
 from quivkit.algebra import _peirce_blocks, orthogonal_idempotents
 from quivkit.dsl import parse
+from quivkit.errors import QuivkitError
 from quivkit.gabriel import inner_conjugation_witness
-from quivkit.generators import (
-    random_identity_class_automorphism,
-    random_radical_element,
-    random_relation_ideal,
-    random_scalar,
-    random_vquiver,
-    seeded_rng,
-)
+from quivkit.generators import random_scalar, seeded_rng
 from quivkit.splittings import conjugate_element, conjugating_element, conjugation
 
 from corpus import (
@@ -35,7 +31,14 @@ from corpus import (
 )
 import dense_oracle as dense
 from dense_oracle import peirce_complements, vec_add
-from support import s_apply
+from support import (
+    random_identity_class_automorphism,
+    random_radical_element,
+    random_relation_ideal,
+    random_vquiver,
+    s_apply,
+    splitting_variant,
+)
 from test_algebra import _dense_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,7 +135,7 @@ def test_conjugator_same_splitting_is_valid():
 def test_conjugator_shifted_splitting():
     a = lower_triangular(QQ)
     s1 = qk.make_splitting(a)
-    s2 = qk.make_splitting(a, conjugate_by=a.element("E21"))
+    s2 = splitting_variant(a, a.element("E21"))
     w = qk.conjugator(s1, s2)
     assert a.radical.contains(w)
     for e1, e2 in zip(s1.idems.elements, s2.idems.elements):
@@ -202,12 +205,76 @@ def test_perturbed_splitting_still_valid():
             return list(j2_block.basis[0])
         return None
 
-    split = qk.make_splitting(a, t_shift=shift)
+    split = splitting_variant(a, shift=shift)
     j2 = a.radical_power(2)
     for vecs in split.blocks.values():
         for v in vecs:
             assert a.radical.contains(v)
     assert split.total_block_dim() == a.radical.dim - j2.dim
+
+
+KRONECKER = qk.build_kvq(QQ, qk.VQuiver(["1", "2"], {("1", "2"): ["a", "b"]}), 3).carrier
+LINE = qk.build_kvq(QQ, qk.VQuiver(["1", "2", "3"], {("1", "2"): ["a"], ("2", "3"): ["b"]}),
+                    3).carrier
+SQUARES = qk.build_kvq(QQ, qk.VQuiver(["1", "2"], {}), 2).carrier
+
+
+def _arrows(a):
+    """make_splitting's blocks, as lists of the caller's own."""
+    return {key: list(vecs) for key, vecs in qk.make_splitting(a).blocks.items()}
+
+
+# (algebra, idempotents, blocks, code, message) that the Splitting constructor refuses
+BAD_SPLITTINGS = {
+    "idempotents as a list": (
+        KRONECKER, lambda a: qk.make_splitting(a).idems.elements, _arrows,
+        "BAD_ARGUMENT", "is not an IdempotentSet of the algebra"),
+    "idempotents of another algebra": (
+        KRONECKER, lambda a: qk.make_splitting(SQUARES).idems, _arrows,
+        "BAD_ARGUMENT", "IdempotentSet(r=2) is not an IdempotentSet of the algebra"),
+    "a key that is no pair": (
+        KRONECKER, None, lambda a: {0: _arrows(a)[(0, 1)]},
+        "BAD_SHAPE", "block key 0 is not a pair of idempotent indices 0..1"),
+    "a key off the idempotents": (
+        KRONECKER, None, lambda a: {(0, 2): _arrows(a)[(0, 1)]},
+        "BAD_SHAPE", "block key (0, 2) is not a pair of idempotent indices 0..1"),
+    "a block that is no list": (
+        KRONECKER, None, lambda a: {(0, 1): _arrows(a)[(0, 1)][0]},
+        "BAD_SHAPE", "block (0, 1) is {2: 1}, not a list of vectors"),
+    "a block reversed": (
+        KRONECKER, None, lambda a: {(1, 0): _arrows(a)[(0, 1)]},
+        "NOT_VALIDATED", "block (1, 0) vector 0 is not in f_0 J f_1"),
+    "an idempotent for an arrow": (
+        KRONECKER, None, lambda a: {(0, 1): [_arrows(a)[(0, 1)][0], a.unit]},
+        "NOT_VALIDATED", "block (0, 1) vector 1 is not in f_1 J f_0"),
+    "an arrow twice": (
+        KRONECKER, None, lambda a: {(0, 1): [_arrows(a)[(0, 1)][0]] * 2},
+        "NOT_VALIDATED", "block (0, 1) vector 1 is dependent modulo J^2 on the vectors before it"),
+    "a path in J^2": (
+        LINE, None, lambda a: {(0, 1): _arrows(a)[(0, 1)], (0, 2): [a.element("ba")]},
+        "NOT_VALIDATED", "block (0, 2) vector 0 is dependent modulo J^2 on the vectors before it"),
+    "an arrow short": (
+        KRONECKER, None, lambda a: {(0, 1): _arrows(a)[(0, 1)][:1]},
+        "NOT_VALIDATED", "1 block vectors, dim J/J^2 is 2"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SPLITTINGS)
+def test_a_splitting_is_a_splitting_by_invariant(case):
+    a, idems, blocks, code, message = BAD_SPLITTINGS[case]
+    idems = qk.make_splitting(a).idems if idems is None else idems(a)
+    with pytest.raises(QuivkitError) as exc:
+        qk.Splitting(a, idems, blocks(a))
+    assert exc.value.code == code and message in exc.value.message
+
+
+def test_the_splitting_constructor_takes_what_make_splitting_builds():
+    for a in (KRONECKER, LINE, SQUARES):
+        split = qk.make_splitting(a)
+        again = qk.Splitting(a, split.idems, _arrows(a))
+        assert again.blocks == split.blocks
+        assert qk.gq(a, again).vquiver == qk.gq(a).vquiver
+        assert qk.counit(a, splitting=again).morphism.surjective
 
 
 def _seeded_radical_element(a, seed):
@@ -271,7 +338,7 @@ def test_every_conjugation_witness_conjugates_its_pairs():
             ok, w = qk.same_orbit(a, e, conj(e))
             assert ok and _conjugates(a, w, [(conj(e), e)]), name
             witnesses += 1
-        s1, s2 = qk.make_splitting(a), qk.make_splitting(a, conjugate_by=w0)
+        s1, s2 = qk.make_splitting(a), splitting_variant(a, w0)
         w = qk.conjugator(s1, s2)
         assert _conjugates(a, w, zip(s1.idems.elements, s2.idems.elements)), name
         witnesses += 1
@@ -401,7 +468,7 @@ def test_splitting_reads_the_peirce_complements_off_the_arrows():
         assert list(blocks.items()) == [(key, list(map(el.sparse, vecs))) for key, vecs in
                                         peirce_complements(a, a.ss_classes).items()], name
         w = _combination(rng, a, a.radical.basis)
-        _assert_valid_section(a, qk.make_splitting(a, conjugate_by=w), name)
+        _assert_valid_section(a, splitting_variant(a, w), name)
         for conj in (None, w):
             calls = []
 
@@ -409,7 +476,7 @@ def test_splitting_reads_the_peirce_complements_off_the_arrows():
                 calls.append((i, j, k, sub))
                 return _combination(rng, a, sub.basis) if sub.dim and rng.random() < 0.7 else None
 
-            split = qk.make_splitting(a, conjugate_by=conj, t_shift=shift)
+            split = splitting_variant(a, conj, shift)
             _assert_valid_section(a, split, name)
             j2_blocks = _peirce_blocks(a.field, a.dim, a.structconst, split.idems.elements,
                                        a.radical_power(2))

@@ -31,7 +31,6 @@ import quivkit.exactlin as el
 from quivkit.adjunction import factor_delta, psi
 from quivkit.algebra import _quotient_table, _verify_presentation, orthogonal_idempotents, table_algebra
 from quivkit.errors import QuivkitError
-from quivkit.generators import random_identity_class_automorphism
 from quivkit.vquiver import identity_vqmap
 
 import dense_oracle as dense
@@ -43,7 +42,7 @@ from corpus import (
     two_vq,
     upper_triangular,
 )
-from support import is_identity
+from support import is_identity, random_identity_class_automorphism, splitting_variant
 from test_algebra import _unit_mutants
 from test_certificates import _presented_cases
 from test_sparse_echelon import (_changed_basis_cases, _corpus_path_algebras, _monomial_cases,
@@ -261,7 +260,7 @@ def test_arrow_blocks_are_the_blocks_the_products_find(field):
         conj = qk.splittings.conjugation(a, w)
         es = list(map(conj, a.ss_classes))
         assert dense.arrow_blocks(f, sc, es, list(map(conj, a.arrows))) == a.arrow_blocks, name
-        blocks = qk.make_splitting(a, conjugate_by=w).blocks
+        blocks = splitting_variant(a, w).blocks
         assert all(alg._mul_raw(f, sc, es[j], alg._mul_raw(f, sc, x, es[i])) == x
                    for (i, j), xs in blocks.items() for x in xs), name
         conjugated += bool(w) and es != a.ss_classes

@@ -292,3 +292,36 @@ def test_a_vquiver_refuses_an_arrow_label_that_is_not_a_string():
         "BAD_SHAPE", "BAD_SHAPE: arrow label 1 on (1,2) is not a string")
     # vertex labels keep their types
     assert VQuiver([1, 2], {(1, 2): ["a"]}).vertices == [1, 2]
+
+
+ONE_POINT = VQuiver(["1"], {})
+MALFORMED = {
+    "quiver arrow label a list": (lambda: Quiver(["1", "2"], [(["a"], "1", "2")]),
+                                  "arrow label ['a'] is not hashable"),
+    "quiver vertex a list": (lambda: Quiver([["1"]], []), "vertex label ['1'] is not hashable"),
+    "vquiver vertex a list": (lambda: VQuiver([["1"]], {}), "vertex label ['1'] is not hashable"),
+    "quiver map image a list": (
+        lambda: QuiverMap(Quiver(["1"], []), Quiver(["x"], []), {"1": ["x"]}, {}),
+        "vertex image ['x'] is outside the target"),
+    "vquiver map image a list": (
+        lambda: VQuiverMap(QQ, ONE_POINT, VQuiver(["x"], {}), {"1": ["x"]}, {}),
+        "vertex image ['x'] is outside the target"),
+    "stray block keys of two types": (
+        lambda: VQuiverMap(QQ, ONE_POINT, ONE_POINT, {"1": "1"},
+                           {("1", "1"): el.Mat.identity(QQ, 1), 3: el.Mat.identity(QQ, 1)}),
+        "blocks [('1', '1'), 3] are not on source arrow pairs"),
+    "vquiver spaces a list": (lambda: VQuiver(["1"], [("1", "1")]),
+                              "arrow spaces [('1', '1')] are not a mapping"),
+    "vquiver labels a string": (lambda: VQuiver(["1", "2"], {("1", "2"): "ab"}),
+                                "arrow labels 'ab' on (1,2) are a string, not a list"),
+    "vquiver key a string": (lambda: VQuiver(["1"], {"11": ["a"]}),
+                             "arrow space key '11' is not a (source, target) pair"),
+    "vquiver vertices a string": (lambda: VQuiver("12", {}),
+                                  "vertex labels '12' are a string, not a list"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_quivers_and_maps_are_refused_by_shape(case):
+    build, message = MALFORMED[case]
+    assert _refused(build) == ("BAD_SHAPE", f"BAD_SHAPE: {message}")
