@@ -20,9 +20,8 @@ from .algebra import (
     induced_on_quotient,
     is_relation_ideal,
     quotient_algebra,
-    validate_morphism,
 )
-from .exactlin import Mat, _solve_cols, add_scaled
+from .exactlin import _solve_cols, add_scaled
 from .gabriel import (GabrielQuiverResult, check_sim, gq, gq0, gq_on_morphism,
                       pointed_set)
 from .pathalg import (
@@ -171,8 +170,10 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult) -> AlgMorphism
     Reads A in the adapted basis of gq_a (splitting idempotents, arrow
     sections by label, J^2), sends the idempotents through the vertex map,
     the arrow sections through the arrow matrices into build_kvq's k2[[VQ]],
-    and kills J^2.  Multiplicativity is checked at validation rather than
-    assumed.
+    and kills J^2.  It is a morphism by construction: A -> A/J^2 = k2[[gq A]]
+    -> k2[[VQ]], where the idempotents go to orthogonal idempotents summing
+    to 1 (rho's kept vertices biject onto VQ's), the arrow sections into
+    their Peirce blocks, and J^2 and every product of two arrows to 0.
     """
     a = gq_a.algebra
     if rho.source != gq_a.vquiver:
@@ -189,7 +190,7 @@ def right_adjoint_phi(rho: VQuiverMap, gq_a: GabrielQuiverResult) -> AlgMorphism
     images.extend(arrow_images[lab] for lab in gq_a.vquiver.arrow_labels())
     images.extend({} for _ in range(a.dim - len(images)))
     cols = [_combine(f, images, c.items()) for c in gq_a.coordinate_cols()]
-    return validate_morphism(a, b, Mat.from_sparse_cols(f, cols, b.dim))
+    return AlgMorphism(a, b, cols)
 
 
 def semisimple_adjunction_bijection(a: FinAlgebra, pset: VQuiver, *,

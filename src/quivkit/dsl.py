@@ -35,6 +35,7 @@ idempotents `e<vertex>` and the arrow labels).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import QuivkitError
@@ -67,8 +68,14 @@ def _at(stmt, fn, *args):
 # lexer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ["->", "{", "}", "(", ")", "[", "]", ":", ";", ",", "=", "*",
-            "+", "-", "/"]
+# One alternative per token rule, tried in this order at each position: a
+# newline, blanks, a comment, an ASCII integer, a word (letters, digits and
+# "_" in the Unicode sense; a NAME when it starts with a letter or "_"), a
+# symbol and any other character.  Blanks and comments have no group.
+_TOKEN = re.compile(r"""
+    (?P<NL>\n) | [ \t\r]+ | \#[^\n]*
+  | (?P<INT>[0-9]+) | (?P<NAME>\w+) | (?P<SYM>->|[{}()\[\]:;,=*+\-/]) | (?P<BAD>.)
+""", re.VERBOSE)
 
 
 class Token:
@@ -86,52 +93,26 @@ class Token:
 
 def tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= ch <= "9":
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            if i - start > MAX_CHAR_DIGITS:
-                _err("PARSE_ERROR", f"integer literal has {i - start} digits "
+        value, col = m.group(), m.start() - line_start + 1
+        if kind == "INT":
+            if len(value) > MAX_CHAR_DIGITS:
+                _err("PARSE_ERROR", f"integer literal has {len(value)} digits "
                                     f"(at most {MAX_CHAR_DIGITS})", line, col)
-            tokens.append(Token("INT", int(text[start:i]), line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("NAME", text[start:i], line, col))
-            col += i - start
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched is None:
-            _err("PARSE_ERROR", f"unexpected character {ch!r}", line, col)
-        tokens.append(Token("SYM", matched, line, col))
-        i += len(matched)
-        col += len(matched)
-    tokens.append(Token("EOF", None, line, col))
+            value = int(value)
+        elif kind != "SYM" and not (value[0].isalpha() or value[0] == "_"):
+            _err("PARSE_ERROR", f"unexpected character {value[0]!r}", line, col)
+        tokens.append(Token(kind, value, line, col))
+    # a comment ends the last line without moving its column
+    end = text.find("#", line_start)
+    tokens.append(Token("EOF", None, line, (len(text) if end < 0 else end) - line_start + 1))
     return tokens
 
 
@@ -164,10 +145,19 @@ class Node:
         return f"Node({self.kind}, {self.fields})"
 
 
+def _parse_error(tok, msg):
+    _err("PARSE_ERROR", msg, tok.line, tok.col)
+
+
 class Parser:
+    """Recursive descent over the tokens, one method per grammar rule."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.declarations = {"field": self.field_decl, "quiver": self.quiver_decl,
+                             "vquiver": self.vquiver_decl, "algebra": self.algebra_decl,
+                             "morphism": self.morphism_decl, "check": self.check_decl}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -177,30 +167,53 @@ class Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind, value=None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            _err("PARSE_ERROR", f"expected {want!r}, found {tok.value!r}",
-                 tok.line, tok.col)
-        return self.next()
+    def at(self, text) -> bool:
+        """Whether the next token is the keyword or symbol `text`."""
+        return self.tokens[self.pos].value == text
 
-    def at_sym(self, value) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.value == value
+    def read(self, *parts) -> list:
+        """Read `parts` in turn: a string is a keyword or symbol that must
+        come next, anything else a reader, whose results are returned."""
+        out = []
+        for part in parts:
+            if isinstance(part, str):
+                tok = self.next()
+                if tok.value != part:
+                    _parse_error(tok, f"expected {part!r}, found {tok.value!r}")
+            else:
+                out.append(part())
+        return out
 
-    def at_name(self, value=None) -> bool:
-        tok = self.peek()
-        return tok.kind == "NAME" and (value is None or tok.value == value)
+    def expect(self, kind):
+        """The value of the next token, which must be of `kind`."""
+        tok = self.next()
+        if tok.kind != kind:
+            _parse_error(tok, f"expected {kind!r}, found {tok.value!r}")
+        return tok.value
+
+    def name(self) -> str:
+        return self.expect("NAME")
+
+    def integer(self) -> int:
+        return self.expect("INT")
 
     def label(self) -> str:
         """A vertex/arrow label: an identifier or a bare integer."""
-        tok = self.peek()
-        if tok.kind in ("NAME", "INT"):
-            self.next()
-            return str(tok.value)
-        _err("PARSE_ERROR", f"expected a label, found {tok.value!r}",
-             tok.line, tok.col)
+        tok = self.next()
+        if tok.kind not in ("NAME", "INT"):
+            _parse_error(tok, f"expected a label, found {tok.value!r}")
+        return str(tok.value)
+
+    def separated(self, item) -> list:
+        """item { "," item }"""
+        items = [item()]
+        while self.at(","):
+            self.pos += 1
+            items.append(item())
+        return items
+
+    def namelist(self):
+        return self.separated(self.label)
 
     # -- grammar ------------------------------------------------------------
 
@@ -211,202 +224,97 @@ class Parser:
         return Node("document", statements=stmts)
 
     def statement(self):
-        tok = self.peek()
-        if tok.kind != "NAME":
-            _err("PARSE_ERROR", f"expected a declaration, found {tok.value!r}",
-                 tok.line, tok.col)
-        if tok.value == "field":
-            return self.field_decl()
-        if tok.value == "quiver":
-            return self.quiver_decl()
-        if tok.value == "vquiver":
-            return self.vquiver_decl()
-        if tok.value == "algebra":
-            return self.algebra_decl()
-        if tok.value == "morphism":
-            return self.morphism_decl()
-        if tok.value == "check":
-            return self.check_decl()
-        _err("PARSE_ERROR", f"unknown declaration {tok.value!r}",
-             tok.line, tok.col)
+        """A declaration: its keyword, which names its node's kind, and the
+        fields its method reads."""
+        kw = self.next()
+        if kw.kind != "NAME":
+            _parse_error(kw, f"expected a declaration, found {kw.value!r}")
+        if kw.value not in self.declarations:
+            _parse_error(kw, f"unknown declaration {kw.value!r}")
+        return Node(kw.value, **self.declarations[kw.value](), line=kw.line, col=kw.col)
 
     def field_decl(self):
-        kw = self.expect("NAME", "field")
-        tok = self.expect("NAME")
-        name = tok.value
+        name = self.name()
         if name == "F":
-            num = self.expect("INT")
-            name = f"F{num.value}"
-        self.expect("SYM", ";")
-        return Node("field", name=name, line=kw.line, col=kw.col)
-
-    def namelist(self):
-        names = [self.label()]
-        while self.at_sym(","):
-            self.next()
-            names.append(self.label())
-        return names
+            name = f"F{self.integer()}"
+        self.read(";")
+        return {"name": name}
 
     def quiver_decl(self):
-        kw = self.expect("NAME", "quiver")
-        name = self.expect("NAME")
-        self.expect("SYM", "{")
-        self.expect("NAME", "vertices")
-        self.expect("SYM", ":")
-        vertices = self.namelist()
-        self.expect("SYM", ";")
+        name, vertices = self.read(self.name, "{", "vertices", ":", self.namelist, ";")
         arrows = []
-        if self.at_name("arrows"):
-            self.next()
-            self.expect("SYM", ":")
-            while True:
-                lab = self.label()
-                self.expect("SYM", ":")
-                src = self.label()
-                self.expect("SYM", "->")
-                tgt = self.label()
-                arrows.append((lab, src, tgt))
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
-            self.expect("SYM", ";")
-        self.expect("SYM", "}")
-        return Node("quiver", name=name.value, vertices=vertices,
-                    arrows=arrows, line=kw.line, col=kw.col)
+        if self.at("arrows"):
+            self.read("arrows", ":")
+            arrows = self.separated(self.arrow)
+            self.read(";")
+        self.read("}")
+        return {"name": name, "vertices": vertices, "arrows": arrows}
+
+    def arrow(self):
+        return tuple(self.read(self.label, ":", self.label, "->", self.label))
 
     def vquiver_decl(self):
-        kw = self.expect("NAME", "vquiver")
-        name = self.expect("NAME")
-        self.expect("SYM", "{")
-        self.expect("NAME", "vertices")
-        self.expect("SYM", ":")
-        vertices = self.namelist()
-        self.expect("SYM", ";")
+        name, vertices = self.read(self.name, "{", "vertices", ":", self.namelist, ";")
         spaces = []
-        while self.at_name("space"):
-            self.next()
-            src = self.label()
-            self.expect("SYM", "->")
-            tgt = self.label()
-            self.expect("SYM", "=")
-            self.expect("SYM", "[")
-            labels = self.namelist()
-            self.expect("SYM", "]")
-            self.expect("SYM", ";")
-            spaces.append((src, tgt, labels))
-        self.expect("SYM", "}")
-        return Node("vquiver", name=name.value, vertices=vertices,
-                    spaces=spaces, line=kw.line, col=kw.col)
+        while self.at("space"):
+            spaces.append(tuple(self.read("space", self.label, "->", self.label,
+                                          "=", "[", self.namelist, "]", ";")))
+        self.read("}")
+        return {"name": name, "vertices": vertices, "spaces": spaces}
 
     def algebra_decl(self):
-        kw = self.expect("NAME", "algebra")
-        name = self.expect("NAME")
-        self.expect("SYM", "=")
-        head = self.peek()
-        if head.kind == "NAME" and head.value in ("kvq", "cpa"):
-            ctor = self.next().value
-            self.expect("SYM", "(")
-            base = self.expect("NAME").value
-            self.expect("SYM", ",")
-            self.expect("NAME", "level")
-            self.expect("SYM", "=")
-            level = self.expect("INT").value
-            self.expect("SYM", ")")
-            ideal_exprs = []
-            if self.at_sym("/"):
-                self.next()
-                self.expect("NAME", "ideal")
-                self.expect("SYM", "(")
-                ideal_exprs.append(self.expr())
-                while self.at_sym(","):
-                    self.next()
-                    ideal_exprs.append(self.expr())
-                self.expect("SYM", ")")
-            self.expect("SYM", ";")
-            return Node("algebra", name=name.value, ctor=ctor, base=base,
-                        level=level, ideal=ideal_exprs, line=kw.line, col=kw.col)
-        if head.kind == "NAME" and head.value == "table":
-            self.next()
-            self.expect("SYM", "{")
-            self.expect("NAME", "basis")
-            self.expect("SYM", ":")
-            basis = self.namelist()
-            self.expect("SYM", ";")
-            self.expect("NAME", "unit")
-            self.expect("SYM", ":")
-            unit = self.expr()
-            self.expect("SYM", ";")
+        name, = self.read(self.name, "=")
+        head = self.next()
+        if head.value in ("kvq", "cpa"):
+            base, level = self.read("(", self.name, ",", "level", "=", self.integer, ")")
+            ideal = []
+            if self.at("/"):
+                self.read("/", "ideal", "(")
+                ideal = self.separated(self.expr)
+                self.read(")")
+            self.read(";")
+            return {"name": name, "ctor": head.value, "base": base, "level": level,
+                    "ideal": ideal}
+        if head.value == "table":
+            basis, unit = self.read("{", "basis", ":", self.namelist, ";",
+                                    "unit", ":", self.expr, ";")
             products = []
             while self.peek().kind == "NAME":
-                left = self.expect("NAME").value
-                self.expect("SYM", "*")
-                right = self.expect("NAME").value
-                self.expect("SYM", "=")
-                val = self.expr()
-                self.expect("SYM", ";")
-                products.append((left, right, val))
-            self.expect("SYM", "}")
-            self.expect("SYM", ";")
-            return Node("algebra", name=name.value, ctor="table", basis=basis,
-                        unit=unit, products=products, line=kw.line, col=kw.col)
-        _err("PARSE_ERROR", f"expected kvq, cpa or table, found {head.value!r}",
-             head.line, head.col)
+                products.append(tuple(self.read(self.name, "*", self.name, "=", self.expr, ";")))
+            self.read("}", ";")
+            return {"name": name, "ctor": "table", "basis": basis, "unit": unit,
+                    "products": products}
+        _parse_error(head, f"expected kvq, cpa or table, found {head.value!r}")
 
     def morphism_decl(self):
-        kw = self.expect("NAME", "morphism")
-        name = self.expect("NAME")
-        self.expect("SYM", ":")
-        src = self.expect("NAME").value
-        self.expect("SYM", "->")
-        tgt = self.expect("NAME").value
-        self.expect("SYM", "{")
+        name, source, target = self.read(self.name, ":", self.name, "->", self.name, "{")
         images = []
         while self.peek().kind == "NAME":
-            gen = self.expect("NAME").value
-            self.expect("SYM", "->")
-            val = self.expr()
-            self.expect("SYM", ";")
-            images.append((gen, val))
-        self.expect("SYM", "}")
-        return Node("morphism", name=name.value, source=src, target=tgt,
-                    images=images, line=kw.line, col=kw.col)
+            images.append(tuple(self.read(self.name, "->", self.expr, ";")))
+        self.read("}")
+        return {"name": name, "source": source, "target": target, "images": images}
 
     def check_decl(self):
-        kw = self.expect("NAME", "check")
-        cname = self.expect("NAME").value
-        self.expect("SYM", "(")
-        args = []
-        if not self.at_sym(")"):
-            while True:
-                tok = self.peek()
-                if tok.kind == "NAME":
-                    args.append(self.next().value)
-                elif tok.kind == "INT":
-                    args.append(self.next().value)
-                else:
-                    _err("PARSE_ERROR", "check arguments are names or integers",
-                         tok.line, tok.col)
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
-        self.expect("SYM", ")")
-        self.expect("SYM", ";")
-        return Node("check", name=cname, args=args, line=kw.line, col=kw.col)
+        name, = self.read(self.name, "(")
+        args = [] if self.at(")") else self.separated(self.argument)
+        self.read(")", ";")
+        return {"name": name, "args": args}
+
+    def argument(self):
+        tok = self.next()
+        if tok.kind not in ("NAME", "INT"):
+            _parse_error(tok, "check arguments are names or integers")
+        return tok.value
 
     # -- expressions ----------------------------------------------------------
 
     def expr(self):
-        terms = []
-        negate = False
-        if self.at_sym("-"):
-            self.next()
-            negate = True
-        terms.append(self.term(negate))
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.next().value
-            terms.append(self.term(op == "-"))
+        negate = self.at("-")
+        if negate:
+            self.pos += 1
+        terms = [self.term(negate)]
+        while self.at("+") or self.at("-"):
+            terms.append(self.term(self.next().value == "-"))
         return Node("expr", terms=terms)
 
     def term(self, negate: bool):
@@ -414,37 +322,31 @@ class Parser:
         coeff = Fraction(-1 if negate else 1)
         word = []
         if tok.kind == "INT":
-            self.next()
-            num = tok.value
+            self.pos += 1
             den = 1
-            if self.at_sym("/"):
-                self.next()
-                den_tok = self.expect("INT")
-                den = den_tok.value
+            if self.at("/"):
+                self.pos += 1
+                den_tok = self.peek()
+                den = self.integer()
                 if den == 0:
-                    _err("PARSE_ERROR", "zero denominator",
-                         den_tok.line, den_tok.col)
-            coeff *= Fraction(num, den)
-            if self.at_sym("*"):
-                self.next()
+                    _parse_error(den_tok, "zero denominator")
+            coeff *= Fraction(tok.value, den)
+            if self.at("*"):
+                self.pos += 1
                 word = self.word()
         elif tok.kind == "NAME":
             word = self.word()
         else:
-            _err("PARSE_ERROR", f"expected a term, found {tok.value!r}",
-                 tok.line, tok.col)
+            _parse_error(tok, f"expected a term, found {tok.value!r}")
         return Node("term", coeff=coeff, word=word, line=tok.line, col=tok.col)
 
     def word(self):
-        names = [self.expect("NAME").value]
-        while self.at_sym("*"):
-            save = self.pos
-            self.next()
-            if self.peek().kind == "NAME":
-                names.append(self.next().value)
-            else:
-                self.pos = save
-                break
+        """name { "*" name }; a "*" that no name follows is left unread."""
+        names = [self.name()]
+        tokens = self.tokens
+        while self.at("*") and tokens[self.pos + 1].kind == "NAME":
+            names.append(tokens[self.pos + 1].value)
+            self.pos += 2
         return names
 
 
@@ -497,6 +399,15 @@ class Document:
                  line, col)
         self._positions[name] = (line, col)
         self.order.append((kind, name))
+
+    def lookup(self, kind, name, stmt):
+        """The declaration of `name` as a `kind`; UNKNOWN_NAME at `stmt` when
+        there is none."""
+        decls = {"quiver": self.quivers, "vquiver": self.vquivers,
+                 "algebra": self.algebras, "morphism": self.morphisms}[kind]
+        if name not in decls:
+            _err("UNKNOWN_NAME", f"{kind} {name!r} not declared", stmt.line, stmt.col)
+        return decls[name]
 
 
 def _coeff(field, term: Node):
@@ -571,12 +482,8 @@ def elaborate(ast: Node) -> Document:
 def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
     f = doc.field
     if stmt.ctor in ("kvq", "cpa"):
-        kind, decls, build = (("vquiver", doc.vquivers, build_kvq)
-                              if stmt.ctor == "kvq" else ("quiver", doc.quivers, cpa))
-        if stmt.base not in decls:
-            _err("UNKNOWN_NAME", f"{kind} {stmt.base!r} not declared",
-                 stmt.line, stmt.col)
-        tensor = _at(stmt, build, f, decls[stmt.base], stmt.level)
+        kind, build = ("vquiver", build_kvq) if stmt.ctor == "kvq" else ("quiver", cpa)
+        tensor = _at(stmt, build, f, doc.lookup(kind, stmt.base, stmt), stmt.level)
         if not stmt.ideal:
             return AlgebraEntry(tensor.carrier, tensor=tensor)
         rels = [eval_expr(e, tensor.carrier) for e in stmt.ideal]
@@ -625,14 +532,8 @@ def _elaborate_algebra(doc: Document, stmt: Node) -> AlgebraEntry:
 
 
 def _elaborate_morphism(doc: Document, stmt: Node) -> MorphismEntry:
-    src_entry = doc.algebras.get(stmt.source)
-    tgt_entry = doc.algebras.get(stmt.target)
-    if src_entry is None:
-        _err("UNKNOWN_NAME", f"algebra {stmt.source!r} not declared",
-             stmt.line, stmt.col)
-    if tgt_entry is None:
-        _err("UNKNOWN_NAME", f"algebra {stmt.target!r} not declared",
-             stmt.line, stmt.col)
+    src_entry = doc.lookup("algebra", stmt.source, stmt)
+    tgt_entry = doc.lookup("algebra", stmt.target, stmt)
     tensor = src_entry.tensor
     if tensor is None:
         _err("SEMANTIC_ERROR",
@@ -693,22 +594,11 @@ def _validate_check(doc: Document, stmt: Node):
              f"check {stmt.name} expects {len(sig)} arguments",
              stmt.line, stmt.col)
     for arg, want in zip(stmt.args, sig):
-        if want == "int":
-            if not isinstance(arg, int):
-                _err("SEMANTIC_ERROR", f"argument {arg!r} must be an integer",
-                     stmt.line, stmt.col)
-        elif want == "morphism":
-            if arg not in doc.morphisms:
-                _err("UNKNOWN_NAME", f"morphism {arg!r} not declared",
-                     stmt.line, stmt.col)
-        elif want == "algebra":
-            if arg not in doc.algebras:
-                _err("UNKNOWN_NAME", f"algebra {arg!r} not declared",
-                     stmt.line, stmt.col)
-        elif want == "vquiver":
-            if arg not in doc.vquivers:
-                _err("UNKNOWN_NAME", f"vquiver {arg!r} not declared",
-                     stmt.line, stmt.col)
+        if want != "int":
+            doc.lookup(want, arg, stmt)
+        elif not isinstance(arg, int):
+            _err("SEMANTIC_ERROR", f"argument {arg!r} must be an integer",
+                 stmt.line, stmt.col)
 
 
 def parse(text: str) -> Document:

@@ -143,9 +143,6 @@ class RationalField:
     def fmt(self, a) -> str:
         return str(a)
 
-    def parse(self, text: str):
-        return self.of(text.strip())
-
     @property
     def name(self) -> str:
         return "Q"
@@ -198,12 +195,6 @@ class PrimeField:
 
     def fmt(self, a) -> str:
         return f"{a} mod {self.char}"
-
-    def parse(self, text: str):
-        text = text.strip()
-        if text.endswith(f"mod {self.char}"):
-            text = text[: -len(f"mod {self.char}")].strip()
-        return self.of(Fraction(text))
 
     @property
     def name(self) -> str:

@@ -322,6 +322,8 @@ def test_sparse_class_reads_match_the_dense_coordinate_map(tag):
 
 
 def test_right_adjoint_matches_the_decomposition_solve():
+    """right_adjoint_phi builds its morphism unchecked; validate_morphism, as
+    the oracle, admits its matrix and gives back the same morphism."""
     checked = 0
     for case, rng, g in _cases():
         f = g.algebra.field
@@ -331,6 +333,7 @@ def test_right_adjoint_matches_the_decomposition_solve():
             k2 = build_kvq(f, rho.target, 2)
             alpha = qk.right_adjoint_phi(rho, g)
             assert alpha.matrix == ref_right_adjoint_matrix(rho, g, k2), case
+            assert validate_morphism(g.algebra, alpha.target, alpha.matrix) == alpha, case
             checked += 1
     assert checked > 100
 

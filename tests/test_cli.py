@@ -455,6 +455,21 @@ def _k_power_doc(n):
             + "};\ncheck gq_dims(K);\n")
 
 
+def test_a_20000_term_relation_checks_in_linear_time(tmp_path, capsys):
+    # 120 KB, 60000 tokens: 0.26-0.35 s of CPU time on a 2-core x86-64 VM,
+    # so the deadline is 3x that; a lexer or parser that turns quadratic in
+    # the document's length misses it
+    doc = tmp_path / "long.quiv"
+    doc.write_text("vquiver V { vertices: 1; space 1 -> 1 = [x]; }\n"
+                   "algebra A = kvq(V, level=3) / ideal(" + " + ".join(["x*x"] * 20000)
+                   + ");\ncheck gq_dims(A);\n", encoding="utf-8")
+    start = time.process_time()
+    assert main(["check", str(doc)]) == 0
+    assert time.process_time() - start < 1.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and len(report["results"]) == 2
+
+
 def test_k64_table_checks_within_two_seconds(tmp_path, capsys):
     doc = tmp_path / "k64.quiv"
     doc.write_text(_k_power_doc(64), encoding="utf-8")

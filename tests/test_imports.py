@@ -166,8 +166,6 @@ OPTIONS = {
                                             "class representative",
     "adjunction.same_ideal_orbit.budget": "the bound of an honest bounded search",
     "cli.main.argv": "the arguments of an in-process run; sys.argv otherwise",
-    "dsl.Parser.expect.value": "a token's text, when its kind alone does not say enough",
-    "dsl.Parser.at_name.value": "a token's text, when its kind alone does not say enough",
     "dsl.AlgebraEntry.__init__.tensor": "the path algebra of a presented algebra; none for a table",
     "dsl.AlgebraEntry.__init__.relations": "the relation ideal of a presented algebra",
     "dsl.AlgebraEntry.__init__.projection": "the projection of a presented algebra onto it",
